@@ -4,22 +4,22 @@ distinguishing formulas from the refinement fixpoint.
 All three equivalences run on signature-based partition refinement where
 round k of the history equals bisimilarity up to depth k (seeded by the
 initial partition). Stateless bisimilarity is strong bisimilarity on the
-expression-level system whose labels are (valuation, label) pairs: the
-matching clause of its definition quantifies over every valuation and
-fixes the target valuation, which that label encodes.
+expression-level system whose labels are (valuation, label, target
+valuation) triples: the matching clause of its definition quantifies over
+every valuation and fixes the target valuation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ContractViolationError
 from .hml import Check, Diamond, HmlFormula, Not, conjunction, set_all
-from .sos import DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, explore, step
-from .syntax import (
-    ProcessExpr, RecursiveSpec, Valuation, enumerate_valuations,
+from .sos import (
+    DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, explore, expression_closure,
 )
+from .syntax import ProcessExpr, RecursiveSpec, Valuation
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +73,14 @@ def _blocks_of(ids: Sequence[int]) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(out[b]) for b in sorted(out))
 
 
+def _verdict(history: list[list[int]], s: int, t: int) -> dict:
+    """The fields every result type shares, read off a refinement history."""
+    final = history[-1]
+    return dict(equivalent=final[s] == final[t], left=s, right=t,
+                rounds=len(history) - 1, blocks=_blocks_of(final),
+                history=history)
+
+
 # ---------------------------------------------------------------------------
 # Strong bisimilarity
 
@@ -95,14 +103,7 @@ def strong_bisim(lts: Lts, s: int, t: int) -> StrongResult:
     """Coarsest strong bisimulation on a finite LTS, via refinement."""
     adjacency = [lts.successors(i) for i in range(len(lts.states))]
     history = refinement_history(len(lts.states), adjacency, [0] * len(lts.states))
-    final = history[-1]
-    return StrongResult(
-        equivalent=final[s] == final[t],
-        left=s, right=t,
-        rounds=len(history) - 1,
-        blocks=_blocks_of(final),
-        history=history,
-    )
+    return StrongResult(**_verdict(history, s, t))
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +134,7 @@ class StateBasedResult:
 
 def _valuation_seeded_history(lts: Lts) -> list[list[int]]:
     seen: dict[Valuation, int] = {}
-    initial = []
-    for state in lts.states:
-        v = state.valuation
-        if v not in seen:
-            seen[v] = len(seen)
-        initial.append(seen[v])
+    initial = [seen.setdefault(state.valuation, len(seen)) for state in lts.states]
     adjacency = [lts.successors(i) for i in range(len(lts.states))]
     return refinement_history(len(lts.states), adjacency, initial)
 
@@ -149,14 +145,7 @@ def state_based_bisim(spec: RecursiveSpec, s: GvState, t: GvState,
     initial partition splits states by their full valuation."""
     lts, (si, ti) = explore(spec, [s, t], cfg)
     history = _valuation_seeded_history(lts)
-    final = history[-1]
-    return StateBasedResult(
-        equivalent=final[si] == final[ti],
-        lts=lts, left=si, right=ti,
-        rounds=len(history) - 1,
-        blocks=_blocks_of(final),
-        history=history,
-    )
+    return StateBasedResult(lts=lts, **_verdict(history, si, ti))
 
 
 # ---------------------------------------------------------------------------
@@ -189,37 +178,13 @@ class StatelessResult:
         return frozenset(pairs)
 
 
-def _stateless_structure(spec: RecursiveSpec, roots: Sequence[ProcessExpr],
-                         cfg: ExplorationConfig):
-    from .sos import reachable_exprs
-
-    exprs = reachable_exprs(spec, roots, cfg)
-    index = {e: i for i, e in enumerate(exprs)}
-    valuations = enumerate_valuations(spec, cfg.max_valuations)
-    adjacency = []
-    for expr in exprs:
-        row = []
-        for valuation in valuations:
-            for label, target in step(spec, GvState(expr, valuation)):
-                row.append(((valuation, label), index[target.expr]))
-        adjacency.append(row)
-    return exprs, index, valuations, adjacency
-
-
 def stateless_bisim(spec: RecursiveSpec, p: ProcessExpr, q: ProcessExpr,
                     cfg: ExplorationConfig = DEFAULT_CONFIG) -> StatelessResult:
     """Greatest fixpoint of Definition 3, by valuation enumeration."""
-    exprs, index, valuations, adjacency = _stateless_structure(spec, [p, q], cfg)
+    exprs, valuations, adjacency, (pi, qi) = expression_closure(spec, [p, q], cfg)
     history = refinement_history(len(exprs), adjacency, [0] * len(exprs))
-    final = history[-1]
-    return StatelessResult(
-        equivalent=final[index[p]] == final[index[q]],
-        exprs=exprs, valuations=valuations,
-        left=index[p], right=index[q],
-        rounds=len(history) - 1,
-        blocks=_blocks_of(final),
-        history=history,
-    )
+    return StatelessResult(exprs=exprs, valuations=valuations,
+                           **_verdict(history, pi, qi))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +198,52 @@ def _first_difference(a: Valuation, b: Valuation) -> str:
     raise ValueError("valuations do not differ")
 
 
+def _distinguish(successors: Callable[[int], Sequence[tuple]], history,
+                 a: int, b: int, what: str, diamond,
+                 split=None) -> tuple[HmlFormula, object]:
+    """A ``(formula, witness)`` pair that holds at ``a`` and fails at ``b``,
+    read off the refinement history after Cleaveland (CAV 1990).
+
+    ``successors(i)`` lists the ``(label, j)`` moves of state ``i``. A pair
+    split at round k >= 1 has a move of one side that the other cannot
+    match into round k-1; ``diamond(label, refutations)`` builds the formula
+    for that move from one refutation per same-label partner.
+    ``split(a, b)`` refutes pairs already apart in the initial partition.
+    """
+    if _rank(history, a, b) is None:
+        raise ContractViolationError(
+            f"distinguishing formula requested for {what}")
+    memo: dict = {}
+
+    def one_sided(a: int, b: int, k: int):
+        """A failing move of `a` that `b` cannot match into round k-1."""
+        b_moves = successors(b)
+        for label, target in successors(a):
+            partners = [u for l, u in b_moves if l == label]
+            if any(_in_relation(history, target, u, k - 1) for u in partners):
+                continue
+            return diamond(label, [distinguish(target, u) for u in partners])
+        return None
+
+    def distinguish(a: int, b: int):
+        key = (a, b)
+        if key in memo:
+            return memo[key]
+        k = _rank(history, a, b)
+        if k == 0:
+            found = split(a, b)
+        else:
+            found = one_sided(a, b, k)
+            if found is None:
+                # a rank-k split guarantees a failing move on one of the sides
+                formula, witness = one_sided(b, a, k)
+                found = (Not(formula), witness)
+        memo[key] = found
+        return found
+
+    return distinguish(a, b)
+
+
 def distinguishing_formula_stateless(
         spec: RecursiveSpec, p: ProcessExpr, q: ProcessExpr,
         cfg: ExplorationConfig = DEFAULT_CONFIG,
@@ -241,57 +252,22 @@ def distinguishing_formula_stateless(
 
     Mirrors the refutation construction behind the stateless
     correspondence theorem: an unmatched move yields a diamond over a
-    conjunction of refutations, each either a check on a differing target
-    valuation or a set-all-wrapped recursive formula. When ``at`` pins the
-    evaluation valuation, the result is wrapped so the split holds there.
+    conjunction of set-all-wrapped recursive refutations, one per partner
+    with the same source valuation and label (which fix its target
+    valuation). When ``at`` pins the evaluation valuation, the result is
+    wrapped so the split holds there.
     """
-    exprs, index, valuations, adjacency = _stateless_structure(spec, [p, q], cfg)
+    exprs, valuations, adjacency, (pi, qi) = expression_closure(spec, [p, q], cfg)
     history = refinement_history(len(exprs), adjacency, [0] * len(exprs))
-    if _rank(history, index[p], index[q]) is None:
-        raise ContractViolationError(
-            "distinguishing formula requested for stateless-bisimilar expressions")
 
-    memo: dict = {}
+    def diamond(move, refutations):
+        v_i, label, _ = move
+        body = conjunction(list(dict.fromkeys(
+            set_all(witness, formula) for formula, witness in refutations)))
+        return Diamond(frozenset({label}), body), valuations[v_i]
 
-    def one_sided(a: ProcessExpr, b: ProcessExpr, k: int):
-        """A failing move of `a` that `b` cannot match into round k-1."""
-        for valuation in valuations:
-            b_moves = step(spec, GvState(b, valuation))
-            for label, target in step(spec, GvState(a, valuation)):
-                partners = [(l, u) for l, u in b_moves if l == label]
-                if any(u.valuation == target.valuation
-                       and _in_relation(history, index[target.expr],
-                                        index[u.expr], k - 1)
-                       for _, u in partners):
-                    continue
-                refutes = []
-                for _, u in partners:
-                    if u.valuation != target.valuation:
-                        var = _first_difference(target.valuation, u.valuation)
-                        refutes.append(Check(var, target.valuation.value_of(var)))
-                    else:
-                        phi_i, v_i = distinguish(target.expr, u.expr)
-                        refutes.append(set_all(v_i, phi_i))
-                body = conjunction(list(dict.fromkeys(refutes)))
-                return Diamond(frozenset({label}), body), valuation
-        return None
-
-    def distinguish(a: ProcessExpr, b: ProcessExpr) -> tuple[HmlFormula, Valuation]:
-        key = (a, b)
-        if key in memo:
-            return memo[key]
-        k = _rank(history, index[a], index[b])
-        assert k is not None and k >= 1
-        found = one_sided(a, b, k)
-        if found is None:
-            # a rank-k split guarantees a failing move on one of the sides
-            flipped = one_sided(b, a, k)
-            assert flipped is not None
-            found = (Not(flipped[0]), flipped[1])
-        memo[key] = found
-        return found
-
-    formula, witness = distinguish(p, q)
+    formula, witness = _distinguish(adjacency.__getitem__, history, pi, qi,
+                                    "stateless-bisimilar expressions", diamond)
     if at is not None and at != witness:
         return set_all(witness, formula), at
     return formula, witness
@@ -307,41 +283,15 @@ def distinguishing_formula_state_based(
     """
     lts, (si, ti) = explore(spec, [s, t], cfg)
     history = _valuation_seeded_history(lts)
-    if _rank(history, si, ti) is None:
-        raise ContractViolationError(
-            "distinguishing formula requested for state-based-bisimilar states")
 
-    memo: dict = {}
+    def diamond(label, refutations):
+        body = conjunction(list(dict.fromkeys(f for f, _ in refutations)))
+        return Diamond(frozenset({label}), body), None
 
-    def one_sided(a: int, b: int, k: int):
-        b_moves = lts.successors(b)
-        for label, target in lts.successors(a):
-            partners = [u for l, u in b_moves if l == label]
-            if any(_in_relation(history, target, u, k - 1) for u in partners):
-                continue
-            refutes = [distinguish(target, u) for u in partners]
-            return Diamond(frozenset({label}),
-                           conjunction(list(dict.fromkeys(refutes))))
-        return None
-
-    def distinguish(a: int, b: int) -> HmlFormula:
-        key = (a, b)
-        if key in memo:
-            return memo[key]
+    def split(a: int, b: int):
         va = lts.states[a].valuation
-        vb = lts.states[b].valuation
-        if va != vb:
-            var = _first_difference(va, vb)
-            found: HmlFormula = Check(var, va.value_of(var))
-        else:
-            k = _rank(history, a, b)
-            assert k is not None and k >= 1
-            found = one_sided(a, b, k)
-            if found is None:
-                flipped = one_sided(b, a, k)
-                assert flipped is not None
-                found = Not(flipped)
-        memo[key] = found
-        return found
+        var = _first_difference(va, lts.states[b].valuation)
+        return Check(var, va.value_of(var)), None
 
-    return distinguish(si, ti)
+    return _distinguish(lts.successors, history, si, ti, "state-based-bisimilar states",
+                        diamond, split)[0]

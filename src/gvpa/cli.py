@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Exit codes: 0 success (and verdict "true" where applicable), 1 a checked
-verdict is false, 2 input error, 3 a resource cap was exceeded.
+verdict is false, 2 input error (including input nested too deeply for
+Python's recursion limit), 3 a resource cap was exceeded.
 """
 from __future__ import annotations
 
@@ -81,8 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--formulas", metavar="PATH",
                    help="file with one check-fragment formula per line")
-    p.add_argument("--multi", action="store_true",
-                   help="use the multi-variable translation")
 
     p = sub.add_parser("verify-translation", parents=[common],
                        help="machine-check the translation on this spec")
@@ -151,48 +150,47 @@ def _cmd_lts(args) -> int:
     return EXIT_OK
 
 
-def _bisim_report(args, mode, result, formula=None, witness=None) -> int:
+def _decide(args):
+    """Loads the two sides and returns the verdict in the chosen mode and,
+    when a state-based or stateless verdict is false, a distinguishing
+    formula and the valuation it is evaluated at."""
+    spec, init = _load(args)
+    cfg = _config(args)
+    left = parse_expr(args.left, spec)
+    right = parse_expr(args.right, spec)
+    valuation = _valuation(args, spec, init)
+    if args.mode == "stateless":
+        result = stateless_bisim(spec, left, right, cfg)
+        if result.equivalent:
+            return result, None, None
+        return (result, *distinguishing_formula_stateless(
+            spec, left, right, cfg, at=valuation))
+    s, t = GvState(left, valuation), GvState(right, valuation)
+    if args.mode == "strong":
+        lts, (si, ti) = explore(spec, [s, t], cfg)
+        return strong_bisim(lts, si, ti), None, None
+    result = state_based_bisim(spec, s, t, cfg)
+    if result.equivalent:
+        return result, None, None
+    return result, distinguishing_formula_state_based(spec, s, t, cfg), valuation
+
+
+def _cmd_bisim(args) -> int:
+    result, formula, witness = _decide(args)
     payload = {
-        "mode": mode,
+        "mode": args.mode,
         "verdict": result.equivalent,
         "relation_size": result.relation_size,
         "witness_formula": formula_str(formula) if formula is not None else None,
         "witness_valuation": str(witness) if witness is not None else None,
     }
-    human = f"{mode}: {'bisimilar' if result.equivalent else 'not bisimilar'}"
+    human = f"{args.mode}: {'bisimilar' if result.equivalent else 'not bisimilar'}"
     if formula is not None:
         human += f"\nformula: {formula_str(formula)}"
     if witness is not None:
         human += f"\nvaluation: {witness}"
     _emit(args, payload, human)
     return EXIT_OK if result.equivalent else EXIT_FALSE
-
-
-def _cmd_bisim(args) -> int:
-    spec, init = _load(args)
-    cfg = _config(args)
-    left = parse_expr(args.left, spec)
-    right = parse_expr(args.right, spec)
-    valuation = _valuation(args, spec, init)
-    if args.mode == "strong":
-        lts, (si, ti) = explore(spec, [GvState(left, valuation),
-                                       GvState(right, valuation)], cfg)
-        return _bisim_report(args, "strong", strong_bisim(lts, si, ti))
-    if args.mode == "state-based":
-        result = state_based_bisim(spec, GvState(left, valuation),
-                                   GvState(right, valuation), cfg)
-        formula = None
-        if not result.equivalent:
-            formula = distinguishing_formula_state_based(
-                spec, GvState(left, valuation), GvState(right, valuation), cfg)
-        return _bisim_report(args, "state-based", result, formula,
-                             valuation if formula is not None else None)
-    result = stateless_bisim(spec, left, right, cfg)
-    formula = witness = None
-    if not result.equivalent:
-        formula, witness = distinguishing_formula_stateless(
-            spec, left, right, cfg, at=valuation)
-    return _bisim_report(args, "stateless", result, formula, witness)
 
 
 def _cmd_modelcheck(args) -> int:
@@ -213,35 +211,13 @@ def _cmd_modelcheck(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
-    spec, init = _load(args)
-    cfg = _config(args)
-    left = parse_expr(args.left, spec)
-    right = parse_expr(args.right, spec)
-    valuation = _valuation(args, spec, init)
-    if args.mode == "stateless":
-        result = stateless_bisim(spec, left, right, cfg)
-        if result.equivalent:
-            _emit(args, {"verdict": None,
-                         "message": "bisimilar: no distinguishing formula exists"},
-                  "bisimilar: no distinguishing formula exists")
-            return EXIT_FALSE
-        formula, witness = distinguishing_formula_stateless(
-            spec, left, right, cfg, at=valuation)
-        _emit(args, {"formula": formula_str(formula),
-                     "valuation": str(witness)},
-              f"{formula_str(formula)}\nvaluation: {witness}")
-        return EXIT_OK
-    result = state_based_bisim(spec, GvState(left, valuation),
-                               GvState(right, valuation), cfg)
+    result, formula, witness = _decide(args)
     if result.equivalent:
-        _emit(args, {"verdict": None,
-                     "message": "bisimilar: no distinguishing formula exists"},
-              "bisimilar: no distinguishing formula exists")
+        message = "bisimilar: no distinguishing formula exists"
+        _emit(args, {"verdict": None, "message": message}, message)
         return EXIT_FALSE
-    formula = distinguishing_formula_state_based(
-        spec, GvState(left, valuation), GvState(right, valuation), cfg)
-    _emit(args, {"formula": formula_str(formula), "valuation": str(valuation)},
-          f"{formula_str(formula)}\nvaluation: {valuation}")
+    _emit(args, {"formula": formula_str(formula), "valuation": str(witness)},
+          f"{formula_str(formula)}\nvaluation: {witness}")
     return EXIT_OK
 
 
@@ -259,7 +235,7 @@ def _load_formulas(path: str | None, spec) -> list:
 def _cmd_translate(args) -> int:
     spec, init = _load(args)
     cfg = _config(args)
-    out = tr.translate_init(spec, init.root, init.valuation, multi=args.multi)
+    out = tr.translate_init(spec, init.root, init.valuation)
     formulas = [tr.translate_formula(f)
                 for f in _load_formulas(args.formulas, spec)]
     base = Path(args.file).stem
@@ -283,8 +259,7 @@ def _cmd_translate(args) -> int:
 def _cmd_verify_translation(args) -> int:
     spec, init = _load(args)
     cfg = _config(args)
-    pipeline = tr.run_pipeline(spec, init.root, init.valuation, cfg,
-                               multi=len(spec.variables) != 1)
+    pipeline = tr.run_pipeline(spec, init.root, init.valuation, cfg)
     checks: list[tuple[str, bool, str]] = []
     consistency = pipeline.consistency
     checks.append(("variable-consistency", consistency.ok,
@@ -354,6 +329,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print("error: input nested too deeply for the recursion limit",
+              file=sys.stderr)
         return EXIT_INPUT
 
 

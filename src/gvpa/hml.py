@@ -8,16 +8,15 @@ that the set operator performs, which may leave the reachable fragment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import FragmentError, SpecSyntaxError
 from .parser import TokenStream, tokenize
 from .sos import (
-    DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, reachable_exprs, state_str, step,
+    DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, expression_closure, state_str,
 )
 from .syntax import (
-    Action, Assign, ProcessExpr, RecursiveSpec, TransitionLabel, Valuation,
-    enumerate_valuations, label_str,
+    Action, Assign, ProcessExpr, RecursiveSpec, TransitionLabel, Valuation, label_str,
 )
 
 
@@ -342,14 +341,12 @@ class StateSpace:
     transitions: tuple[tuple[tuple[TransitionLabel, int], ...], ...]
     _expr_index: dict = field(init=False, repr=False, compare=False, default=None)
     _val_index: dict = field(init=False, repr=False, compare=False, default=None)
-    _rewrites: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_expr_index",
                            {e: i for i, e in enumerate(self.exprs)})
         object.__setattr__(self, "_val_index",
                            {v: i for i, v in enumerate(self.valuations)})
-        object.__setattr__(self, "_rewrites", {})
 
     def index_of(self, state: GvState) -> int:
         try:
@@ -359,15 +356,18 @@ class StateSpace:
             raise KeyError(f"state outside the grid: {state_str(state)}") from None
         return e_i * len(self.valuations) + v_i
 
-    def rewrite_index(self, index: int, var: str, value: str) -> int:
+    def atom(self, formula: Check | SetVar, sub: frozenset[int] | None) -> frozenset[int]:
+        """Denotation of a check, or of a set operator whose body denotes
+        ``sub``."""
+        n = len(self.states)
+        if isinstance(formula, Check):
+            return frozenset(
+                i for i in range(n)
+                if self.states[i].valuation.value_of(formula.var) == formula.value)
         nv = len(self.valuations)
-        v_i = index % nv
-        key = (v_i, var, value)
-        target = self._rewrites.get(key)
-        if target is None:
-            target = self._val_index[self.valuations[v_i].updated(var, value)]
-            self._rewrites[key] = target
-        return (index // nv) * nv + target
+        rewritten = [self._val_index[v.updated(formula.var, formula.value)]
+                     for v in self.valuations]
+        return frozenset(i for i in range(n) if i - i % nv + rewritten[i % nv] in sub)
 
     @property
     def all_indices(self) -> frozenset[int]:
@@ -377,71 +377,85 @@ class StateSpace:
 def build_state_space(spec: RecursiveSpec,
                       roots: ProcessExpr | Iterable[ProcessExpr],
                       cfg: ExplorationConfig = DEFAULT_CONFIG) -> StateSpace:
-    exprs = reachable_exprs(spec, roots, cfg)
-    valuations = enumerate_valuations(spec, cfg.max_valuations)
-    expr_index = {e: i for i, e in enumerate(exprs)}
-    val_index = {v: i for i, v in enumerate(valuations)}
+    exprs, valuations, rows, _ = expression_closure(spec, roots, cfg)
     nv = len(valuations)
-    states = tuple(GvState(e, v) for e in exprs for v in valuations)
     transitions = []
-    for state in states:
-        row = []
-        for label, target in step(spec, state):
-            j = expr_index[target.expr] * nv + val_index[target.valuation]
-            row.append((label, j))
-        transitions.append(tuple(row))
+    for e_i, row in enumerate(rows):
+        rows[e_i] = None
+        grid_rows = [[] for _ in valuations]
+        # Popping frees each closure move as its grid copy is made, so the
+        # two tables never coexist; the rows come out reversed.
+        while row:
+            (v_i, label, target_v), e_j = row.pop()
+            grid_rows[v_i].append((label, e_j * nv + target_v))
+        transitions.extend(tuple(reversed(r)) for r in grid_rows)
+    states = tuple(GvState(e, v) for e in exprs for v in valuations)
     return StateSpace(spec=spec, exprs=exprs, valuations=valuations,
                       states=states, transitions=tuple(transitions))
 
 
-def eval_formula(space: StateSpace, formula: HmlFormula,
-                 _memo: dict | None = None) -> frozenset[int]:
-    """Denotation of a formula on the grid, memoized on subformulas."""
-    memo = _memo if _memo is not None else {}
+def _denotation(n: int, successors: Callable[[int], Iterable[tuple]],
+                atom: Callable[[HmlFormula, frozenset | None], frozenset[int]],
+                formula: HmlFormula, memo: dict) -> frozenset[int]:
+    """Denotation of a formula over states ``0..n-1``, computed bottom-up
+    and memoized on subformulas as in Cleaveland & Steffen (FMSD 1993);
+    each modality scans every state's successors once.
+
+    ``successors(i)`` lists the ``(label, j)`` moves of state ``i``;
+    ``atom(formula, sub)`` gives the denotation of a check, or of a set
+    operator whose body denotes ``sub``.
+    """
     if formula in memo:
         return memo[formula]
-    n = len(space.states)
+
+    def sub(f: HmlFormula) -> frozenset[int]:
+        return _denotation(n, successors, atom, f, memo)
+
     if isinstance(formula, HTrue):
-        out = space.all_indices
+        out = frozenset(range(n))
     elif isinstance(formula, HFalse):
         out = frozenset()
-    elif isinstance(formula, Check):
-        out = frozenset(
-            i for i in range(n)
-            if space.states[i].valuation.value_of(formula.var) == formula.value)
     elif isinstance(formula, Not):
-        out = space.all_indices - eval_formula(space, formula.sub, memo)
+        out = frozenset(range(n)) - sub(formula.sub)
     elif isinstance(formula, And):
-        out = (eval_formula(space, formula.left, memo)
-               & eval_formula(space, formula.right, memo))
+        out = sub(formula.left) & sub(formula.right)
     elif isinstance(formula, Or):
-        out = (eval_formula(space, formula.left, memo)
-               | eval_formula(space, formula.right, memo))
+        out = sub(formula.left) | sub(formula.right)
     elif isinstance(formula, Diamond):
-        sub = eval_formula(space, formula.sub, memo)
+        body = sub(formula.sub)
         out = frozenset(
             i for i in range(n)
-            if any(label in formula.labels and j in sub
-                   for label, j in space.transitions[i]))
+            if any(label in formula.labels and j in body
+                   for label, j in successors(i)))
     elif isinstance(formula, Box):
-        sub = eval_formula(space, formula.sub, memo)
+        body = sub(formula.sub)
         out = frozenset(
             i for i in range(n)
-            if all(label not in formula.labels or j in sub
-                   for label, j in space.transitions[i]))
+            if all(label not in formula.labels or j in body
+                   for label, j in successors(i)))
+    elif isinstance(formula, Check):
+        out = atom(formula, None)
     elif isinstance(formula, SetVar):
-        sub = eval_formula(space, formula.sub, memo)
-        out = frozenset(
-            i for i in range(n)
-            if space.rewrite_index(i, formula.var, formula.value) in sub)
+        out = atom(formula, sub(formula.sub))
     else:
         raise TypeError(f"not a formula: {formula!r}")
     memo[formula] = out
     return out
 
 
+def eval_formula(space: StateSpace, formula: HmlFormula,
+                 _memo: dict | None = None) -> frozenset[int]:
+    """Denotation of a formula on the grid, memoized on subformulas."""
+    return _denotation(len(space.states), space.transitions.__getitem__,
+                       space.atom, formula, _memo if _memo is not None else {})
+
+
 def satisfies(space: StateSpace, state: GvState, formula: HmlFormula) -> bool:
     return space.index_of(state) in eval_formula(space, formula)
+
+
+def _no_atoms(formula: HmlFormula, sub) -> frozenset[int]:
+    raise FragmentError("check/set operators are not defined on plain LTSs")
 
 
 def eval_modal_on_lts(lts: Lts, formula: HmlFormula,
@@ -451,39 +465,5 @@ def eval_modal_on_lts(lts: Lts, formula: HmlFormula,
     Used on the translated side, where labels are canonical multi-action
     strings and states carry no valuation.
     """
-    memo = _memo if _memo is not None else {}
-    if formula in memo:
-        return memo[formula]
-    n = len(lts.states)
-    everything = frozenset(range(n))
-    if isinstance(formula, HTrue):
-        out = everything
-    elif isinstance(formula, HFalse):
-        out = frozenset()
-    elif isinstance(formula, Not):
-        out = everything - eval_modal_on_lts(lts, formula.sub, memo)
-    elif isinstance(formula, And):
-        out = (eval_modal_on_lts(lts, formula.left, memo)
-               & eval_modal_on_lts(lts, formula.right, memo))
-    elif isinstance(formula, Or):
-        out = (eval_modal_on_lts(lts, formula.left, memo)
-               | eval_modal_on_lts(lts, formula.right, memo))
-    elif isinstance(formula, Diamond):
-        sub = eval_modal_on_lts(lts, formula.sub, memo)
-        out = frozenset(
-            i for i in range(n)
-            if any(label in formula.labels and j in sub
-                   for label, j in lts.successors(i)))
-    elif isinstance(formula, Box):
-        sub = eval_modal_on_lts(lts, formula.sub, memo)
-        out = frozenset(
-            i for i in range(n)
-            if all(label not in formula.labels or j in sub
-                   for label, j in lts.successors(i)))
-    elif isinstance(formula, (Check, SetVar)):
-        raise FragmentError(
-            "check/set operators are not defined on plain LTSs")
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-    memo[formula] = out
-    return out
+    return _denotation(len(lts.states), lts.successors, _no_atoms, formula,
+                       _memo if _memo is not None else {})

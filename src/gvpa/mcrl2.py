@@ -7,12 +7,11 @@ over the finite domain, parameterised recursion).
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ResourceLimitError
-from .sos import DEFAULT_CONFIG, ExplorationConfig, Lts
+from .sos import DEFAULT_CONFIG, ExplorationConfig, Lts, _bfs_lts
 
 
 # ---------------------------------------------------------------------------
@@ -471,34 +470,11 @@ def explore_mcrl2(env: Mcrl2Spec, roots: Sequence[Mcrl2Process],
                   cfg: ExplorationConfig = DEFAULT_CONFIG) -> tuple[Lts, tuple[int, ...]]:
     """BFS-reachable fragment from several roots; labels are canonical
     multi-action strings."""
-    index: dict[Mcrl2Process, int] = {}
-    states: list[Mcrl2Process] = []
-    transitions: list[tuple[int, str, int]] = []
-    queue: deque[int] = deque()
+    def successors(term: Mcrl2Process):
+        return [(canonical_label(env.domain, sem), target)
+                for sem, target in step_mcrl2(env, term)]
 
-    def register(term: Mcrl2Process) -> int:
-        if term in index:
-            return index[term]
-        if len(states) >= cfg.max_states:
-            raise ResourceLimitError(
-                f"state cap of {cfg.max_states} exceeded",
-                limit=cfg.max_states,
-                reached=len(states) + 1,
-            )
-        index[term] = len(states)
-        states.append(term)
-        queue.append(index[term])
-        return index[term]
-
-    root_indices = tuple(register(root) for root in roots)
-    while queue:
-        current = queue.popleft()
-        for sem, target in step_mcrl2(env, states[current]):
-            j = register(target)
-            transitions.append((current, canonical_label(env.domain, sem), j))
-    return (Lts(states=tuple(states), transitions=tuple(transitions),
-                initial=root_indices[0]),
-            root_indices)
+    return _bfs_lts(roots, successors, cfg.max_states)
 
 
 def generate_lts_mcrl2(env: Mcrl2Spec, proc: Mcrl2Process,

@@ -7,7 +7,6 @@ never assignments.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -32,7 +31,6 @@ def state_str(state: GvState) -> str:
 @dataclass(frozen=True)
 class ExplorationConfig:
     max_states: int = 100_000
-    max_depth: int | None = None
     max_valuations: int = 4096
 
     def __post_init__(self):
@@ -63,18 +61,8 @@ class Lts:
             succ[src].append((label, dst))
         object.__setattr__(self, "_succ", succ)
 
-    @property
-    def labels(self) -> tuple:
-        seen = {}
-        for _, label, _ in self.transitions:
-            seen.setdefault(label, None)
-        return tuple(seen)
-
     def successors(self, state: int) -> list[tuple[Any, int]]:
         return self._succ[state]
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 # ---------------------------------------------------------------------------
@@ -145,53 +133,55 @@ def _steps(spec, expr, valuation, unfolding):
 
 
 # ---------------------------------------------------------------------------
-# LTS construction
+# Breadth-first exploration
+
+
+def _bfs(roots: Iterable, successors: Callable[[Any], Iterable[tuple[Any, Any]]],
+         cap: int, what: str = "state") -> tuple[list, list[list], tuple[int, ...]]:
+    """Breadth-first search from several roots at once.
+
+    Returns the nodes in discovery order, one row of ``(label, j)`` moves
+    per node, where ``j`` indexes the nodes, and the index of each root.
+    Raises ResourceLimitError rather than store more than ``cap`` nodes.
+    """
+    index: dict = {}
+    nodes: list = []
+    rows: list[list] = []
+
+    def register(node) -> int:
+        i = index.get(node)
+        if i is None:
+            if len(nodes) >= cap:
+                raise ResourceLimitError(
+                    f"{what} cap of {cap} exceeded "
+                    f"(frontier size {len(nodes) - len(rows)})",
+                    limit=cap, reached=len(nodes) + 1)
+            i = index[node] = len(nodes)
+            nodes.append(node)
+        return i
+
+    root_indices = tuple(register(root) for root in roots)
+    while len(rows) < len(nodes):
+        rows.append([(label, register(target))
+                     for label, target in successors(nodes[len(rows)])])
+    return nodes, rows, root_indices
+
+
+def _bfs_lts(roots: Iterable, successors, cap: int) -> tuple[Lts, tuple[int, ...]]:
+    """The reachable LTS of the roots, states indexed in BFS order."""
+    states, rows, root_indices = _bfs(roots, successors, cap)
+    transitions = tuple((i, label, j) for i, row in enumerate(rows) for label, j in row)
+    # Lts builds its own successor lists; the rows must not outlive that.
+    del rows
+    return (Lts(states=tuple(states), transitions=transitions,
+                initial=root_indices[0]),
+            root_indices)
 
 
 def explore(spec: RecursiveSpec, roots: Sequence[GvState],
             cfg: ExplorationConfig = DEFAULT_CONFIG) -> tuple[Lts, tuple[int, ...]]:
     """BFS over the reachable fragment from several roots at once."""
-    index: dict[GvState, int] = {}
-    states: list[GvState] = []
-    transitions: list[tuple[int, TransitionLabel, int]] = []
-    queue: deque[tuple[int, int]] = deque()
-
-    def register(state: GvState) -> int:
-        if state in index:
-            return index[state]
-        if len(states) >= cfg.max_states:
-            raise ResourceLimitError(
-                f"state cap of {cfg.max_states} exceeded "
-                f"(frontier size {len(queue)})",
-                limit=cfg.max_states,
-                reached=len(states) + 1,
-            )
-        index[state] = len(states)
-        states.append(state)
-        return index[state]
-
-    root_indices = []
-    for root in roots:
-        before = len(states)
-        i = register(root)
-        if len(states) > before:
-            queue.append((i, 0))
-        root_indices.append(i)
-
-    while queue:
-        current, depth = queue.popleft()
-        if cfg.max_depth is not None and depth >= cfg.max_depth:
-            continue
-        for label, target in step(spec, states[current]):
-            known = target in index
-            j = register(target)
-            transitions.append((current, label, j))
-            if not known:
-                queue.append((j, depth + 1))
-
-    return (Lts(states=tuple(states), transitions=tuple(transitions),
-                initial=root_indices[0]),
-            tuple(root_indices))
+    return _bfs_lts(roots, lambda state: step(spec, state), cfg.max_states)
 
 
 def generate_lts(spec: RecursiveSpec, init: InitSpec | GvState,
@@ -206,32 +196,35 @@ def generate_lts(spec: RecursiveSpec, init: InitSpec | GvState,
 # Reachable expressions and image-finiteness
 
 
-def reachable_exprs(spec: RecursiveSpec, roots: ProcessExpr | Iterable[ProcessExpr],
-                    cfg: ExplorationConfig = DEFAULT_CONFIG) -> tuple[ProcessExpr, ...]:
-    """Closure of the roots under steps taken from every valuation."""
+def expression_closure(spec: RecursiveSpec, roots: ProcessExpr | Iterable[ProcessExpr],
+                       cfg: ExplorationConfig = DEFAULT_CONFIG):
+    """Closure of the roots under steps taken from every valuation.
+
+    One pass returns ``(exprs, valuations, rows, root_indices)``. Row ``e``
+    lists the moves of ``exprs[e]`` from every valuation, valuation by
+    valuation in grid order and in `step` order within one valuation, as
+    ``((v, label, v2), e2)``: from ``valuations[v]`` the label leads to
+    ``exprs[e2]`` under ``valuations[v2]``.
+    """
     if isinstance(roots, ProcessExpr):
         roots = [roots]
     valuations = enumerate_valuations(spec, cfg.max_valuations)
-    seen: dict[ProcessExpr, None] = {}
-    queue: deque[ProcessExpr] = deque()
-    for root in roots:
-        if root not in seen:
-            seen[root] = None
-            queue.append(root)
-    while queue:
-        expr = queue.popleft()
-        for valuation in valuations:
-            for _, target in step(spec, GvState(expr, valuation)):
-                if target.expr not in seen:
-                    if len(seen) >= cfg.max_states:
-                        raise ResourceLimitError(
-                            f"expression closure cap of {cfg.max_states} exceeded",
-                            limit=cfg.max_states,
-                            reached=len(seen) + 1,
-                        )
-                    seen[target.expr] = None
-                    queue.append(target.expr)
-    return tuple(seen)
+    val_index = {v: i for i, v in enumerate(valuations)}
+
+    def successors(expr):
+        for v_i, valuation in enumerate(valuations):
+            for label, target in step(spec, GvState(expr, valuation)):
+                yield (v_i, label, val_index[target.valuation]), target.expr
+
+    exprs, rows, root_indices = _bfs(roots, successors, cfg.max_states,
+                                     "expression closure")
+    return tuple(exprs), valuations, rows, root_indices
+
+
+def reachable_exprs(spec: RecursiveSpec, roots: ProcessExpr | Iterable[ProcessExpr],
+                    cfg: ExplorationConfig = DEFAULT_CONFIG) -> tuple[ProcessExpr, ...]:
+    """Closure of the roots under steps taken from every valuation."""
+    return expression_closure(spec, roots, cfg)[0]
 
 
 @dataclass(frozen=True)

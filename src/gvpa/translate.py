@@ -22,7 +22,7 @@ from .bisim import StateBasedResult, StrongResult, state_based_bisim, strong_bis
 from .mcrl2 import (
     DAnd, DBool, DConst, DEq, DVar, DataExpr, MAct, MAllow, MBar, MCall,
     MChoice, MComm, MDELTA, MDeadlock, MHide, MParallel, MPrefix, MSum,
-    Mcrl2Process, Mcrl2Spec, Multiset, generate_lts_mcrl2,
+    Mcrl2Process, Mcrl2Spec, Multiset, explore_mcrl2, generate_lts_mcrl2,
 )
 from .sos import DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, explore, state_str
 from .syntax import (
@@ -297,11 +297,10 @@ def translate_multi(spec: RecursiveSpec, expr: ProcessExpr,
                      wrapped=isinstance(expr, Encap))
 
 
-def translate_init(spec: RecursiveSpec, root: ProcessExpr, valuation: Valuation,
-                   multi: bool = False) -> TranslationOutput:
-    if multi or len(spec.variables) != 1:
-        return translate_multi(spec, root, valuation)
-    return psi(spec, root, valuation)
+def translate_init(spec: RecursiveSpec, root: ProcessExpr,
+                   valuation: Valuation) -> TranslationOutput:
+    """The translation of an init state; with one variable it equals `psi`."""
+    return translate_multi(spec, root, valuation)
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +455,9 @@ class PipelineResult:
 
 
 def run_pipeline(spec: RecursiveSpec, root: ProcessExpr, valuation: Valuation,
-                 cfg: ExplorationConfig = DEFAULT_CONFIG,
-                 multi: bool = False) -> PipelineResult:
+                 cfg: ExplorationConfig = DEFAULT_CONFIG) -> PipelineResult:
     """Translate, generate both LTSs, build the state map, verify."""
-    out = translate_init(spec, root, valuation, multi=multi)
+    out = translate_init(spec, root, valuation)
     gv_root = GvState(root, valuation)
     gv_lts, _ = explore(spec, [gv_root], cfg)
     m_lts = generate_lts_mcrl2(out.menv, out.top, cfg)
@@ -784,8 +782,6 @@ def check_corollary1(spec: RecursiveSpec, p: ProcessExpr, q: ProcessExpr,
                      cfg: ExplorationConfig = DEFAULT_CONFIG) -> Corollary1Report:
     """State-based bisimilarity of sources versus strong bisimilarity of
     their translations, on the joint translated LTS."""
-    from .mcrl2 import explore_mcrl2
-
     source = state_based_bisim(spec, GvState(p, v1), GvState(q, v2), cfg)
     out_p = translate_init(spec, p, v1)
     out_q = translate_init(spec, q, v2)

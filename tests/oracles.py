@@ -9,10 +9,10 @@ from __future__ import annotations
 from itertools import permutations
 
 from gvpa.hml import (
-    And, Box, Check, Diamond, FALSE, Not, Or, SetVar, TRUE, eval_formula,
+    And, Box, Check, Diamond, FALSE, HFalse, HTrue, Not, Or, SetVar, TRUE,
 )
 from gvpa.mcrl2 import GroundAction, Multiset
-from gvpa.sos import GvState, step
+from gvpa.sos import GvState, Lts, step
 from gvpa.syntax import enumerate_valuations
 
 
@@ -186,6 +186,64 @@ def isomorphic(lts_a, lts_b, label_map=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Reference formula evaluator
+
+
+def reference_eval_formula(model, formula, memo: dict | None = None) -> frozenset[int]:
+    """Denotation of a formula by scanning every state's successors,
+    memoized on subformulas.
+
+    ``model`` is a grid StateSpace, where a check reads a state's valuation
+    and a set operator rewrites it, or a plain Lts for the modal fragment.
+    """
+    memo = {} if memo is None else memo
+    if formula in memo:
+        return memo[formula]
+    n = len(model.states)
+    everything = frozenset(range(n))
+    if isinstance(model, Lts):
+        moves = model.successors
+    else:
+        moves = model.transitions.__getitem__
+    if isinstance(formula, HTrue):
+        out = everything
+    elif isinstance(formula, HFalse):
+        out = frozenset()
+    elif isinstance(formula, Check):
+        out = frozenset(
+            i for i in range(n)
+            if model.states[i].valuation.value_of(formula.var) == formula.value)
+    elif isinstance(formula, Not):
+        out = everything - reference_eval_formula(model, formula.sub, memo)
+    elif isinstance(formula, And):
+        out = (reference_eval_formula(model, formula.left, memo)
+               & reference_eval_formula(model, formula.right, memo))
+    elif isinstance(formula, Or):
+        out = (reference_eval_formula(model, formula.left, memo)
+               | reference_eval_formula(model, formula.right, memo))
+    elif isinstance(formula, Diamond):
+        sub = reference_eval_formula(model, formula.sub, memo)
+        out = frozenset(
+            i for i in range(n)
+            if any(label in formula.labels and j in sub for label, j in moves(i)))
+    elif isinstance(formula, Box):
+        sub = reference_eval_formula(model, formula.sub, memo)
+        out = frozenset(
+            i for i in range(n)
+            if all(label not in formula.labels or j in sub for label, j in moves(i)))
+    elif isinstance(formula, SetVar):
+        sub = reference_eval_formula(model, formula.sub, memo)
+        out = frozenset(
+            i for i, state in enumerate(model.states)
+            if model.index_of(GvState(
+                state.expr, state.valuation.updated(formula.var, formula.value))) in sub)
+    else:
+        raise TypeError(f"not a formula: {formula!r}")
+    memo[formula] = out
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Deterministic formula enumeration
 
 
@@ -242,7 +300,7 @@ def find_distinguishing_formula(space, left, right, labels, max_depth: int,
         """Adds a generator; True iff its denotation is new."""
         if len(gens) >= cap:
             return False
-        den = eval_formula(space, formula, memo)
+        den = reference_eval_formula(space, formula, memo)
         if (li in den) != (ri in den):
             raise _Found(formula)
         if den in seen_denotations:

@@ -37,6 +37,20 @@ class TestValidate:
         assert main(["validate", "/nonexistent.gvpa"]) == 2
 
 
+class TestDeepNesting:
+    """A 3,000-prefix chain exceeds Python's recursion limit in the parser."""
+
+    @pytest.mark.parametrize("command", ["validate", "lts"])
+    def test_deep_prefix_chain_is_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.gvpa"
+        path.write_text("domain { 0 }\nacts { a }\ninit " + "a." * 3000
+                        + "delta with { }\n", encoding="utf-8")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
+
 class TestLts:
     def test_aut_header_on_stdout(self, capsys):
         assert main(["lts", TRAFFIC, "--format", "aut"]) == 0

@@ -4,15 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genspecs import gen_pair, gen_parseq_spec, gen_spec
+from oracles import enumerate_check_formulas, reference_eval_formula
+
 from gvpa.errors import SpecSyntaxError
 from gvpa.hml import (
-    And, Box, Check, Diamond, FALSE, Not, Or, SetVar, TRUE,
-    build_state_space, eval_formula, formula_str, fragment, modal_depth,
-    parse_formula, satisfies, set_all,
+    And, Box, Check, Diamond, FALSE, Not, Or, SetVar, TRUE, all_labels,
+    build_state_space, eval_formula, eval_modal_on_lts, formula_str, fragment,
+    modal_depth, parse_formula, satisfies, set_all,
 )
 from gvpa.parser import parse_spec
-from gvpa.sos import GvState
+from gvpa.sos import ExplorationConfig, GvState
 from gvpa.syntax import Action, Assign, Deadlock, Name, Valuation
+from gvpa.translate import run_pipeline, translate_formula
 
 
 class TestParseFormula:
@@ -246,3 +250,40 @@ def test_modal_depth():
     assert modal_depth(inner) == 1
     assert modal_depth(SetVar("v", "0", inner)) == 1
     assert modal_depth(And(inner, Box(frozenset({Action("a")}), inner))) == 2
+
+
+class TestReferenceEvaluatorAgreement:
+    """The evaluator against the successor-scan reference in oracles.py."""
+
+    def test_grid_with_check_and_set(self):
+        rng = random.Random(4242)
+        for _ in range(12):
+            spec = gen_spec(rng)
+            p, q = gen_pair(rng, spec)
+            space = build_state_space(spec, [p, q], ExplorationConfig(max_states=2000))
+            labels = all_labels(spec)
+            formulas = enumerate_check_formulas(spec, labels, max_depth=2, cap=400)
+            sets = [SetVar(v, d, f) for f in formulas[::7]
+                    for v in spec.variables for d in spec.domain.values]
+            formulas += sets
+            formulas += [Box(frozenset({label}), f) for f in sets[::5] for label in labels]
+            memo: dict = {}
+            reference_memo: dict = {}
+            for formula in formulas:
+                assert eval_formula(space, formula, memo) == reference_eval_formula(
+                    space, formula, reference_memo), formula_str(formula)
+
+    def test_translated_lts(self):
+        rng = random.Random(4343)
+        for _ in range(6):
+            spec, root, valuation = gen_parseq_spec(rng, state_cap=30)
+            pipe = run_pipeline(spec, root, valuation, ExplorationConfig(max_states=3000))
+            formulas = enumerate_check_formulas(spec, all_labels(spec), max_depth=2,
+                                                cap=400)
+            memo: dict = {}
+            reference_memo: dict = {}
+            for formula in formulas:
+                translated = translate_formula(formula)
+                assert eval_modal_on_lts(pipe.m_lts, translated, memo) == \
+                    reference_eval_formula(pipe.m_lts, translated, reference_memo), \
+                    formula_str(formula)

@@ -392,7 +392,7 @@ class TestMultiVariable:
             "domain { 0, 1 } vars { u, v } acts { a, b } "
             "proc X = a.assign(u, 1).X "
             "init X || (u = 1) -> b.delta with { u = 0, v = 0 }")
-        pipe = run_pipeline(spec, init.root, init.valuation, CFG, multi=True)
+        pipe = run_pipeline(spec, init.root, init.valuation, CFG)
         assert pipe.consistency.ok
         assert len(pipe.m_lts.transitions) == (
             len(pipe.gv_lts.transitions) + 2 * len(pipe.gv_lts.states))
