@@ -27,9 +27,9 @@ from .hml import (
     fragment, modal_depth, parse_formula, satisfies, set_all,
 )
 from .bisim import (
-    StateBasedResult, StatelessResult, StrongResult,
-    distinguishing_formula_state_based, distinguishing_formula_stateless,
-    state_based_bisim, stateless_bisim, strong_bisim,
+    BisimResult, distinguishing_formula_state_based,
+    distinguishing_formula_stateless, state_based_bisim,
+    state_based_bisim_on_lts, stateless_bisim, strong_bisim,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

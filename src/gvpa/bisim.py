@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ContractViolationError
 from .hml import Check, Diamond, HmlFormula, Not, conjunction, set_all
@@ -73,118 +73,87 @@ def _blocks_of(ids: Sequence[int]) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(out[b]) for b in sorted(out))
 
 
-def _verdict(history: list[list[int]], s: int, t: int) -> dict:
-    """The fields every result type shares, read off a refinement history."""
-    final = history[-1]
-    return dict(equivalent=final[s] == final[t], left=s, right=t,
-                rounds=len(history) - 1, blocks=_blocks_of(final),
-                history=history)
-
-
 # ---------------------------------------------------------------------------
-# Strong bisimilarity
+# One result type for the three bisimilarities
 
 
 @dataclass
-class StrongResult:
+class BisimResult:
+    """A verdict with the structure its partition was refined on.
+
+    ``states`` are LTS payloads (strong, state-based) or expressions
+    (stateless); ``successors(i)`` lists the ``(label, j)`` rows the
+    history was refined on. Stateless labels are ``(v, label, v2)``
+    triples that index ``valuations``, which is empty in the other modes.
+    """
+    mode: str
     equivalent: bool
     left: int
     right: int
     rounds: int
     blocks: tuple[frozenset[int], ...]
     history: list[list[int]]
+    states: tuple
+    adjacency: Sequence[Sequence[tuple]]
+    valuations: tuple[Valuation, ...]
 
-    @property
-    def relation_size(self) -> int:
-        return sum(len(b) * (len(b) + 1) // 2 for b in self.blocks)
-
-
-def strong_bisim(lts: Lts, s: int, t: int) -> StrongResult:
-    """Coarsest strong bisimulation on a finite LTS, via refinement."""
-    adjacency = [lts.successors(i) for i in range(len(lts.states))]
-    history = refinement_history(len(lts.states), adjacency, [0] * len(lts.states))
-    return StrongResult(**_verdict(history, s, t))
-
-
-# ---------------------------------------------------------------------------
-# State-based bisimilarity
-
-
-@dataclass
-class StateBasedResult:
-    equivalent: bool
-    lts: Lts
-    left: int
-    right: int
-    rounds: int
-    blocks: tuple[frozenset[int], ...]
-    history: list[list[int]]
+    def successors(self, i: int) -> Sequence[tuple]:
+        return self.adjacency[i]
 
     @property
     def relation_size(self) -> int:
         return sum(len(b) * (len(b) + 1) // 2 for b in self.blocks)
 
     def related_pairs(self) -> frozenset:
-        pairs = set()
-        for block in self.blocks:
-            for a, b in combinations(sorted(block), 2):
-                pairs.add((self.lts.states[a], self.lts.states[b]))
-        return frozenset(pairs)
+        """Unordered pairs of distinct related states."""
+        return frozenset(
+            (self.states[a], self.states[b])
+            for block in self.blocks for a, b in combinations(sorted(block), 2))
 
 
-def _valuation_seeded_history(lts: Lts) -> list[list[int]]:
+def _result(mode: str, states: tuple, adjacency: Sequence[Sequence[tuple]],
+            valuations: tuple[Valuation, ...], initial_blocks: Sequence[int],
+            s: int, t: int) -> BisimResult:
+    """Refines the seeded partition and reads the verdict on (s, t) off it."""
+    history = refinement_history(len(states), adjacency, initial_blocks)
+    final = history[-1]
+    return BisimResult(mode=mode, equivalent=final[s] == final[t], left=s,
+                       right=t, rounds=len(history) - 1,
+                       blocks=_blocks_of(final), history=history,
+                       states=states, adjacency=adjacency, valuations=valuations)
+
+
+def _lts_rows(lts: Lts) -> list:
+    return [lts.successors(i) for i in range(len(lts.states))]
+
+
+def strong_bisim(lts: Lts, s: int, t: int) -> BisimResult:
+    """Coarsest strong bisimulation on a finite LTS, via refinement."""
+    return _result("strong", lts.states, _lts_rows(lts), (),
+                   [0] * len(lts.states), s, t)
+
+
+def state_based_bisim_on_lts(lts: Lts, s: int, t: int) -> BisimResult:
+    """Greatest fixpoint of Definition 5 on an explored LTS of `GvState`s;
+    the initial partition splits states by their full valuation."""
     seen: dict[Valuation, int] = {}
     initial = [seen.setdefault(state.valuation, len(seen)) for state in lts.states]
-    adjacency = [lts.successors(i) for i in range(len(lts.states))]
-    return refinement_history(len(lts.states), adjacency, initial)
+    return _result("state-based", lts.states, _lts_rows(lts), (), initial, s, t)
 
 
 def state_based_bisim(spec: RecursiveSpec, s: GvState, t: GvState,
-                      cfg: ExplorationConfig = DEFAULT_CONFIG) -> StateBasedResult:
-    """Greatest fixpoint of Definition 5 on the joint reachable LTS; the
-    initial partition splits states by their full valuation."""
+                      cfg: ExplorationConfig = DEFAULT_CONFIG) -> BisimResult:
+    """Greatest fixpoint of Definition 5 on the joint reachable LTS."""
     lts, (si, ti) = explore(spec, [s, t], cfg)
-    history = _valuation_seeded_history(lts)
-    return StateBasedResult(lts=lts, **_verdict(history, si, ti))
-
-
-# ---------------------------------------------------------------------------
-# Stateless bisimilarity
-
-
-@dataclass
-class StatelessResult:
-    equivalent: bool
-    exprs: tuple[ProcessExpr, ...]
-    valuations: tuple[Valuation, ...]
-    left: int
-    right: int
-    rounds: int
-    blocks: tuple[frozenset[int], ...]
-    history: list[list[int]]
-
-    @property
-    def relation_size(self) -> int:
-        return sum(len(b) * (len(b) + 1) // 2 for b in self.blocks)
-
-    def related_pairs(self) -> frozenset:
-        pairs = set()
-        for block in self.blocks:
-            members = sorted(block)
-            for a in members:
-                pairs.add(frozenset({self.exprs[a]}))
-            for a, b in combinations(members, 2):
-                pairs.add(frozenset({self.exprs[a], self.exprs[b]}))
-        return frozenset(pairs)
+    return state_based_bisim_on_lts(lts, si, ti)
 
 
 def stateless_bisim(spec: RecursiveSpec, p: ProcessExpr, q: ProcessExpr,
-                    cfg: ExplorationConfig = DEFAULT_CONFIG) -> StatelessResult:
+                    cfg: ExplorationConfig = DEFAULT_CONFIG) -> BisimResult:
     """Greatest fixpoint of Definition 3, by valuation enumeration."""
     exprs, valuations, adjacency, (pi, qi) = expression_closure(spec, [p, q], cfg)
-    history = refinement_history(len(exprs), adjacency, [0] * len(exprs))
-    return StatelessResult(exprs=exprs, valuations=valuations,
-                           **_verdict(history, pi, qi))
+    return _result("stateless", exprs, adjacency, valuations,
+                   [0] * len(exprs), pi, qi)
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +167,24 @@ def _first_difference(a: Valuation, b: Valuation) -> str:
     raise ValueError("valuations do not differ")
 
 
-def _distinguish(successors: Callable[[int], Sequence[tuple]], history,
-                 a: int, b: int, what: str, diamond,
+def _distinguish(result: BisimResult, mode: str, diamond,
                  split=None) -> tuple[HmlFormula, object]:
-    """A ``(formula, witness)`` pair that holds at ``a`` and fails at ``b``,
-    read off the refinement history after Cleaveland (CAV 1990).
+    """A ``(formula, witness)`` pair that holds at ``result.left`` and fails
+    at ``result.right``, read off the refinement history after Cleaveland
+    (CAV 1990).
 
-    ``successors(i)`` lists the ``(label, j)`` moves of state ``i``. A pair
-    split at round k >= 1 has a move of one side that the other cannot
-    match into round k-1; ``diamond(label, refutations)`` builds the formula
-    for that move from one refutation per same-label partner.
+    A pair split at round k >= 1 has a move of one side that the other
+    cannot match into round k-1; ``diamond(label, refutations)`` builds the
+    formula for that move from one refutation per same-label partner.
     ``split(a, b)`` refutes pairs already apart in the initial partition.
     """
-    if _rank(history, a, b) is None:
+    if result.mode != mode:
         raise ContractViolationError(
-            f"distinguishing formula requested for {what}")
+            f"{mode} distinguishing formula requested for a {result.mode} result")
+    if result.equivalent:
+        raise ContractViolationError(
+            f"distinguishing formula requested for a {mode}-bisimilar pair")
+    history, successors = result.history, result.successors
     memo: dict = {}
 
     def one_sided(a: int, b: int, k: int):
@@ -241,14 +213,14 @@ def _distinguish(successors: Callable[[int], Sequence[tuple]], history,
         memo[key] = found
         return found
 
-    return distinguish(a, b)
+    return distinguish(result.left, result.right)
 
 
 def distinguishing_formula_stateless(
-        spec: RecursiveSpec, p: ProcessExpr, q: ProcessExpr,
-        cfg: ExplorationConfig = DEFAULT_CONFIG,
+        result: BisimResult,
         at: Valuation | None = None) -> tuple[HmlFormula, Valuation]:
-    """A formula/valuation pair with ``<p,V> |= phi`` and ``<q,V> |/= phi``.
+    """A formula/valuation pair with ``<p,V> |= phi`` and ``<q,V> |/= phi``
+    for the pair of a false stateless result.
 
     Mirrors the refutation construction behind the stateless
     correspondence theorem: an unmatched move yields a diamond over a
@@ -257,41 +229,32 @@ def distinguishing_formula_stateless(
     valuation). When ``at`` pins the evaluation valuation, the result is
     wrapped so the split holds there.
     """
-    exprs, valuations, adjacency, (pi, qi) = expression_closure(spec, [p, q], cfg)
-    history = refinement_history(len(exprs), adjacency, [0] * len(exprs))
-
     def diamond(move, refutations):
         v_i, label, _ = move
         body = conjunction(list(dict.fromkeys(
             set_all(witness, formula) for formula, witness in refutations)))
-        return Diamond(frozenset({label}), body), valuations[v_i]
+        return Diamond(frozenset({label}), body), result.valuations[v_i]
 
-    formula, witness = _distinguish(adjacency.__getitem__, history, pi, qi,
-                                    "stateless-bisimilar expressions", diamond)
+    formula, witness = _distinguish(result, "stateless", diamond)
     if at is not None and at != witness:
         return set_all(witness, formula), at
     return formula, witness
 
 
-def distinguishing_formula_state_based(
-        spec: RecursiveSpec, s: GvState, t: GvState,
-        cfg: ExplorationConfig = DEFAULT_CONFIG) -> HmlFormula:
-    """A check-only formula holding at `s` and failing at `t`.
+def distinguishing_formula_state_based(result: BisimResult) -> HmlFormula:
+    """A check-only formula holding at the left state of a false
+    state-based result and failing at its right state.
 
     Root pairs with differing valuations get a bare check; otherwise an
     unmatched move yields a diamond over recursive refutations.
     """
-    lts, (si, ti) = explore(spec, [s, t], cfg)
-    history = _valuation_seeded_history(lts)
-
     def diamond(label, refutations):
         body = conjunction(list(dict.fromkeys(f for f, _ in refutations)))
         return Diamond(frozenset({label}), body), None
 
     def split(a: int, b: int):
-        va = lts.states[a].valuation
-        var = _first_difference(va, lts.states[b].valuation)
+        va = result.states[a].valuation
+        var = _first_difference(va, result.states[b].valuation)
         return Check(var, va.value_of(var)), None
 
-    return _distinguish(lts.successors, history, si, ti, "state-based-bisimilar states",
-                        diamond, split)[0]
+    return _distinguish(result, "state-based", diamond, split)[0]

@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Exit codes: 0 success (and verdict "true" where applicable), 1 a checked
-verdict is false, 2 input error (including input nested too deeply for
+verdict is false, 2 input error (including a file that cannot be read or
+is not UTF-8 text, a non-positive cap, and input nested too deeply for
 Python's recursion limit), 3 a resource cap was exceeded.
 """
 from __future__ import annotations
@@ -19,7 +20,9 @@ from .bisim import (
 from .errors import GvpaError, ResourceLimitError
 from .hml import build_state_space, formula_str, fragment, parse_formula, satisfies
 from .parser import parse_expr, parse_spec
-from .sos import ExplorationConfig, GvState, explore, export_lts, generate_lts
+from .sos import (
+    ExplorationConfig, GvState, explore, export_lts, generate_lts, state_str,
+)
 from .syntax import Valuation, validate_spec
 
 EXIT_OK = 0
@@ -28,14 +31,24 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,
                         help="machine-readable output")
-    common.add_argument("--max-states", type=int, metavar="N",
+    common.add_argument("--max-states", type=_positive_int, metavar="N",
                         default=argparse.SUPPRESS)
-    common.add_argument("--max-valuations", type=int, metavar="N",
+    common.add_argument("--max-valuations", type=_positive_int, metavar="N",
                         default=argparse.SUPPRESS)
 
     top = argparse.ArgumentParser(
@@ -163,8 +176,7 @@ def _decide(args):
         result = stateless_bisim(spec, left, right, cfg)
         if result.equivalent:
             return result, None, None
-        return (result, *distinguishing_formula_stateless(
-            spec, left, right, cfg, at=valuation))
+        return (result, *distinguishing_formula_stateless(result, at=valuation))
     s, t = GvState(left, valuation), GvState(right, valuation)
     if args.mode == "strong":
         lts, (si, ti) = explore(spec, [s, t], cfg)
@@ -172,7 +184,7 @@ def _decide(args):
     result = state_based_bisim(spec, s, t, cfg)
     if result.equivalent:
         return result, None, None
-    return result, distinguishing_formula_state_based(spec, s, t, cfg), valuation
+    return result, distinguishing_formula_state_based(result), valuation
 
 
 def _cmd_bisim(args) -> int:
@@ -280,17 +292,18 @@ def _cmd_verify_translation(args) -> int:
                   for d in spec.domain.values]
         formulas = [parse_formula(t, spec) for t in texts]
     for formula in formulas:
-        report = tr.check_theorem4(spec, init.root, init.valuation, formula,
-                                   cfg, pipeline=pipeline)
+        report = tr.check_theorem4(pipeline, formula, cfg)
         checks.append((f"formula-preservation {formula_str(formula)}",
                        report.agrees,
                        f"source={report.source_verdict} "
                        f"translated={report.translated_verdict}"))
-    corollary = tr.check_corollary1(spec, init.root, init.root,
-                                    init.valuation, init.valuation, cfg)
-    checks.append(("bisimilarity-preservation", corollary.agrees,
-                   f"source={corollary.source.equivalent} "
-                   f"translated={corollary.translated.equivalent}"))
+    preservation = tr.check_bisimilarity_preservation(pipeline)
+    checks.append(("bisimilarity-preservation", preservation.ok,
+                   "" if preservation.ok else
+                   f"{state_str(preservation.pair[0])} and "
+                   f"{state_str(preservation.pair[1])}: "
+                   f"source={preservation.source_bisimilar} "
+                   f"translated={not preservation.source_bisimilar}"))
 
     all_ok = all(ok for _, ok, _ in checks)
     payload = {"ok": all_ok,
@@ -327,7 +340,7 @@ def main(argv=None) -> int:
     except GvpaError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:

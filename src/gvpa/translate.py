@@ -18,7 +18,9 @@ from .hml import (
     And, Box, Check, Diamond, HFalse, HTrue, HmlFormula, Not, Or, SetVar,
     TRUE, build_state_space, eval_modal_on_lts, satisfies,
 )
-from .bisim import StateBasedResult, StrongResult, state_based_bisim, strong_bisim
+from .bisim import (
+    BisimResult, state_based_bisim, state_based_bisim_on_lts, strong_bisim,
+)
 from .mcrl2 import (
     DAnd, DBool, DConst, DEq, DVar, DataExpr, MAct, MAllow, MBar, MCall,
     MChoice, MComm, MDELTA, MDeadlock, MHide, MParallel, MPrefix, MSum,
@@ -83,8 +85,8 @@ def _check_parseq(expr: ProcessExpr, path: str, problems: list[str]):
     _check_seq(expr, path, problems)
 
 
-def validate_parseq(spec: RecursiveSpec, expr: ProcessExpr,
-                    single_variable: bool = True) -> tuple[frozenset[str], ProcessExpr]:
+def validate_parseq(spec: RecursiveSpec,
+                    expr: ProcessExpr) -> tuple[frozenset[str], ProcessExpr]:
     """Accepts an optionally encapsulated parallel-sequential expression
     over a sequential recursive specification; returns (blocked, inner)."""
     problems: list[str] = []
@@ -93,10 +95,6 @@ def validate_parseq(spec: RecursiveSpec, expr: ProcessExpr,
     for name in clashes:
         problems.append(
             f"name {name} collides with an action the translation introduces")
-    if single_variable and len(spec.variables) != 1:
-        problems.append(
-            f"single-variable translation requires exactly one global "
-            f"variable, found {len(spec.variables)}")
     if not spec.variables:
         problems.append("translation requires at least one global variable")
     for name, body in spec.equations:
@@ -250,8 +248,13 @@ def _psi_term(spec, slots, allow_set, hidden, comm_entries, expr, valuation):
     return MAllow(allow_set, MHide(hidden, MComm(comm_entries, par)))
 
 
-def _assemble(spec: RecursiveSpec, blocked: frozenset[str], inner: ProcessExpr,
-              valuation: Valuation, slots: tuple[str, ...], wrapped: bool) -> TranslationOutput:
+def translate_init(spec: RecursiveSpec, root: ProcessExpr,
+                   valuation: Valuation) -> TranslationOutput:
+    """The translation of an (optionally encapsulated) parallel-sequential
+    expression with an initial valuation; check slots are ordered
+    lexicographically."""
+    blocked, inner = validate_parseq(spec, root)
+    slots = tuple(sorted(spec.variables))
     comm_entries, comm_render = _comm_sets(spec)
     allow_names = tuple(sorted(set(spec.actions) - blocked)) + ("value", "assign")
     allow_set = frozenset(Multiset([name]) for name in allow_names)
@@ -263,8 +266,8 @@ def _assemble(spec: RecursiveSpec, blocked: frozenset[str], inner: ProcessExpr,
     menv = Mcrl2Spec(domain=spec.domain.values, equations=tuple(equations))
 
     return TranslationOutput(
-        spec=spec, slots=slots, blocked=blocked, root=inner, wrapped=wrapped,
-        initial_valuation=valuation, menv=menv,
+        spec=spec, slots=slots, blocked=blocked, root=inner,
+        wrapped=isinstance(root, Encap), initial_valuation=valuation, menv=menv,
         top=_psi_term(spec, slots, allow_set, hidden, comm_entries, inner, valuation),
         comm_entries=comm_entries, comm_render=comm_render,
         allow_names=allow_names, allow_set=allow_set, hidden=hidden,
@@ -277,30 +280,6 @@ def translate_state(out: TranslationOutput, expr: ProcessExpr,
     this function applied pointwise."""
     return _psi_term(out.spec, out.slots, out.allow_set, out.hidden,
                      out.comm_entries, expr, valuation)
-
-
-def psi(spec: RecursiveSpec, expr: ProcessExpr, valuation: Valuation) -> TranslationOutput:
-    """Single-variable translation of an (optionally encapsulated)
-    parallel-sequential expression with an initial valuation."""
-    blocked, inner = validate_parseq(spec, expr, single_variable=True)
-    return _assemble(spec, blocked, inner, valuation,
-                     slots=tuple(spec.variables),
-                     wrapped=isinstance(expr, Encap))
-
-
-def translate_multi(spec: RecursiveSpec, expr: ProcessExpr,
-                    valuation: Valuation) -> TranslationOutput:
-    """Any number of variables; check slots are ordered lexicographically."""
-    blocked, inner = validate_parseq(spec, expr, single_variable=False)
-    return _assemble(spec, blocked, inner, valuation,
-                     slots=tuple(sorted(spec.variables)),
-                     wrapped=isinstance(expr, Encap))
-
-
-def translate_init(spec: RecursiveSpec, root: ProcessExpr,
-                   valuation: Valuation) -> TranslationOutput:
-    """The translation of an init state; with one variable it equals `psi`."""
-    return translate_multi(spec, root, valuation)
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +457,10 @@ class Theorem4Report:
         return self.source_verdict == self.translated_verdict
 
 
-def check_theorem4(spec: RecursiveSpec, root: ProcessExpr, valuation: Valuation,
-                   formula: HmlFormula,
-                   cfg: ExplorationConfig = DEFAULT_CONFIG,
-                   pipeline: PipelineResult | None = None) -> Theorem4Report:
+def check_theorem4(pipeline: PipelineResult, formula: HmlFormula,
+                   cfg: ExplorationConfig = DEFAULT_CONFIG) -> Theorem4Report:
     """Evaluates a check-fragment formula on both sides of the translation."""
-    if pipeline is None:
-        pipeline = run_pipeline(spec, root, valuation, cfg)
-    space = build_state_space(spec, [root], cfg)
+    space = build_state_space(pipeline.out.spec, [pipeline.gv_root.expr], cfg)
     source = satisfies(space, pipeline.gv_root, formula)
     translated = (pipeline.m_lts.initial
                   in eval_modal_on_lts(pipeline.m_lts, translate_formula(formula)))
@@ -495,12 +470,44 @@ def check_theorem4(spec: RecursiveSpec, root: ProcessExpr, valuation: Valuation,
 
 @dataclass
 class Corollary1Report:
-    source: StateBasedResult
-    translated: StrongResult
+    source: BisimResult
+    translated: BisimResult
 
     @property
     def agrees(self) -> bool:
         return self.source.equivalent == self.translated.equivalent
+
+
+@dataclass
+class PreservationReport:
+    """Corollary 1 over every pair of reachable source states; on failure
+    ``pair`` holds two source states whose verdicts disagree, and
+    ``source_bisimilar`` their state-based verdict."""
+    pair: tuple[GvState, GvState] | None
+    source_bisimilar: bool | None
+
+    @property
+    def ok(self) -> bool:
+        return self.pair is None
+
+
+def check_bisimilarity_preservation(pipeline: PipelineResult) -> PreservationReport:
+    """Compares the state-based partition of the source LTS with the strong
+    partition of the translated LTS through the state map: two source
+    states must share a block exactly when their translations do."""
+    gv, m = pipeline.gv_lts, pipeline.m_lts
+    source = state_based_bisim_on_lts(gv, gv.initial, gv.initial).history[-1]
+    translated = strong_bisim(m, m.initial, m.initial).history[-1]
+    first_in_source: dict[int, int] = {}
+    first_in_translated: dict[int, int] = {}
+    for i, image in enumerate(pipeline.link):
+        a = first_in_source.setdefault(source[i], i)
+        b = first_in_translated.setdefault(translated[image], i)
+        if a != b:
+            # the earlier of the two is related to i on one side only
+            return PreservationReport(pair=(gv.states[min(a, b)], gv.states[i]),
+                                      source_bisimilar=a < b)
+    return PreservationReport(pair=None, source_bisimilar=None)
 
 
 # ---------------------------------------------------------------------------

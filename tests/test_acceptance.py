@@ -31,8 +31,8 @@ from gvpa.mcrl2 import GroundAction, Multiset, apply_comm
 from gvpa.sos import ExplorationConfig, GvState, Lts, explore, generate_lts
 from gvpa.syntax import Parallel, enumerate_valuations, label_str
 from gvpa.translate import (
-    check_corollary1, emit_mcrl2_files, psi, run_pipeline, translate_formula,
-    verify_variable_consistency,
+    check_bisimilarity_preservation, check_corollary1, emit_mcrl2_files,
+    run_pipeline, translate_formula, translate_init, verify_variable_consistency,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -140,7 +140,7 @@ def test_criterion_03_distinguishing_formula_soundness(general_corpus):
 
         sl = stateless_bisim(spec, p, q, CFG)
         if not sl.equivalent:
-            formula, witness = distinguishing_formula_stateless(spec, p, q, CFG)
+            formula, witness = distinguishing_formula_stateless(sl)
             ok &= (satisfies(space, GvState(p, witness), formula)
                    and not satisfies(space, GvState(q, witness), formula))
         else:
@@ -153,7 +153,7 @@ def test_criterion_03_distinguishing_formula_soundness(general_corpus):
 
         sb = state_based_bisim(spec, s, t, CFG)
         if not sb.equivalent:
-            formula = distinguishing_formula_state_based(spec, s, t, CFG)
+            formula = distinguishing_formula_state_based(sb)
             ok &= (satisfies(space, s, formula)
                    and not satisfies(space, t, formula))
         else:
@@ -370,6 +370,9 @@ def test_criterion_09_corollary1(parseq_corpus):
         ok &= result.agrees
         if not ok:
             break
+    # the same corollary for every pair of reachable states of each pipeline
+    for _, _, _, pipe in parseq_corpus:
+        ok &= check_bisimilarity_preservation(pipe).ok
     report(9, "state-based bisimilarity agrees across the translation", ok,
            started)
 
@@ -402,17 +405,17 @@ def test_criterion_11_bruteforce_oracle_equivalence(general_corpus):
                     ok &= ((i, j) in naive) == (final[i] == final[j])
             sb = state_based_bisim(spec, GvState(p, valuation),
                                    GvState(q, valuation), CFG)
-            naive_sb = naive_state_based_relation(sb.lts)
+            naive_sb = naive_state_based_relation(sb)
             final_sb = sb.history[-1]
-            for i in range(len(sb.lts.states)):
-                for j in range(len(sb.lts.states)):
+            for i in range(len(sb.states)):
+                for j in range(len(sb.states)):
                     ok &= ((i, j) in naive_sb) == (final_sb[i] == final_sb[j])
         sl = stateless_bisim(spec, p, q, CFG)
-        if len(sl.exprs) <= 30:
-            naive_sl = naive_stateless_relation(spec, sl.exprs)
+        if len(sl.states) <= 30:
+            naive_sl = naive_stateless_relation(spec, sl.states)
             final_sl = sl.history[-1]
-            for i in range(len(sl.exprs)):
-                for j in range(len(sl.exprs)):
+            for i in range(len(sl.states)):
+                for j in range(len(sl.states)):
                     ok &= ((i, j) in naive_sl) == (final_sl[i] == final_sl[j])
         if not ok:
             break
@@ -422,7 +425,7 @@ def test_criterion_11_bruteforce_oracle_equivalence(general_corpus):
 def test_criterion_12_golden_mcrl2_files(traffic):
     started = time.perf_counter()
     spec, init = traffic
-    out = psi(spec, init.root, init.valuation)
+    out = translate_init(spec, init.root, init.valuation)
     formulas = [translate_formula(parse_formula(text, spec))
                 for text in ["(t = green)", "[assign(t, red)] (t = red)",
                              "<drive> true"]]

@@ -92,13 +92,15 @@ class TestStateless:
 class TestDistinguishingStateless:
     def test_paper_formula_at_pinned_valuation(self, example3):
         spec, p, q, _, v0 = example3
-        formula, witness = distinguishing_formula_stateless(spec, q, p, at=v0)
+        formula, witness = distinguishing_formula_stateless(
+            stateless_bisim(spec, q, p), at=v0)
         assert witness == v0
         assert formula_str(formula) == "set v := 1 . <a> true"
 
     def test_trivial_empty_refutation(self, example3):
         spec, _, q, _, _ = example3
-        formula, witness = distinguishing_formula_stateless(spec, q, Deadlock())
+        formula, witness = distinguishing_formula_stateless(
+            stateless_bisim(spec, q, Deadlock()))
         assert formula == Diamond(frozenset({Action("a")}), TRUE)
 
     def test_assign_pair_recheck(self, example3):
@@ -106,7 +108,8 @@ class TestDistinguishingStateless:
         from gvpa.parser import parse_expr
         p = parse_expr("assign(v, 0).delta", spec)
         q = parse_expr("assign(v, 1).delta", spec)
-        formula, witness = distinguishing_formula_stateless(spec, p, q)
+        formula, witness = distinguishing_formula_stateless(
+            stateless_bisim(spec, p, q))
         space = build_state_space(spec, [p, q])
         assert satisfies(space, GvState(p, witness), formula)
         assert not satisfies(space, GvState(q, witness), formula)
@@ -114,11 +117,19 @@ class TestDistinguishingStateless:
     def test_rejects_bisimilar_pair(self, example3):
         spec, p, _, _, _ = example3
         with pytest.raises(ContractViolationError):
-            distinguishing_formula_stateless(spec, p, p)
+            distinguishing_formula_stateless(stateless_bisim(spec, p, p))
+
+    def test_rejects_result_of_another_mode(self, example3):
+        spec, p, q, _, v0 = example3
+        result = state_based_bisim(spec, GvState(p, v0), GvState(Deadlock(), v0))
+        assert not result.equivalent
+        with pytest.raises(ContractViolationError):
+            distinguishing_formula_stateless(result)
 
     def test_fragment_is_check_set(self, example3):
         spec, p, q, _, v0 = example3
-        formula, _ = distinguishing_formula_stateless(spec, q, p, at=v0)
+        formula, _ = distinguishing_formula_stateless(
+            stateless_bisim(spec, q, p), at=v0)
         assert fragment(formula) in ("HML", "HML^set", "HML^check",
                                      "HML^check+set")
 
@@ -128,7 +139,7 @@ class TestDistinguishingStateBased:
         spec, p, q, r, v0 = example3
         s = GvState(Parallel(p, r), v0)
         t = GvState(Parallel(q, r), v0)
-        formula = distinguishing_formula_state_based(spec, s, t)
+        formula = distinguishing_formula_state_based(state_based_bisim(spec, s, t))
         assert fragment(formula) in ("HML", "HML^check")
         space = build_state_space(spec, [s.expr, t.expr])
         assert satisfies(space, s, formula) != satisfies(space, t, formula)
@@ -139,20 +150,27 @@ class TestDistinguishingStateBased:
         spec, p, _, _, v0 = example3
         v1 = Valuation((("v", "1"),))
         formula = distinguishing_formula_state_based(
-            spec, GvState(p, v0), GvState(p, v1))
+            state_based_bisim(spec, GvState(p, v0), GvState(p, v1)))
         assert formula == Check("v", "0")
 
     def test_deadlock_pair(self, example3):
         spec, _, q, _, v0 = example3
         formula = distinguishing_formula_state_based(
-            spec, GvState(q, v0), GvState(Deadlock(), v0))
+            state_based_bisim(spec, GvState(q, v0), GvState(Deadlock(), v0)))
         assert formula == Diamond(frozenset({Action("a")}), TRUE)
 
     def test_rejects_bisimilar_pair(self, example3):
         spec, p, q, _, v0 = example3
         with pytest.raises(ContractViolationError):
             distinguishing_formula_state_based(
-                spec, GvState(p, v0), GvState(q, v0))
+                state_based_bisim(spec, GvState(p, v0), GvState(q, v0)))
+
+    def test_rejects_result_of_another_mode(self, example3):
+        spec, p, q, _, _ = example3
+        result = stateless_bisim(spec, p, q)
+        assert not result.equivalent
+        with pytest.raises(ContractViolationError):
+            distinguishing_formula_state_based(result)
 
 
 class TestHierarchyAndCongruence:
@@ -240,12 +258,12 @@ class TestNaiveOracleAgreement:
             valuation = enumerate_valuations(spec)[0]
             result = state_based_bisim(spec, GvState(p, valuation),
                                        GvState(q, valuation), CFG)
-            if len(result.lts.states) > 30:
+            if len(result.states) > 30:
                 continue
-            naive = naive_state_based_relation(result.lts)
+            naive = naive_state_based_relation(result)
             final = result.history[-1]
-            for i in range(len(result.lts.states)):
-                for j in range(len(result.lts.states)):
+            for i in range(len(result.states)):
+                for j in range(len(result.states)):
                     assert ((i, j) in naive) == (final[i] == final[j])
 
     def test_stateless_matches_naive(self):
@@ -254,10 +272,10 @@ class TestNaiveOracleAgreement:
             spec = gen_spec(rng)
             p, q = gen_pair(rng, spec)
             result = stateless_bisim(spec, p, q, CFG)
-            if len(result.exprs) > 30:
+            if len(result.states) > 30:
                 continue
-            naive = naive_stateless_relation(spec, result.exprs)
+            naive = naive_stateless_relation(spec, result.states)
             final = result.history[-1]
-            for i in range(len(result.exprs)):
-                for j in range(len(result.exprs)):
+            for i in range(len(result.states)):
+                for j in range(len(result.states)):
                     assert ((i, j) in naive) == (final[i] == final[j])

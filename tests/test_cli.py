@@ -1,9 +1,16 @@
 import json
 import pathlib
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from genspecs import gen_pair, gen_parseq_spec, gen_spec
 
 from gvpa.cli import main
+from gvpa.parser import render_spec
+from gvpa.syntax import InitSpec, enumerate_valuations, expr_str
 
 DATA = pathlib.Path(__file__).parent / "data"
 TRAFFIC = str(DATA / "traffic.gvpa")
@@ -14,6 +21,14 @@ vars { v }
 acts { a }
 init (v = 0) -> a.delta || assign(v, 1).delta with { v = 0 }
 """
+
+
+def run(argv) -> int:
+    """The exit code of `main`, also when argparse rejects the arguments."""
+    try:
+        return main(argv)
+    except SystemExit as exit:
+        return exit.code
 
 
 @pytest.fixture()
@@ -49,6 +64,29 @@ class TestDeepNesting:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
+
+
+class TestUnusableInput:
+    """Unreadable files and bad caps are input errors, not crashes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["lts", "{dir}"],
+        ["validate", "{latin1}"],
+        ["lts", TRAFFIC, "--out", "{dir}"],
+        ["modelcheck", TRAFFIC, "--formula-file", "{dir}"],
+        ["translate", TRAFFIC, "--out", "{file}"],
+        ["lts", TRAFFIC, "--max-states", "0"],
+    ])
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv):
+        latin1 = tmp_path / "latin1.gvpa"
+        latin1.write_bytes("domain { café }".encode("latin-1"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = [a.format(dir=tmp_path, latin1=latin1, file=taken) for a in argv]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
 class TestLts:
@@ -203,3 +241,40 @@ class TestJsonStability:
               "--left", "CAR", "--right", "TLC"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestFuzz:
+    """Seeded generated specs and byte mutations of their text, through
+    every command that reads a spec: each run ends with a documented exit
+    code and no traceback."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), parseq=st.booleans(),
+           edits=st.lists(st.tuples(st.floats(0, 1), st.binary(max_size=3)),
+                          max_size=3))
+    def test_documented_exit_codes(self, tmp_path, capsys, seed, parseq, edits):
+        rng = random.Random(seed)
+        if parseq:
+            spec, left, valuation = gen_parseq_spec(rng)
+            right = left
+        else:
+            spec = gen_spec(rng)
+            left, right = gen_pair(rng, spec)
+            valuation = enumerate_valuations(spec)[0]
+        text = render_spec(spec, InitSpec(left, valuation)).encode("utf-8")
+        for where, chunk in edits:
+            i = int(where * len(text))
+            text = text[:i] + chunk + text[i + 1:]
+        path = tmp_path / "fuzz.gvpa"
+        path.write_bytes(text)
+        file = str(path)
+        mode = ("strong", "state-based", "stateless")[seed % 3]
+        caps = ["--max-states", "200", "--max-valuations", "64"]
+        for argv in (["validate", file], ["lts", file],
+                     ["bisim", file, "--mode", mode, "--left", expr_str(left),
+                      "--right", expr_str(right)],
+                     ["modelcheck", file, "--formula", "<a> true"],
+                     ["verify-translation", file]):
+            assert run(caps + argv) in (0, 1, 2, 3), argv
+            assert "Traceback" not in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -12,14 +13,14 @@ from gvpa.mcrl2 import (
     generate_lts_mcrl2, step_mcrl2,
 )
 from gvpa.parser import parse_expr, parse_spec
-from gvpa.sos import ExplorationConfig
+from gvpa.sos import ExplorationConfig, Lts
 from gvpa.syntax import (
     Action, Assign, Cond, Deadlock, Encap, Name, Parallel, Prefix, Valuation,
 )
 from gvpa.translate import (
-    check_corollary1, check_theorem4, chi, emit_mcrl2_files, make_globs, psi,
-    run_pipeline, translate_formula, translate_multi, validate_parseq,
-    verify_variable_consistency,
+    check_bisimilarity_preservation, check_corollary1, check_theorem4, chi,
+    emit_mcrl2_files, make_globs, run_pipeline, translate_formula,
+    translate_init, validate_parseq, verify_variable_consistency,
 )
 
 CFG = ExplorationConfig(max_states=3000)
@@ -54,14 +55,6 @@ class TestValidateParseq:
         with pytest.raises(SpecValidationError) as err:
             validate_parseq(spec, bad)
         assert "encapsulation" in str(err.value)
-
-    def test_multi_variable_input_rejected_in_single_mode(self):
-        spec, init = parse_spec(
-            "domain { 0, 1 } vars { u, v } acts { a } "
-            "init a.delta with { u = 0, v = 0 }")
-        with pytest.raises(SpecValidationError) as err:
-            validate_parseq(spec, init.root, single_variable=True)
-        assert "exactly one" in str(err.value)
 
     def test_machinery_name_collision_rejected(self):
         spec, init = parse_spec(
@@ -150,19 +143,19 @@ class TestMakeGlobs:
 class TestPsi:
     def test_traffic_allow_set(self, traffic):
         spec, init = traffic
-        out = psi(spec, init.root, init.valuation)
+        out = translate_init(spec, init.root, init.valuation)
         assert out.allow_names == ("brake", "drive", "value", "assign")
 
     def test_comm_set_with_empty_gamma(self, traffic):
         spec, init = traffic
-        out = psi(spec, init.root, init.valuation)
+        out = translate_init(spec, init.root, init.valuation)
         assert out.comm_render == ((("checkP", "checkG"), "check"),
                                    (("assignP", "assignG"), "assign"))
         assert (Multiset(["checkP", "checkG"]), "check") in out.comm_entries
 
     def test_psi_of_deadlock_value_loop_only(self, traffic):
         spec, init = traffic
-        out = psi(spec, Deadlock(), init.valuation)
+        out = translate_init(spec, Deadlock(), init.valuation)
         lts = generate_lts_mcrl2(out.menv, out.top)
         assert len(lts.states) == 1
         assert [label for _, label, _ in lts.transitions] == ["value(t,green)"]
@@ -171,7 +164,7 @@ class TestPsi:
         spec, init = parse_spec(
             "domain { 0 } vars { v } acts { a, b, c } comm { b|a -> c } "
             "init a.delta || b.delta with { v = 0 }")
-        out = psi(spec, init.root, init.valuation)
+        out = translate_init(spec, init.root, init.valuation)
         assert out.comm_render[0] == (("a", "b"), "c")
 
 
@@ -283,9 +276,7 @@ class TestTheorems:
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
         for text, expected in [("<drive> true", True), ("(t = red)", False),
                                ("[assign(t, red)] (t = red)", True)]:
-            report = check_theorem4(spec, init.root, init.valuation,
-                                    parse_formula(text, spec), CFG,
-                                    pipeline=pipe)
+            report = check_theorem4(pipe, parse_formula(text, spec), CFG)
             assert report.agrees
             assert report.source_verdict is expected
 
@@ -307,6 +298,30 @@ class TestTheorems:
         from gvpa.syntax import Choice
         report = check_corollary1(spec, Choice(q, q), q, v0, v0, CFG)
         assert report.agrees and report.source.equivalent
+
+    @pytest.mark.parametrize("procs, root, mutate, source_bisimilar", [
+        # X and Y are merged; redirecting X's `a` to D splits their images
+        ("proc X = a.Y + b.D proc Y = a.X + b.D proc D = delta", "X",
+         lambda t: (t[0], t[1], 2) if t[:2] == (0, "a") else t, True),
+        # X and Y are apart; relabelling Y's `b` to `a` merges their images
+        ("proc X = a.D proc Y = b.D proc D = delta", "c.X + c.Y",
+         lambda t: (t[0], "a", t[2]) if t[1] == "b" else t, False),
+    ])
+    def test_bisimilarity_preservation_names_the_mutated_pair(
+            self, procs, root, mutate, source_bisimilar):
+        spec, init = parse_spec(
+            f"domain {{ 0 }} vars {{ v }} acts {{ a, b, c }} {procs} "
+            f"init {root} with {{ v = 0 }}")
+        pipe = run_pipeline(spec, init.root, init.valuation, CFG)
+        assert check_bisimilarity_preservation(pipe).ok
+        m = pipe.m_lts
+        mutant = dataclasses.replace(pipe, m_lts=Lts(
+            states=m.states, transitions=tuple(map(mutate, m.transitions)),
+            initial=m.initial))
+        report = check_bisimilarity_preservation(mutant)
+        assert not report.ok
+        assert {state.expr for state in report.pair} == {Name("X"), Name("Y")}
+        assert report.source_bisimilar is source_bisimilar
 
 
 class TestLemma3Shape:
@@ -331,7 +346,7 @@ class TestLemma3Shape:
 class TestEmission:
     def test_traffic_mcrl2_contains_operator_stack(self, traffic):
         spec, init = traffic
-        out = psi(spec, init.root, init.valuation)
+        out = translate_init(spec, init.root, init.valuation)
         text = emit_mcrl2_files(out, base="traffic")["traffic.mcrl2"]
         assert ("hide({check}, comm({checkP|checkG -> check, "
                 "assignP|assignG -> assign}," in text)
@@ -339,13 +354,13 @@ class TestEmission:
 
     def test_no_formulas_no_mcf(self, traffic):
         spec, init = traffic
-        out = psi(spec, init.root, init.valuation)
+        out = translate_init(spec, init.root, init.valuation)
         files = emit_mcrl2_files(out, [], base="traffic")
         assert sorted(files) == ["traffic.mcrl2"]
 
     def test_translated_check_renders_value_modality(self, traffic):
         spec, init = traffic
-        out = psi(spec, init.root, init.valuation)
+        out = translate_init(spec, init.root, init.valuation)
         theta = translate_formula(parse_formula("(t = green)", spec))
         files = emit_mcrl2_files(out, [theta], base="traffic")
         assert files["traffic_prop1.mcf"] == "<value(t, green)>true\n"
@@ -354,26 +369,19 @@ class TestEmission:
         spec, init = parse_spec(
             "domain { 0, 1 } vars { v } acts { a } "
             "init (v = 0) -> a.delta with { v = 0 }")
-        out = psi(spec, init.root, init.valuation)
+        out = translate_init(spec, init.root, init.valuation)
         text = emit_mcrl2_files(out, base="m")["m.mcrl2"]
         assert "sort GvValue = struct v_0 | v_1;" in text
         assert "Globs(v_0)" in text
 
     def test_byte_stable(self, traffic):
         spec, init = traffic
-        out1 = psi(spec, init.root, init.valuation)
-        out2 = psi(spec, init.root, init.valuation)
+        out1 = translate_init(spec, init.root, init.valuation)
+        out2 = translate_init(spec, init.root, init.valuation)
         assert emit_mcrl2_files(out1, base="x") == emit_mcrl2_files(out2, base="x")
 
 
 class TestMultiVariable:
-    def test_single_variable_degenerates_to_psi(self, traffic):
-        spec, init = traffic
-        single = psi(spec, init.root, init.valuation)
-        multi = translate_multi(spec, init.root, init.valuation)
-        assert single.menv == multi.menv
-        assert single.top == multi.top
-
     def test_two_variable_checkp_condition(self):
         spec, init = parse_spec(
             "domain { 0, 1 } vars { u, v } acts { a } "
@@ -449,7 +457,7 @@ def _parallel_components(node, expr_type):
 
 def test_translation_adds_exactly_one_parallel_component(traffic):
     spec, init = traffic
-    out = psi(spec, init.root, init.valuation)
+    out = translate_init(spec, init.root, init.valuation)
     source = _parallel_components(init.root, Parallel)
     inner = out.top.body.body.body  # under allow/hide/comm
     translated = _parallel_components(inner, MParallel)
