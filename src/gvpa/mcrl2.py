@@ -3,12 +3,15 @@
 Multi-actions with data parameters, their multiset interpretation, the
 communication / hiding / allow operators on semantic multi-actions, and
 the operational rules for the process fragment (synchronous merge, sum
-over the finite domain, parameterised recursion).
+over the finite domain, parameterised recursion). Under an allow, the
+merge forms only the multi-actions the allow/hide/comm stack can keep.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .sos import DEFAULT_CONFIG, ExplorationConfig, Lts, _bfs_lts
@@ -19,72 +22,101 @@ from .sos import DEFAULT_CONFIG, ExplorationConfig, Lts, _bfs_lts
 
 
 class Multiset:
-    """An immutable multiset with truncated subtraction and inclusion."""
+    """An immutable multiset with truncated subtraction and inclusion.
 
-    __slots__ = ("_pairs", "_hash")
+    Equality and the hash read the element counts, so they do not depend
+    on insertion order. ``items`` lists the elements in a total order that
+    sorts plain strings as ``str`` does.
+    """
+
+    __slots__ = ("_counts", "_items", "_hash")
 
     def __init__(self, items: Iterable = (), counts: Mapping | None = None):
-        counter: Counter = Counter()
+        table: dict = {}
         for item in items:
-            counter[item] += 1
+            table[item] = table.get(item, 0) + 1
         if counts:
             for item, count in counts.items():
-                counter[item] += count
-        pairs = tuple(sorted(
-            ((e, c) for e, c in counter.items() if c > 0),
-            key=lambda pair: str(pair[0])))
-        object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_hash", hash(pairs))
+                table[item] = table.get(item, 0) + count
+        self._counts = {e: c for e, c in table.items() if c > 0}
+        self._items = None
+        self._hash = None
+
+    @classmethod
+    def _of(cls, counts: dict) -> "Multiset":
+        """Wraps a dict of positive counts; the caller gives it up."""
+        out = cls.__new__(cls)
+        out._counts = counts
+        out._items = None
+        out._hash = None
+        return out
 
     def items(self) -> tuple:
-        return self._pairs
+        if self._items is None:
+            self._items = tuple(sorted(self._counts.items(),
+                                       key=lambda pair: _order_key(pair[0])))
+        return self._items
 
     def elements(self) -> list:
         out = []
-        for element, count in self._pairs:
+        for element, count in self.items():
             out.extend([element] * count)
         return out
 
     def count(self, element) -> int:
-        for e, c in self._pairs:
-            if e == element:
-                return c
-        return 0
+        return self._counts.get(element, 0)
 
     def total(self) -> int:
-        return sum(c for _, c in self._pairs)
+        return sum(self._counts.values())
 
     def __contains__(self, element) -> bool:
-        return self.count(element) > 0
+        return element in self._counts
 
     def __bool__(self) -> bool:
-        return bool(self._pairs)
+        return bool(self._counts)
 
     def __add__(self, other: "Multiset") -> "Multiset":
-        counts = Counter(dict(self._pairs))
-        for e, c in other._pairs:
-            counts[e] += c
-        return Multiset(counts=counts)
+        counts = dict(self._counts)
+        for e, c in other._counts.items():
+            counts[e] = counts.get(e, 0) + c
+        return Multiset._of(counts)
 
     def __sub__(self, other: "Multiset") -> "Multiset":
-        counts = Counter(dict(self._pairs))
-        for e, c in other._pairs:
-            counts[e] -= c
-        return Multiset(counts={e: c for e, c in counts.items() if c > 0})
+        counts = dict(self._counts)
+        for e, c in other._counts.items():
+            if e in counts:
+                if counts[e] > c:
+                    counts[e] -= c
+                else:
+                    del counts[e]
+        return Multiset._of(counts)
 
     def includes(self, other: "Multiset") -> bool:
         """True iff ``other`` is a sub-multiset of self."""
-        return all(self.count(e) >= c for e, c in other._pairs)
+        return all(self._counts.get(e, 0) >= c for e, c in other._counts.items())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Multiset) and self._pairs == other._pairs
+        return isinstance(other, Multiset) and self._counts == other._counts
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._counts.items()))
         return self._hash
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{e}:{c}" for e, c in self._pairs)
+        inner = ", ".join(f"{e}:{c}" for e, c in self.items())
         return f"[[{inner}]]"
+
+
+def _order_key(element) -> tuple:
+    """A total order on multiset elements: names sort as strings, ground
+    actions by name and then by their arguments' types and values."""
+    if isinstance(element, str):
+        return (0, element)
+    if isinstance(element, GroundAction):
+        return (1, element.name,
+                tuple((type(a).__name__, repr(a)) for a in element.args))
+    return (2, type(element).__name__, repr(element))
 
 
 EMPTY_MULTISET = Multiset()
@@ -216,10 +248,10 @@ def sem_multiaction(action: MultiAction,
 
 def names_of(sem: Multiset) -> Multiset:
     """Name projection of a semantic multi-action."""
-    counts: Counter = Counter()
-    for element, count in sem.items():
-        counts[element.name] += count
-    return Multiset(counts=counts)
+    counts: dict = {}
+    for element, count in sem._counts.items():
+        counts[element.name] = counts.get(element.name, 0) + count
+    return Multiset._of(counts)
 
 
 def apply_comm(entries: Sequence[tuple[Multiset, str]], sem: Multiset) -> Multiset:
@@ -241,11 +273,10 @@ def apply_comm(entries: Sequence[tuple[Multiset, str]], sem: Multiset) -> Multis
             candidates = [e for e, _ in sem.items() if e.name == first_name]
             for candidate in candidates:
                 args = candidate.args
-                needed = Multiset(
-                    counts={GroundAction(name, args): count
-                            for name, count in lhs_items})
+                needed = Multiset._of({GroundAction(name, args): count
+                                       for name, count in lhs_items})
                 if sem.includes(needed):
-                    sem = sem - needed + Multiset([GroundAction(result, args)])
+                    sem = sem - needed + Multiset._of({GroundAction(result, args): 1})
                     changed = True
                     break
             if changed:
@@ -255,8 +286,8 @@ def apply_comm(entries: Sequence[tuple[Multiset, str]], sem: Multiset) -> Multis
 
 def apply_hide(hidden: frozenset[str], sem: Multiset) -> Multiset:
     """Zeroes the multiplicity of every label whose name is hidden."""
-    counts = {e: c for e, c in sem.items() if e.name not in hidden}
-    return Multiset(counts=counts)
+    return Multiset._of({e: c for e, c in sem._counts.items()
+                         if e.name not in hidden})
 
 
 # ---------------------------------------------------------------------------
@@ -384,35 +415,44 @@ class Mcrl2Spec:
 
 def step_mcrl2(env: Mcrl2Spec, proc: Mcrl2Process,
                _unfolding: frozenset = frozenset()) -> tuple[tuple[Multiset, Mcrl2Process], ...]:
-    """All transitions of a process term, deterministically ordered."""
+    """All transitions of a process term, deterministically ordered.
+
+    Under an allow, composition builds only the multi-actions the
+    enclosing allow/hide/comm stack can keep (see ``_Keep``); the result is
+    the unrestricted product rule's, with the dropped candidates left out.
+    """
     return tuple(dict.fromkeys(_msteps(env, proc, _unfolding)))
 
 
-def _msteps(env: Mcrl2Spec, proc: Mcrl2Process, unfolding):
+def _msteps(env: Mcrl2Spec, proc: Mcrl2Process, unfolding,
+            keep: _Keep | None = None, complete: bool = False):
+    """The steps of ``proc``. With ``keep``, only those an enclosing
+    allow stack can keep; ``complete`` says that nothing is added to a
+    step before that stack's comm, so its argument groups are final."""
     if isinstance(proc, MDeadlock):
         return []
     if isinstance(proc, MPrefix):
-        return [(sem_multiaction(proc.action), proc.body)]
+        alpha = sem_multiaction(proc.action)
+        if keep is not None and not keep.admits(alpha, complete):
+            return []
+        return [(alpha, proc.body)]
     if isinstance(proc, MChoice):
-        return (_msteps(env, proc.left, unfolding)
-                + _msteps(env, proc.right, unfolding))
+        return (_msteps(env, proc.left, unfolding, keep, complete)
+                + _msteps(env, proc.right, unfolding, keep, complete))
     if isinstance(proc, MParallel):
-        left = _msteps(env, proc.left, unfolding)
-        right = _msteps(env, proc.right, unfolding)
-        out = []
-        for alpha, target in left:
-            out.append((alpha, MParallel(target, proc.right)))
-        for beta, target in right:
-            out.append((beta, MParallel(proc.left, target)))
-        for alpha, lt in left:
-            for beta, rt in right:
-                out.append((alpha + beta, MParallel(lt, rt)))
-        return out
+        left = _msteps(env, proc.left, unfolding, keep)
+        right = _msteps(env, proc.right, unfolding, keep)
+        if keep is None:
+            return ([(alpha, MParallel(target, proc.right)) for alpha, target in left]
+                    + [(beta, MParallel(proc.left, target)) for beta, target in right]
+                    + [(alpha + beta, MParallel(lt, rt))
+                       for alpha, lt in left for beta, rt in right])
+        return keep.parallel(proc, left, right, complete)
     if isinstance(proc, MSum):
         out = []
         for value in env.domain:
             body = subst_proc(proc.body, proc.var, DConst(value))
-            out.extend(_msteps(env, body, unfolding))
+            out.extend(_msteps(env, body, unfolding, keep, complete))
         return out
     if isinstance(proc, MCall):
         if proc.name in unfolding:
@@ -427,20 +467,177 @@ def _msteps(env: Mcrl2Spec, proc: Mcrl2Process, unfolding):
                 raise ValueError(
                     f"argument of {proc.name} must be a domain value, got {value!r}")
             body = subst_proc(body, param, DConst(value))
-        return _msteps(env, body, unfolding | {proc.name})
+        return _msteps(env, body, unfolding | {proc.name}, keep, complete)
+    # hide, comm and allow rewrite or filter labels, so an enclosing
+    # stack's restriction applies to what they return
+    steps = _operator_steps(env, proc, unfolding)
+    if keep is not None:
+        steps = [step for step in steps if keep.admits(step[0], complete)]
+    return steps
+
+
+def _operator_steps(env: Mcrl2Spec, proc: Mcrl2Process, unfolding):
     if isinstance(proc, MHide):
         return [(apply_hide(proc.hidden, alpha), MHide(proc.hidden, target))
                 for alpha, target in _msteps(env, proc.body, unfolding)]
     if isinstance(proc, MComm):
         return [(apply_comm(proc.entries, alpha), MComm(proc.entries, target))
                 for alpha, target in _msteps(env, proc.body, unfolding)]
-    if isinstance(proc, MAllow):
+    if not isinstance(proc, MAllow):
+        raise TypeError(f"not an mCRL2 process: {proc!r}")
+    body, hide, comm = proc.body, None, None
+    if isinstance(body, MHide):
+        hide, body = body, body.body
+    if isinstance(body, MComm):
+        comm, body = body, body.body
+    keep = _keep_for(proc.allowed, hide.hidden if hide else frozenset(),
+                     comm.entries if comm else ())
+    if keep is None:
+        steps = _msteps(env, proc.body, unfolding)
+    else:
+        steps = _msteps(env, body, unfolding, keep, True)
+        if comm is not None:
+            steps = [(apply_comm(comm.entries, alpha), MComm(comm.entries, target))
+                     for alpha, target in steps]
+        if hide is not None:
+            steps = [(apply_hide(hide.hidden, alpha), MHide(hide.hidden, target))
+                     for alpha, target in steps]
+    return [(alpha, MAllow(proc.allowed, target)) for alpha, target in steps
+            if not alpha or names_of(alpha) in proc.allowed]
+
+
+# ---------------------------------------------------------------------------
+# What an allow/hide/comm stack can keep
+
+
+class _Keep:
+    """The multi-actions that ``allow(A, hide(H, comm(C, ...)))`` can keep,
+    judged before comm, for comm entries that do not chain.
+
+    Names: a name that is hidden, or sits on the left of a comm entry
+    whose result is hidden, is *free* and may occur any number of times.
+    The other names of a step must form a sub-multiset of the pre-image
+    of an allowed multiset (or of tau) through comm; ``closed`` holds these
+    pre-images with all their sub-multisets, as sorted name tuples. A step
+    outside ``closed`` is outside it after anything is added to it too.
+
+    Arguments: comm fires only among elements with identical arguments,
+    and its result keeps them. A name that no allowed multiset holds and
+    hide does not remove is *stuck*: a kept step holds none after comm.
+    So an argument group that still holds a stuck name after comm *needs*
+    a partner with its arguments, and a complete step that needs one is
+    dropped.
+    """
+
+    def __init__(self, allowed, hidden, entries):
+        self.entries = tuple((tuple(lhs.items()), result)
+                             for lhs, result in entries if lhs)
+        self.free = frozenset(hidden).union(
+            *(lhs._counts for lhs, result in entries if result in hidden))
+        self.kept = frozenset(hidden).union(*(f._counts for f in allowed))
+        producers: dict = {}
+        for lhs, result in entries:
+            producers.setdefault(result, []).append(
+                tuple(sorted(n for n in lhs.elements() if n not in self.free)))
+        closed = set()
+        for f in (*allowed, EMPTY_MULTISET):
+            choices = [[() if x in self.free else (x,)] + producers.get(x, [])
+                       for x in f.elements()]
+            for parts in product(*choices):
+                closed.update(_sub_multisets(sum(parts, ())))
+        self.closed = frozenset(closed)
+
+    def names(self, alpha: Multiset) -> tuple:
         out = []
-        for alpha, target in _msteps(env, proc.body, unfolding):
-            if not alpha or names_of(alpha) in proc.allowed:
-                out.append((alpha, MAllow(proc.allowed, target)))
+        for element, count in alpha._counts.items():
+            if element.name not in self.free:
+                out.extend([element.name] * count)
+        out.sort()
+        return tuple(out)
+
+    def needs(self, alpha: Multiset) -> frozenset:
+        """The argument tuples of the groups of ``alpha`` that still hold a
+        stuck name after comm."""
+        groups: dict = {}
+        for element, count in alpha._counts.items():
+            group = groups.setdefault(element.args, {})
+            group[element.name] = group.get(element.name, 0) + count
+        return frozenset(args for args, group in groups.items()
+                         if self._stuck(group))
+
+    def _stuck(self, group: dict) -> bool:
+        # without chains, apply_comm fires each entry as often as it can,
+        # in entry order
+        for lhs, result in self.entries:
+            while all(group.get(n, 0) >= c for n, c in lhs):
+                for n, c in lhs:
+                    group[n] -= c
+                group[result] = group.get(result, 0) + 1
+        return any(c and n not in self.kept for n, c in group.items())
+
+    def admits(self, alpha: Multiset, complete: bool) -> bool:
+        return (self.names(alpha) in self.closed
+                and not (complete and self.needs(alpha)))
+
+    def parallel(self, proc: MParallel, left: list, right: list, complete: bool):
+        """The parallel rule over steps this stack admits: the unrestricted
+        rule's order, restricted to what can be kept. When the products are
+        complete, a left step is paired only with right steps that hold
+        every argument tuple it needs, found through an index."""
+        lnames = [self.names(alpha) for alpha, _ in left]
+        rnames = [self.names(beta) for beta, _ in right]
+        fits: dict = {}
+
+        def fit(a: tuple, b: tuple) -> bool:
+            if (a, b) not in fits:
+                fits[a, b] = tuple(sorted(a + b)) in self.closed
+            return fits[a, b]
+
+        if not complete:
+            return ([(alpha, MParallel(target, proc.right)) for alpha, target in left]
+                    + [(beta, MParallel(proc.left, target)) for beta, target in right]
+                    + [(alpha + beta, MParallel(lt, rt))
+                       for (alpha, lt), a in zip(left, lnames)
+                       for (beta, rt), b in zip(right, rnames) if fit(a, b)])
+        lneeds = [self.needs(alpha) for alpha, _ in left]
+        rneeds = [self.needs(beta) for beta, _ in right]
+        rargs = [frozenset(e.args for e in beta._counts) for beta, _ in right]
+        holding: dict = {}
+        for j, args in enumerate(rargs):
+            for t in args:
+                holding.setdefault(t, []).append(j)
+        out = [(alpha, MParallel(target, proc.right))
+               for (alpha, target), needs in zip(left, lneeds) if not needs]
+        out += [(beta, MParallel(proc.left, target))
+                for (beta, target), needs in zip(right, rneeds) if not needs]
+        for (alpha, lt), a, needs in zip(left, lnames, lneeds):
+            largs = frozenset(e.args for e in alpha._counts)
+            js = holding.get(next(iter(needs)), ()) if needs else range(len(right))
+            for j in js:
+                if needs <= rargs[j] and rneeds[j] <= largs and fit(a, rnames[j]):
+                    beta, rt = right[j]
+                    gamma = alpha + beta
+                    if not self.needs(gamma):
+                        out.append((gamma, MParallel(lt, rt)))
         return out
-    raise TypeError(f"not an mCRL2 process: {proc!r}")
+
+
+def _sub_multisets(names: tuple):
+    """Every sub-multiset of a name tuple, as sorted tuples."""
+    counts = Counter(names)
+    distinct = sorted(counts)
+    for picks in product(*(range(counts[n] + 1) for n in distinct)):
+        yield tuple(n for n, k in zip(distinct, picks) for _ in range(k))
+
+
+@lru_cache(maxsize=64)
+def _keep_for(allowed: frozenset, hidden: frozenset, entries: tuple) -> _Keep | None:
+    """The restriction of an allow/hide/comm stack, or None where a comm
+    result is also a left-hand name (a chain), which it does not cover."""
+    lhs_names = {n for lhs, _ in entries for n in lhs._counts}
+    if any(result in lhs_names for _, result in entries):
+        return None
+    return _Keep(allowed, hidden, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ satisfaction and bisimilarity verdicts across the translation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import FragmentError, SpecValidationError
 from .hml import (
     And, Box, Check, Diamond, HFalse, HTrue, HmlFormula, Not, Or, SetVar,
-    TRUE, build_state_space, eval_modal_on_lts, satisfies,
+    StateSpace, TRUE, build_state_space, eval_modal_on_lts, satisfies,
 )
 from .bisim import (
     BisimResult, state_based_bisim, state_based_bisim_on_lts, strong_bisim,
@@ -431,6 +431,14 @@ class PipelineResult:
     m_lts: Lts
     link: list[int]
     consistency: ConsistencyReport
+    # the source grid of check_theorem4 and the config it was built with
+    _grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def source_grid(self, cfg: ExplorationConfig) -> StateSpace:
+        """The grid over the closure of the source root, built on first use."""
+        if self._grid is None or self._grid[0] != cfg:
+            self._grid = (cfg, build_state_space(self.out.spec, [self.gv_root.expr], cfg))
+        return self._grid[1]
 
 
 def run_pipeline(spec: RecursiveSpec, root: ProcessExpr, valuation: Valuation,
@@ -460,8 +468,7 @@ class Theorem4Report:
 def check_theorem4(pipeline: PipelineResult, formula: HmlFormula,
                    cfg: ExplorationConfig = DEFAULT_CONFIG) -> Theorem4Report:
     """Evaluates a check-fragment formula on both sides of the translation."""
-    space = build_state_space(pipeline.out.spec, [pipeline.gv_root.expr], cfg)
-    source = satisfies(space, pipeline.gv_root, formula)
+    source = satisfies(pipeline.source_grid(cfg), pipeline.gv_root, formula)
     translated = (pipeline.m_lts.initial
                   in eval_modal_on_lts(pipeline.m_lts, translate_formula(formula)))
     return Theorem4Report(formula=formula, source_verdict=source,

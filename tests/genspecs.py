@@ -1,17 +1,22 @@
 """Seeded random generators for test corpora.
 
-Two families: small guarded specs over the full grammar (for the
-equivalence/logic criteria) and parallel-sequential single-variable specs
-(for the translation criteria). The parallel-sequential generator never
-puts a condition directly over delta and never nests conditions, so the
-translated state map stays injective and the structure-preservation
-counts are meaningful.
+Three families: small guarded specs over the full grammar (for the
+equivalence/logic criteria), parallel-sequential single-variable specs
+(for the translation criteria) and terms of the mCRL2 fragment that the
+translation never produces (for the restricted composition). The
+parallel-sequential generator never puts a condition directly over delta
+and never nests conditions, so the translated state map stays injective
+and the structure-preservation counts are meaningful.
 """
 from __future__ import annotations
 
 import random
 
 from gvpa.errors import ResourceLimitError
+from gvpa.mcrl2 import (
+    DConst, DVar, MAct, MAllow, MBar, MCall, MChoice, MComm, MDELTA, MHide,
+    MParallel, MPrefix, MSum, Mcrl2Spec, Multiset, TAU,
+)
 from gvpa.sos import ExplorationConfig, GvState, explore, reachable_exprs
 from gvpa.syntax import (
     Action, Assign, Choice, CommFunction, Cond, Deadlock, DomainDef, Encap,
@@ -189,3 +194,94 @@ def gen_parseq_spec(rng: random.Random, state_cap: int = 60,
             continue  # keep mostly live systems
         return spec, root, valuation
     raise AssertionError("generator failed to produce a parallel-sequential spec")
+
+
+# ---------------------------------------------------------------------------
+# mCRL2 fragment terms (restricted composition)
+
+_M_DOMAIN = ("0", "1")
+_M_ARITY = {"a": 1, "b": 1, "c": 0, "d": 0, "e": 1}  # a|b and c|d can match
+_M_NAMES = tuple(_M_ARITY)
+
+
+def _m_act(rng: random.Random, binders: tuple) -> MAct:
+    name = rng.choice(_M_NAMES)
+    return MAct(name, tuple(
+        DVar(rng.choice(binders)) if binders and rng.random() < 0.6
+        else DConst(rng.choice(_M_DOMAIN)) for _ in range(_M_ARITY[name])))
+
+
+def _m_call(rng: random.Random, binders: tuple):
+    if rng.random() < 0.5:
+        return MCall("P")
+    arg = (DVar(rng.choice(binders)) if binders and rng.random() < 0.5
+           else DConst(rng.choice(_M_DOMAIN)))
+    return MCall("Q", (arg,))
+
+
+def _m_seq(rng: random.Random, depth: int, binders: tuple):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.15:
+        return MDELTA if rng.random() < 0.2 else _m_call(rng, binders)
+    if roll < 0.55:
+        if rng.random() < 0.1:
+            action = TAU
+        else:
+            action = _m_act(rng, binders)
+            if rng.random() < 0.35:
+                action = MBar(action, _m_act(rng, binders))
+        return MPrefix(action, _m_seq(rng, depth - 1, binders))
+    if roll < 0.75:
+        return MChoice(_m_seq(rng, depth - 1, binders),
+                       _m_seq(rng, depth - 1, binders))
+    var = f"x{len(binders)}"
+    return MSum(var, _m_seq(rng, depth - 1, binders + (var,)))
+
+
+def _m_allowed(rng: random.Random) -> frozenset:
+    return frozenset(
+        Multiset(rng.choice(_M_NAMES) for _ in range(rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 4)))
+
+
+def _m_comm(rng: random.Random, chain: bool) -> tuple:
+    names = list(_M_NAMES)
+    rng.shuffle(names)
+    first = (names[0], names[1] if rng.random() < 0.8 else names[0])
+    second = (names[2], names[3])
+    # a chain: one entry's result is a left-hand name of the other
+    results = (second[0], rng.choice(_M_NAMES)) if chain else (
+        rng.choice([names[4], names[0], names[2]]), rng.choice(_M_NAMES[2:]))
+    entries = [(Multiset(first), results[0])]
+    if chain or rng.random() < 0.6:
+        entries.append((Multiset(second), results[1]))
+    return tuple(entries)
+
+
+def gen_mcrl2_term(rng: random.Random):
+    """An environment and a term of the mCRL2 fragment unlike the
+    translation's output: allow sets of multi-name multisets, hide of
+    visible names, comm whose left-hand names are allowed too, comm chains,
+    operators stacked in any order, allow nested under parallel, and sums
+    whose binders feed plain actions."""
+    env = Mcrl2Spec(domain=_M_DOMAIN, equations=(
+        ("P", (), _m_seq(rng, 3, ())), ("Q", ("p",), _m_seq(rng, 3, ("p",)))))
+    components = [_m_seq(rng, 3, ()) for _ in range(rng.randint(2, 3))]
+    if rng.random() < 0.3:
+        components[-1] = MAllow(_m_allowed(rng),
+                                MParallel(components[-1], _m_seq(rng, 2, ())))
+    term = components[0]
+    for component in components[1:]:
+        term = MParallel(term, component)
+    hidden = frozenset(rng.sample(_M_NAMES, rng.randint(0, 2)))
+    comm = _m_comm(rng, chain=rng.random() < 0.25)
+    shape = rng.choice(("allow-hide-comm", "allow-hide-comm", "allow-comm",
+                        "allow-hide", "allow-comm-hide", "hide-allow-comm"))
+    for op in reversed(shape.split("-")):
+        if op == "comm":
+            term = MComm(comm, term)
+        elif op == "hide":
+            term = MHide(hidden, term)
+        else:
+            term = MAllow(_m_allowed(rng), term)
+    return env, term

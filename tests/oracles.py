@@ -11,7 +11,11 @@ from itertools import permutations
 from gvpa.hml import (
     And, Box, Check, Diamond, FALSE, HFalse, HTrue, Not, Or, SetVar, TRUE,
 )
-from gvpa.mcrl2 import GroundAction, Multiset
+from gvpa.mcrl2 import (
+    DConst, GroundAction, MAllow, MCall, MChoice, MComm, MDeadlock, MHide,
+    MParallel, MPrefix, MSum, Multiset, apply_comm, apply_hide, names_of,
+    sem_multiaction, subst_proc,
+)
 from gvpa.sos import GvState, Lts, step
 from gvpa.syntax import enumerate_valuations
 
@@ -149,6 +153,55 @@ def comm_normal_forms(entries, sem) -> set[Multiset]:
         return forms
 
     return walk(sem)
+
+
+# ---------------------------------------------------------------------------
+# mCRL2 steps by the unrestricted product rule
+
+
+def reference_step_mcrl2(env, proc) -> tuple:
+    """Every step of an mCRL2 term by the rules as written: the parallel
+    rule forms every product and the operators filter afterwards; repeated
+    steps are listed once, at their first position."""
+    return tuple(dict.fromkeys(_reference_steps(env, proc, frozenset())))
+
+
+def _reference_steps(env, proc, unfolding) -> list:
+    if isinstance(proc, MDeadlock):
+        return []
+    if isinstance(proc, MPrefix):
+        return [(sem_multiaction(proc.action), proc.body)]
+    if isinstance(proc, MChoice):
+        return (_reference_steps(env, proc.left, unfolding)
+                + _reference_steps(env, proc.right, unfolding))
+    if isinstance(proc, MParallel):
+        left = _reference_steps(env, proc.left, unfolding)
+        right = _reference_steps(env, proc.right, unfolding)
+        return ([(a, MParallel(t, proc.right)) for a, t in left]
+                + [(b, MParallel(proc.left, t)) for b, t in right]
+                + [(a + b, MParallel(lt, rt)) for a, lt in left for b, rt in right])
+    if isinstance(proc, MSum):
+        return [step for value in env.domain
+                for step in _reference_steps(
+                    env, subst_proc(proc.body, proc.var, DConst(value)), unfolding)]
+    if isinstance(proc, MCall):
+        if proc.name in unfolding:
+            return []
+        params, body = env.equation(proc.name)
+        for param, arg in zip(params, proc.args, strict=True):
+            if not isinstance(arg, DConst):
+                raise ValueError(f"argument of {proc.name} is not a domain value")
+            body = subst_proc(body, param, arg)
+        return _reference_steps(env, body, unfolding | {proc.name})
+    steps = _reference_steps(env, proc.body, unfolding)
+    if isinstance(proc, MHide):
+        return [(apply_hide(proc.hidden, a), MHide(proc.hidden, t)) for a, t in steps]
+    if isinstance(proc, MComm):
+        return [(apply_comm(proc.entries, a), MComm(proc.entries, t)) for a, t in steps]
+    if isinstance(proc, MAllow):
+        return [(a, MAllow(proc.allowed, t)) for a, t in steps
+                if not a or names_of(a) in proc.allowed]
+    raise TypeError(f"not an mCRL2 process: {proc!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -270,11 +270,14 @@ class TestFuzz:
         path.write_bytes(text)
         file = str(path)
         mode = ("strong", "state-based", "stateless")[seed % 3]
+        pair = ["--left", expr_str(left), "--right", expr_str(right)]
         caps = ["--max-states", "200", "--max-valuations", "64"]
         for argv in (["validate", file], ["lts", file],
-                     ["bisim", file, "--mode", mode, "--left", expr_str(left),
-                      "--right", expr_str(right)],
+                     ["bisim", file, "--mode", mode, *pair],
+                     ["distinguish", file, "--mode",
+                      ("state-based", "stateless")[seed % 2], *pair],
                      ["modelcheck", file, "--formula", "<a> true"],
+                     ["translate", file, "--out", str(tmp_path / "out")],
                      ["verify-translation", file]):
             assert run(caps + argv) in (0, 1, 2, 3), argv
             assert "Traceback" not in capsys.readouterr().err

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import comm_normal_forms
+import random
+
+from conftest import TRAFFIC_TEXT
+from genspecs import gen_mcrl2_term, gen_parseq_spec
+from oracles import comm_normal_forms, reference_step_mcrl2
+
+import gvpa.mcrl2
 
 from gvpa.mcrl2 import (
     DBool, DConst, DVar, EMPTY_MULTISET, GroundAction, MAct, MAllow, MBar,
@@ -10,7 +16,8 @@ from gvpa.mcrl2 import (
     TAU, apply_comm, apply_hide, canonical_label, explore_mcrl2,
     generate_lts_mcrl2, sem_multiaction, step_mcrl2,
 )
-from gvpa.translate import make_globs
+from gvpa.parser import parse_spec
+from gvpa.translate import make_globs, translate_init
 
 
 def ms(*items, **counts):
@@ -49,6 +56,17 @@ class TestMultiset:
     def test_add_then_subtract_recovers(self, x, y):
         a, b = Multiset(counts=x), Multiset(counts=y)
         assert (a + b) - b == a
+
+    def test_equality_ignores_insertion_order(self):
+        # both elements render as "a(true)"
+        x, y = ga("a", "true"), ga("a", True)
+        assert Multiset([x, y]) == Multiset([y, x])
+        assert hash(Multiset([x, y])) == hash(Multiset([y, x]))
+        assert Multiset([x, y]).items() == Multiset([y, x]).items()
+
+    def test_names_are_ordered_as_strings(self):
+        names = ["checkP", "a_b", "assignG", "Z", "check", "a"]
+        assert Multiset(names).elements() == sorted(names)
 
     @given(small, small, small)
     @settings(max_examples=200, deadline=None)
@@ -221,6 +239,75 @@ class TestGenerateLtsMcrl2:
         steps = step_mcrl2(globs_env, p)
         sems = [sem for sem, _ in steps]
         assert ms(ga("a"), ga("a")) in sems
+
+
+def _agree_with_reference(env, root, cap: int) -> int:
+    """Compares step_mcrl2 with the unrestricted product rule on every
+    term reachable from root (at most cap of them); returns the number of
+    steps compared."""
+    seen, frontier, compared = {root}, [root], 0
+    while frontier:
+        term = frontier.pop(0)
+        expected = reference_step_mcrl2(env, term)
+        assert step_mcrl2(env, term) == expected, term
+        compared += len(expected)
+        for _, target in expected:
+            if target not in seen and len(seen) < cap:
+                seen.add(target)
+                frontier.append(target)
+    return compared
+
+
+class TestRestrictedComposition:
+    """step_mcrl2 builds only what an allow/hide/comm stack can keep; the
+    result must be the unrestricted rule's, order included."""
+
+    def test_translated_terms(self, traffic):
+        spec, init = traffic
+        sources = [(spec, init.root, init.valuation)] + [
+            gen_parseq_spec(random.Random(seed), n_vars=1 + seed % 2)
+            for seed in range(24)]
+        compared = 0
+        for spec, root, valuation in sources:
+            out = translate_init(spec, root, valuation)
+            compared += _agree_with_reference(out.menv, out.top, cap=200)
+        assert compared > 200
+
+    def test_fragment_terms_unlike_the_translation(self):
+        compared = 0
+        for seed in range(300):
+            env, root = gen_mcrl2_term(random.Random(seed))
+            compared += _agree_with_reference(env, root, cap=30)
+        assert compared > 1000
+
+
+W22 = """
+domain { v0, v1 }
+vars { x1, x2 }
+acts { w1, w2 }
+proc W1 = ((x1 = v0) -> (w1.W1 + assign(x1, v1).W1))
+        + ((x1 = v1) -> (w1.W1 + assign(x1, v0).W1))
+proc W2 = ((x2 = v0) -> (w2.W2 + assign(x2, v1).W2))
+        + ((x2 = v1) -> (w2.W2 + assign(x2, v0).W2))
+init W1 || W2 with { x1 = v0, x2 = v0 }
+"""
+
+
+@pytest.mark.parametrize("text, transitions", [(TRAFFIC_TEXT, 15), (W22, 24)],
+                         ids=["traffic", "W(2,2)"])
+def test_allow_sees_few_candidates(monkeypatch, text, transitions):
+    """The allow rule calls names_of once per non-tau candidate; on the
+    translation nearly every candidate is kept (the unrestricted rule
+    built 10,400 candidates for the 24 transitions of W(2,2))."""
+    spec, init = parse_spec(text)
+    out = translate_init(spec, init.root, init.valuation)
+    calls = []
+    names_of = gvpa.mcrl2.names_of
+    monkeypatch.setattr(gvpa.mcrl2, "names_of",
+                        lambda sem: calls.append(sem) or names_of(sem))
+    lts = generate_lts_mcrl2(out.menv, out.top)
+    assert len(lts.transitions) == transitions
+    assert len(calls) <= 2 * transitions
 
 
 class TestRandomCommAgainstAllOrders:

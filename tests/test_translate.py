@@ -280,6 +280,19 @@ class TestTheorems:
             assert report.agrees
             assert report.source_verdict is expected
 
+    def test_theorem4_builds_the_source_grid_once(self, traffic, monkeypatch):
+        import gvpa.translate
+        spec, init = traffic
+        builds = []
+        build = gvpa.translate.build_state_space
+        monkeypatch.setattr(gvpa.translate, "build_state_space",
+                            lambda *args: builds.append(args) or build(*args))
+        pipe = run_pipeline(spec, init.root, init.valuation, CFG)
+        assert builds == []
+        for text in ("<drive> true", "(t = red)", "(t = green)"):
+            assert check_theorem4(pipe, parse_formula(text, spec), CFG).agrees
+        assert len(builds) == 1
+
     def test_corollary1_reflexive(self, traffic):
         spec, init = traffic
         report = check_corollary1(spec, init.root, init.root,
