@@ -3,7 +3,8 @@
 Exit codes: 0 success (and verdict "true" where applicable), 1 a checked
 verdict is false, 2 input error (including a file that cannot be read or
 is not UTF-8 text, a non-positive cap, and input nested too deeply for
-Python's recursion limit), 3 a resource cap was exceeded.
+Python's recursion limit), 3 a resource cap was exceeded, 4 an internal
+error (an unexpected exception, reported in one line).
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _positive_int(text: str) -> int:
@@ -347,6 +349,10 @@ def main(argv=None) -> int:
         print("error: input nested too deeply for the recursion limit",
               file=sys.stderr)
         return EXIT_INPUT
+    except Exception as err:
+        # a bug, not a verdict: exit 1 must keep meaning "false"
+        print(f"internal error: {err!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

@@ -332,7 +332,11 @@ def parse_formula(text: str, spec: RecursiveSpec) -> HmlFormula:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Expression closure x full valuation grid, with its transitions."""
+    """Expression closure x full valuation grid, with its transitions.
+
+    State ``e * len(valuations) + v`` is expression ``e`` under the
+    valuation of code ``v``.
+    """
 
     spec: RecursiveSpec
     exprs: tuple[ProcessExpr, ...]
@@ -340,34 +344,32 @@ class StateSpace:
     states: tuple[GvState, ...]
     transitions: tuple[tuple[tuple[TransitionLabel, int], ...], ...]
     _expr_index: dict = field(init=False, repr=False, compare=False, default=None)
-    _val_index: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_expr_index",
                            {e: i for i, e in enumerate(self.exprs)})
-        object.__setattr__(self, "_val_index",
-                           {v: i for i, v in enumerate(self.valuations)})
 
     def index_of(self, state: GvState) -> int:
         try:
             e_i = self._expr_index[state.expr]
-            v_i = self._val_index[state.valuation]
-        except KeyError:
+            v_i = self.spec.codes.code(state.valuation)
+        except (KeyError, ValueError):
             raise KeyError(f"state outside the grid: {state_str(state)}") from None
         return e_i * len(self.valuations) + v_i
 
     def atom(self, formula: Check | SetVar, sub: frozenset[int] | None) -> frozenset[int]:
         """Denotation of a check, or of a set operator whose body denotes
-        ``sub``."""
-        n = len(self.states)
+        ``sub``; both read or rewrite one digit of the valuation codes."""
+        n, nv = len(self.states), len(self.valuations)
+        codes = self.spec.codes
+        weight, digit = codes.test(formula.var, formula.value)
+        base = codes.base
         if isinstance(formula, Check):
-            return frozenset(
-                i for i in range(n)
-                if self.states[i].valuation.value_of(formula.var) == formula.value)
-        nv = len(self.valuations)
-        rewritten = [self._val_index[v.updated(formula.var, formula.value)]
-                     for v in self.valuations]
-        return frozenset(i for i in range(n) if i - i % nv + rewritten[i % nv] in sub)
+            passing = [v for v in range(nv) if v // weight % base == digit]
+            return frozenset(e + v for e in range(0, n, nv) for v in passing)
+        rewritten = [v + (digit - v // weight % base) * weight for v in range(nv)]
+        return frozenset(e + v for e in range(0, n, nv) for v in range(nv)
+                         if e + rewritten[v] in sub)
 
     @property
     def all_indices(self) -> frozenset[int]:

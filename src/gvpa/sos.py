@@ -3,7 +3,9 @@
 States are pairs of a process expression and a valuation. The transition
 relation is the least one closed under the rules Pref, Asgn, Con, Rec,
 Sum-l/r, Par-l/r, Comm and Enc; communication synchronises actions only,
-never assignments.
+never assignments. The rules are applied once per expression, giving its
+guarded step table, and each valuation filters that table by its code
+(`syntax.ValuationCodes`).
 """
 from __future__ import annotations
 
@@ -47,22 +49,169 @@ class Lts:
 
     State payloads are opaque; transitions refer to state indices. The
     index order is the (deterministic) discovery order of the BFS that
-    built the system.
+    built the system. The successor lists are built on the first call of
+    `successors`, so an LTS that is only exported holds its transitions
+    once.
     """
 
     states: tuple
     transitions: tuple[tuple[int, Any, int], ...]
     initial: int = 0
-    _succ: dict = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        succ: dict[int, list] = {i: [] for i in range(len(self.states))}
-        for src, label, dst in self.transitions:
-            succ[src].append((label, dst))
-        object.__setattr__(self, "_succ", succ)
+    _succ: list = field(init=False, repr=False, compare=False, default=None)
 
     def successors(self, state: int) -> list[tuple[Any, int]]:
-        return self._succ[state]
+        succ = self._succ
+        if succ is None:
+            succ = [[] for _ in self.states]
+            for src, label, dst in self.transitions:
+                succ[src].append((label, dst))
+            object.__setattr__(self, "_succ", succ)
+        return succ[state]
+
+
+# ---------------------------------------------------------------------------
+# Guarded step tables
+#
+# A state <p, V> depends on V only through the conditions met while
+# deriving the steps of p and through the assignments it performs. So the
+# derivation runs once per expression, with the conditions collected as
+# tests on valuation codes, and the steps of <p, V> are the rows whose
+# tests the code of V passes, in table order.
+
+
+def guarded_steps(spec: RecursiveSpec, expr: ProcessExpr) -> list[tuple]:
+    """The guarded step table of an expression.
+
+    One ``(tests, label, target)`` row per derivation by the rules Pref,
+    Asgn, Con, Rec, Sum-l/r, Par-l/r, Comm and Enc, in derivation order.
+    ``tests`` are the ``(weight, digit)`` pairs (see `ValuationCodes.test`)
+    of the conditions on the derivation; a derivation with conflicting
+    conditions has no row.
+    """
+    return _rows(spec, spec.codes, expr, frozenset())
+
+
+def _conjoin(left: tuple, right: tuple) -> tuple | None:
+    """Both sets of tests, or None if they require two values of one
+    variable."""
+    if not left:
+        return right
+    if not right:
+        return left
+    merged = dict(left)
+    for weight, digit in right:
+        if merged.setdefault(weight, digit) != digit:
+            return None
+    return tuple(merged.items())
+
+
+def _rows(spec, codes, expr, unfolding) -> list[tuple]:
+    if isinstance(expr, Deadlock):
+        return []
+    if isinstance(expr, Prefix):
+        return [((), expr.label, expr.body)]
+    if isinstance(expr, Choice):
+        return (_rows(spec, codes, expr.left, unfolding)
+                + _rows(spec, codes, expr.right, unfolding))
+    if isinstance(expr, Cond):
+        test = (codes.test(expr.var, expr.value),)
+        out = []
+        for tests, label, target in _rows(spec, codes, expr.body, unfolding):
+            tests = _conjoin(test, tests)
+            if tests is not None:
+                out.append((tests, label, target))
+        return out
+    if isinstance(expr, Name):
+        # A name already being unfolded on this derivation path contributes
+        # nothing; guarded specs never re-enter, unguarded ones stay finite.
+        if expr.name in unfolding:
+            return []
+        body = spec.equation(expr.name)
+        return _rows(spec, codes, body, unfolding | {expr.name})
+    if isinstance(expr, Encap):
+        return [(tests, label, Encap(expr.blocked, target))
+                for tests, label, target in _rows(spec, codes, expr.body, unfolding)
+                if not (isinstance(label, Action) and label.name in expr.blocked)]
+    if isinstance(expr, Parallel):
+        left = _rows(spec, codes, expr.left, unfolding)
+        right = _rows(spec, codes, expr.right, unfolding)
+        out = [(tests, label, Parallel(target, expr.right))
+               for tests, label, target in left]
+        out += [(tests, label, Parallel(expr.left, target))
+                for tests, label, target in right]
+        if not spec.comm.is_empty():
+            right = [row for row in right if isinstance(row[1], Action)]
+            for ta, la, pa in left:
+                if not isinstance(la, Action):
+                    continue
+                for tb, lb, pb in right:
+                    result = spec.comm.lookup(la.name, lb.name)
+                    if result is not None:
+                        # both sides step from the same valuation
+                        tests = _conjoin(ta, tb)
+                        if tests is not None:
+                            out.append((tests, Action(result), Parallel(pa, pb)))
+        return out
+    raise TypeError(f"not a process expression: {expr!r}")
+
+
+class _Stepper:
+    """The expressions of one pass, numbered in the order they are met,
+    and the steps of (expression number, valuation code) pairs."""
+
+    def __init__(self, spec: RecursiveSpec):
+        self.spec = spec
+        self.codes = spec.codes
+        self.exprs: list[ProcessExpr] = []
+        self._number: dict[ProcessExpr, int] = {}
+
+    def number(self, expr: ProcessExpr) -> int:
+        e = self._number.get(expr)
+        if e is None:
+            e = self._number[expr] = len(self.exprs)
+            self.exprs.append(expr)
+        return e
+
+    def table(self, e: int) -> tuple[list[tuple], bool]:
+        """The expression's table made ready for `moves`: runs of rows with
+        the same tests, as ``(tests, [(label, target number, weight,
+        digit), ...])``, where a nonzero weight and its digit are what an
+        assignment writes; and whether one valuation can derive a step
+        twice (two rows with one label and target whose tests can both
+        hold)."""
+        runs: list[tuple] = []
+        seen: dict[tuple, list] = {}
+        twice = False
+        for tests, label, target in guarded_steps(self.spec, self.exprs[e]):
+            t = self.number(target)
+            weight, digit = (self.codes.test(label.var, label.value)
+                             if isinstance(label, Assign) else (0, 0))
+            if runs and runs[-1][0] == tests:
+                runs[-1][1].append((label, t, weight, digit))
+            else:
+                runs.append((tests, [(label, t, weight, digit)]))
+            earlier = seen.setdefault((label, t), [])
+            twice = twice or any(_conjoin(other, tests) is not None for other in earlier)
+            earlier.append(tests)
+        return runs, twice
+
+    def moves(self, table: tuple[list[tuple], bool], code: int) -> list[tuple]:
+        """``(label, target number, target code)`` for each step from the
+        valuation ``code``, in table order, each step listed once."""
+        runs, twice = table
+        base = self.codes.base
+        out = []
+        for tests, rows in runs:
+            for w, d in tests:
+                if code // w % base != d:
+                    break
+            else:
+                for label, target, weight, digit in rows:
+                    out.append((label, target,
+                                code + (digit - code // weight % base) * weight
+                                if weight else code))
+        # a step derived twice keeps its first position, as in a set of rules
+        return list(dict.fromkeys(out)) if twice else out
 
 
 # ---------------------------------------------------------------------------
@@ -70,66 +219,13 @@ class Lts:
 
 
 def step(spec: RecursiveSpec, state: GvState) -> tuple[tuple[TransitionLabel, GvState], ...]:
-    """All transitions of a state, in deterministic derivation order."""
-    out = _steps(spec, state.expr, state.valuation, frozenset())
-    return tuple(dict.fromkeys(out))
-
-
-def _steps(spec, expr, valuation, unfolding):
-    if isinstance(expr, Deadlock):
-        return []
-    if isinstance(expr, Prefix):
-        label = expr.label
-        if isinstance(label, Assign):
-            target = valuation.updated(label.var, label.value)
-        else:
-            target = valuation
-        return [(label, GvState(expr.body, target))]
-    if isinstance(expr, Choice):
-        return (_steps(spec, expr.left, valuation, unfolding)
-                + _steps(spec, expr.right, valuation, unfolding))
-    if isinstance(expr, Cond):
-        if valuation.value_of(expr.var) == expr.value:
-            return _steps(spec, expr.body, valuation, unfolding)
-        return []
-    if isinstance(expr, Name):
-        # A name already being unfolded on this derivation path contributes
-        # nothing; guarded specs never re-enter, unguarded ones stay finite.
-        if expr.name in unfolding:
-            return []
-        body = spec.equation(expr.name)
-        return _steps(spec, body, valuation, unfolding | {expr.name})
-    if isinstance(expr, Encap):
-        out = []
-        for label, target in _steps(spec, expr.body, valuation, unfolding):
-            if isinstance(label, Action) and label.name in expr.blocked:
-                continue
-            out.append((label, GvState(Encap(expr.blocked, target.expr),
-                                       target.valuation)))
-        return out
-    if isinstance(expr, Parallel):
-        left = _steps(spec, expr.left, valuation, unfolding)
-        right = _steps(spec, expr.right, valuation, unfolding)
-        out = []
-        for label, target in left:
-            out.append((label, GvState(Parallel(target.expr, expr.right),
-                                       target.valuation)))
-        for label, target in right:
-            out.append((label, GvState(Parallel(expr.left, target.expr),
-                                       target.valuation)))
-        if not spec.comm.is_empty():
-            for la, ta in left:
-                if not isinstance(la, Action):
-                    continue
-                for lb, tb in right:
-                    if not isinstance(lb, Action):
-                        continue
-                    result = spec.comm.lookup(la.name, lb.name)
-                    if result is not None:
-                        out.append((Action(result),
-                                    GvState(Parallel(ta.expr, tb.expr), valuation)))
-        return out
-    raise TypeError(f"not a process expression: {expr!r}")
+    """All transitions of a state, in deterministic derivation order:
+    the rows of the expression's table that the valuation passes."""
+    stepper = _Stepper(spec)
+    table = stepper.table(stepper.number(state.expr))
+    valuation = spec.codes.valuation
+    return tuple((label, GvState(stepper.exprs[t], valuation(c)))
+                 for label, t, c in stepper.moves(table, spec.codes.code(state.valuation)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +263,43 @@ def _bfs(roots: Iterable, successors: Callable[[Any], Iterable[tuple[Any, Any]]]
     return nodes, rows, root_indices
 
 
-def _bfs_lts(roots: Iterable, successors, cap: int) -> tuple[Lts, tuple[int, ...]]:
-    """The reachable LTS of the roots, states indexed in BFS order."""
-    states, rows, root_indices = _bfs(roots, successors, cap)
+def _bfs_lts(roots: Iterable, successors, cap: int,
+             payload: Callable[[Any], Any] | None = None) -> tuple[Lts, tuple[int, ...]]:
+    """The reachable LTS of the roots, states indexed in BFS order; each
+    state holds ``payload(node)``, or the node itself."""
+    nodes, rows, root_indices = _bfs(roots, successors, cap)
     transitions = tuple((i, label, j) for i, row in enumerate(rows) for label, j in row)
-    # Lts builds its own successor lists; the rows must not outlive that.
     del rows
-    return (Lts(states=tuple(states), transitions=transitions,
-                initial=root_indices[0]),
-            root_indices)
+    states = tuple(nodes if payload is None else map(payload, nodes))
+    return Lts(states=states, transitions=transitions, initial=root_indices[0]), root_indices
 
 
 def explore(spec: RecursiveSpec, roots: Sequence[GvState],
             cfg: ExplorationConfig = DEFAULT_CONFIG) -> tuple[Lts, tuple[int, ...]]:
-    """BFS over the reachable fragment from several roots at once."""
-    return _bfs_lts(roots, lambda state: step(spec, state), cfg.max_states)
+    """BFS over the reachable fragment from several roots at once.
+
+    A state is searched as the number ``e * count + code`` of its
+    expression ``e`` and its valuation code; each expression's table is
+    derived once and kept until the call returns."""
+    stepper = _Stepper(spec)
+    tables: dict[int, tuple] = {}
+    codes = spec.codes
+    count = codes.count
+    keys = [stepper.number(root.expr) * count + codes.code(root.valuation)
+            for root in roots]
+
+    def successors(key):
+        e, code = divmod(key, count)
+        table = tables.get(e)
+        if table is None:
+            table = tables[e] = stepper.table(e)
+        return [(label, t * count + c) for label, t, c in stepper.moves(table, code)]
+
+    def state(key):
+        e, code = divmod(key, count)
+        return GvState(stepper.exprs[e], codes.valuation(code))
+
+    return _bfs_lts(keys, successors, cfg.max_states, state)
 
 
 def generate_lts(spec: RecursiveSpec, init: InitSpec | GvState,
@@ -204,21 +322,24 @@ def expression_closure(spec: RecursiveSpec, roots: ProcessExpr | Iterable[Proces
     lists the moves of ``exprs[e]`` from every valuation, valuation by
     valuation in grid order and in `step` order within one valuation, as
     ``((v, label, v2), e2)``: from ``valuations[v]`` the label leads to
-    ``exprs[e2]`` under ``valuations[v2]``.
+    ``exprs[e2]`` under ``valuations[v2]``. Valuations are given by their
+    codes, and each expression's table is derived once and dropped after
+    its row is made.
     """
     if isinstance(roots, ProcessExpr):
         roots = [roots]
     valuations = enumerate_valuations(spec, cfg.max_valuations)
-    val_index = {v: i for i, v in enumerate(valuations)}
+    stepper = _Stepper(spec)
 
-    def successors(expr):
-        for v_i, valuation in enumerate(valuations):
-            for label, target in step(spec, GvState(expr, valuation)):
-                yield (v_i, label, val_index[target.valuation]), target.expr
+    def successors(e):
+        table = stepper.table(e)
+        return (((v, label, c), t)
+                for v in range(len(valuations))
+                for label, t, c in stepper.moves(table, v))
 
-    exprs, rows, root_indices = _bfs(roots, successors, cfg.max_states,
-                                     "expression closure")
-    return tuple(exprs), valuations, rows, root_indices
+    nodes, rows, root_indices = _bfs([stepper.number(root) for root in roots],
+                                     successors, cfg.max_states, "expression closure")
+    return tuple(stepper.exprs[e] for e in nodes), valuations, rows, root_indices
 
 
 def reachable_exprs(spec: RecursiveSpec, roots: ProcessExpr | Iterable[ProcessExpr],

@@ -8,7 +8,6 @@ identity throughout the toolkit is structural equality of these terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Mapping
 
 from .errors import ResourceLimitError, SpecValidationError
@@ -190,6 +189,60 @@ class Valuation:
         return ",".join(f"{v}={d}" for v, d in self.entries) or "{}"
 
 
+class ValuationCodes:
+    """The valuations of one spec, coded as mixed-radix integers.
+
+    Digit i of a code is the domain index of the value of variable i, the
+    first variable being the most significant digit, so the codes count
+    the valuations in `enumerate_valuations` order. A test ``(x = d)``
+    reads one digit of a code and ``assign(x, d)`` rewrites one; both are
+    given as the ``(weight, digit)`` pair of `test`. Each code has one
+    canonical `Valuation`, made on first use and shared by every state
+    that holds it.
+    """
+
+    __slots__ = ("variables", "base", "count", "_weight", "_digit", "_pairs",
+                 "_canonical")
+
+    def __init__(self, variables: tuple[str, ...], values: tuple[str, ...]):
+        n = len(variables)
+        self.variables = variables
+        self.base = len(values)
+        self.count = self.base ** n
+        self._weight = {var: self.base ** (n - 1 - i) for i, var in enumerate(variables)}
+        self._digit = {value: j for j, value in enumerate(values)}
+        # the (variable, value) entries, shared by all canonical valuations
+        self._pairs = tuple(tuple((var, value) for value in values) for var in variables)
+        self._canonical: dict[int, Valuation] = {}
+
+    def test(self, var: str, value: str) -> tuple[int, int]:
+        """``(weight, digit)``: ``code // weight % base == digit`` holds
+        exactly at the codes that map ``var`` to ``value``."""
+        return self._weight[var], self._digit[value]
+
+    def code(self, valuation: Valuation) -> int:
+        """The code of a valuation of the variables in declaration order."""
+        if tuple(var for var, _ in valuation.entries) != self.variables:
+            raise ValueError(f"valuation {valuation} does not list the variables "
+                             f"{', '.join(self.variables)} in order")
+        code = 0
+        for _, value in valuation.entries:
+            code = code * self.base + self._digit[value]
+        return code
+
+    def valuation(self, code: int) -> Valuation:
+        """The canonical valuation of a code."""
+        found = self._canonical.get(code)
+        if found is None:
+            entries = []
+            rest = code
+            for pairs in reversed(self._pairs):
+                rest, digit = divmod(rest, self.base)
+                entries.append(pairs[digit])
+            found = self._canonical[code] = Valuation(tuple(reversed(entries)))
+        return found
+
+
 # ---------------------------------------------------------------------------
 # Communication function
 
@@ -252,6 +305,7 @@ class RecursiveSpec:
     equations: tuple[tuple[str, ProcessExpr], ...]
     comm: CommFunction = CommFunction()
     _eqmap: dict = field(init=False, repr=False, compare=False, default=None)
+    _codes: ValuationCodes = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         eqmap = {}
@@ -270,6 +324,14 @@ class RecursiveSpec:
 
     def has_equation(self, name: str) -> bool:
         return name in self._eqmap
+
+    @property
+    def codes(self) -> ValuationCodes:
+        """The valuation codes of this spec, made on first use."""
+        if self._codes is None:
+            object.__setattr__(self, "_codes",
+                               ValuationCodes(self.variables, self.domain.values))
+        return self._codes
 
 
 @dataclass(frozen=True)
@@ -381,13 +443,13 @@ def require_valid(spec: RecursiveSpec, init: InitSpec | None = None):
 
 
 def enumerate_valuations(spec: RecursiveSpec, cap: int = 4096) -> tuple[Valuation, ...]:
-    """All total valuations, lexicographic in (variable order, domain order)."""
-    count = len(spec.domain.values) ** len(spec.variables)
-    if count > cap:
+    """All total valuations, lexicographic in (variable order, domain order),
+    which is the order of their codes; the valuations are the canonical ones."""
+    codes = spec.codes
+    if codes.count > cap:
         raise ResourceLimitError(
-            f"valuation space has {count} elements, exceeding the cap of {cap}",
+            f"valuation space has {codes.count} elements, exceeding the cap of {cap}",
             limit=cap,
-            reached=count,
+            reached=codes.count,
         )
-    combos = product(spec.domain.values, repeat=len(spec.variables))
-    return tuple(Valuation(tuple(zip(spec.variables, combo))) for combo in combos)
+    return tuple(codes.valuation(code) for code in range(codes.count))

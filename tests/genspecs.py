@@ -3,7 +3,9 @@
 Three families: small guarded specs over the full grammar (for the
 equivalence/logic criteria), parallel-sequential single-variable specs
 (for the translation criteria) and terms of the mCRL2 fragment that the
-translation never produces (for the restricted composition). The
+translation never produces (for the restricted composition). Two scaled
+families as spec texts: the worker grid W(n,k) (many valuations) and the
+handshake ring R(n,L) (many expressions). The
 parallel-sequential generator never puts a condition directly over delta
 and never nests conditions, so the translated state map stays injective
 and the structure-preservation counts are meaningful.
@@ -194,6 +196,52 @@ def gen_parseq_spec(rng: random.Random, state_cap: int = 60,
             continue  # keep mostly live systems
         return spec, root, valuation
     raise AssertionError("generator failed to produce a parallel-sequential spec")
+
+
+# ---------------------------------------------------------------------------
+# Scaled families
+
+
+def worker_grid_text(n: int, k: int) -> str:
+    """W(n,k): worker i cycles its own variable x_i over k values and can
+    do its local action w_i at every value; k^n valuations, one expression."""
+    values = [f"v{j}" for j in range(k)]
+    lines = [f"domain {{ {', '.join(values)} }}",
+             f"vars {{ {', '.join(f'x{i}' for i in range(1, n + 1))} }}",
+             f"acts {{ {', '.join(f'w{i}' for i in range(1, n + 1))} }}"]
+    for i in range(1, n + 1):
+        lines.append(f"proc W{i} = " + " + ".join(
+            f"((x{i} = {values[j]}) -> (w{i}.W{i} + assign(x{i}, {values[(j + 1) % k]}).W{i}))"
+            for j in range(k)))
+    workers = " || ".join(f"W{i}" for i in range(1, n + 1))
+    start = ", ".join(f"x{i} = v0" for i in range(1, n + 1))
+    lines.append(f"init {workers} with {{ {start} }}")
+    return "\n".join(lines) + "\n"
+
+
+def ring_text(n: int, stages: int) -> str:
+    """R(n,L): n components of L stages under encap({a1, a2}) with the
+    handshake a1|a2 -> s. Stage 0 offers a1 when f = lo, stage 1 offers
+    a2, component 1 toggles f at its last stage; every stage has its local
+    action t_i. L^n expressions over two valuations."""
+    acts = [f"t{i}" for i in range(1, n + 1)] + ["a1", "a2", "s"]
+    lines = ["domain { lo, hi }", "vars { f }", f"acts {{ {', '.join(acts)} }}",
+             "comm { a1|a2 -> s }"]
+    for i in range(1, n + 1):
+        for stage in range(stages):
+            nxt = f"C{i}_{(stage + 1) % stages}"
+            summands = [f"t{i}.{nxt}"]
+            if stage == 0:
+                summands.append(f"((f = lo) -> a1.{nxt})")
+            if stage == 1:
+                summands.append(f"a2.{nxt}")
+            if i == 1 and stage == stages - 1:
+                summands += [f"((f = lo) -> assign(f, hi).{nxt})",
+                             f"((f = hi) -> assign(f, lo).{nxt})"]
+            lines.append(f"proc C{i}_{stage} = " + " + ".join(summands))
+    ring = " || ".join(f"C{i}_0" for i in range(1, n + 1))
+    lines.append(f"init encap({{a1, a2}}) ({ring}) with {{ f = lo }}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,68 @@ from gvpa.mcrl2 import (
     MParallel, MPrefix, MSum, Multiset, apply_comm, apply_hide, names_of,
     sem_multiaction, subst_proc,
 )
-from gvpa.sos import GvState, Lts, step
-from gvpa.syntax import enumerate_valuations
+from gvpa.sos import GvState, Lts
+from gvpa.syntax import (
+    Action, Assign, Choice, Cond, Deadlock, Encap, Name, Parallel, Prefix,
+    enumerate_valuations,
+)
+
+
+# ---------------------------------------------------------------------------
+# Source steps by the SOS rules, one valuation at a time
+
+
+def reference_step(spec, state) -> tuple:
+    """Every transition of a state by the rules as written, deriving them
+    under the state's own valuation; repeated steps are listed once, at
+    their first position."""
+    return tuple(dict.fromkeys(
+        _reference_source_steps(spec, state.expr, state.valuation, frozenset())))
+
+
+def _reference_source_steps(spec, expr, valuation, unfolding) -> list:
+    if isinstance(expr, Deadlock):
+        return []
+    if isinstance(expr, Prefix):
+        label = expr.label
+        if isinstance(label, Assign):
+            target = valuation.updated(label.var, label.value)
+        else:
+            target = valuation
+        return [(label, GvState(expr.body, target))]
+    if isinstance(expr, Choice):
+        return (_reference_source_steps(spec, expr.left, valuation, unfolding)
+                + _reference_source_steps(spec, expr.right, valuation, unfolding))
+    if isinstance(expr, Cond):
+        if valuation.value_of(expr.var) == expr.value:
+            return _reference_source_steps(spec, expr.body, valuation, unfolding)
+        return []
+    if isinstance(expr, Name):
+        if expr.name in unfolding:
+            return []
+        return _reference_source_steps(spec, spec.equation(expr.name), valuation,
+                                       unfolding | {expr.name})
+    if isinstance(expr, Encap):
+        return [(label, GvState(Encap(expr.blocked, target.expr), target.valuation))
+                for label, target in _reference_source_steps(
+                    spec, expr.body, valuation, unfolding)
+                if not (isinstance(label, Action) and label.name in expr.blocked)]
+    if isinstance(expr, Parallel):
+        left = _reference_source_steps(spec, expr.left, valuation, unfolding)
+        right = _reference_source_steps(spec, expr.right, valuation, unfolding)
+        out = [(label, GvState(Parallel(target.expr, expr.right), target.valuation))
+               for label, target in left]
+        out += [(label, GvState(Parallel(expr.left, target.expr), target.valuation))
+                for label, target in right]
+        for la, ta in left:
+            for lb, tb in right:
+                if isinstance(la, Action) and isinstance(lb, Action):
+                    result = spec.comm.lookup(la.name, lb.name)
+                    if result is not None:
+                        out.append((Action(result),
+                                    GvState(Parallel(ta.expr, tb.expr), valuation)))
+        return out
+    raise TypeError(f"not a process expression: {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +144,8 @@ def naive_stateless_relation(spec, exprs, max_valuations: int = 4096) -> set[tup
     matching clause over every valuation."""
     valuations = enumerate_valuations(spec, max_valuations)
     moves = [
-        {valuation: step(spec, GvState(expr, valuation)) for valuation in valuations}
+        {valuation: reference_step(spec, GvState(expr, valuation))
+         for valuation in valuations}
         for expr in exprs
     ]
     index = {expr: i for i, expr in enumerate(exprs)}

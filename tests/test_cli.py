@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from genspecs import gen_pair, gen_parseq_spec, gen_spec
 
+import gvpa.cli
 from gvpa.cli import main
 from gvpa.parser import render_spec
 from gvpa.syntax import InitSpec, enumerate_valuations, expr_str
@@ -87,6 +88,22 @@ class TestUnusableInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+class TestInternalError:
+    """An unexpected exception is a bug, not a verdict: it exits 4 with one
+    line, since exit 1 means "false"."""
+
+    def test_unexpected_exception_exits_4(self, monkeypatch, capsys):
+        def broken(spec, init=None):
+            raise AssertionError("broken invariant")
+
+        monkeypatch.setattr(gvpa.cli, "validate_spec", broken)
+        assert run(["validate", TRAFFIC]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "internal error: AssertionError('broken invariant')"]
 
 
 class TestLts:

@@ -1,14 +1,23 @@
+import random
+
 import pytest
 
+from conftest import TRAFFIC_TEXT
+from genspecs import (
+    gen_pair, gen_parseq_spec, gen_spec, ring_text, worker_grid_text,
+)
+from oracles import reference_step
+
+import gvpa.sos
 from gvpa.errors import ResourceLimitError
 from gvpa.parser import parse_expr, parse_spec
 from gvpa.sos import (
     ExplorationConfig, GvState, check_image_finite, explore, export_lts,
-    generate_lts, reachable_exprs, step,
+    expression_closure, generate_lts, reachable_exprs, step,
 )
 from gvpa.syntax import (
-    Action, Assign, CommFunction, Cond, Deadlock, DomainDef, Name, Parallel,
-    Prefix, RecursiveSpec, Valuation,
+    Action, Assign, Choice, CommFunction, Cond, Deadlock, DomainDef, Encap,
+    Name, Parallel, Prefix, RecursiveSpec, Valuation, enumerate_valuations,
 )
 
 
@@ -140,6 +149,20 @@ class TestGenerateLts:
         assert len(lts.states) == 6
         assert len(lts.transitions) == 9
 
+    def test_successor_lists_are_built_on_first_use(self, traffic):
+        spec, init = traffic
+        lts = generate_lts(spec, init)
+        assert lts._succ is None
+        for i in range(len(lts.states)):
+            assert lts.successors(i) == [(label, dst) for src, label, dst
+                                         in lts.transitions if src == i]
+
+    def test_states_share_the_canonical_valuations(self):
+        spec, init = parse_spec(worker_grid_text(2, 3))
+        vals = enumerate_valuations(spec)
+        for state in generate_lts(spec, init).states:
+            assert state.valuation is vals[spec.codes.code(state.valuation)]
+
     def test_deadlock_lts(self, example3):
         spec, _, _, _, v0 = example3
         lts = generate_lts(spec, GvState(Deadlock(), v0))
@@ -241,3 +264,130 @@ class TestMultiRootExplore:
         doubled, (a, b) = explore(spec, [root, root])
         assert a == b == 0
         assert doubled.transitions == single.transitions
+
+
+def _seeded_specs():
+    """(spec, roots, valuation) triples from both seeded corpora."""
+    rng = random.Random(2718)
+    out = []
+    for _ in range(15):
+        spec = gen_spec(rng)
+        out.append((spec, gen_pair(rng, spec), rng.choice(enumerate_valuations(spec))))
+    for n_vars in (1, 1, 2) * 5:
+        spec, root, valuation = gen_parseq_spec(rng, n_vars=n_vars)
+        out.append((spec, (root,), valuation))
+    return out
+
+
+class TestStepAgainstReference:
+    """`step` filters each expression's guarded step table by the code of
+    the valuation; `reference_step` derives the steps under the valuation
+    itself. Both must give the same tuple, in the same order."""
+
+    @pytest.mark.parametrize("text", [
+        TRAFFIC_TEXT, worker_grid_text(2, 3), ring_text(3, 3)],
+        ids=["traffic", "W(2,3)", "R(3,3)"])
+    def test_every_reachable_state(self, text):
+        spec, init = parse_spec(text)
+        lts = generate_lts(spec, init)
+        for state in lts.states:
+            assert step(spec, state) == reference_step(spec, state)
+
+    def test_every_reachable_state_of_the_seeded_corpora(self):
+        for spec, roots, valuation in _seeded_specs():
+            lts, _ = explore(spec, [GvState(root, valuation) for root in roots])
+            for state in lts.states:
+                assert step(spec, state) == reference_step(spec, state)
+
+    def test_every_closure_expression_under_every_valuation(self, traffic):
+        cases = [(traffic[0], (traffic[1].root,))]
+        for text in (worker_grid_text(2, 3), ring_text(3, 3)):
+            spec, init = parse_spec(text)
+            cases.append((spec, (init.root,)))
+        cases += [(spec, roots) for spec, roots, _ in _seeded_specs()]
+        for spec, roots in cases:
+            exprs, valuations, rows, _ = expression_closure(spec, roots)
+            for e, expr in enumerate(exprs):
+                expected = []
+                for v, valuation in enumerate(valuations):
+                    got = step(spec, GvState(expr, valuation))
+                    assert got == reference_step(spec, GvState(expr, valuation))
+                    expected += [((v, label, valuations.index(target.valuation)),
+                                  exprs.index(target.expr)) for label, target in got]
+                assert rows[e] == expected
+
+    @staticmethod
+    def _spec(comm=(), equations=()):
+        return RecursiveSpec(
+            domain=DomainDef(("a", "b")), variables=("x", "y"),
+            actions=("p", "q", "r"), equations=equations, comm=CommFunction(comm))
+
+    def _assert_agrees_everywhere(self, spec, expr):
+        for valuation in enumerate_valuations(spec):
+            state = GvState(expr, valuation)
+            assert step(spec, state) == reference_step(spec, state)
+
+    def test_nested_conflicting_guards(self):
+        spec = self._spec()
+        tail = Prefix(Action("p"), Deadlock())
+        conflicting = Cond("x", "a", Cond("x", "b", tail))
+        repeated = Cond("x", "a", Cond("x", "a", tail))
+        other_var = Cond("x", "a", Cond("y", "b", tail))
+        for expr in (conflicting, repeated, other_var,
+                     Choice(conflicting, repeated), Parallel(other_var, conflicting)):
+            self._assert_agrees_everywhere(spec, expr)
+        for valuation in enumerate_valuations(spec):
+            assert step(spec, GvState(conflicting, valuation)) == ()
+        assert [str(v) for v in enumerate_valuations(spec)
+                if step(spec, GvState(other_var, v))] == ["x=a,y=b"]
+
+    def test_comm_between_guarded_actions_under_encap(self):
+        spec = self._spec(comm=((frozenset(("p", "q")), "r"),),
+                          equations=(("Q", Prefix(Action("q"), Deadlock())),))
+        left = Cond("x", "a", Prefix(Action("p"), Deadlock()))
+        right = Choice(Cond("x", "b", Prefix(Action("q"), Deadlock())),
+                       Cond("y", "a", Prefix(Action("q"), Name("Q"))))
+        expr = Encap(frozenset({"p", "q"}), Parallel(left, right))
+        self._assert_agrees_everywhere(spec, expr)
+        self._assert_agrees_everywhere(spec, Parallel(left, right))
+        # the handshake needs both guards: x = a on the left, y = a on the right
+        fired = {str(v): [label.name for label, _ in step(spec, GvState(expr, v))]
+                 for v in enumerate_valuations(spec)}
+        assert fired == {"x=a,y=a": ["r"], "x=a,y=b": [], "x=b,y=a": [], "x=b,y=b": []}
+
+    def test_duplicate_derivations_listed_once_at_first_position(self):
+        spec = self._spec()
+        act = Prefix(Action("p"), Deadlock())
+        expr = Choice(Cond("x", "a", act), Choice(Prefix(Action("q"), Deadlock()), act))
+        self._assert_agrees_everywhere(spec, expr)
+        at_a = step(spec, GvState(expr, enumerate_valuations(spec)[0]))
+        assert [label.name for label, _ in at_a] == ["p", "q"]
+
+
+class TestTablesPerPass:
+    """A pass derives each expression's guarded step table once, not once
+    per valuation."""
+
+    @staticmethod
+    def _count_derivations(monkeypatch) -> list:
+        calls = []
+        derive = gvpa.sos.guarded_steps
+        monkeypatch.setattr(gvpa.sos, "guarded_steps",
+                            lambda spec, expr: calls.append(expr) or derive(spec, expr))
+        return calls
+
+    def test_closure_derives_one_table_per_expression(self, monkeypatch):
+        spec, init = parse_spec(worker_grid_text(3, 2))
+        calls = self._count_derivations(monkeypatch)
+        exprs, valuations, _, _ = expression_closure(spec, init.root)
+        assert len(valuations) == 8
+        assert sorted(map(repr, calls)) == sorted(map(repr, exprs))
+
+    def test_explore_derives_one_table_per_expression(self, monkeypatch):
+        spec, init = parse_spec(ring_text(3, 3))
+        calls = self._count_derivations(monkeypatch)
+        lts = generate_lts(spec, init)
+        exprs = {state.expr for state in lts.states}
+        assert len(lts.states) == 2 * len(exprs)
+        assert len(calls) == len(exprs)
+        assert set(calls) == exprs

@@ -154,6 +154,45 @@ class TestEnumerateValuations:
         assert enumerate_valuations(spec) == (Valuation(()),)
 
 
+class TestValuationCodes:
+    """Codes count the valuations in enumeration order; a test reads one
+    digit, an assignment rewrites one."""
+
+    @staticmethod
+    def _spec():
+        return make_spec(values=("a", "b", "c"), variables=("u", "v", "w"))
+
+    def test_codes_follow_the_enumeration_order(self):
+        spec = self._spec()
+        vals = enumerate_valuations(spec)
+        assert [spec.codes.code(v) for v in vals] == list(range(27))
+        assert spec.codes.code(Valuation((("u", "b"), ("v", "a"), ("w", "c")))) == 11
+
+    def test_one_canonical_valuation_per_code(self):
+        spec = self._spec()
+        vals = enumerate_valuations(spec)
+        assert enumerate_valuations(spec) == vals
+        assert all(a is b for a, b in zip(enumerate_valuations(spec), vals))
+        assert all(spec.codes.valuation(c) is v for c, v in enumerate(vals))
+
+    def test_tests_and_updates_are_digit_arithmetic(self):
+        spec = self._spec()
+        codes = spec.codes
+        vals = enumerate_valuations(spec)
+        for var in spec.variables:
+            for value in spec.domain.values:
+                weight, digit = codes.test(var, value)
+                for c, v in enumerate(vals):
+                    assert (c // weight % codes.base == digit) == (v.value_of(var) == value)
+                    rewritten = c + (digit - c // weight % codes.base) * weight
+                    assert vals[rewritten] == v.updated(var, value)
+
+    def test_a_valuation_of_other_variables_has_no_code(self):
+        spec = self._spec()
+        with pytest.raises(ValueError):
+            spec.codes.code(Valuation((("v", "a"), ("u", "a"), ("w", "a"))))
+
+
 # ---------------------------------------------------------------------------
 # Pretty-print round trips
 
