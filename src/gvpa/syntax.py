@@ -44,12 +44,6 @@ def label_str(label: TransitionLabel) -> str:
     return f"assign({label.var},{label.value})"
 
 
-def label_sort_key(label: TransitionLabel) -> tuple:
-    if isinstance(label, Action):
-        return (0, label.name, "")
-    return (1, label.var, label.value)
-
-
 # ---------------------------------------------------------------------------
 # Process expressions
 

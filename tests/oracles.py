@@ -1,12 +1,13 @@
 """Independent oracles the tests compare the implementation against.
 
 Everything here is written from the definitions directly (naive pairwise
-fixpoints, all-orders rewriting, permutation search) and stays free of
-the package's partition-refinement and greedy code paths.
+fixpoints, all-orders rewriting, permutation search, full-sweep
+refinement) and stays free of the package's partition-refinement and
+greedy code paths.
 """
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from gvpa.hml import (
     And, Box, Check, Diamond, FALSE, HFalse, HTrue, Not, Or, SetVar, TRUE,
@@ -78,6 +79,44 @@ def _reference_source_steps(spec, expr, valuation, unfolding) -> list:
                                     GvState(Parallel(ta.expr, tb.expr), valuation)))
         return out
     raise TypeError(f"not a process expression: {expr!r}")
+
+
+# ---------------------------------------------------------------------------
+# Full-sweep signature refinement
+
+
+def reference_refinement_history(n_states: int, adjacency, initial_blocks) -> list[list[int]]:
+    """Rounds of signature refinement until stable.
+
+    ``history[k][s]`` is the block of state ``s`` after k full sweeps;
+    states share a block at round k iff no formula of modal depth <= k
+    (over the seeded atoms) tells them apart.
+    """
+    history = [list(initial_blocks)]
+    current = history[0]
+    while True:
+        ids: dict = {}
+        nxt = []
+        for s in range(n_states):
+            signature = frozenset(
+                (label, current[t]) for label, t in adjacency[s])
+            key = (current[s], signature)
+            if key not in ids:
+                ids[key] = len(ids)
+            nxt.append(ids[key])
+        if len(ids) == len(set(current)):
+            break
+        history.append(nxt)
+        current = nxt
+    return history
+
+
+def related_pairs(result) -> frozenset:
+    """Unordered pairs of distinct states that share a final block of a
+    `BisimResult`."""
+    return frozenset(
+        (result.states[a], result.states[b])
+        for block in result.blocks for a, b in combinations(sorted(block), 2))
 
 
 # ---------------------------------------------------------------------------

@@ -2,24 +2,32 @@ import random
 
 import pytest
 
-from genspecs import gen_expr, gen_pair, gen_spec
+from conftest import TRAFFIC_TEXT
+from genspecs import (
+    gen_expr, gen_pair, gen_parseq_spec, gen_spec, ring_text, worker_grid_text,
+)
 from oracles import (
     naive_state_based_relation, naive_stateless_relation, naive_strong_relation,
+    reference_refinement_history, related_pairs,
 )
 
+import gvpa.bisim
 from gvpa.bisim import (
     distinguishing_formula_state_based, distinguishing_formula_stateless,
-    state_based_bisim, stateless_bisim, strong_bisim,
+    refinement_history, state_based_bisim, state_based_bisim_on_lts,
+    stateless_bisim, strong_bisim,
 )
 from gvpa.errors import ContractViolationError
 from gvpa.hml import (
     Check, Diamond, TRUE, build_state_space, formula_str, fragment, satisfies,
 )
+from gvpa.parser import parse_spec
 from gvpa.sos import ExplorationConfig, GvState, explore
 from gvpa.syntax import (
     Action, Choice, Cond, Deadlock, Encap, Parallel, Prefix, Valuation,
     enumerate_valuations,
 )
+from gvpa.translate import run_pipeline
 
 CFG = ExplorationConfig(max_states=2000)
 
@@ -71,7 +79,7 @@ class TestStateBased:
     def test_related_pairs_have_equal_valuations(self, example3):
         spec, p, q, _, v0 = example3
         result = state_based_bisim(spec, GvState(p, v0), GvState(q, v0))
-        for a, b in result.related_pairs():
+        for a, b in related_pairs(result):
             assert a.valuation == b.valuation
 
 
@@ -279,3 +287,133 @@ class TestNaiveOracleAgreement:
             for i in range(len(result.states)):
                 for j in range(len(result.states)):
                     assert ((i, j) in naive) == (final[i] == final[j])
+
+
+def _results(spec, roots, valuation):
+    """The strong, state-based and stateless results for roots under one
+    valuation."""
+    lts, _ = explore(spec, [GvState(root, valuation) for root in roots], CFG)
+    return [strong_bisim(lts, 0, 0), state_based_bisim_on_lts(lts, 0, 0),
+            stateless_bisim(spec, roots[0], roots[-1], CFG)]
+
+
+def _seeded_cases():
+    """(spec, roots, valuation) triples from both seeded corpora."""
+    rng = random.Random(4242)
+    cases = []
+    for _ in range(12):
+        spec = gen_spec(rng)
+        cases.append((spec, gen_pair(rng, spec), rng.choice(enumerate_valuations(spec))))
+    for n_vars in (1, 2) * 4:
+        spec, root, valuation = gen_parseq_spec(rng, n_vars=n_vars)
+        cases.append((spec, (root,), valuation))
+    return cases
+
+
+def _assert_same_history(n_states, adjacency, initial):
+    expected = reference_refinement_history(n_states, adjacency, initial)
+    assert refinement_history(n_states, adjacency, initial) == expected
+    return expected
+
+
+class TestRefinementAgainstReference:
+    """`refinement_history` re-signs only the predecessors of states that
+    moved; the full sweep of `reference_refinement_history` signs every
+    state in every round. Every round of the two histories must agree."""
+
+    @staticmethod
+    def _assert_matches(result):
+        assert result.history == reference_refinement_history(
+            len(result.states), result.adjacency, result.history[0])
+
+    def test_seeded_corpora_in_all_three_modes(self):
+        for spec, roots, valuation in _seeded_cases():
+            for result in _results(spec, roots, valuation):
+                self._assert_matches(result)
+
+    @pytest.mark.parametrize("text", [
+        TRAFFIC_TEXT, worker_grid_text(3, 3), ring_text(3, 4)],
+        ids=["traffic", "W(3,3)", "R(3,4)"])
+    def test_families_in_all_three_modes(self, text):
+        spec, init = parse_spec(text)
+        for result in _results(spec, (init.root,), init.valuation):
+            self._assert_matches(result)
+
+    def test_translated_systems(self, traffic):
+        cases = [(traffic[0], traffic[1].root, traffic[1].valuation)]
+        rng = random.Random(4243)
+        cases += [gen_parseq_spec(rng, n_vars=n_vars) for n_vars in (1, 2, 1, 2)]
+        for spec, root, valuation in cases:
+            pipe = run_pipeline(spec, root, valuation, CFG)
+            self._assert_matches(strong_bisim(pipe.m_lts, 0, 0))
+            self._assert_matches(state_based_bisim_on_lts(pipe.gv_lts, 0, 0))
+
+    def test_random_graphs_and_partitions(self):
+        rng = random.Random(4244)
+        for _ in range(300):
+            n = rng.randint(0, 25)
+            labels = "abc"[:rng.randint(1, 3)]
+            adjacency = [[(rng.choice(labels), rng.randrange(n))
+                          for _ in range(rng.randint(0, 3))] for _ in range(n)]
+            initial = [rng.choice((7, 3, 11)) for _ in range(n)]
+            _assert_same_history(n, adjacency, initial)
+            _assert_same_history(n, adjacency, [0] * n)
+
+    def test_chain_splits_one_state_per_round(self):
+        n = 200
+        adjacency = [[("a", s + 1)] for s in range(n - 1)] + [[]]
+        history = _assert_same_history(n, adjacency, [0] * n)
+        assert len(history) == n
+        assert history[-1] == list(range(n))
+
+    def test_non_canonical_initial_partition(self):
+        adjacency = [[("a", 1)], [("b", 2)], [], [("a", 1)], [("b", 0)], []]
+        history = _assert_same_history(6, adjacency, [9, 4, 9, 4, 2, 9])
+        assert history[0] == [9, 4, 9, 4, 2, 9]
+        assert history[1:] and history[1][0] == 0
+        # no split at all: the history is the initial partition as given
+        assert _assert_same_history(2, [[], []], [5, 3]) == [[5, 3]]
+
+    def test_self_loops_duplicate_rows_and_empty_rows(self):
+        adjacency = [
+            [("a", 0)],                          # self-loop
+            [("a", 1), ("a", 1)],                # self-loop, twice
+            [("a", 3), ("a", 3), ("b", 2)],      # duplicate row and self-loop
+            [],
+            [("a", 3), ("b", 4)],
+            [("b", 5), ("a", 3), ("a", 3)],
+        ]
+        history = _assert_same_history(6, adjacency, [0] * 6)
+        final = history[-1]
+        assert final[0] == final[1] and final[4] == final[5] == final[2]
+        assert len(set(final)) == 3
+
+    def test_no_states(self):
+        assert _assert_same_history(0, [], []) == [[]]
+
+    def test_tuple_labels_as_in_stateless_rows(self):
+        a, b = Action("a"), Action("b")
+        adjacency = [[((0, a, 1), 1)], [((1, b, 0), 0), ((0, a, 1), 1)],
+                     [((0, a, 1), 2)], [((0, Action("a"), 1), 2), ((1, b, 0), 3)]]
+        _assert_same_history(4, adjacency, [0] * 4)
+
+
+class TestRefinementWork:
+    """After round 1 only the predecessors of moved states are signed
+    again, so a refinement signs fewer than the ``(rounds + 1) * n``
+    signatures of full sweeps."""
+
+    def test_stateless_ring_signs_less_than_full_sweeps(self, monkeypatch):
+        spec, init = parse_spec(ring_text(3, 6))
+        calls = []
+        signature = gvpa.bisim._signature
+
+        def counted(*args):
+            calls.append(None)
+            return signature(*args)
+
+        monkeypatch.setattr(gvpa.bisim, "_signature", counted)
+        result = stateless_bisim(spec, init.root, init.root, CFG)
+        n = len(result.states)
+        assert result.rounds >= 2
+        assert len(calls) < (result.rounds + 1) * n
