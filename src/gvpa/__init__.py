@@ -18,8 +18,8 @@ from .syntax import (
 )
 from .parser import parse_expr, parse_spec, render_spec
 from .sos import (
-    ExplorationConfig, GvState, ImageFinitenessReport, Lts, check_image_finite,
-    explore, export_lts, generate_lts, reachable_exprs, state_str, step,
+    ExplorationConfig, GvState, Lts, explore, export_lts, generate_lts,
+    reachable_exprs, state_str, step,
 )
 from .hml import (
     And, Box, Check, Diamond, HFalse, HTrue, HmlFormula, Not, Or, SetVar,

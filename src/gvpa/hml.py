@@ -16,48 +16,42 @@ from .sos import (
     DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, expression_closure, state_str,
 )
 from .syntax import (
-    Action, Assign, ProcessExpr, RecursiveSpec, TransitionLabel, Valuation, label_str,
+    Action, Assign, ProcessExpr, RecursiveSpec, Term, TransitionLabel, Valuation,
+    label_str,
 )
 
 
-class HmlFormula:
-    __slots__ = ()
+class HmlFormula(Term):
+    pass
 
 
-@dataclass(frozen=True)
 class HTrue(HmlFormula):
     pass
 
 
-@dataclass(frozen=True)
 class HFalse(HmlFormula):
     pass
 
 
-@dataclass(frozen=True)
 class Check(HmlFormula):
     var: str
     value: str
 
 
-@dataclass(frozen=True)
 class Not(HmlFormula):
     sub: HmlFormula
 
 
-@dataclass(frozen=True)
 class And(HmlFormula):
     left: HmlFormula
     right: HmlFormula
 
 
-@dataclass(frozen=True)
 class Or(HmlFormula):
     left: HmlFormula
     right: HmlFormula
 
 
-@dataclass(frozen=True)
 class Diamond(HmlFormula):
     labels: frozenset
     sub: HmlFormula
@@ -67,7 +61,6 @@ class Diamond(HmlFormula):
             raise ValueError("modal label set must be nonempty")
 
 
-@dataclass(frozen=True)
 class Box(HmlFormula):
     labels: frozenset
     sub: HmlFormula
@@ -77,7 +70,6 @@ class Box(HmlFormula):
             raise ValueError("modal label set must be nonempty")
 
 
-@dataclass(frozen=True)
 class SetVar(HmlFormula):
     var: str
     value: str
@@ -370,10 +362,6 @@ class StateSpace:
         rewritten = [v + (digit - v // weight % base) * weight for v in range(nv)]
         return frozenset(e + v for e in range(0, n, nv) for v in range(nv)
                          if e + rewritten[v] in sub)
-
-    @property
-    def all_indices(self) -> frozenset[int]:
-        return frozenset(range(len(self.states)))
 
 
 def build_state_space(spec: RecursiveSpec,

@@ -15,6 +15,7 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .sos import DEFAULT_CONFIG, ExplorationConfig, Lts, _bfs_lts
+from .syntax import Term
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +127,7 @@ EMPTY_MULTISET = Multiset()
 # Ground action labels and data expressions
 
 
-@dataclass(frozen=True)
-class GroundAction:
+class GroundAction(Term):
     """An action name applied to evaluated parameters."""
 
     name: str
@@ -148,32 +148,27 @@ def _ground_str(value) -> str:
     return str(value)
 
 
-class DataExpr:
-    __slots__ = ()
+class DataExpr(Term):
+    pass
 
 
-@dataclass(frozen=True)
 class DConst(DataExpr):
     symbol: str
 
 
-@dataclass(frozen=True)
 class DBool(DataExpr):
     value: bool
 
 
-@dataclass(frozen=True)
 class DVar(DataExpr):
     name: str
 
 
-@dataclass(frozen=True)
 class DEq(DataExpr):
     left: DataExpr
     right: DataExpr
 
 
-@dataclass(frozen=True)
 class DAnd(DataExpr):
     conjuncts: tuple[DataExpr, ...]
 
@@ -209,22 +204,19 @@ def subst_data(expr: DataExpr, var: str, replacement: DataExpr) -> DataExpr:
 # Multi-actions
 
 
-class MultiAction:
-    __slots__ = ()
+class MultiAction(Term):
+    pass
 
 
-@dataclass(frozen=True)
 class MTau(MultiAction):
     pass
 
 
-@dataclass(frozen=True)
 class MAct(MultiAction):
     name: str
     args: tuple[DataExpr, ...] = ()
 
 
-@dataclass(frozen=True)
 class MBar(MultiAction):
     left: MultiAction
     right: MultiAction
@@ -294,58 +286,49 @@ def apply_hide(hidden: frozenset[str], sem: Multiset) -> Multiset:
 # Process terms
 
 
-class Mcrl2Process:
-    __slots__ = ()
+class Mcrl2Process(Term):
+    pass
 
 
-@dataclass(frozen=True)
 class MPrefix(Mcrl2Process):
     action: MultiAction
     body: Mcrl2Process
 
 
-@dataclass(frozen=True)
 class MDeadlock(Mcrl2Process):
     pass
 
 
-@dataclass(frozen=True)
 class MChoice(Mcrl2Process):
     left: Mcrl2Process
     right: Mcrl2Process
 
 
-@dataclass(frozen=True)
 class MParallel(Mcrl2Process):
     left: Mcrl2Process
     right: Mcrl2Process
 
 
-@dataclass(frozen=True)
 class MAllow(Mcrl2Process):
     allowed: frozenset[Multiset]  # multisets of action names
     body: Mcrl2Process
 
 
-@dataclass(frozen=True)
 class MCall(Mcrl2Process):
     name: str
     args: tuple[DataExpr, ...] = ()
 
 
-@dataclass(frozen=True)
 class MSum(Mcrl2Process):
     var: str
     body: Mcrl2Process
 
 
-@dataclass(frozen=True)
 class MHide(Mcrl2Process):
     hidden: frozenset[str]
     body: Mcrl2Process
 
 
-@dataclass(frozen=True)
 class MComm(Mcrl2Process):
     entries: tuple[tuple[Multiset, str], ...]
     body: Mcrl2Process

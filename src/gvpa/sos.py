@@ -79,16 +79,40 @@ class Lts:
 # tests the code of V passes, in table order.
 
 
-def guarded_steps(spec: RecursiveSpec, expr: ProcessExpr) -> list[tuple]:
+def guarded_steps(spec: RecursiveSpec, expr: ProcessExpr,
+                  memo: _RowMemo | None = None) -> list[tuple]:
     """The guarded step table of an expression.
 
     One ``(tests, label, target)`` row per derivation by the rules Pref,
     Asgn, Con, Rec, Sum-l/r, Par-l/r, Comm and Enc, in derivation order.
     ``tests`` are the ``(weight, digit)`` pairs (see `ValuationCodes.test`)
     of the conditions on the derivation; a derivation with conflicting
-    conditions has no row.
+    conditions has no row. A pass hands its `_RowMemo`, so the rows of
+    the name bodies and parallel operands it meets are derived once.
     """
-    return _rows(spec, spec.codes, expr, frozenset())
+    if memo is None:
+        memo = _RowMemo(spec)
+    return _rows(spec, memo.codes, expr, frozenset(), memo)
+
+
+class _RowMemo(dict):
+    """The rows of name bodies and parallel operands met in one pass,
+    keyed by ``(term, unfolding set)``; a missing entry is derived.
+
+    A table's own root is never stored here, so the pass's tables are not
+    kept twice."""
+
+    __slots__ = ("spec", "codes")
+
+    def __init__(self, spec: RecursiveSpec):
+        super().__init__()
+        self.spec = spec
+        self.codes = spec.codes
+
+    def __missing__(self, key: tuple) -> list[tuple]:
+        expr, unfolding = key
+        rows = self[key] = _rows(self.spec, self.codes, expr, unfolding, self)
+        return rows
 
 
 def _conjoin(left: tuple, right: tuple) -> tuple | None:
@@ -105,18 +129,18 @@ def _conjoin(left: tuple, right: tuple) -> tuple | None:
     return tuple(merged.items())
 
 
-def _rows(spec, codes, expr, unfolding) -> list[tuple]:
+def _rows(spec, codes, expr, unfolding, memo) -> list[tuple]:
     if isinstance(expr, Deadlock):
         return []
     if isinstance(expr, Prefix):
         return [((), expr.label, expr.body)]
     if isinstance(expr, Choice):
-        return (_rows(spec, codes, expr.left, unfolding)
-                + _rows(spec, codes, expr.right, unfolding))
+        return (_rows(spec, codes, expr.left, unfolding, memo)
+                + _rows(spec, codes, expr.right, unfolding, memo))
     if isinstance(expr, Cond):
         test = (codes.test(expr.var, expr.value),)
         out = []
-        for tests, label, target in _rows(spec, codes, expr.body, unfolding):
+        for tests, label, target in _rows(spec, codes, expr.body, unfolding, memo):
             tests = _conjoin(test, tests)
             if tests is not None:
                 out.append((tests, label, target))
@@ -126,15 +150,14 @@ def _rows(spec, codes, expr, unfolding) -> list[tuple]:
         # nothing; guarded specs never re-enter, unguarded ones stay finite.
         if expr.name in unfolding:
             return []
-        body = spec.equation(expr.name)
-        return _rows(spec, codes, body, unfolding | {expr.name})
+        return memo[spec.equation(expr.name), unfolding | {expr.name}]
     if isinstance(expr, Encap):
         return [(tests, label, Encap(expr.blocked, target))
-                for tests, label, target in _rows(spec, codes, expr.body, unfolding)
+                for tests, label, target in _rows(spec, codes, expr.body, unfolding, memo)
                 if not (isinstance(label, Action) and label.name in expr.blocked)]
     if isinstance(expr, Parallel):
-        left = _rows(spec, codes, expr.left, unfolding)
-        right = _rows(spec, codes, expr.right, unfolding)
+        left = memo[expr.left, unfolding]
+        right = memo[expr.right, unfolding]
         out = [(tests, label, Parallel(target, expr.right))
                for tests, label, target in left]
         out += [(tests, label, Parallel(expr.left, target))
@@ -164,6 +187,7 @@ class _Stepper:
         self.codes = spec.codes
         self.exprs: list[ProcessExpr] = []
         self._number: dict[ProcessExpr, int] = {}
+        self._memo = _RowMemo(spec)
 
     def number(self, expr: ProcessExpr) -> int:
         e = self._number.get(expr)
@@ -182,7 +206,7 @@ class _Stepper:
         runs: list[tuple] = []
         seen: dict[tuple, list] = {}
         twice = False
-        for tests, label, target in guarded_steps(self.spec, self.exprs[e]):
+        for tests, label, target in guarded_steps(self.spec, self.exprs[e], self._memo):
             t = self.number(target)
             weight, digit = (self.codes.test(label.var, label.value)
                              if isinstance(label, Assign) else (0, 0))
@@ -311,7 +335,7 @@ def generate_lts(spec: RecursiveSpec, init: InitSpec | GvState,
 
 
 # ---------------------------------------------------------------------------
-# Reachable expressions and image-finiteness
+# Reachable expressions
 
 
 def expression_closure(spec: RecursiveSpec, roots: ProcessExpr | Iterable[ProcessExpr],
@@ -322,20 +346,23 @@ def expression_closure(spec: RecursiveSpec, roots: ProcessExpr | Iterable[Proces
     lists the moves of ``exprs[e]`` from every valuation, valuation by
     valuation in grid order and in `step` order within one valuation, as
     ``((v, label, v2), e2)``: from ``valuations[v]`` the label leads to
-    ``exprs[e2]`` under ``valuations[v2]``. Valuations are given by their
-    codes, and each expression's table is derived once and dropped after
-    its row is made.
+    ``exprs[e2]`` under ``valuations[v2]``; equal triples are one shared
+    tuple, as the rows of many expressions repeat them. Valuations are
+    given by their codes, and each expression's table is derived once and
+    dropped after its row is made.
     """
     if isinstance(roots, ProcessExpr):
         roots = [roots]
     valuations = enumerate_valuations(spec, cfg.max_valuations)
     stepper = _Stepper(spec)
+    triples: dict[tuple, tuple] = {}
 
     def successors(e):
         table = stepper.table(e)
-        return (((v, label, c), t)
-                for v in range(len(valuations))
-                for label, t, c in stepper.moves(table, v))
+        for v in range(len(valuations)):
+            for label, t, c in stepper.moves(table, v):
+                triple = (v, label, c)
+                yield triples.setdefault(triple, triple), t
 
     nodes, rows, root_indices = _bfs([stepper.number(root) for root in roots],
                                      successors, cfg.max_states, "expression closure")
@@ -346,31 +373,6 @@ def reachable_exprs(spec: RecursiveSpec, roots: ProcessExpr | Iterable[ProcessEx
                     cfg: ExplorationConfig = DEFAULT_CONFIG) -> tuple[ProcessExpr, ...]:
     """Closure of the roots under steps taken from every valuation."""
     return expression_closure(spec, roots, cfg)[0]
-
-
-@dataclass(frozen=True)
-class ImageFinitenessReport:
-    status: str  # "ok" or "bound-exceeded"
-    explored: int
-    cap: int
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
-def check_image_finite(spec: RecursiveSpec, root: ProcessExpr,
-                       cfg: ExplorationConfig = DEFAULT_CONFIG) -> ImageFinitenessReport:
-    """Successor sets here are computed and therefore finite per state, so
-    the check reduces to the reachable-expression closure staying under
-    the cap."""
-    try:
-        closure = reachable_exprs(spec, root, cfg)
-    except ResourceLimitError as err:
-        return ImageFinitenessReport(
-            status="bound-exceeded", explored=err.reached, cap=err.limit)
-    return ImageFinitenessReport(
-        status="ok", explored=len(closure), cap=cfg.max_states)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Process expressions, transition labels, valuations, recursive
 specifications, the communication function, and the well-formedness
-checks everything downstream relies on. All values are immutable; state
-identity throughout the toolkit is structural equality of these terms.
+checks everything downstream relies on. All values are immutable. Terms
+of all three term languages (process expressions, HML formulas, mCRL2
+terms) are interned through `Term`, so equal terms are one object, and
+state identity throughout the toolkit is the identity of these terms.
 """
 from __future__ import annotations
 
@@ -20,16 +22,94 @@ RESERVED_WORDS = frozenset(
 
 
 # ---------------------------------------------------------------------------
+# Interned terms
+
+
+class _TermMeta(type):
+    """Turns the annotated fields of a term class into its slots, keeps a
+    trailing field's class-level value as its default, and gives every
+    class its own intern table."""
+
+    def __new__(mcs, name, bases, namespace):
+        own = tuple(namespace.get("__annotations__", ()))
+        defaults = {f: namespace.pop(f) for f in own if f in namespace}
+        namespace["__slots__"] = own
+        cls = super().__new__(mcs, name, bases, namespace)
+        cls._fields = sum((getattr(b, "_fields", ()) for b in bases), ()) + own
+        cls._defaults = {**getattr(cls, "_defaults", {}), **defaults}
+        cls._table = {}
+        return cls
+
+
+class Term(metaclass=_TermMeta):
+    """A hash-consed term node (maximal sharing, as in van den Brand et
+    al., "Efficient annotated terms", SPE 2000).
+
+    A class lists its fields as annotations, like a dataclass. Building a
+    node looks the tuple of its field values up in the class's table and
+    returns the node already made for them, so equal terms are one object:
+    equality is identity and the hash is the id, both O(1), and a node
+    lives, with its id, for the life of the process. Nodes are immutable;
+    ``__post_init__`` checks the fields of a node before it is stored.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._bind(args, kwargs)
+        node = cls._table.get(args)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, args):
+                object.__setattr__(node, name, value)
+            node.__post_init__()
+            cls._table[args] = node
+        return node
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """All field values, from positions, keywords and defaults."""
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} "
+                            f"arguments but {len(args)} were given")
+        values = list(args)
+        for name in cls._fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword "
+                            f"argument {next(iter(kwargs))!r}")
+        return tuple(values)
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an interned term")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an interned term")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+
+# ---------------------------------------------------------------------------
 # Transition labels
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Term):
     name: str
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(Term):
     var: str
     value: str
 
@@ -48,47 +128,38 @@ def label_str(label: TransitionLabel) -> str:
 # Process expressions
 
 
-class ProcessExpr:
+class ProcessExpr(Term):
     """Base class; concrete nodes below mirror the grammar."""
 
-    __slots__ = ()
 
-
-@dataclass(frozen=True)
 class Prefix(ProcessExpr):
     label: TransitionLabel
     body: ProcessExpr
 
 
-@dataclass(frozen=True)
 class Deadlock(ProcessExpr):
     pass
 
 
-@dataclass(frozen=True)
 class Choice(ProcessExpr):
     left: ProcessExpr
     right: ProcessExpr
 
 
-@dataclass(frozen=True)
 class Parallel(ProcessExpr):
     left: ProcessExpr
     right: ProcessExpr
 
 
-@dataclass(frozen=True)
 class Encap(ProcessExpr):
     blocked: frozenset[str]
     body: ProcessExpr
 
 
-@dataclass(frozen=True)
 class Name(ProcessExpr):
     name: str
 
 
-@dataclass(frozen=True)
 class Cond(ProcessExpr):
     var: str
     value: str
@@ -249,16 +320,18 @@ class CommFunction:
     _index: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        # both orders of each pair, so a lookup builds no set
         index = {}
         for key, result in self.entries:
-            if key in index:
-                pair = "|".join(sorted(key))
-                raise SpecValidationError([f"duplicate comm entry for {pair}"])
-            index[key] = result
+            names = sorted(key)
+            a, b = names[0], names[-1]
+            if (a, b) in index:
+                raise SpecValidationError([f"duplicate comm entry for {'|'.join(names)}"])
+            index[a, b] = index[b, a] = result
         object.__setattr__(self, "_index", index)
 
     def lookup(self, a: str, b: str) -> str | None:
-        return self._index.get(frozenset((a, b)))
+        return self._index.get((a, b))
 
     def is_empty(self) -> bool:
         return not self.entries

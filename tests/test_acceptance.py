@@ -217,7 +217,7 @@ def test_criterion_05_hml_semantic_laws():
         if len(space.states) > 200:
             continue
         labels = list(all_labels(spec))
-        everything = space.all_indices
+        everything = frozenset(range(len(space.states)))
         for _ in range(25):
             phi = _random_formula(rng, spec, labels, 3)
             memo = {}

@@ -12,7 +12,7 @@ import gvpa.sos
 from gvpa.errors import ResourceLimitError
 from gvpa.parser import parse_expr, parse_spec
 from gvpa.sos import (
-    ExplorationConfig, GvState, check_image_finite, explore, export_lts,
+    ExplorationConfig, GvState, explore, export_lts,
     expression_closure, generate_lts, reachable_exprs, step,
 )
 from gvpa.syntax import (
@@ -206,22 +206,25 @@ class TestReachableExprs:
 
 
 class TestImageFiniteness:
+    """Successor sets are computed, so finite per state; image-finiteness
+    reduces to the expression closure staying under the cap."""
+
     def test_traffic_ok(self, traffic):
         spec, init = traffic
-        assert check_image_finite(spec, init.root).ok
+        assert len(reachable_exprs(spec, init.root)) <= ExplorationConfig().max_states
 
     def test_deadlock_ok(self, example3):
         spec, _, _, _, _ = example3
-        assert check_image_finite(spec, Deadlock()).ok
+        assert reachable_exprs(spec, Deadlock()) == (Deadlock(),)
 
     def test_unguarded_bound_exceeded(self):
         spec = RecursiveSpec(
             domain=DomainDef(("0",)), variables=(), actions=("a",),
             equations=(("A", Parallel(Prefix(Action("a"), Deadlock()),
                                       Name("A"))),))
-        report = check_image_finite(spec, Name("A"),
-                                    ExplorationConfig(max_states=50))
-        assert report.status == "bound-exceeded"
+        with pytest.raises(ResourceLimitError) as err:
+            reachable_exprs(spec, Name("A"), ExplorationConfig(max_states=50))
+        assert err.value.limit == 50
 
 
 class TestExport:
@@ -355,6 +358,29 @@ class TestStepAgainstReference:
                  for v in enumerate_valuations(spec)}
         assert fired == {"x=a,y=a": ["r"], "x=a,y=b": [], "x=b,y=a": [], "x=b,y=b": []}
 
+    def test_unguarded_recursion_in_one_pass(self):
+        # P and Q unfold each other without a guard: Q unfolded inside P
+        # has no P-step, while Q on its own has one, so one pass must keep
+        # the rows of the two unfoldings apart.
+        p, q = (Prefix(Action(n), Deadlock()) for n in ("p", "q"))
+        spec = self._spec(equations=(("P", Choice(p, Name("Q"))),
+                                     ("Q", Choice(q, Name("P")))))
+        roots = (Parallel(Name("P"), Name("Q")), Parallel(Name("Q"), Name("P")),
+                 Choice(Name("P"), Parallel(Name("Q"), Cond("x", "a", Name("P")))))
+        for expr in roots:
+            self._assert_agrees_everywhere(spec, expr)
+        valuations = enumerate_valuations(spec)
+        lts, _ = explore(spec, [GvState(r, v) for r in roots for v in valuations])
+        for i, state in enumerate(lts.states):
+            got = tuple((label, lts.states[j]) for label, j in lts.successors(i))
+            assert got == reference_step(spec, state)
+        exprs, valuations, rows, _ = expression_closure(spec, roots)
+        for e, expr in enumerate(exprs):
+            assert rows[e] == [
+                ((v, label, valuations.index(target.valuation)), exprs.index(target.expr))
+                for v, valuation in enumerate(valuations)
+                for label, target in reference_step(spec, GvState(expr, valuation))]
+
     def test_duplicate_derivations_listed_once_at_first_position(self):
         spec = self._spec()
         act = Prefix(Action("p"), Deadlock())
@@ -362,6 +388,64 @@ class TestStepAgainstReference:
         self._assert_agrees_everywhere(spec, expr)
         at_a = step(spec, GvState(expr, enumerate_valuations(spec)[0]))
         assert [label.name for label, _ in at_a] == ["p", "q"]
+
+
+class TestRowsPerPass:
+    """A pass derives the rows of each name body and each parallel operand
+    once per distinct (term, unfolding set), and composes every table from
+    them."""
+
+    @staticmethod
+    def _count_rows(monkeypatch) -> list:
+        derived = []
+        missing = gvpa.sos._RowMemo.__missing__
+        monkeypatch.setattr(gvpa.sos._RowMemo, "__missing__",
+                            lambda memo, key: derived.append(key) or missing(memo, key))
+        return derived
+
+    @staticmethod
+    def _spine_operands(expr) -> list:
+        """The operands of the parallel spine under an encap."""
+        if isinstance(expr, Encap):
+            expr = expr.body
+        out = []
+        while isinstance(expr, Parallel):
+            out += [expr.left, expr.right]
+            expr = expr.left
+        return out
+
+    @pytest.mark.parametrize("pass_over", ["closure", "explore"])
+    def test_each_operand_and_name_body_derived_once(self, monkeypatch, pass_over):
+        spec, init = parse_spec(ring_text(3, 3))
+        derived = self._count_rows(monkeypatch)
+        if pass_over == "closure":
+            exprs = expression_closure(spec, init.root)[0]
+        else:
+            exprs = {state.expr for state in generate_lts(spec, init).states}
+        assert len(derived) == len(set(derived))
+        operands = [op for expr in exprs for op in self._spine_operands(expr)]
+        keys = set(derived)
+        none = frozenset()
+        for op in operands:
+            assert (op, none) in keys
+            if isinstance(op, Name):
+                assert (spec.equation(op.name), frozenset({op.name})) in keys
+        # 27 tables with 4 operands each share 18 operand derivations (9
+        # stages and 9 pairs of the first two components), plus 9 bodies
+        assert len(set(operands)) == 18 < len(operands) == 108
+        assert len(derived) == 18 + 9
+
+    def test_unfolding_sets_are_kept_apart(self, monkeypatch):
+        p, q = (Prefix(Action(n), Deadlock()) for n in ("p", "q"))
+        spec = RecursiveSpec(
+            domain=DomainDef(("0",)), variables=(), actions=("p", "q"),
+            equations=(("P", Choice(p, Name("Q"))), ("Q", Choice(q, Name("P")))))
+        derived = self._count_rows(monkeypatch)
+        step(spec, GvState(Parallel(Name("P"), Name("Q")), Valuation(())))
+        body_q = spec.equation("Q")
+        assert derived.count((body_q, frozenset({"P", "Q"}))) == 1
+        assert derived.count((body_q, frozenset({"Q"}))) == 1
+        assert len(derived) == len(set(derived))
 
 
 class TestTablesPerPass:
@@ -373,7 +457,8 @@ class TestTablesPerPass:
         calls = []
         derive = gvpa.sos.guarded_steps
         monkeypatch.setattr(gvpa.sos, "guarded_steps",
-                            lambda spec, expr: calls.append(expr) or derive(spec, expr))
+                            lambda spec, expr, memo=None:
+                            calls.append(expr) or derive(spec, expr, memo))
         return calls
 
     def test_closure_derives_one_table_per_expression(self, monkeypatch):

@@ -1,0 +1,248 @@
+"""Interned terms: in each of the three term languages (process
+expressions, HML formulas, mCRL2 terms) equal terms are one object."""
+import copy
+import dataclasses
+import pickle
+import random
+
+import pytest
+
+from genspecs import (
+    gen_mcrl2_term, gen_pair, gen_parseq_spec, gen_spec, ring_text,
+    worker_grid_text,
+)
+from oracles import enumerate_check_formulas
+
+from gvpa import hml, mcrl2, syntax
+from gvpa.hml import (
+    Box, Check, Diamond, FALSE, HmlFormula, TRUE, all_labels, parse_formula,
+)
+from gvpa.mcrl2 import (
+    DConst, DataExpr, GroundAction, MAct, MCall, MDELTA, MPrefix, Mcrl2Process,
+    MultiAction, Multiset, explore_mcrl2, step_mcrl2,
+)
+from gvpa.parser import parse_spec
+from gvpa.sos import expression_closure
+from gvpa.syntax import (
+    Action, Assign, DELTA, Encap, Name, Parallel, Prefix, ProcessExpr, Term,
+)
+from gvpa.translate import run_pipeline, translate_formula
+
+TERM_CLASSES = {
+    syntax: {"Action", "Assign", "ProcessExpr", "Prefix", "Deadlock", "Choice",
+             "Parallel", "Encap", "Name", "Cond"},
+    hml: {"HmlFormula", "HTrue", "HFalse", "Check", "Not", "And", "Or",
+          "Diamond", "Box", "SetVar"},
+    mcrl2: {"GroundAction", "DataExpr", "DConst", "DBool", "DVar", "DEq", "DAnd",
+            "MultiAction", "MTau", "MAct", "MBar", "Mcrl2Process", "MPrefix",
+            "MDeadlock", "MChoice", "MParallel", "MAllow", "MCall", "MSum",
+            "MHide", "MComm"},
+}
+
+
+def _subterms(roots) -> list:
+    """Every term reachable from the roots through fields, tuples,
+    frozensets and multisets, each object once."""
+    seen: dict = {}
+    todo = list(roots)
+    while todo:
+        value = todo.pop()
+        if isinstance(value, Term):
+            if id(value) not in seen:
+                seen[id(value)] = value
+                todo.extend(getattr(value, f) for f in type(value)._fields)
+        elif isinstance(value, (tuple, frozenset)):
+            todo.extend(value)
+        elif isinstance(value, Multiset):
+            todo.extend(value.elements())
+    return list(seen.values())
+
+
+def _structure(value, memo: dict):
+    """A structural key of a value that never uses the terms' own
+    equality or hash."""
+    if isinstance(value, Term):
+        key = memo.get(id(value))
+        if key is None:
+            key = memo[id(value)] = (type(value), tuple(
+                _structure(getattr(value, f), memo) for f in type(value)._fields))
+        return key
+    if isinstance(value, tuple):
+        return ("tuple",) + tuple(_structure(v, memo) for v in value)
+    if isinstance(value, frozenset):
+        return ("frozenset", frozenset(_structure(v, memo) for v in value))
+    if isinstance(value, Multiset):
+        return ("multiset", frozenset((_structure(e, memo), c) for e, c in value.items()))
+    return (type(value), value)
+
+
+def _assert_maximally_shared(terms, base) -> list:
+    """No two objects among the subterms have one structure; returns the
+    subterms, after checking that the corpus has some of the given base."""
+    found = _subterms(terms)
+    assert sum(isinstance(t, base) for t in found) > 20
+    memo: dict = {}
+    by_structure: dict = {}
+    for term in found:
+        by_structure.setdefault(_structure(term, memo), []).append(term)
+    twins = [group for group in by_structure.values() if len(group) > 1]
+    assert not twins, f"equal but distinct terms: {twins[0][:2]!r}"
+    return found
+
+
+def _process_corpus() -> list:
+    """Equation bodies, closure expressions and labels of the seeded
+    corpora and of the W/R families."""
+    rng = random.Random(4242)
+    cases = []
+    for _ in range(8):
+        spec = gen_spec(rng)
+        cases.append((spec, gen_pair(rng, spec)))
+    for n_vars in (1, 2, 1):
+        spec, root, _ = gen_parseq_spec(rng, n_vars=n_vars)
+        cases.append((spec, (root,)))
+    for text in (worker_grid_text(2, 3), ring_text(3, 3)):
+        spec, init = parse_spec(text)
+        cases.append((spec, (init.root,)))
+    terms = []
+    for spec, roots in cases:
+        exprs, _, rows, _ = expression_closure(spec, roots)
+        terms += [body for _, body in spec.equations] + list(exprs)
+        terms += [label for row in rows for (_, label, _), _ in row]
+    return terms
+
+
+def _formula_corpus() -> list:
+    """`enumerate_check_formulas` output, its translation and parsed
+    formulas."""
+    terms = []
+    for text in (worker_grid_text(2, 2), ring_text(2, 2)):
+        spec, _ = parse_spec(text)
+        formulas = enumerate_check_formulas(spec, all_labels(spec), max_depth=2,
+                                            cap=1500)
+        terms += formulas + [translate_formula(f) for f in formulas]
+    spec, _ = parse_spec(worker_grid_text(2, 2))
+    terms.append(parse_formula("set x1 := v1 . <w1> (x1 = v1) && [*] !false", spec))
+    return terms
+
+
+def _mcrl2_corpus() -> list:
+    """Translated equations and states, and reachable terms of the
+    fragment unlike the translation, with their ground actions."""
+    rng = random.Random(4343)
+    terms = []
+    for n_vars in (1, 2):
+        spec, root, valuation = gen_parseq_spec(rng, n_vars=n_vars)
+        pipe = run_pipeline(spec, root, valuation)
+        terms += [body for _, _, body in pipe.out.menv.equations]
+        terms += list(pipe.m_lts.states)
+    for seed in range(6):
+        env, root = gen_mcrl2_term(random.Random(seed))
+        lts, _ = explore_mcrl2(env, [root])
+        for state in lts.states[:20]:
+            terms.append(state)
+            terms += [sem for sem, _ in step_mcrl2(env, state)]
+    return terms
+
+
+@pytest.fixture(scope="module")
+def corpora() -> dict:
+    return {ProcessExpr: _process_corpus(), HmlFormula: _formula_corpus(),
+            Mcrl2Process: _mcrl2_corpus()}
+
+
+class TestMaximalSharing:
+    @pytest.mark.parametrize("base", [ProcessExpr, HmlFormula, Mcrl2Process],
+                             ids=["process", "hml", "mcrl2"])
+    def test_equal_terms_are_one_object(self, corpora, base):
+        found = _assert_maximally_shared(corpora[base], base)
+        for term in found:
+            assert hash(term) == object.__hash__(term)
+
+    def test_mcrl2_corpus_covers_data_actions_and_ground_actions(self, corpora):
+        found = _subterms(corpora[Mcrl2Process])
+        for kind in (DataExpr, MultiAction, GroundAction):
+            assert any(isinstance(t, kind) for t in found)
+
+    def test_building_again_returns_the_same_objects(self):
+        text = ring_text(3, 3)
+        (first, init1), (second, init2) = parse_spec(text), parse_spec(text)
+        assert init1.root is init2.root
+        for (_, a), (_, b) in zip(first.equations, second.equations):
+            assert a is b
+        rebuilt = [type(t)(*(getattr(t, f) for f in type(t)._fields))
+                   for t in _subterms([init1.root])]
+        assert all(a is b for a, b in zip(rebuilt, _subterms([init1.root])))
+
+    def test_trailing_defaults_and_keywords_are_normalised(self):
+        assert MAct("a") is MAct("a", ()) is MAct(name="a", args=())
+        assert MCall("P") is MCall("P", ())
+        assert GroundAction("a") is GroundAction("a", ())
+        assert Prefix(label=Action("a"), body=DELTA) is Prefix(Action("a"), DELTA)
+        assert Encap(body=Name("P"), blocked=frozenset({"a"})) is Encap(
+            frozenset({"a"}), Name("P"))
+
+    def test_bad_arguments_raise(self):
+        with pytest.raises(TypeError):
+            Prefix(Action("a"))
+        with pytest.raises(TypeError):
+            Action("a", "b")
+        with pytest.raises(TypeError):
+            Name(nme="P")
+
+    def test_one_interning_base_and_no_dataclass(self):
+        for module, names in TERM_CLASSES.items():
+            found = {name for name, value in vars(module).items()
+                     if isinstance(value, type) and issubclass(value, Term)
+                     and value.__module__ == module.__name__ and value is not Term}
+            assert found == names
+            for name in names:
+                assert not dataclasses.is_dataclass(getattr(module, name))
+
+
+class TestTermBehaviour:
+    @pytest.mark.parametrize("base", [ProcessExpr, HmlFormula, Mcrl2Process],
+                             ids=["process", "hml", "mcrl2"])
+    def test_pickle_and_copy_return_the_same_object(self, corpora, base):
+        for term in _subterms(corpora[base][:300]):
+            assert pickle.loads(pickle.dumps(term)) is term
+            assert copy.copy(term) is term
+            assert copy.deepcopy(term) is term
+
+    @pytest.mark.parametrize("base", [ProcessExpr, HmlFormula, Mcrl2Process],
+                             ids=["process", "hml", "mcrl2"])
+    def test_repr_is_the_dataclass_format(self, corpora, base):
+        twins: dict = {}
+        for term in _subterms(corpora[base]):
+            cls = type(term)
+            if cls not in twins:
+                twins[cls] = dataclasses.make_dataclass(cls.__qualname__, cls._fields)
+            assert repr(term) == repr(twins[cls](*(getattr(term, f) for f in cls._fields)))
+
+    def test_repr_examples(self):
+        assert repr(Parallel(Prefix(Assign("x", "1"), DELTA), Name("P"))) == (
+            "Parallel(left=Prefix(label=Assign(var='x', value='1'), body=Deadlock()),"
+            " right=Name(name='P'))")
+        assert repr(Diamond(frozenset({Action("a")}), Check("x", "1"))) == (
+            "Diamond(labels=frozenset({Action(name='a')}), sub=Check(var='x', value='1'))")
+        assert repr(MPrefix(MAct("a", (DConst("v"),)), MDELTA)) == (
+            "MPrefix(action=MAct(name='a', args=(DConst(symbol='v'),)), body=MDeadlock())")
+        assert repr(GroundAction("a", ("v", True))) == "GroundAction(name='a', args=('v', True))"
+
+    @pytest.mark.parametrize("modality", [Diamond, Box])
+    def test_empty_modal_label_set_raises(self, modality):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="nonempty"):
+                modality(frozenset(), TRUE)
+            with pytest.raises(ValueError, match="nonempty"):
+                modality(labels=frozenset(), sub=FALSE)
+
+    def test_terms_are_immutable(self):
+        node = Prefix(Action("a"), DELTA)
+        with pytest.raises(AttributeError):
+            node.body = Name("P")
+        with pytest.raises(AttributeError):
+            del node.label
+        with pytest.raises(AttributeError):
+            node.other = 1
+        assert node.body is DELTA
