@@ -15,7 +15,6 @@ what changed; the history is the same as that of full sweeps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import Sequence
 
@@ -24,7 +23,7 @@ from .hml import Check, Diamond, HmlFormula, Not, conjunction, set_all
 from .sos import (
     DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, explore, expression_closure,
 )
-from .syntax import ProcessExpr, RecursiveSpec, Valuation
+from .syntax import ProcessExpr, Record, RecursiveSpec, Valuation
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +155,7 @@ def _blocks_of(ids: Sequence[int]) -> tuple[frozenset[int], ...]:
 # One result type for the three bisimilarities
 
 
-@dataclass
-class BisimResult:
+class BisimResult(Record, frozen=False):
     """A verdict with the structure its partition was refined on.
 
     ``states`` are LTS payloads (strong, state-based) or expressions

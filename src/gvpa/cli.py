@@ -5,26 +5,18 @@ verdict is false, 2 input error (including a file that cannot be read or
 is not UTF-8 text, a non-positive cap, and input nested too deeply for
 Python's recursion limit), 3 a resource cap was exceeded, 4 an internal
 error (an unexpected exception, reported in one line).
+
+Each command imports the layers it runs when it runs, so a process loads
+no more of the package than its command needs (`validate` loads only the
+parser and the term language).
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from . import translate as tr
-from .bisim import (
-    distinguishing_formula_state_based, distinguishing_formula_stateless,
-    state_based_bisim, stateless_bisim, strong_bisim,
-)
 from .errors import GvpaError, ResourceLimitError
-from .hml import build_state_space, formula_str, fragment, parse_formula, satisfies
-from .parser import parse_expr, parse_spec
-from .sos import (
-    ExplorationConfig, GvState, explore, export_lts, generate_lts, state_str,
-)
-from .syntax import Valuation, validate_spec
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -106,17 +98,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config(args) -> ExplorationConfig:
+def _config(args):
+    from .sos import ExplorationConfig
+
     return ExplorationConfig(max_states=args.max_states,
                              max_valuations=args.max_valuations)
 
 
 def _load(args):
+    from .parser import parse_spec
+
     text = Path(args.file).read_text(encoding="utf-8")
     return parse_spec(text)
 
 
-def _valuation(args, spec, init) -> Valuation:
+def _valuation(args, spec, init):
+    from .syntax import Valuation
+
     if not args.valuation:
         return init.valuation
     assignment = {}
@@ -136,12 +134,16 @@ def _valuation(args, spec, init) -> Valuation:
 
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(human)
 
 
 def _cmd_validate(args) -> int:
+    from .syntax import validate_spec
+
     spec, init = _load(args)
     problems = validate_spec(spec, init)
     _emit(args, {"ok": not problems, "problems": problems},
@@ -150,6 +152,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_lts(args) -> int:
+    from .sos import export_lts, generate_lts
+
     spec, init = _load(args)
     lts = generate_lts(spec, init, _config(args))
     text = export_lts(lts, args.format)
@@ -169,6 +173,13 @@ def _decide(args):
     """Loads the two sides and returns the verdict in the chosen mode and,
     when a state-based or stateless verdict is false, a distinguishing
     formula and the valuation it is evaluated at."""
+    from .bisim import (
+        distinguishing_formula_state_based, distinguishing_formula_stateless,
+        state_based_bisim, stateless_bisim, strong_bisim,
+    )
+    from .parser import parse_expr
+    from .sos import GvState, explore
+
     spec, init = _load(args)
     cfg = _config(args)
     left = parse_expr(args.left, spec)
@@ -190,6 +201,8 @@ def _decide(args):
 
 
 def _cmd_bisim(args) -> int:
+    from .hml import formula_str
+
     result, formula, witness = _decide(args)
     payload = {
         "mode": args.mode,
@@ -208,6 +221,9 @@ def _cmd_bisim(args) -> int:
 
 
 def _cmd_modelcheck(args) -> int:
+    from .hml import build_state_space, formula_str, fragment, parse_formula, satisfies
+    from .sos import GvState
+
     spec, init = _load(args)
     cfg = _config(args)
     if args.formula is not None:
@@ -225,6 +241,8 @@ def _cmd_modelcheck(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
+    from .hml import formula_str
+
     result, formula, witness = _decide(args)
     if result.equivalent:
         message = "bisimilar: no distinguishing formula exists"
@@ -238,6 +256,8 @@ def _cmd_distinguish(args) -> int:
 def _load_formulas(path: str | None, spec) -> list:
     if path is None:
         return []
+    from .hml import parse_formula
+
     out = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
@@ -247,6 +267,10 @@ def _load_formulas(path: str | None, spec) -> list:
 
 
 def _cmd_translate(args) -> int:
+    from . import translate as tr
+    from .mcrl2 import generate_lts_mcrl2
+    from .sos import export_lts, generate_lts
+
     spec, init = _load(args)
     cfg = _config(args)
     out = tr.translate_init(spec, init.root, init.valuation)
@@ -255,8 +279,6 @@ def _cmd_translate(args) -> int:
     base = Path(args.file).stem
     files = tr.emit_mcrl2_files(out, formulas, base=base)
     # .aut exports of both sides, for external ltscompare cross-validation
-    from .mcrl2 import generate_lts_mcrl2
-
     gv_lts = generate_lts(spec, init, cfg)
     m_lts = generate_lts_mcrl2(out.menv, out.top, cfg)
     files[f"{base}.source.aut"] = export_lts(gv_lts, "aut")
@@ -271,6 +293,10 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_verify_translation(args) -> int:
+    from . import translate as tr
+    from .hml import formula_str, parse_formula
+    from .sos import state_str
+
     spec, init = _load(args)
     cfg = _config(args)
     pipeline = tr.run_pipeline(spec, init.root, init.valuation, cfg)

@@ -7,7 +7,6 @@ that the set operator performs, which may leave the reachable fragment.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .errors import FragmentError, SpecSyntaxError
@@ -16,8 +15,8 @@ from .sos import (
     DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, expression_closure, state_str,
 )
 from .syntax import (
-    Action, Assign, ProcessExpr, RecursiveSpec, Term, TransitionLabel, Valuation,
-    label_str,
+    Action, Assign, ProcessExpr, Record, RecursiveSpec, Term, TransitionLabel,
+    Valuation, label_str,
 )
 
 
@@ -322,8 +321,7 @@ def parse_formula(text: str, spec: RecursiveSpec) -> HmlFormula:
 # State space and evaluation
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(Record):
     """Expression closure x full valuation grid, with its transitions.
 
     State ``e * len(valuations) + v`` is expression ``e`` under the
@@ -335,7 +333,7 @@ class StateSpace:
     valuations: tuple[Valuation, ...]
     states: tuple[GvState, ...]
     transitions: tuple[tuple[tuple[TransitionLabel, int], ...], ...]
-    _expr_index: dict = field(init=False, repr=False, compare=False, default=None)
+    _expr_index: dict
 
     def __post_init__(self):
         object.__setattr__(self, "_expr_index",

@@ -9,13 +9,12 @@ merge forms only the multi-actions the allow/hide/comm stack can keep.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .sos import DEFAULT_CONFIG, ExplorationConfig, Lts, _bfs_lts
-from .syntax import Term
+from .syntax import Record, Term
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +378,12 @@ def subst_proc(proc: Mcrl2Process, var: str, replacement: DataExpr) -> Mcrl2Proc
 # Recursive specification and steps
 
 
-@dataclass(frozen=True)
-class Mcrl2Spec:
+class Mcrl2Spec(Record):
     """Defining equations plus the finite data domain the sums range over."""
 
     domain: tuple[str, ...]
     equations: tuple[tuple[str, tuple[str, ...], Mcrl2Process], ...]
-    _eqmap: dict = field(init=False, repr=False, compare=False, default=None)
+    _eqmap: dict
 
     def __post_init__(self):
         object.__setattr__(

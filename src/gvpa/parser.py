@@ -15,19 +15,16 @@ conditions and encap bind tighter than `||`, which binds tighter than `+`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import syntax
 from .errors import SpecSyntaxError, SpecValidationError
 from .syntax import (
     Action, Assign, Choice, Cond, DomainDef, Deadlock, Encap, InitSpec, Name,
-    Parallel, Prefix, ProcessExpr, RecursiveSpec, CommFunction, Valuation,
+    Parallel, Prefix, ProcessExpr, Record, RecursiveSpec, CommFunction, Valuation,
     RESERVED_WORDS,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str
     text: str
     line: int
@@ -408,5 +405,8 @@ def render_spec(spec: RecursiveSpec, init: InitSpec | None = None) -> str:
         if init.valuation.entries:
             pairs = ", ".join(f"{v} = {d}" for v, d in init.valuation.entries)
             with_part = f" with {{ {pairs} }}"
-        lines.append(f"init {syntax.expr_str(init.root)}{with_part}")
+        root = syntax.expr_str(init.root)
+        if root.startswith("encap") and not isinstance(init.root, Encap):
+            root = f"({root})"  # a leading encap would scope over the whole line
+        lines.append(f"init {root}{with_part}")
     return "\n".join(lines) + "\n"

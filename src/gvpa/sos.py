@@ -9,19 +9,17 @@ guarded step table, and each valuation filters that table by its code
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import ResourceLimitError
 from .syntax import (
     Action, Assign, Choice, Cond, Deadlock, Encap, InitSpec, Name, Parallel,
-    Prefix, ProcessExpr, RecursiveSpec, TransitionLabel, Valuation,
+    Prefix, ProcessExpr, Record, RecursiveSpec, TransitionLabel, Valuation,
     enumerate_valuations, expr_str, label_str,
 )
 
 
-@dataclass(frozen=True)
-class GvState:
+class GvState(Record):
     expr: ProcessExpr
     valuation: Valuation
 
@@ -30,21 +28,21 @@ def state_str(state: GvState) -> str:
     return f"<{expr_str(state.expr)}, {state.valuation}>"
 
 
-@dataclass(frozen=True)
-class ExplorationConfig:
+class ExplorationConfig(Record):
     max_states: int = 100_000
     max_valuations: int = 4096
 
     def __post_init__(self):
         if self.max_states < 1:
             raise ValueError("max_states must be at least 1")
+        if self.max_valuations < 1:
+            raise ValueError("max_valuations must be at least 1")
 
 
 DEFAULT_CONFIG = ExplorationConfig()
 
 
-@dataclass(frozen=True)
-class Lts:
+class Lts(Record):
     """Explicit LTS with a designated initial state.
 
     State payloads are opaque; transitions refer to state indices. The
@@ -57,7 +55,7 @@ class Lts:
     states: tuple
     transitions: tuple[tuple[int, Any, int], ...]
     initial: int = 0
-    _succ: list = field(init=False, repr=False, compare=False, default=None)
+    _succ: list | None
 
     def successors(self, state: int) -> list[tuple[Any, int]]:
         succ = self._succ

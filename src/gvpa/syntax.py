@@ -6,10 +6,10 @@ checks everything downstream relies on. All values are immutable. Terms
 of all three term languages (process expressions, HML formulas, mCRL2
 terms) are interned through `Term`, so equal terms are one object, and
 state identity throughout the toolkit is the identity of these terms.
+The other values with named fields, in every module, are `Record`s.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import ResourceLimitError, SpecValidationError
@@ -22,26 +22,51 @@ RESERVED_WORDS = frozenset(
 
 
 # ---------------------------------------------------------------------------
-# Interned terms
+# Terms and records
 
 
 class _TermMeta(type):
-    """Turns the annotated fields of a term class into its slots, keeps a
-    trailing field's class-level value as its default, and gives every
-    class its own intern table."""
+    """Turns the annotated fields of a class into its slots and keeps a
+    trailing field's class-level value as its default. In a record, an
+    annotated name that starts with an underscore is a cache slot rather
+    than a field: it is no argument, takes no part in equality, hashing or
+    the repr, and starts as None."""
 
-    def __new__(mcs, name, bases, namespace):
+    def __new__(mcs, name, bases, namespace, **kwargs):
         own = tuple(namespace.get("__annotations__", ()))
         defaults = {f: namespace.pop(f) for f in own if f in namespace}
+        base = bases[0] if bases else object
         namespace["__slots__"] = own
-        cls = super().__new__(mcs, name, bases, namespace)
-        cls._fields = sum((getattr(b, "_fields", ()) for b in bases), ()) + own
-        cls._defaults = {**getattr(cls, "_defaults", {}), **defaults}
-        cls._table = {}
-        return cls
+        namespace["_fields"] = getattr(base, "_fields", ()) + tuple(
+            f for f in own if not f.startswith("_"))
+        namespace["_caches"] = getattr(base, "_caches", ()) + tuple(
+            f for f in own if f.startswith("_"))
+        namespace["_defaults"] = {**getattr(base, "_defaults", {}), **defaults}
+        return super().__new__(mcs, name, bases, namespace, **kwargs)
 
 
-class Term(metaclass=_TermMeta):
+class _Node(metaclass=_TermMeta):
+    """What terms and records share: immutable fields, the dataclass repr,
+    and pickling through the constructor."""
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+
+class Term(_Node):
     """A hash-consed term node (maximal sharing, as in van den Brand et
     al., "Efficient annotated terms", SPE 2000).
 
@@ -52,6 +77,10 @@ class Term(metaclass=_TermMeta):
     lives, with its id, for the life of the process. Nodes are immutable;
     ``__post_init__`` checks the fields of a node before it is stored.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._table = {}
 
     def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls._fields):
@@ -84,21 +113,47 @@ class Term(metaclass=_TermMeta):
                             f"argument {next(iter(kwargs))!r}")
         return tuple(values)
 
-    def __post_init__(self):
-        pass
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an interned term")
+class Record(_Node):
+    """A value with named fields, declared like a term but not interned:
+    the stand-in for a dataclass, whose module this package does not import.
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an interned term")
+    Records of one class are equal when their fields are. A record is
+    immutable and hashes by its fields; a class declared with
+    ``frozen=False`` has assignable fields and no hash. ``__post_init__``
+    runs after the fields are set and may fill cache slots with
+    ``object.__setattr__``.
+    """
 
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({inner})"
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # The methods are compiled for the class, as a dataclass's are:
+        # binding arguments and reading fields by name at run time would
+        # double the cost of records built per state.
+        fields, caches = cls._fields, cls._caches
+        scope = {f"_set_{name}": getattr(cls, name).__set__ for name in fields + caches}
+        scope.update({f"_default_{name}": value for name, value in cls._defaults.items()})
+        params = ", ".join(f"{name}=_default_{name}" if name in cls._defaults else name
+                           for name in fields)
+        body = [f"_set_{name}(self, {name})" for name in fields]
+        body += [f"_set_{name}(self, None)" for name in caches]
+        if cls.__post_init__ is not _Node.__post_init__:
+            body.append("self.__post_init__()")
+        mine = "(" + "".join(f"self.{name}, " for name in fields) + ")"
+        theirs = "(" + "".join(f"other.{name}, " for name in fields) + ")"
+        exec(f"def __init__(self, {params}):\n    " + "\n    ".join(body) + "\n"
+             "def __eq__(self, other):\n"
+             "    if other.__class__ is self.__class__:\n"
+             f"        return {mine} == {theirs}\n"
+             "    return NotImplemented\n"
+             f"def __hash__(self):\n    return hash({mine})\n", scope)
+        for name in ("__init__", "__eq__", "__hash__"):
+            scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, scope[name])
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +258,7 @@ def expr_str(expr: ProcessExpr, _req: int = _CHOICE) -> str:
 # Domain, valuations
 
 
-@dataclass(frozen=True)
-class DomainDef:
+class DomainDef(Record):
     """The finite data domain D; declaration order is the iteration order."""
 
     values: tuple[str, ...]
@@ -222,8 +276,7 @@ class DomainDef:
         return value in self.values
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Record):
     """Total map from the spec's variables to domain values.
 
     Entries are kept in variable declaration order so that equal
@@ -312,12 +365,11 @@ class ValuationCodes:
 # Communication function
 
 
-@dataclass(frozen=True)
-class CommFunction:
+class CommFunction(Record):
     """ACP-style handshake communication: unordered action pair -> action."""
 
     entries: tuple[tuple[frozenset[str], str], ...] = ()
-    _index: dict = field(init=False, repr=False, compare=False, default=None)
+    _index: dict
 
     def __post_init__(self):
         # both orders of each pair, so a lookup builds no set
@@ -362,8 +414,7 @@ def validate_comm(comm: CommFunction, actions: Iterable[str]) -> list[str]:
 # Recursive specifications
 
 
-@dataclass(frozen=True)
-class RecursiveSpec:
+class RecursiveSpec(Record):
     """A full specification: domain, variables, actions, equations, gamma."""
 
     domain: DomainDef
@@ -371,8 +422,8 @@ class RecursiveSpec:
     actions: tuple[str, ...]
     equations: tuple[tuple[str, ProcessExpr], ...]
     comm: CommFunction = CommFunction()
-    _eqmap: dict = field(init=False, repr=False, compare=False, default=None)
-    _codes: ValuationCodes = field(init=False, repr=False, compare=False, default=None)
+    _eqmap: dict
+    _codes: ValuationCodes | None
 
     def __post_init__(self):
         eqmap = {}
@@ -401,8 +452,7 @@ class RecursiveSpec:
         return self._codes
 
 
-@dataclass(frozen=True)
-class InitSpec:
+class InitSpec(Record):
     root: ProcessExpr
     valuation: Valuation
 

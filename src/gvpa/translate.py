@@ -10,7 +10,6 @@ satisfaction and bisimilarity verdicts across the translation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import FragmentError, SpecValidationError
@@ -29,7 +28,7 @@ from .mcrl2 import (
 from .sos import DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, explore, state_str
 from .syntax import (
     Action, Assign, Choice, Cond, Deadlock, Encap, Name, Parallel, Prefix,
-    ProcessExpr, RecursiveSpec, Valuation, expr_str, label_str,
+    ProcessExpr, Record, RecursiveSpec, Valuation, expr_str, label_str,
 )
 
 #: Action and process names the translation introduces; source specs must
@@ -205,8 +204,7 @@ def make_globs(slots: Sequence[str], domain_values: Sequence[str]) -> tuple[str,
 # Pipeline assembly
 
 
-@dataclass(frozen=True)
-class TranslationOutput:
+class TranslationOutput(Record):
     spec: RecursiveSpec
     slots: tuple[str, ...]
     blocked: frozenset[str]
@@ -320,8 +318,7 @@ def translate_formula(formula: HmlFormula) -> HmlFormula:
 # Variable consistency
 
 
-@dataclass
-class ConsistencyReport:
+class ConsistencyReport(Record, frozen=False):
     ok: bool
     condition: int | None = None
     witness: str | None = None
@@ -423,8 +420,7 @@ def verify_variable_consistency(spec: RecursiveSpec, gv_lts: Lts, m_lts: Lts,
 # End-to-end checks (theorem validation surfaces)
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(Record, frozen=False):
     out: TranslationOutput
     gv_root: GvState
     gv_lts: Lts
@@ -432,7 +428,7 @@ class PipelineResult:
     link: list[int]
     consistency: ConsistencyReport
     # the source grid of check_theorem4 and the config it was built with
-    _grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _grid: tuple | None
 
     def source_grid(self, cfg: ExplorationConfig) -> StateSpace:
         """The grid over the closure of the source root, built on first use."""
@@ -454,8 +450,7 @@ def run_pipeline(spec: RecursiveSpec, root: ProcessExpr, valuation: Valuation,
                           m_lts=m_lts, link=link, consistency=report)
 
 
-@dataclass
-class Theorem4Report:
+class Theorem4Report(Record, frozen=False):
     formula: HmlFormula
     source_verdict: bool
     translated_verdict: bool
@@ -475,8 +470,7 @@ def check_theorem4(pipeline: PipelineResult, formula: HmlFormula,
                           translated_verdict=translated)
 
 
-@dataclass
-class Corollary1Report:
+class Corollary1Report(Record, frozen=False):
     source: BisimResult
     translated: BisimResult
 
@@ -485,8 +479,7 @@ class Corollary1Report:
         return self.source.equivalent == self.translated.equivalent
 
 
-@dataclass
-class PreservationReport:
+class PreservationReport(Record, frozen=False):
     """Corollary 1 over every pair of reachable source states; on failure
     ``pair`` holds two source states whose verdicts disagree, and
     ``source_bisimilar`` their state-based verdict."""

@@ -8,7 +8,8 @@ families as spec texts: the worker grid W(n,k) (many valuations) and the
 handshake ring R(n,L) (many expressions). The
 parallel-sequential generator never puts a condition directly over delta
 and never nests conditions, so the translated state map stays injective
-and the structure-preservation counts are meaningful.
+and the structure-preservation counts are meaningful. `mutate_spec` edits
+a spec's AST so that its text still parses (for the CLI fuzz).
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from gvpa.mcrl2 import (
 from gvpa.sos import ExplorationConfig, GvState, explore, reachable_exprs
 from gvpa.syntax import (
     Action, Assign, Choice, CommFunction, Cond, Deadlock, DomainDef, Encap,
-    Name, Parallel, Prefix, RecursiveSpec, enumerate_valuations,
+    Name, Parallel, Prefix, ProcessExpr, RecursiveSpec, enumerate_valuations,
     validate_spec,
 )
 
@@ -196,6 +197,77 @@ def gen_parseq_spec(rng: random.Random, state_cap: int = 60,
             continue  # keep mostly live systems
         return spec, root, valuation
     raise AssertionError("generator failed to produce a parallel-sequential spec")
+
+
+# ---------------------------------------------------------------------------
+# Parse-preserving mutations (CLI fuzz)
+
+
+def _paths(expr, path=()):
+    """Every subterm of an expression with the field path that reaches it."""
+    yield path, expr
+    for name in type(expr)._fields:
+        child = getattr(expr, name)
+        if isinstance(child, ProcessExpr):
+            yield from _paths(child, path + (name,))
+
+
+def _replaced(expr, path, new):
+    if not path:
+        return new
+    fields = {name: getattr(expr, name) for name in type(expr)._fields}
+    fields[path[0]] = _replaced(fields[path[0]], path[1:], new)
+    return type(expr)(**fields)
+
+
+def _edited(rng: random.Random, spec: RecursiveSpec, node):
+    """One edit of one node. Names, values and actions change only to
+    declared ones, and no process name loses its guard, so the text of the
+    result still parses and validates."""
+    parts = (spec.actions, spec.variables, spec.domain.values)
+    if rng.random() < 0.25:
+        return rng.choice((
+            Deadlock(),
+            Prefix(_label(rng, parts), node),
+            Cond(rng.choice(spec.variables), rng.choice(spec.domain.values), node),
+            Encap(frozenset(rng.sample(spec.actions, rng.randint(1, len(spec.actions)))),
+                  node)))
+    if isinstance(node, Prefix):
+        return Prefix(_label(rng, parts), node.body)
+    if isinstance(node, Cond):
+        return Cond(rng.choice(spec.variables), rng.choice(spec.domain.values), node.body)
+    if isinstance(node, (Choice, Parallel)):
+        operands = (node.left, node.right) if rng.random() < 0.5 else (node.right, node.left)
+        return rng.choice((Choice, Parallel))(*operands)
+    if isinstance(node, Encap):
+        return Encap(frozenset(rng.sample(spec.actions, rng.randint(1, len(spec.actions)))),
+                     node.body)
+    if isinstance(node, Name):
+        return Name(rng.choice(spec.process_names))
+    return Prefix(_label(rng, parts), node)
+
+
+def mutate_spec(rng: random.Random, spec: RecursiveSpec, root, valuation, edits: int):
+    """``edits`` AST edits spread over the equation bodies, the root and
+    the initial valuation; returns the mutated (spec, root, valuation)."""
+    equations = list(spec.equations)
+    for _ in range(edits):
+        where = rng.randrange(len(equations) + 2)
+        if where == len(equations) + 1:
+            valuation = valuation.updated(rng.choice(spec.variables),
+                                          rng.choice(spec.domain.values))
+            continue
+        expr = root if where == len(equations) else equations[where][1]
+        path, node = rng.choice(list(_paths(expr)))
+        expr = _replaced(expr, path, _edited(rng, spec, node))
+        if where == len(equations):
+            root = expr
+        else:
+            equations[where] = (equations[where][0], expr)
+    spec = RecursiveSpec(domain=spec.domain, variables=spec.variables,
+                         actions=spec.actions, equations=tuple(equations),
+                         comm=spec.comm)
+    return spec, root, valuation
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from genspecs import gen_pair, gen_parseq_spec, gen_spec
+from genspecs import gen_pair, gen_parseq_spec, gen_spec, mutate_spec
 
-import gvpa.cli
+import gvpa.syntax
 from gvpa.cli import main
-from gvpa.parser import render_spec
+from gvpa.parser import parse_spec, render_spec
 from gvpa.syntax import InitSpec, enumerate_valuations, expr_str
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -98,7 +98,7 @@ class TestInternalError:
         def broken(spec, init=None):
             raise AssertionError("broken invariant")
 
-        monkeypatch.setattr(gvpa.cli, "validate_spec", broken)
+        monkeypatch.setattr(gvpa.syntax, "validate_spec", broken)
         assert run(["validate", TRAFFIC]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -261,16 +261,13 @@ class TestJsonStability:
 
 
 class TestFuzz:
-    """Seeded generated specs and byte mutations of their text, through
-    every command that reads a spec: each run ends with a documented exit
-    code and no traceback."""
+    """Seeded generated specs, byte mutations of their text and
+    parse-preserving mutations of their AST, through every command that
+    reads a spec: each run ends with a documented exit code and no
+    traceback."""
 
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(seed=st.integers(0, 2**32 - 1), parseq=st.booleans(),
-           edits=st.lists(st.tuples(st.floats(0, 1), st.binary(max_size=3)),
-                          max_size=3))
-    def test_documented_exit_codes(self, tmp_path, capsys, seed, parseq, edits):
+    @staticmethod
+    def _draw(seed: int, parseq: bool):
         rng = random.Random(seed)
         if parseq:
             spec, left, valuation = gen_parseq_spec(rng)
@@ -279,16 +276,14 @@ class TestFuzz:
             spec = gen_spec(rng)
             left, right = gen_pair(rng, spec)
             valuation = enumerate_valuations(spec)[0]
-        text = render_spec(spec, InitSpec(left, valuation)).encode("utf-8")
-        for where, chunk in edits:
-            i = int(where * len(text))
-            text = text[:i] + chunk + text[i + 1:]
-        path = tmp_path / "fuzz.gvpa"
-        path.write_bytes(text)
-        file = str(path)
+        return rng, spec, left, right, valuation
+
+    @staticmethod
+    def _run_every_command(tmp_path, capsys, file, seed, left, right):
         mode = ("strong", "state-based", "stateless")[seed % 3]
         pair = ["--left", expr_str(left), "--right", expr_str(right)]
         caps = ["--max-states", "200", "--max-valuations", "64"]
+        codes = {}
         for argv in (["validate", file], ["lts", file],
                      ["bisim", file, "--mode", mode, *pair],
                      ["distinguish", file, "--mode",
@@ -296,5 +291,39 @@ class TestFuzz:
                      ["modelcheck", file, "--formula", "<a> true"],
                      ["translate", file, "--out", str(tmp_path / "out")],
                      ["verify-translation", file]):
-            assert run(caps + argv) in (0, 1, 2, 3), argv
+            codes[argv[0]] = run(caps + argv)
+            assert codes[argv[0]] in (0, 1, 2, 3), argv
             assert "Traceback" not in capsys.readouterr().err
+        return codes
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), parseq=st.booleans(),
+           edits=st.lists(st.tuples(st.floats(0, 1), st.binary(max_size=3)),
+                          max_size=3))
+    def test_documented_exit_codes(self, tmp_path, capsys, seed, parseq, edits):
+        _, spec, left, right, valuation = self._draw(seed, parseq)
+        text = render_spec(spec, InitSpec(left, valuation)).encode("utf-8")
+        for where, chunk in edits:
+            i = int(where * len(text))
+            text = text[:i] + chunk + text[i + 1:]
+        path = tmp_path / "fuzz.gvpa"
+        path.write_bytes(text)
+        self._run_every_command(tmp_path, capsys, str(path), seed, left, right)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), parseq=st.booleans(),
+           edits=st.integers(1, 3))
+    def test_parse_preserving_mutations(self, tmp_path, capsys, seed, parseq, edits):
+        rng, spec, left, right, valuation = self._draw(seed, parseq)
+        spec, root, valuation = mutate_spec(rng, spec, left, valuation, edits)
+        init = InitSpec(root, valuation)
+        text = render_spec(spec, init)
+        assert parse_spec(text) == (spec, init)
+        path = tmp_path / "fuzz.gvpa"
+        path.write_text(text, encoding="utf-8")
+        # a parallel-sequential draw compares its root with itself
+        codes = self._run_every_command(tmp_path, capsys, str(path), seed,
+                                        root, root if parseq else right)
+        assert codes["validate"] == 0

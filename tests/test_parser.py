@@ -3,7 +3,7 @@ import pytest
 from gvpa.errors import SpecSyntaxError, SpecValidationError
 from gvpa.parser import parse_expr, parse_spec, render_spec
 from gvpa.syntax import (
-    Action, Assign, Choice, Cond, Deadlock, Encap, Name, Parallel, Prefix,
+    Action, Assign, Choice, Cond, Deadlock, Encap, InitSpec, Name, Parallel, Prefix,
 )
 
 
@@ -48,6 +48,17 @@ class TestMinimalSpecs:
             "init encap({a}) X || X with { }")
         assert init.root == Encap(frozenset({"a"}),
                                   Parallel(Name("X"), Name("X")))
+
+    @pytest.mark.parametrize("root", [
+        Parallel(Encap(frozenset({"a"}), Name("X")), Name("X")),
+        Choice(Encap(frozenset({"a"}), Name("X")), Deadlock()),
+        Encap(frozenset({"a"}), Parallel(Name("X"), Name("X"))),
+        Encap(frozenset({"a"}), Encap(frozenset({"a"}), Name("X"))),
+    ])
+    def test_render_keeps_the_scope_of_an_init_encap(self, root):
+        spec, init = parse_spec("domain { d } acts { a } proc X = a.X init X with { }")
+        text = render_spec(spec, InitSpec(root, init.valuation))
+        assert parse_spec(text)[1].root == root
 
     def test_missing_init_valuation(self):
         with pytest.raises(SpecValidationError):

@@ -189,6 +189,19 @@ class TestGenerateLts:
         assert export_lts(first) == export_lts(second)
 
 
+class TestExplorationConfig:
+    @pytest.mark.parametrize("cap", ["max_states", "max_valuations"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_caps_below_one_are_rejected(self, cap, value):
+        with pytest.raises(ValueError, match=f"{cap} must be at least 1"):
+            ExplorationConfig(**{cap: value})
+
+    def test_one_valuation_is_a_valid_cap(self):
+        spec, init = parse_spec("domain { 0 } vars { v } acts { a } init a.delta with { v = 0 }")
+        closure = reachable_exprs(spec, init.root, ExplorationConfig(max_valuations=1))
+        assert closure == (init.root, Deadlock())
+
+
 class TestReachableExprs:
     def test_cond_root(self, example3):
         spec, p, _, _, _ = example3

@@ -1,7 +1,11 @@
 """Interned terms: in each of the three term languages (process
-expressions, HML formulas, mCRL2 terms) equal terms are one object."""
+expressions, HML formulas, mCRL2 terms) equal terms are one object.
+Records, their non-interned sibling, behave as the dataclasses they
+replace."""
+import ast
 import copy
 import dataclasses
+import pathlib
 import pickle
 import random
 
@@ -13,7 +17,7 @@ from genspecs import (
 )
 from oracles import enumerate_check_formulas
 
-from gvpa import hml, mcrl2, syntax
+from gvpa import bisim, hml, mcrl2, parser, sos, syntax, translate
 from gvpa.hml import (
     Box, Check, Diamond, FALSE, HmlFormula, TRUE, all_labels, parse_formula,
 )
@@ -22,11 +26,15 @@ from gvpa.mcrl2 import (
     MultiAction, Multiset, explore_mcrl2, step_mcrl2,
 )
 from gvpa.parser import parse_spec
-from gvpa.sos import expression_closure
+from gvpa.sos import ExplorationConfig, GvState, expression_closure
 from gvpa.syntax import (
-    Action, Assign, DELTA, Encap, Name, Parallel, Prefix, ProcessExpr, Term,
+    Action, Assign, DELTA, Encap, Name, Parallel, Prefix, ProcessExpr, Record,
+    Term, Valuation,
 )
-from gvpa.translate import run_pipeline, translate_formula
+from gvpa.translate import (
+    Theorem4Report, check_bisimilarity_preservation, check_theorem4, run_pipeline,
+    translate_formula,
+)
 
 TERM_CLASSES = {
     syntax: {"Action", "Assign", "ProcessExpr", "Prefix", "Deadlock", "Choice",
@@ -246,3 +254,116 @@ class TestTermBehaviour:
         with pytest.raises(AttributeError):
             node.other = 1
         assert node.body is DELTA
+
+
+RECORD_CLASSES = {
+    syntax: {"DomainDef", "Valuation", "CommFunction", "RecursiveSpec", "InitSpec"},
+    parser: {"Token"},
+    sos: {"GvState", "ExplorationConfig", "Lts"},
+    hml: {"StateSpace"},
+    bisim: {"BisimResult"},
+    mcrl2: {"Mcrl2Spec"},
+    translate: {"TranslationOutput", "ConsistencyReport", "PipelineResult",
+                "Theorem4Report", "Corollary1Report", "PreservationReport"},
+}
+MUTABLE_RECORDS = {"BisimResult", "ConsistencyReport", "PipelineResult",
+                   "Theorem4Report", "Corollary1Report", "PreservationReport"}
+
+
+def _records(value, found):
+    """The records reachable from a value through record fields, tuples
+    and lists, by class."""
+    if isinstance(value, Record):
+        if found.setdefault(type(value), value) is value:
+            for name in value._fields:
+                _records(getattr(value, name), found)
+    elif isinstance(value, (tuple, list)):
+        for item in value[:3]:
+            _records(item, found)
+    return found
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of every record class, from one translation run."""
+    spec, init = parse_spec(ring_text(2, 2))
+    pipe = run_pipeline(spec, init.root, init.valuation)
+    found = _records(pipe, {})
+    _records(check_theorem4(pipe, parse_formula("<t1> true", spec)), found)
+    _records(check_bisimilarity_preservation(pipe), found)
+    _records(pipe.source_grid(ExplorationConfig()), found)
+    _records(bisim.state_based_bisim_on_lts(pipe.gv_lts, 0, 0), found)
+    _records(translate.check_corollary1(spec, init.root, init.root, init.valuation,
+                                        init.valuation), found)
+    _records(init, found)
+    _records(parser.tokenize("a"), found)
+    _records(ExplorationConfig(max_states=50), found)
+    return found
+
+
+class TestRecords:
+    def test_the_record_classes_and_no_dataclasses_import(self):
+        for module, names in RECORD_CLASSES.items():
+            found = {name for name, value in vars(module).items()
+                     if isinstance(value, type) and issubclass(value, Record)
+                     and value.__module__ == module.__name__ and value is not Record}
+            assert found == names
+        assert sum(map(len, RECORD_CLASSES.values())) == 18
+        for path in pathlib.Path(syntax.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.Import) for alias in node.names}
+            imported |= {node.module for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom)}
+            assert "dataclasses" not in imported, path.name
+
+    def test_behave_as_the_dataclasses_they_replace(self, records):
+        assert {cls.__name__ for cls in records} == set().union(*RECORD_CLASSES.values())
+        for cls, record in records.items():
+            frozen = cls.__name__ not in MUTABLE_RECORDS
+            twin = dataclasses.make_dataclass(cls.__qualname__, cls._fields, frozen=frozen)
+            values = [getattr(record, name) for name in cls._fields]
+            assert repr(record) == repr(twin(*values))
+            again = cls(*values)
+            assert again == record and again is not record
+            assert again == cls(**dict(zip(cls._fields, values)))
+            assert record != twin(*values)
+            if frozen:
+                assert hash(again) == hash(record) == hash(tuple(values))
+                assert pickle.loads(pickle.dumps(record)) == record
+                with pytest.raises(AttributeError):
+                    setattr(record, cls._fields[0], values[0])
+                with pytest.raises(AttributeError):
+                    delattr(record, cls._fields[0])
+            else:
+                with pytest.raises(TypeError):
+                    hash(record)
+                marker = object()
+                setattr(again, cls._fields[0], marker)
+                assert getattr(again, cls._fields[0]) is marker and again != record
+            with pytest.raises(AttributeError):
+                again.other = 1
+
+    def test_cache_slots_are_no_fields(self, records):
+        lts = records[sos.Lts]
+        assert lts._succ is not None
+        fresh = sos.Lts(lts.states, lts.transitions, lts.initial)
+        assert fresh._succ is None and fresh == lts and "_succ" not in repr(lts)
+        spec = records[syntax.RecursiveSpec]
+        assert spec._codes is not None and spec == syntax.RecursiveSpec(
+            spec.domain, spec.variables, spec.actions, spec.equations, spec.comm)
+        assert sos.Lts._fields == ("states", "transitions", "initial")
+        assert translate.PipelineResult._caches == ("_grid",)
+
+    def test_constructor_signatures(self):
+        state = GvState(Name("P"), Valuation(()))
+        assert GvState(valuation=Valuation(()), expr=Name("P")) == state
+        assert ExplorationConfig() == ExplorationConfig(100_000, 4096)
+        assert ExplorationConfig(max_valuations=8).max_states == 100_000
+        assert Theorem4Report(TRUE, True, False).agrees is False
+        for bad in (lambda: GvState(Name("P")),
+                    lambda: GvState(Name("P"), Valuation(()), 1),
+                    lambda: GvState(Name("P"), Valuation(()), expr=Name("Q")),
+                    lambda: ExplorationConfig(max_state=1)):
+            with pytest.raises(TypeError):
+                bad()
