@@ -268,21 +268,17 @@ def _load_formulas(path: str | None, spec) -> list:
 
 def _cmd_translate(args) -> int:
     from . import translate as tr
-    from .mcrl2 import generate_lts_mcrl2
-    from .sos import export_lts, generate_lts
+    from .sos import export_lts
 
     spec, init = _load(args)
-    cfg = _config(args)
-    out = tr.translate_init(spec, init.root, init.valuation)
     formulas = [tr.translate_formula(f)
                 for f in _load_formulas(args.formulas, spec)]
+    pipeline = tr.run_pipeline(spec, init.root, init.valuation, _config(args))
     base = Path(args.file).stem
-    files = tr.emit_mcrl2_files(out, formulas, base=base)
+    files = tr.emit_mcrl2_files(pipeline.out, formulas, base=base)
     # .aut exports of both sides, for external ltscompare cross-validation
-    gv_lts = generate_lts(spec, init, cfg)
-    m_lts = generate_lts_mcrl2(out.menv, out.top, cfg)
-    files[f"{base}.source.aut"] = export_lts(gv_lts, "aut")
-    files[f"{base}.translated.aut"] = export_lts(m_lts, "aut")
+    files[f"{base}.source.aut"] = export_lts(pipeline.gv_lts, "aut")
+    files[f"{base}.translated.aut"] = export_lts(pipeline.m_lts, "aut")
     directory = Path(args.out)
     directory.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():

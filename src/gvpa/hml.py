@@ -16,7 +16,7 @@ from .sos import (
 )
 from .syntax import (
     Action, Assign, ProcessExpr, Record, RecursiveSpec, Term, TransitionLabel,
-    Valuation, label_str,
+    Valuation, label_str, render,
 )
 
 
@@ -148,38 +148,27 @@ def _labels_str(labels: frozenset) -> str:
     return ",".join(rendered)
 
 
-def formula_str(formula: HmlFormula, _req: int = _OR) -> str:
-    if isinstance(formula, HTrue):
-        text, level = "true", _UNARY
-    elif isinstance(formula, HFalse):
-        text, level = "false", _UNARY
-    elif isinstance(formula, Check):
-        text, level = f"({formula.var} = {formula.value})", _UNARY
-    elif isinstance(formula, Not):
-        text, level = f"!{formula_str(formula.sub, _UNARY)}", _UNARY
-    elif isinstance(formula, Diamond):
-        text = f"<{_labels_str(formula.labels)}> {formula_str(formula.sub, _UNARY)}"
-        level = _UNARY
-    elif isinstance(formula, Box):
-        text = f"[{_labels_str(formula.labels)}] {formula_str(formula.sub, _UNARY)}"
-        level = _UNARY
-    elif isinstance(formula, SetVar):
-        text = (f"set {formula.var} := {formula.value} . "
-                f"{formula_str(formula.sub, _UNARY)}")
-        level = _UNARY
-    elif isinstance(formula, And):
-        text = (f"{formula_str(formula.left, _AND)} && "
-                f"{formula_str(formula.right, _UNARY)}")
-        level = _AND
-    elif isinstance(formula, Or):
-        text = (f"{formula_str(formula.left, _OR)} || "
-                f"{formula_str(formula.right, _AND)}")
-        level = _OR
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-    if level < _req:
-        return f"({text})"
-    return text
+#: The precedence table of formulas, for `syntax.render`.
+FORMULA_RULES = {
+    HTrue: (_UNARY, (), lambda f: "true"),
+    HFalse: (_UNARY, (), lambda f: "false"),
+    Check: (_UNARY, (), lambda f: f"({f.var} = {f.value})"),
+    Not: (_UNARY, (("sub", _UNARY),), lambda f, sub: f"!{sub}"),
+    Diamond: (_UNARY, (("sub", _UNARY),),
+              lambda f, sub: f"<{_labels_str(f.labels)}> {sub}"),
+    Box: (_UNARY, (("sub", _UNARY),),
+          lambda f, sub: f"[{_labels_str(f.labels)}] {sub}"),
+    SetVar: (_UNARY, (("sub", _UNARY),),
+             lambda f, sub: f"set {f.var} := {f.value} . {sub}"),
+    And: (_AND, (("left", _AND), ("right", _UNARY)),
+          lambda f, left, right: f"{left} && {right}"),
+    Or: (_OR, (("left", _OR), ("right", _AND)),
+         lambda f, left, right: f"{left} || {right}"),
+}
+
+
+def formula_str(formula: HmlFormula) -> str:
+    return render(formula, FORMULA_RULES)
 
 
 # ---------------------------------------------------------------------------

@@ -387,7 +387,7 @@ def parse_expr(text: str, spec: RecursiveSpec) -> ProcessExpr:
 
 
 def render_spec(spec: RecursiveSpec, init: InitSpec | None = None) -> str:
-    """Inverse of parse_spec, used for round-trip checks and `validate --echo`."""
+    """Inverse of parse_spec: the text parses back to the same spec and init."""
     lines = [f"domain {{ {', '.join(spec.domain.values)} }}"]
     if spec.variables:
         lines.append(f"vars {{ {', '.join(spec.variables)} }}")

@@ -377,36 +377,32 @@ def reachable_exprs(spec: RecursiveSpec, roots: ProcessExpr | Iterable[ProcessEx
 # Export
 
 
-def _default_label_str(label) -> str:
+def _label_text(label) -> str:
     if isinstance(label, (Action, Assign)):
         return label_str(label)
     return str(label)
 
 
-def _default_state_str(payload) -> str:
+def _state_text(payload) -> str:
     if isinstance(payload, GvState):
         return state_str(payload)
     return str(payload)
 
 
-def export_lts(lts: Lts, fmt: str = "aut",
-               label_to_str: Callable[[Any], str] | None = None,
-               state_to_str: Callable[[Any], str] | None = None) -> str:
-    label_to_str = label_to_str or _default_label_str
-    state_to_str = state_to_str or _default_state_str
+def export_lts(lts: Lts, fmt: str = "aut") -> str:
     if fmt == "aut":
         lines = [f"des ({lts.initial},{len(lts.transitions)},{len(lts.states)})"]
         for src, label, dst in lts.transitions:
-            lines.append(f'({src},"{label_to_str(label)}",{dst})')
+            lines.append(f'({src},"{_label_text(label)}",{dst})')
         return "\n".join(lines) + "\n"
     if fmt == "dot":
         lines = ["digraph lts {", "  rankdir=LR;", '  node [shape=box];',
                  '  init [shape=point];', f"  init -> s{lts.initial};"]
         for i, payload in enumerate(lts.states):
-            text = state_to_str(payload).replace("\\", "\\\\").replace('"', '\\"')
+            text = _state_text(payload).replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  s{i} [label="{text}"];')
         for src, label, dst in lts.transitions:
-            text = label_to_str(label).replace("\\", "\\\\").replace('"', '\\"')
+            text = _label_text(label).replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  s{src} -> s{dst} [label="{text}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -14,8 +14,8 @@ from typing import Iterable, Sequence
 
 from .errors import FragmentError, SpecValidationError
 from .hml import (
-    And, Box, Check, Diamond, HFalse, HTrue, HmlFormula, Not, Or, SetVar,
-    StateSpace, TRUE, build_state_space, eval_modal_on_lts, satisfies,
+    FORMULA_RULES, And, Box, Check, Diamond, HFalse, HTrue, HmlFormula, Not, Or,
+    SetVar, StateSpace, TRUE, build_state_space, eval_modal_on_lts, satisfies,
 )
 from .bisim import (
     BisimResult, state_based_bisim, state_based_bisim_on_lts, strong_bisim,
@@ -28,7 +28,7 @@ from .mcrl2 import (
 from .sos import DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, explore, state_str
 from .syntax import (
     Action, Assign, Choice, Cond, Deadlock, Encap, Name, Parallel, Prefix,
-    ProcessExpr, Record, RecursiveSpec, Valuation, expr_str, label_str,
+    ProcessExpr, Record, RecursiveSpec, Valuation, expr_str, label_str, render,
 )
 
 #: Action and process names the translation introduces; source specs must
@@ -284,10 +284,6 @@ def translate_state(out: TranslationOutput, expr: ProcessExpr,
 # Formula translation (theta)
 
 
-def _label_image(label) -> str:
-    return label_str(label)
-
-
 def translate_formula(formula: HmlFormula) -> HmlFormula:
     """check (v=e) becomes a diamond over the value(v,e) self-loop; modal
     label sets carry over as canonical label strings."""
@@ -302,10 +298,10 @@ def translate_formula(formula: HmlFormula) -> HmlFormula:
     if isinstance(formula, Or):
         return Or(translate_formula(formula.left), translate_formula(formula.right))
     if isinstance(formula, Diamond):
-        return Diamond(frozenset(_label_image(l) for l in formula.labels),
+        return Diamond(frozenset(label_str(l) for l in formula.labels),
                        translate_formula(formula.sub))
     if isinstance(formula, Box):
-        return Box(frozenset(_label_image(l) for l in formula.labels),
+        return Box(frozenset(label_str(l) for l in formula.labels),
                    translate_formula(formula.sub))
     if isinstance(formula, SetVar):
         raise FragmentError(
@@ -534,11 +530,13 @@ def _needs_prefix(name: str) -> bool:
 
 
 class _Namer:
-    """Deterministic renaming into valid, pairwise distinct mCRL2 ids."""
+    """Deterministic renaming into valid, pairwise distinct mCRL2 ids, and
+    the mCRL2 symbol of each domain value and variable name."""
 
     def __init__(self):
         self.maps: dict[str, dict[str, str]] = {}
         self.taken: set[str] = set(MACHINERY_NAMES) | {"d", "new", "GvValue", "GvName"}
+        self.symbols: dict[str, str] = {}
 
     def add(self, kind: str, prefix: str, names: Iterable[str]):
         table = self.maps.setdefault(kind, {})
@@ -564,10 +562,19 @@ def _build_namer(out: TranslationOutput) -> _Namer:
     namer.add("var", "g_", out.spec.variables)
     namer.add("action", "a_", out.spec.actions)
     namer.add("proc", "P_", out.spec.process_names)
+    symbols = namer.symbols
+    for value in out.spec.domain.values:
+        symbols[value] = namer.get("value", value)
+    for var in out.spec.variables:
+        if var in symbols:
+            raise SpecValidationError(
+                [f"variable {var} also names a domain value; the rendered "
+                 "model cannot keep both"])
+        symbols[var] = namer.get("var", var)
     return namer
 
 
-def _render_data(expr, namer: _Namer, symbols: dict[str, str]) -> str:
+def _render_data(expr, symbols: dict[str, str]) -> str:
     if isinstance(expr, DConst):
         return symbols[expr.symbol]
     if isinstance(expr, DBool):
@@ -575,22 +582,19 @@ def _render_data(expr, namer: _Namer, symbols: dict[str, str]) -> str:
     if isinstance(expr, DVar):
         return expr.name
     if isinstance(expr, DEq):
-        return (f"{_render_data(expr.left, namer, symbols)} == "
-                f"{_render_data(expr.right, namer, symbols)}")
+        return f"{_render_data(expr.left, symbols)} == {_render_data(expr.right, symbols)}"
     if isinstance(expr, DAnd):
-        return " && ".join(_render_data(c, namer, symbols) for c in expr.conjuncts)
+        return " && ".join(_render_data(c, symbols) for c in expr.conjuncts)
     raise TypeError(f"not a data expression: {expr!r}")
 
 
-def _render_act(act, namer: _Namer, symbols: dict[str, str]) -> str:
-    name = namer.get("action", act.name)
-    if not act.args:
+def _render_args(name: str, args, symbols: dict[str, str]) -> str:
+    if not args:
         return name
-    args = ", ".join(_render_data(a, namer, symbols) for a in act.args)
-    return f"{name}({args})"
+    return f"{name}({', '.join(_render_data(a, symbols) for a in args)})"
 
 
-def _render_maction(action, namer: _Namer, symbols: dict[str, str]) -> str:
+def _render_maction(action, namer: _Namer) -> str:
     parts = []
 
     def collect(node):
@@ -598,7 +602,8 @@ def _render_maction(action, namer: _Namer, symbols: dict[str, str]) -> str:
             collect(node.left)
             collect(node.right)
         elif isinstance(node, MAct):
-            parts.append(_render_act(node, namer, symbols))
+            parts.append(_render_args(namer.get("action", node.name), node.args,
+                                      namer.symbols))
         else:
             parts.append("tau")
 
@@ -610,69 +615,23 @@ def _render_maction(action, namer: _Namer, symbols: dict[str, str]) -> str:
 _M_CHOICE, _M_PAR, _M_PREFIX, _M_ATOM = 0, 1, 2, 3
 
 
-def _render_proc(proc, namer: _Namer, symbols: dict[str, str],
-                 req: int = _M_CHOICE) -> str:
-    if isinstance(proc, MDeadlock):
-        text, level = "delta", _M_ATOM
-    elif isinstance(proc, MCall):
-        name = namer.get("proc", proc.name)
-        if proc.args:
-            args = ", ".join(_render_data(a, namer, symbols) for a in proc.args)
-            text = f"{name}({args})"
-        else:
-            text = name
-        level = _M_ATOM
-    elif isinstance(proc, MPrefix):
-        act = _render_maction(proc.action, namer, symbols)
-        text = f"{act} . {_render_proc(proc.body, namer, symbols, _M_PREFIX)}"
-        level = _M_PREFIX
-    elif isinstance(proc, MSum):
-        body = _render_proc(proc.body, namer, symbols, _M_CHOICE)
-        text, level = f"(sum {proc.var}: GvValue . {body})", _M_ATOM
-    elif isinstance(proc, MParallel):
-        text = (f"{_render_proc(proc.left, namer, symbols, _M_PAR)} || "
-                f"{_render_proc(proc.right, namer, symbols, _M_PREFIX)}")
-        level = _M_PAR
-    elif isinstance(proc, MChoice):
-        text = (f"{_render_proc(proc.left, namer, symbols, _M_CHOICE)} + "
-                f"{_render_proc(proc.right, namer, symbols, _M_PAR)}")
-        level = _M_CHOICE
-    elif isinstance(proc, MAllow):
-        names = ", ".join(
-            "|".join(sorted(m.elements())) for m in sorted(
-                proc.allowed, key=lambda m: sorted(m.elements())))
-        # the allow set is rendered from the caller's ordered name list
-        text = f"allow({{{names}}}, {_render_proc(proc.body, namer, symbols)})"
-        level = _M_ATOM
-    elif isinstance(proc, MHide):
-        names = ", ".join(sorted(proc.hidden))
-        text = f"hide({{{names}}}, {_render_proc(proc.body, namer, symbols)})"
-        level = _M_ATOM
-    elif isinstance(proc, MComm):
-        entries = ", ".join(
-            "|".join(lhs.elements()) + " -> " + result
-            for lhs, result in proc.entries)
-        text = f"comm({{{entries}}}, {_render_proc(proc.body, namer, symbols)})"
-        level = _M_ATOM
-    else:
-        raise TypeError(f"not an mCRL2 process: {proc!r}")
-    if level < req:
-        return f"({text})"
-    return text
-
-
-def render_mcrl2_spec(out: TranslationOutput) -> str:
-    """The .mcrl2 model; deterministic, byte-stable rendering."""
-    namer = _build_namer(out)
-    symbols = {}
-    for value in out.spec.domain.values:
-        symbols[value] = namer.get("value", value)
-    for var in out.spec.variables:
-        if var in symbols:
-            raise SpecValidationError(
-                [f"variable {var} also names a domain value; the rendered "
-                 "model cannot keep both"])
-        symbols[var] = namer.get("var", var)
+def render_mcrl2_spec(out: TranslationOutput, namer: _Namer) -> str:
+    """The .mcrl2 model under the names of `_build_namer`; deterministic,
+    byte-stable rendering."""
+    symbols = namer.symbols
+    rules = {
+        MDeadlock: (_M_ATOM, (), lambda proc: "delta"),
+        MCall: (_M_ATOM, (), lambda proc: _render_args(
+            namer.get("proc", proc.name), proc.args, symbols)),
+        MPrefix: (_M_PREFIX, (("body", _M_PREFIX),),
+                  lambda proc, body: f"{_render_maction(proc.action, namer)} . {body}"),
+        MSum: (_M_ATOM, (("body", _M_CHOICE),),
+               lambda proc, body: f"(sum {proc.var}: GvValue . {body})"),
+        MParallel: (_M_PAR, (("left", _M_PAR), ("right", _M_PREFIX)),
+                    lambda proc, left, right: f"{left} || {right}"),
+        MChoice: (_M_CHOICE, (("left", _M_CHOICE), ("right", _M_PAR)),
+                  lambda proc, left, right: f"{left} + {right}"),
+    }
 
     lines = ["% mCRL2 model generated from a global-variable process specification.",
              ""]
@@ -694,7 +653,7 @@ def render_mcrl2_spec(out: TranslationOutput) -> str:
 
     lines.append("proc")
     for name, params, body in out.menv.equations:
-        rendered_body = _render_proc(body, namer, symbols)
+        rendered_body = render(body, rules)
         shown = namer.get("proc", name) if name != "Globs" else "Globs"
         if params:
             plist = ", ".join(f"{p}: GvValue" for p in params)
@@ -712,75 +671,50 @@ def render_mcrl2_spec(out: TranslationOutput) -> str:
         for names, result in out.comm_render)
     hide_part = ", ".join(sorted(out.hidden))
     inner_par = out.top.body.body.body  # MAllow(MHide(MComm(parallel)))
-    par = _render_proc(inner_par, namer, symbols, _M_CHOICE)
+    par = render(inner_par, rules)
     lines.append(f"init allow({{{allow_names}}}, hide({{{hide_part}}}, "
                  f"comm({{{comm_part}}}, {par})));")
     return "\n".join(lines) + "\n"
 
 
-def _mcf_action(label: str, namer: _Namer, symbols: dict[str, str]) -> str:
+def _mcf_action(label: str, namer: _Namer) -> str:
     if "(" not in label:
         return namer.get("action", label)
     name, rest = label.split("(", 1)
     args = rest.rstrip(")").split(",")
     shown = name if name in MACHINERY_NAMES else namer.get("action", name)
-    return f"{shown}({', '.join(symbols.get(a, a) for a in args)})"
+    return f"{shown}({', '.join(namer.symbols.get(a, a) for a in args)})"
 
 
-_F_OR, _F_AND, _F_UNARY = 0, 1, 2
+def _not_on_mcrl2_side(formula: HmlFormula):
+    raise FragmentError(
+        "emit translated formulas; check/set do not exist on the mCRL2 side")
 
 
-def _render_mcf(formula: HmlFormula, namer: _Namer, symbols: dict[str, str],
-                req: int = _F_OR) -> str:
-    if isinstance(formula, HTrue):
-        text, level = "true", _F_UNARY
-    elif isinstance(formula, HFalse):
-        text, level = "false", _F_UNARY
-    elif isinstance(formula, Not):
-        text = f"!{_render_mcf(formula.sub, namer, symbols, _F_UNARY)}"
-        level = _F_UNARY
-    elif isinstance(formula, And):
-        text = (f"{_render_mcf(formula.left, namer, symbols, _F_AND)} && "
-                f"{_render_mcf(formula.right, namer, symbols, _F_UNARY)}")
-        level = _F_AND
-    elif isinstance(formula, Or):
-        text = (f"{_render_mcf(formula.left, namer, symbols, _F_OR)} || "
-                f"{_render_mcf(formula.right, namer, symbols, _F_AND)}")
-        level = _F_OR
-    elif isinstance(formula, (Diamond, Box)):
-        acts = " || ".join(sorted(
-            _mcf_action(l, namer, symbols) for l in formula.labels))
-        sub = _render_mcf(formula.sub, namer, symbols, _F_UNARY)
-        if isinstance(formula, Diamond):
-            text = f"<{acts}>{sub}"
-        else:
-            text = f"[{acts}]{sub}"
-        level = _F_UNARY
-    elif isinstance(formula, (Check, SetVar)):
-        raise FragmentError(
-            "emit translated formulas; check/set do not exist on the mCRL2 side")
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-    if level < req:
-        return f"({text})"
-    return text
+def render_mcf(formula: HmlFormula, namer: _Namer) -> str:
+    """A single translated formula in mCRL2 modal-formula syntax, under the
+    names of `_build_namer`."""
+    def modal(formula, sub):
+        acts = " || ".join(sorted(_mcf_action(l, namer) for l in formula.labels))
+        return f"<{acts}>{sub}" if formula.__class__ is Diamond else f"[{acts}]{sub}"
 
-
-def render_mcf(formula: HmlFormula, out: TranslationOutput) -> str:
-    """A single translated formula in mCRL2 modal-formula syntax."""
-    namer = _build_namer(out)
-    symbols = {v: namer.get("value", v) for v in out.spec.domain.values}
-    symbols.update({v: namer.get("var", v) for v in out.spec.variables})
-    return _render_mcf(formula, namer, symbols) + "\n"
+    level, children, _ = FORMULA_RULES[Diamond]
+    rules = {**FORMULA_RULES,
+             Diamond: (level, children, modal),
+             Box: (level, children, modal),
+             Check: (level, (), _not_on_mcrl2_side),
+             SetVar: (level, (), _not_on_mcrl2_side)}
+    return render(formula, rules) + "\n"
 
 
 def emit_mcrl2_files(out: TranslationOutput,
                      formulas: Sequence[HmlFormula] = (),
                      base: str = "model") -> dict[str, str]:
     """Translated model plus one .mcf per (already translated) formula."""
-    files = {f"{base}.mcrl2": render_mcrl2_spec(out)}
+    namer = _build_namer(out)
+    files = {f"{base}.mcrl2": render_mcrl2_spec(out, namer)}
     for i, formula in enumerate(formulas, start=1):
-        files[f"{base}_prop{i}.mcf"] = render_mcf(formula, out)
+        files[f"{base}_prop{i}.mcf"] = render_mcf(formula, namer)
     return files
 
 

@@ -3,25 +3,28 @@
 Everything here is written from the definitions directly (naive pairwise
 fixpoints, all-orders rewriting, permutation search, full-sweep
 refinement) and stays free of the package's partition-refinement and
-greedy code paths.
+greedy code paths. The printers keep one isinstance chain per term
+language, free of `gvpa.syntax.render`.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
+from gvpa.errors import FragmentError, SpecValidationError
 from gvpa.hml import (
     And, Box, Check, Diamond, FALSE, HFalse, HTrue, Not, Or, SetVar, TRUE,
 )
 from gvpa.mcrl2 import (
-    DConst, GroundAction, MAllow, MCall, MChoice, MComm, MDeadlock, MHide,
-    MParallel, MPrefix, MSum, Multiset, apply_comm, apply_hide, names_of,
-    sem_multiaction, subst_proc,
+    DAnd, DBool, DConst, DEq, DVar, GroundAction, MAct, MAllow, MBar, MCall,
+    MChoice, MComm, MDeadlock, MHide, MParallel, MPrefix, MSum, Multiset,
+    apply_comm, apply_hide, names_of, sem_multiaction, subst_proc,
 )
 from gvpa.sos import GvState, Lts
 from gvpa.syntax import (
     Action, Assign, Choice, Cond, Deadlock, Encap, Name, Parallel, Prefix,
-    enumerate_valuations,
+    enumerate_valuations, label_str,
 )
+from gvpa.translate import MACHINERY_NAMES, _Namer
 
 
 # ---------------------------------------------------------------------------
@@ -518,3 +521,306 @@ def find_distinguishing_formula(space, left, right, labels, max_depth: int,
     except _Found as hit:
         return hit.formula
     return None
+
+
+# ---------------------------------------------------------------------------
+# Printers as one isinstance chain per term language (before the shared
+# precedence table of `gvpa.syntax.render`)
+
+_CHOICE, _PAR, _TIGHT = 0, 1, 2
+
+
+def reference_expr_str(expr, _req: int = _CHOICE) -> str:
+    """Pretty-print so that reparsing yields a structurally identical AST."""
+    if isinstance(expr, Deadlock):
+        text, level = "delta", _TIGHT
+    elif isinstance(expr, Name):
+        text, level = expr.name, _TIGHT
+    elif isinstance(expr, Prefix):
+        text, level = f"{label_str(expr.label)}.{reference_expr_str(expr.body, _TIGHT)}", _TIGHT
+    elif isinstance(expr, Cond):
+        text = f"({expr.var} = {expr.value}) -> {reference_expr_str(expr.body, _TIGHT)}"
+        level = _TIGHT
+    elif isinstance(expr, Encap):
+        inner = ", ".join(sorted(expr.blocked))
+        text, level = f"encap({{{inner}}}) {reference_expr_str(expr.body, _TIGHT)}", _TIGHT
+    elif isinstance(expr, Parallel):
+        text = f"{reference_expr_str(expr.left, _PAR)} || {reference_expr_str(expr.right, _TIGHT)}"
+        level = _PAR
+    elif isinstance(expr, Choice):
+        text = f"{reference_expr_str(expr.left, _CHOICE)} + {reference_expr_str(expr.right, _PAR)}"
+        level = _CHOICE
+    else:
+        raise TypeError(f"not a process expression: {expr!r}")
+    if level < _req:
+        return f"({text})"
+    return text
+
+
+_OR, _AND, _UNARY = 0, 1, 2
+
+
+def _labels_str(labels: frozenset) -> str:
+    rendered = sorted(
+        (label_str(l) if isinstance(l, (Action, Assign)) else str(l))
+        for l in labels
+    )
+    return ",".join(rendered)
+
+
+def reference_formula_str(formula, _req: int = _OR) -> str:
+    if isinstance(formula, HTrue):
+        text, level = "true", _UNARY
+    elif isinstance(formula, HFalse):
+        text, level = "false", _UNARY
+    elif isinstance(formula, Check):
+        text, level = f"({formula.var} = {formula.value})", _UNARY
+    elif isinstance(formula, Not):
+        text, level = f"!{reference_formula_str(formula.sub, _UNARY)}", _UNARY
+    elif isinstance(formula, Diamond):
+        text = f"<{_labels_str(formula.labels)}> {reference_formula_str(formula.sub, _UNARY)}"
+        level = _UNARY
+    elif isinstance(formula, Box):
+        text = f"[{_labels_str(formula.labels)}] {reference_formula_str(formula.sub, _UNARY)}"
+        level = _UNARY
+    elif isinstance(formula, SetVar):
+        text = (f"set {formula.var} := {formula.value} . "
+                f"{reference_formula_str(formula.sub, _UNARY)}")
+        level = _UNARY
+    elif isinstance(formula, And):
+        text = (f"{reference_formula_str(formula.left, _AND)} && "
+                f"{reference_formula_str(formula.right, _UNARY)}")
+        level = _AND
+    elif isinstance(formula, Or):
+        text = (f"{reference_formula_str(formula.left, _OR)} || "
+                f"{reference_formula_str(formula.right, _AND)}")
+        level = _OR
+    else:
+        raise TypeError(f"not a formula: {formula!r}")
+    if level < _req:
+        return f"({text})"
+    return text
+
+
+def _build_namer(out):
+    namer = _Namer()
+    namer.add("value", "v_", out.spec.domain.values)
+    namer.add("var", "g_", out.spec.variables)
+    namer.add("action", "a_", out.spec.actions)
+    namer.add("proc", "P_", out.spec.process_names)
+    return namer
+
+
+def _render_data(expr, namer, symbols: dict[str, str]) -> str:
+    if isinstance(expr, DConst):
+        return symbols[expr.symbol]
+    if isinstance(expr, DBool):
+        return "true" if expr.value else "false"
+    if isinstance(expr, DVar):
+        return expr.name
+    if isinstance(expr, DEq):
+        return (f"{_render_data(expr.left, namer, symbols)} == "
+                f"{_render_data(expr.right, namer, symbols)}")
+    if isinstance(expr, DAnd):
+        return " && ".join(_render_data(c, namer, symbols) for c in expr.conjuncts)
+    raise TypeError(f"not a data expression: {expr!r}")
+
+
+def _render_act(act, namer, symbols: dict[str, str]) -> str:
+    name = namer.get("action", act.name)
+    if not act.args:
+        return name
+    args = ", ".join(_render_data(a, namer, symbols) for a in act.args)
+    return f"{name}({args})"
+
+
+def _render_maction(action, namer, symbols: dict[str, str]) -> str:
+    parts = []
+
+    def collect(node):
+        if isinstance(node, MBar):
+            collect(node.left)
+            collect(node.right)
+        elif isinstance(node, MAct):
+            parts.append(_render_act(node, namer, symbols))
+        else:
+            parts.append("tau")
+
+    collect(action)
+    text = "|".join(parts)
+    return f"({text})" if len(parts) > 1 else text
+
+
+_M_CHOICE, _M_PAR, _M_PREFIX, _M_ATOM = 0, 1, 2, 3
+
+
+def reference_render_proc(proc, namer, symbols: dict[str, str],
+                          req: int = _M_CHOICE) -> str:
+    if isinstance(proc, MDeadlock):
+        text, level = "delta", _M_ATOM
+    elif isinstance(proc, MCall):
+        name = namer.get("proc", proc.name)
+        if proc.args:
+            args = ", ".join(_render_data(a, namer, symbols) for a in proc.args)
+            text = f"{name}({args})"
+        else:
+            text = name
+        level = _M_ATOM
+    elif isinstance(proc, MPrefix):
+        act = _render_maction(proc.action, namer, symbols)
+        text = f"{act} . {reference_render_proc(proc.body, namer, symbols, _M_PREFIX)}"
+        level = _M_PREFIX
+    elif isinstance(proc, MSum):
+        body = reference_render_proc(proc.body, namer, symbols, _M_CHOICE)
+        text, level = f"(sum {proc.var}: GvValue . {body})", _M_ATOM
+    elif isinstance(proc, MParallel):
+        text = (f"{reference_render_proc(proc.left, namer, symbols, _M_PAR)} || "
+                f"{reference_render_proc(proc.right, namer, symbols, _M_PREFIX)}")
+        level = _M_PAR
+    elif isinstance(proc, MChoice):
+        text = (f"{reference_render_proc(proc.left, namer, symbols, _M_CHOICE)} + "
+                f"{reference_render_proc(proc.right, namer, symbols, _M_PAR)}")
+        level = _M_CHOICE
+    elif isinstance(proc, MAllow):
+        names = ", ".join(
+            "|".join(sorted(m.elements())) for m in sorted(
+                proc.allowed, key=lambda m: sorted(m.elements())))
+        # the allow set is rendered from the caller's ordered name list
+        text = f"allow({{{names}}}, {reference_render_proc(proc.body, namer, symbols)})"
+        level = _M_ATOM
+    elif isinstance(proc, MHide):
+        names = ", ".join(sorted(proc.hidden))
+        text = f"hide({{{names}}}, {reference_render_proc(proc.body, namer, symbols)})"
+        level = _M_ATOM
+    elif isinstance(proc, MComm):
+        entries = ", ".join(
+            "|".join(lhs.elements()) + " -> " + result
+            for lhs, result in proc.entries)
+        text = f"comm({{{entries}}}, {reference_render_proc(proc.body, namer, symbols)})"
+        level = _M_ATOM
+    else:
+        raise TypeError(f"not an mCRL2 process: {proc!r}")
+    if level < req:
+        return f"({text})"
+    return text
+
+
+def _reference_render_mcrl2_spec(out) -> str:
+    """The .mcrl2 model; deterministic, byte-stable rendering."""
+    namer = _build_namer(out)
+    symbols = {}
+    for value in out.spec.domain.values:
+        symbols[value] = namer.get("value", value)
+    for var in out.spec.variables:
+        if var in symbols:
+            raise SpecValidationError(
+                [f"variable {var} also names a domain value; the rendered "
+                 "model cannot keep both"])
+        symbols[var] = namer.get("var", var)
+
+    lines = ["% mCRL2 model generated from a global-variable process specification.",
+             ""]
+    lines.append("sort GvValue = struct "
+                 + " | ".join(symbols[v] for v in out.spec.domain.values) + ";")
+    lines.append("sort GvName = struct "
+                 + " | ".join(symbols[v] for v in out.spec.variables) + ";")
+    lines.append("")
+
+    lines.append("act")
+    plain = sorted(namer.get("action", a) for a in out.spec.actions)
+    if plain:
+        lines.append("  " + ", ".join(plain) + ";")
+    lines.append("  assign, assignG, assignP: GvName # GvValue;")
+    lines.append("  value: GvName # GvValue;")
+    check_sorts = " # ".join(["GvValue"] * len(out.slots)) + " # Bool"
+    lines.append(f"  check, checkG, checkP: {check_sorts};")
+    lines.append("")
+
+    lines.append("proc")
+    for name, params, body in out.menv.equations:
+        rendered_body = reference_render_proc(body, namer, symbols)
+        shown = namer.get("proc", name) if name != "Globs" else "Globs"
+        if params:
+            plist = ", ".join(f"{p}: GvValue" for p in params)
+            lines.append(f"  {shown}({plist}) = {rendered_body};")
+        else:
+            lines.append(f"  {shown} = {rendered_body};")
+    lines.append("")
+
+    allow_names = ", ".join(
+        name if name in {"value", "assign"} else namer.get("action", name)
+        for name in out.allow_names)
+    comm_part = ", ".join(
+        "|".join(namer.get("action", n) if n not in MACHINERY_NAMES else n
+                 for n in names) + " -> " + result
+        for names, result in out.comm_render)
+    hide_part = ", ".join(sorted(out.hidden))
+    inner_par = out.top.body.body.body  # MAllow(MHide(MComm(parallel)))
+    par = reference_render_proc(inner_par, namer, symbols, _M_CHOICE)
+    lines.append(f"init allow({{{allow_names}}}, hide({{{hide_part}}}, "
+                 f"comm({{{comm_part}}}, {par})));")
+    return "\n".join(lines) + "\n"
+
+
+def _mcf_action(label: str, namer, symbols: dict[str, str]) -> str:
+    if "(" not in label:
+        return namer.get("action", label)
+    name, rest = label.split("(", 1)
+    args = rest.rstrip(")").split(",")
+    shown = name if name in MACHINERY_NAMES else namer.get("action", name)
+    return f"{shown}({', '.join(symbols.get(a, a) for a in args)})"
+
+
+_F_OR, _F_AND, _F_UNARY = 0, 1, 2
+
+
+def reference_render_mcf(formula, namer, symbols: dict[str, str],
+                         req: int = _F_OR) -> str:
+    if isinstance(formula, HTrue):
+        text, level = "true", _F_UNARY
+    elif isinstance(formula, HFalse):
+        text, level = "false", _F_UNARY
+    elif isinstance(formula, Not):
+        text = f"!{reference_render_mcf(formula.sub, namer, symbols, _F_UNARY)}"
+        level = _F_UNARY
+    elif isinstance(formula, And):
+        text = (f"{reference_render_mcf(formula.left, namer, symbols, _F_AND)} && "
+                f"{reference_render_mcf(formula.right, namer, symbols, _F_UNARY)}")
+        level = _F_AND
+    elif isinstance(formula, Or):
+        text = (f"{reference_render_mcf(formula.left, namer, symbols, _F_OR)} || "
+                f"{reference_render_mcf(formula.right, namer, symbols, _F_AND)}")
+        level = _F_OR
+    elif isinstance(formula, (Diamond, Box)):
+        acts = " || ".join(sorted(
+            _mcf_action(l, namer, symbols) for l in formula.labels))
+        sub = reference_render_mcf(formula.sub, namer, symbols, _F_UNARY)
+        if isinstance(formula, Diamond):
+            text = f"<{acts}>{sub}"
+        else:
+            text = f"[{acts}]{sub}"
+        level = _F_UNARY
+    elif isinstance(formula, (Check, SetVar)):
+        raise FragmentError(
+            "emit translated formulas; check/set do not exist on the mCRL2 side")
+    else:
+        raise TypeError(f"not a formula: {formula!r}")
+    if level < req:
+        return f"({text})"
+    return text
+
+
+def _reference_render_mcf(formula, out) -> str:
+    """A single translated formula in mCRL2 modal-formula syntax."""
+    namer = _build_namer(out)
+    symbols = {v: namer.get("value", v) for v in out.spec.domain.values}
+    symbols.update({v: namer.get("var", v) for v in out.spec.variables})
+    return reference_render_mcf(formula, namer, symbols) + "\n"
+
+
+def reference_emit_mcrl2_files(out, formulas=(), base: str = "model") -> dict[str, str]:
+    """Translated model plus one .mcf per (already translated) formula."""
+    files = {f"{base}.mcrl2": _reference_render_mcrl2_spec(out)}
+    for i, formula in enumerate(formulas, start=1):
+        files[f"{base}_prop{i}.mcf"] = _reference_render_mcf(formula, out)
+    return files

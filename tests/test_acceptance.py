@@ -35,6 +35,7 @@ from gvpa.translate import (
     run_pipeline, translate_formula, translate_init, verify_variable_consistency,
 )
 
+DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CFG = ExplorationConfig(max_states=5000)
 
@@ -426,9 +427,9 @@ def test_criterion_12_golden_mcrl2_files(traffic):
     started = time.perf_counter()
     spec, init = traffic
     out = translate_init(spec, init.root, init.valuation)
-    formulas = [translate_formula(parse_formula(text, spec))
-                for text in ["(t = green)", "[assign(t, red)] (t = red)",
-                             "<drive> true"]]
+    # the same three formulas CI passes to `gvpa translate --formulas`
+    texts = (DATA / "traffic_props.txt").read_text(encoding="utf-8").splitlines()
+    formulas = [translate_formula(parse_formula(text, spec)) for text in texts]
     files = emit_mcrl2_files(out, formulas, base="traffic")
     if os.environ.get("GVPA_UPDATE_GOLDEN") == "1":
         for name, text in files.items():

@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +18,7 @@ from gvpa.syntax import InitSpec, enumerate_valuations, expr_str
 
 DATA = pathlib.Path(__file__).parent / "data"
 TRAFFIC = str(DATA / "traffic.gvpa")
+SRC = str(pathlib.Path(gvpa.syntax.__file__).resolve().parent.parent)
 
 EXAMPLE3 = """
 domain { 0, 1 }
@@ -65,6 +69,25 @@ class TestDeepNesting:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("prefixes, argv", [
+        (400, ["translate", "{file}", "--out", "{dir}"]),
+        (800, ["lts", "{file}", "--format", "dot"]),
+    ])
+    def test_chain_within_the_recursion_limit_exits_0(self, tmp_path, prefixes, argv):
+        # a fresh interpreter, so the test runner's frames do not count; a
+        # printer that spends more than one frame per nesting level fails
+        path = tmp_path / "deep.gvpa"
+        path.write_text("domain { 0 }\nvars { x }\nacts { a }\ninit " + "a." * prefixes
+                        + "delta with { x = 0 }\n", encoding="utf-8")
+        argv = [a.format(file=path, dir=tmp_path / "out") for a in argv]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys\nfrom gvpa.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestUnusableInput:
