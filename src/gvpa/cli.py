@@ -221,7 +221,7 @@ def _cmd_bisim(args) -> int:
 
 
 def _cmd_modelcheck(args) -> int:
-    from .hml import build_state_space, formula_str, fragment, parse_formula, satisfies
+    from .hml import formula_str, fragment, holds, parse_formula
     from .sos import GvState
 
     spec, init = _load(args)
@@ -231,8 +231,7 @@ def _cmd_modelcheck(args) -> int:
     else:
         text = Path(args.formula_file).read_text(encoding="utf-8").strip()
     formula = parse_formula(text, spec)
-    space = build_state_space(spec, [init.root], cfg)
-    verdict = satisfies(space, GvState(init.root, init.valuation), formula)
+    verdict = holds(spec, GvState(init.root, init.valuation), formula, cfg)
     _emit(args, {"verdict": verdict,
                  "fragment": fragment(formula),
                  "formula": formula_str(formula)},

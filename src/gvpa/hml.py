@@ -1,22 +1,34 @@
 """Hennessy-Milner logic with valuation checks and valuation rewrites.
 
-Formulas are evaluated over a grid state space: the reachable-expression
-closure of the roots crossed with every valuation. The grid is the
-smallest carrier closed under both transitions and the valuation rewrite
-that the set operator performs, which may leave the reachable fragment.
+A state is numbered ``e * count + code`` by its expression ``e`` and its
+valuation code, so a check reads one digit of the number and the set
+operator rewrites one. The set operator may leave the reachable fragment.
+
+`holds` decides one state locally: top down, memoised on (state,
+subformula), stepping a state only when a modality asks for it (Stirling
+& Walker, "Local model checking in the modal mu-calculus", TCS 1991).
+HML has no fixpoints, so a verdict depends only on the states that the
+formula's modalities and set operators reach. `satisfies` and
+`holds_on_lts` answer through the same core over given transitions.
+
+`eval_formula` gives a formula's whole denotation on a grid state space
+(`build_state_space`): the reachable-expression closure of the roots
+crossed with every valuation, the smallest carrier closed under both
+transitions and set.
 """
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .errors import FragmentError, SpecSyntaxError
+from .errors import FragmentError, ResourceLimitError, SpecSyntaxError
 from .parser import TokenStream, tokenize
 from .sos import (
-    DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, expression_closure, state_str,
+    DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, _Stepper, expression_closure,
+    state_str,
 )
 from .syntax import (
     Action, Assign, ProcessExpr, Record, RecursiveSpec, Term, TransitionLabel,
-    Valuation, label_str, render,
+    Valuation, ValuationCodes, check_valuation_cap, label_str, render,
 )
 
 
@@ -427,12 +439,121 @@ def eval_formula(space: StateSpace, formula: HmlFormula,
                        space.atom, formula, _memo if _memo is not None else {})
 
 
-def satisfies(space: StateSpace, state: GvState, formula: HmlFormula) -> bool:
-    return space.index_of(state) in eval_formula(space, formula)
-
-
 def _no_atoms(formula: HmlFormula, sub) -> frozenset[int]:
     raise FragmentError("check/set operators are not defined on plain LTSs")
+
+
+# ---------------------------------------------------------------------------
+# Local evaluation at one state
+
+
+def _holds(successors: Callable[[int], list[tuple]],
+           atom: Callable[[HmlFormula, int], bool | int],
+           cap: int, key: int, formula: HmlFormula) -> bool:
+    """Whether a formula holds at state ``key``, evaluated top down with
+    short-circuits and memoised on (state, subformula).
+
+    ``successors(i)`` lists the ``(label, j)`` moves of state ``i``; it is
+    called once per state, and only for the states a modality asks about,
+    at most ``cap`` of them. ``atom(formula, i)`` gives the truth of a
+    check at ``i``, or the state a set operator rewrites ``i`` to. One
+    formula level costs one Python frame.
+    """
+    memo: dict[tuple, bool] = {}
+    moves: dict[int, list[tuple]] = {}
+
+    def step(i: int) -> list[tuple]:
+        out = moves.get(i)
+        if out is None:
+            if len(moves) >= cap:
+                raise ResourceLimitError(
+                    f"stepped-state cap of {cap} exceeded: the formula needs "
+                    f"more than {cap} distinct states stepped",
+                    limit=cap, reached=cap + 1)
+            out = moves[i] = successors(i)
+        return out
+
+    def ev(i: int, f: HmlFormula) -> bool:
+        cls = f.__class__
+        if cls is HTrue:
+            return True
+        if cls is HFalse:
+            return False
+        if cls is Check:
+            return atom(f, i)
+        out = memo.get((i, f))
+        if out is not None:
+            return out
+        if cls is And:
+            out = ev(i, f.left) and ev(i, f.right)
+        elif cls is Or:
+            out = ev(i, f.left) or ev(i, f.right)
+        elif cls is Not:
+            out = not ev(i, f.sub)
+        elif cls is Diamond:
+            labels, sub = f.labels, f.sub
+            out = False
+            for label, j in step(i):
+                if label in labels and ev(j, sub):
+                    out = True
+                    break
+        elif cls is Box:
+            labels, sub = f.labels, f.sub
+            out = True
+            for label, j in step(i):
+                if label in labels and not ev(j, sub):
+                    out = False
+                    break
+        elif cls is SetVar:
+            out = ev(atom(f, i), f.sub)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        memo[i, f] = out
+        return out
+
+    return ev(key, formula)
+
+
+def _digit_atom(codes: ValuationCodes) -> Callable[[HmlFormula, int], bool | int]:
+    """Checks and set operators on states numbered ``e * codes.count + code``:
+    ``count`` is a multiple of every digit's ``weight * base``, so the digit
+    of a variable reads the same in the state number as in its code."""
+    base = codes.base
+
+    def atom(formula: Check | SetVar, i: int) -> bool | int:
+        weight, digit = codes.test(formula.var, formula.value)
+        current = i // weight % base
+        if formula.__class__ is Check:
+            return current == digit
+        return i + (digit - current) * weight
+
+    return atom
+
+
+def holds(spec: RecursiveSpec, state: GvState, formula: HmlFormula,
+          cfg: ExplorationConfig = DEFAULT_CONFIG) -> bool:
+    """Whether a formula holds at a state, stepping only the states that
+    its modalities and set operators reach.
+
+    The valuation count is checked against ``cfg.max_valuations`` first,
+    as a grid build does; ``cfg.max_states`` bounds the distinct states
+    stepped."""
+    codes = check_valuation_cap(spec, cfg.max_valuations)
+    stepper = _Stepper(spec)
+    return _holds(stepper.successors, _digit_atom(codes), cfg.max_states,
+                  stepper.key(state), formula)
+
+
+def satisfies(space: StateSpace, state: GvState, formula: HmlFormula) -> bool:
+    """Whether a formula holds at a grid state, over the grid's transitions."""
+    return _holds(space.transitions.__getitem__, _digit_atom(space.spec.codes),
+                  len(space.states), space.index_of(state), formula)
+
+
+def holds_on_lts(lts: Lts, state: int, formula: HmlFormula) -> bool:
+    """Whether a check- and set-free formula holds at a state of a plain
+    LTS."""
+    return _holds(lts.successors, _no_atoms, len(lts.states), state, formula)
 
 
 def eval_modal_on_lts(lts: Lts, formula: HmlFormula,

@@ -563,7 +563,9 @@ class _Keep:
     def parallel(self, proc: MParallel, left: list, right: list, complete: bool):
         """The parallel rule over steps this stack admits: the unrestricted
         rule's order, restricted to what can be kept. When the products are
-        complete, a left step is paired only with right steps that hold
+        incomplete, a left step is paired only with the right steps whose
+        names fit its own, judged once per pair of name tuples. When they
+        are complete, a left step is paired only with right steps that hold
         every argument tuple it needs, found through an index."""
         lnames = [self.names(alpha) for alpha, _ in left]
         rnames = [self.names(beta) for beta, _ in right]
@@ -575,11 +577,21 @@ class _Keep:
             return fits[a, b]
 
         if not complete:
-            return ([(alpha, MParallel(target, proc.right)) for alpha, target in left]
-                    + [(beta, MParallel(proc.left, target)) for beta, target in right]
-                    + [(alpha + beta, MParallel(lt, rt))
-                       for (alpha, lt), a in zip(left, lnames)
-                       for (beta, rt), b in zip(right, rnames) if fit(a, b)])
+            by_names: dict = {}
+            for j, b in enumerate(rnames):
+                by_names.setdefault(b, []).append(j)
+            partners: dict = {}
+            out = [(alpha, MParallel(target, proc.right)) for alpha, target in left]
+            out += [(beta, MParallel(proc.left, target)) for beta, target in right]
+            for (alpha, lt), a in zip(left, lnames):
+                js = partners.get(a)
+                if js is None:
+                    js = partners[a] = sorted(j for b, group in by_names.items()
+                                              if fit(a, b) for j in group)
+                for j in js:
+                    beta, rt = right[j]
+                    out.append((alpha + beta, MParallel(lt, rt)))
+            return out
         lneeds = [self.needs(alpha) for alpha, _ in left]
         rneeds = [self.needs(beta) for beta, _ in right]
         rargs = [frozenset(e.args for e in beta._counts) for beta, _ in right]

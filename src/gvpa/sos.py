@@ -186,6 +186,7 @@ class _Stepper:
         self.exprs: list[ProcessExpr] = []
         self._number: dict[ProcessExpr, int] = {}
         self._memo = _RowMemo(spec)
+        self._tables: dict[int, tuple] = {}
 
     def number(self, expr: ProcessExpr) -> int:
         e = self._number.get(expr)
@@ -234,6 +235,26 @@ class _Stepper:
                                 if weight else code))
         # a step derived twice keeps its first position, as in a set of rules
         return list(dict.fromkeys(out)) if twice else out
+
+    # A state is searched as its key ``e * count + code``: the number ``e``
+    # of its expression and its valuation code.
+
+    def key(self, state: GvState) -> int:
+        return self.number(state.expr) * self.codes.count + self.codes.code(state.valuation)
+
+    def state(self, key: int) -> GvState:
+        e, code = divmod(key, self.codes.count)
+        return GvState(self.exprs[e], self.codes.valuation(code))
+
+    def successors(self, key: int) -> list[tuple]:
+        """``(label, target key)`` for each step of a state; each
+        expression's table is derived once and kept with the stepper."""
+        count = self.codes.count
+        e, code = divmod(key, count)
+        table = self._tables.get(e)
+        if table is None:
+            table = self._tables[e] = self.table(e)
+        return [(label, t * count + c) for label, t, c in self.moves(table, code)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,30 +319,12 @@ def _bfs_lts(roots: Iterable, successors, cap: int,
 
 def explore(spec: RecursiveSpec, roots: Sequence[GvState],
             cfg: ExplorationConfig = DEFAULT_CONFIG) -> tuple[Lts, tuple[int, ...]]:
-    """BFS over the reachable fragment from several roots at once.
-
-    A state is searched as the number ``e * count + code`` of its
-    expression ``e`` and its valuation code; each expression's table is
-    derived once and kept until the call returns."""
+    """BFS over the reachable fragment from several roots at once, on the
+    keys of one `_Stepper`, which keeps each expression's table until the
+    call returns."""
     stepper = _Stepper(spec)
-    tables: dict[int, tuple] = {}
-    codes = spec.codes
-    count = codes.count
-    keys = [stepper.number(root.expr) * count + codes.code(root.valuation)
-            for root in roots]
-
-    def successors(key):
-        e, code = divmod(key, count)
-        table = tables.get(e)
-        if table is None:
-            table = tables[e] = stepper.table(e)
-        return [(label, t * count + c) for label, t, c in stepper.moves(table, code)]
-
-    def state(key):
-        e, code = divmod(key, count)
-        return GvState(stepper.exprs[e], codes.valuation(code))
-
-    return _bfs_lts(keys, successors, cfg.max_states, state)
+    return _bfs_lts([stepper.key(root) for root in roots], stepper.successors,
+                    cfg.max_states, stepper.state)
 
 
 def generate_lts(spec: RecursiveSpec, init: InitSpec | GvState,

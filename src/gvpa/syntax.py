@@ -235,25 +235,35 @@ def render(node, rules: Mapping[type, tuple], need: int = 0) -> str:
     ``children`` pairs each child field, at most two, with the level the
     child needs, and ``show(node, *child_texts)`` returns the node's text
     from the texts of its children. A node whose level is below ``need`` is
-    put in parentheses. The children are rendered before ``show`` runs, so
-    one nesting level costs one Python frame.
+    put in parentheses. The walk keeps its own stack, so the nesting depth
+    of a term costs no Python frames.
     """
-    rule = rules.get(node.__class__)
-    if rule is None:
-        raise TypeError(f"no rule to render {node!r}")
-    level, children, show = rule
-    # one call per arity: calling `show` with star-args nearly doubled the
-    # time per level on deep chains (CPython 3.11)
-    if not children:
-        text = show(node)
-    elif len(children) == 1:
-        (field, child_need), = children
-        text = show(node, render(getattr(node, field), rules, child_need))
-    else:
-        (left, left_need), (right, right_need) = children
-        text = show(node, render(getattr(node, left), rules, left_need),
-                    render(getattr(node, right), rules, right_need))
-    return f"({text})" if level < need else text
+    texts: list[str] = []
+    # (node, need, rule): a node to expand; a rule marks one whose children
+    # are rendered and sit on top of ``texts``
+    todo = [(node, need, None)]
+    while todo:
+        node, need, rule = todo.pop()
+        if rule is None:
+            rule = rules.get(node.__class__)
+            if rule is None:
+                raise TypeError(f"no rule to render {node!r}")
+            children = rule[1]
+            if children:
+                todo.append((node, need, rule))
+                for field, child_need in reversed(children):
+                    todo.append((getattr(node, field), child_need, None))
+                continue
+            text = rule[2](node)
+        # one call per arity: calling `show` with star-args nearly doubled
+        # the time per level on deep chains (CPython 3.11)
+        elif len(rule[1]) == 1:
+            text = rule[2](node, texts.pop())
+        else:
+            right = texts.pop()
+            text = rule[2](node, texts.pop(), right)
+        texts.append(f"({text})" if rule[0] < need else text)
+    return texts[0]
 
 
 # Levels: choice is loosest, prefix-like operators are tightest.
@@ -588,6 +598,12 @@ def require_valid(spec: RecursiveSpec, init: InitSpec | None = None):
 def enumerate_valuations(spec: RecursiveSpec, cap: int = 4096) -> tuple[Valuation, ...]:
     """All total valuations, lexicographic in (variable order, domain order),
     which is the order of their codes; the valuations are the canonical ones."""
+    codes = check_valuation_cap(spec, cap)
+    return tuple(codes.valuation(code) for code in range(codes.count))
+
+
+def check_valuation_cap(spec: RecursiveSpec, cap: int) -> ValuationCodes:
+    """The spec's valuation codes, if they number at most ``cap``."""
     codes = spec.codes
     if codes.count > cap:
         raise ResourceLimitError(
@@ -595,4 +611,4 @@ def enumerate_valuations(spec: RecursiveSpec, cap: int = 4096) -> tuple[Valuatio
             limit=cap,
             reached=codes.count,
         )
-    return tuple(codes.valuation(code) for code in range(codes.count))
+    return codes

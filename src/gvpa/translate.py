@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from .errors import FragmentError, SpecValidationError
 from .hml import (
     FORMULA_RULES, And, Box, Check, Diamond, HFalse, HTrue, HmlFormula, Not, Or,
-    SetVar, StateSpace, TRUE, build_state_space, eval_modal_on_lts, satisfies,
+    SetVar, TRUE, holds, holds_on_lts,
 )
 from .bisim import (
     BisimResult, state_based_bisim, state_based_bisim_on_lts, strong_bisim,
@@ -423,14 +423,6 @@ class PipelineResult(Record, frozen=False):
     m_lts: Lts
     link: list[int]
     consistency: ConsistencyReport
-    # the source grid of check_theorem4 and the config it was built with
-    _grid: tuple | None
-
-    def source_grid(self, cfg: ExplorationConfig) -> StateSpace:
-        """The grid over the closure of the source root, built on first use."""
-        if self._grid is None or self._grid[0] != cfg:
-            self._grid = (cfg, build_state_space(self.out.spec, [self.gv_root.expr], cfg))
-        return self._grid[1]
 
 
 def run_pipeline(spec: RecursiveSpec, root: ProcessExpr, valuation: Valuation,
@@ -458,10 +450,11 @@ class Theorem4Report(Record, frozen=False):
 
 def check_theorem4(pipeline: PipelineResult, formula: HmlFormula,
                    cfg: ExplorationConfig = DEFAULT_CONFIG) -> Theorem4Report:
-    """Evaluates a check-fragment formula on both sides of the translation."""
-    source = satisfies(pipeline.source_grid(cfg), pipeline.gv_root, formula)
-    translated = (pipeline.m_lts.initial
-                  in eval_modal_on_lts(pipeline.m_lts, translate_formula(formula)))
+    """Evaluates a check-fragment formula at the roots of both sides of the
+    translation, stepping only the states the formula reaches."""
+    source = holds(pipeline.out.spec, pipeline.gv_root, formula, cfg)
+    translated = holds_on_lts(pipeline.m_lts, pipeline.m_lts.initial,
+                              translate_formula(formula))
     return Theorem4Report(formula=formula, source_verdict=source,
                           translated_verdict=translated)
 

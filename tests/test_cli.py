@@ -73,10 +73,12 @@ class TestDeepNesting:
     @pytest.mark.parametrize("prefixes, argv", [
         (400, ["translate", "{file}", "--out", "{dir}"]),
         (800, ["lts", "{file}", "--format", "dot"]),
+        (900, ["translate", "{file}", "--out", "{dir}"]),
     ])
     def test_chain_within_the_recursion_limit_exits_0(self, tmp_path, prefixes, argv):
         # a fresh interpreter, so the test runner's frames do not count; a
-        # printer that spends more than one frame per nesting level fails
+        # printer that spends more than one frame per nesting level fails,
+        # and at 900 prefixes one that recurses on the translated term does
         path = tmp_path / "deep.gvpa"
         path.write_text("domain { 0 }\nvars { x }\nacts { a }\ninit " + "a." * prefixes
                         + "delta with { x = 0 }\n", encoding="utf-8")

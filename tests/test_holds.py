@@ -1,0 +1,233 @@
+"""Local model checking: `holds` decides one state by stepping only the
+states a formula reaches, and agrees with the grid evaluators."""
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
+import pytest
+
+from genspecs import gen_pair, gen_parseq_spec, gen_spec, worker_grid_text
+from oracles import enumerate_check_formulas, reference_eval_formula
+
+import gvpa.hml
+import gvpa.sos
+from gvpa.cli import main
+from gvpa.errors import FragmentError, ResourceLimitError
+from gvpa.hml import (
+    And, Box, Check, Diamond, Not, Or, SetVar, TRUE, all_labels, build_state_space,
+    eval_formula, eval_modal_on_lts, formula_str, holds, holds_on_lts,
+    parse_formula, satisfies,
+)
+from gvpa.parser import parse_spec
+from gvpa.sos import ExplorationConfig, GvState, reachable_exprs
+from gvpa.syntax import ValuationCodes
+from gvpa.translate import check_theorem4, run_pipeline, translate_formula
+
+TRAFFIC = str(pathlib.Path(__file__).parent / "data" / "traffic.gvpa")
+SRC = str(pathlib.Path(gvpa.hml.__file__).resolve().parent.parent)
+CFG = ExplorationConfig(max_states=2000)
+
+
+def _formulas(spec, cap: int) -> list:
+    """Check-fragment formulas up to depth 2, and `Not`, `SetVar`, `Or` and
+    `Box` wrappers over a sample of them."""
+    labels = all_labels(spec)
+    formulas = enumerate_check_formulas(spec, labels, max_depth=2, cap=cap)
+    sample = formulas[::9]
+    formulas += [Not(f) for f in sample]
+    formulas += [SetVar(v, d, f) for f in sample
+                 for v in spec.variables for d in spec.domain.values]
+    formulas += [Or(f, g) for f, g in zip(sample, reversed(sample))]
+    formulas += [Box(frozenset({label}), SetVar(v, d, f))
+                 for f in sample[::3] for label in labels[:2]
+                 for v in spec.variables[:1] for d in spec.domain.values[-1:]]
+    return formulas
+
+
+def _agree_on_grid(spec, space, formulas, sample) -> int:
+    memo: dict = {}
+    reference_memo: dict = {}
+    compared = 0
+    for formula in formulas:
+        den = eval_formula(space, formula, memo)
+        assert den == reference_eval_formula(space, formula, reference_memo), \
+            formula_str(formula)
+        for i in sample:
+            state = space.states[i]
+            expected = i in den
+            assert holds(spec, state, formula, CFG) is expected, formula_str(formula)
+            assert satisfies(space, state, formula) is expected, formula_str(formula)
+            compared += 1
+    return compared
+
+
+class TestAgreesWithTheGrid:
+    """`holds` and `satisfies` against `eval_formula` and the successor-scan
+    reference, on sampled grid states, states off the reachable fragment
+    included."""
+
+    def test_gen_spec_grids(self):
+        rng = random.Random(5150)
+        compared = 0
+        for _ in range(20):
+            spec = gen_spec(rng)
+            p, q = gen_pair(rng, spec)
+            space = build_state_space(spec, [p, q], CFG)
+            sample = rng.sample(range(len(space.states)), min(4, len(space.states)))
+            compared += _agree_on_grid(spec, space, _formulas(spec, 150), sample)
+        assert compared > 20000
+
+    def test_parseq_grids(self):
+        rng = random.Random(5151)
+        compared = 0
+        for seed in range(12):
+            spec, root, _ = gen_parseq_spec(rng, state_cap=30, n_vars=1 + seed % 2)
+            space = build_state_space(spec, [root], CFG)
+            sample = rng.sample(range(len(space.states)), min(4, len(space.states)))
+            compared += _agree_on_grid(spec, space, _formulas(spec, 150), sample)
+        assert compared > 12000
+
+    def test_translated_side(self):
+        rng = random.Random(5152)
+        compared = 0
+        for _ in range(4):
+            spec, root, valuation = gen_parseq_spec(rng, state_cap=30)
+            pipe = run_pipeline(spec, root, valuation, CFG)
+            space = build_state_space(spec, [root], CFG)
+            source_root = space.index_of(pipe.gv_root)
+            memo: dict = {}
+            for formula in enumerate_check_formulas(spec, all_labels(spec),
+                                                    max_depth=2, cap=150):
+                translated = translate_formula(formula)
+                den = eval_modal_on_lts(pipe.m_lts, translated, memo)
+                for i in range(0, len(pipe.m_lts.states), 3):
+                    assert holds_on_lts(pipe.m_lts, i, translated) is (i in den)
+                report = check_theorem4(pipe, formula, CFG)
+                assert report.source_verdict is (source_root in eval_formula(space, formula))
+                assert report.translated_verdict is (pipe.m_lts.initial in den)
+                compared += 1
+        assert compared > 500
+
+    def test_checks_and_sets_are_not_defined_on_a_plain_lts(self, traffic):
+        spec, init = traffic
+        pipe = run_pipeline(spec, init.root, init.valuation, CFG)
+        for formula in (Check("t", "red"), SetVar("t", "red", TRUE)):
+            with pytest.raises(FragmentError):
+                holds_on_lts(pipe.m_lts, pipe.m_lts.initial, formula)
+
+
+class TestWorkDone:
+    """The evaluation steps a state only when a modality asks for it."""
+
+    @pytest.fixture()
+    def stepped(self, monkeypatch):
+        keys = []
+        successors = gvpa.sos._Stepper.successors
+        monkeypatch.setattr(gvpa.sos._Stepper, "successors",
+                            lambda self, key: keys.append(key) or successors(self, key))
+        monkeypatch.setattr(gvpa.hml, "expression_closure",
+                            lambda *args: pytest.fail("a closure was built"))
+        return keys
+
+    @pytest.mark.parametrize("text, at_most", [
+        ("[*] <*> true", 1 + 12),
+        ("<*> <*> false || [w1] [*] (x1 = v1)", 1 + 12),
+        ("[*] set x2 := v3 . <*> (x2 = v3) && <assign(x1, v1)> [*] false", 1 + 12 + 12),
+    ])
+    def test_depth_two_on_a_4096_state_grid(self, stepped, text, at_most):
+        spec, init = parse_spec(worker_grid_text(6, 4))
+        formula = parse_formula(text, spec)
+        holds(spec, GvState(init.root, init.valuation), formula)
+        # each state is stepped once, and within distance 2 of the root
+        # (the set operator reaches 12 more)
+        assert len(stepped) == len(set(stepped)) <= at_most <= 1 + 12 + 144
+
+    def test_each_state_and_subformula_is_evaluated_once(self, monkeypatch):
+        # a formula DAG of 5 levels whose tree unfolds to 9^5 visits
+        spec, init = parse_spec(worker_grid_text(2, 2))
+        reads = []
+        test = ValuationCodes.test
+        monkeypatch.setattr(ValuationCodes, "test",
+                            lambda self, *args: reads.append(args) or test(self, *args))
+        every = frozenset(all_labels(spec))
+        formula, subformulas = Check("x1", "v0"), 1
+        for _ in range(5):
+            formula = And(Box(every, Or(formula, Not(formula))), Diamond(every, formula))
+            subformulas += 5
+        assert holds(spec, GvState(init.root, init.valuation), formula)
+        # a check is read once per (state, parent) pair at most; W(2,2) has 4 states
+        assert len(reads) <= 4 * subformulas
+
+    def test_cap_below_the_closure_answers_a_depth_one_formula(self, capsys):
+        spec, init = parse_spec(open(TRAFFIC, encoding="utf-8").read())
+        assert len(reachable_exprs(spec, init.root)) > 1
+        assert main(["modelcheck", TRAFFIC, "--max-states", "1",
+                     "--formula", "<drive> true && [brake] false"]) == 0
+        assert capsys.readouterr().out == "true\n"
+
+    def test_a_formula_past_the_cap_exits_3(self, capsys):
+        assert main(["modelcheck", TRAFFIC, "--max-states", "2",
+                     "--formula", "[*] [*] [*] false"]) == 3
+        err = capsys.readouterr().err
+        assert err == ("resource limit: stepped-state cap of 2 exceeded: the formula "
+                       "needs more than 2 distinct states stepped\n")
+
+    def test_cap_counts_distinct_states(self):
+        spec, init = parse_spec(worker_grid_text(2, 2))
+        state = GvState(init.root, init.valuation)
+        # the four valuations of one expression, each stepped once
+        formula = parse_formula("[*] [*] [*] [*] true", spec)
+        assert holds(spec, state, formula, ExplorationConfig(max_states=4))
+        with pytest.raises(ResourceLimitError):
+            holds(spec, state, formula, ExplorationConfig(max_states=3))
+
+    def test_valuation_cap_is_checked_first(self, capsys):
+        assert main(["modelcheck", TRAFFIC, "--max-valuations", "1",
+                     "--formula", "true"]) == 3
+        assert capsys.readouterr().err == (
+            "resource limit: valuation space has 2 elements, exceeding the cap of 1\n")
+
+
+def test_300_levels_in_two_frames_each():
+    """A fresh interpreter, so the runner's frames do not count: the
+    recursion limit leaves room for two frames per formula level."""
+    levels = 300
+    code = f"""
+import sys
+from gvpa.hml import And, Box, Diamond, Not, Or, SetVar, TRUE, all_labels, holds
+from gvpa.parser import parse_spec
+from gvpa.sos import GvState
+
+spec, init = parse_spec(open({TRAFFIC!r}, encoding="utf-8").read())
+labels = all_labels(spec)
+formula = TRUE
+for i in range({levels}):
+    step = frozenset({{labels[i % len(labels)]}})
+    formula = [lambda f: Diamond(step, f), lambda f: Box(step, f), Not,
+               lambda f: SetVar("t", "red", f), lambda f: Or(Not(TRUE), f),
+               lambda f: And(TRUE, f)][i % 6](formula)
+state = GvState(init.root, init.valuation)
+sys.setrecursionlimit(2 * {levels} + 60)
+print(holds(spec, state, formula))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout in ("True\n", "False\n")
+
+
+def test_300_level_formula_through_the_cli(tmp_path):
+    text = "".join(("!", "<*> ", "set t := red . ", "[drive] ")[i % 4]
+                   for i in range(300)) + "(t = red)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom gvpa.cli import main\n"
+         "sys.exit(main(sys.argv[1:]))", "--json", "modelcheck", TRAFFIC,
+         "--formula", text],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode in (0, 1), done.stderr

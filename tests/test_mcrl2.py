@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import random
 
 from conftest import TRAFFIC_TEXT
-from genspecs import gen_mcrl2_term, gen_parseq_spec
+from genspecs import gen_mcrl2_term, gen_parseq_spec, ring_text, worker_grid_text
 from oracles import comm_normal_forms, reference_step_mcrl2
 
 import gvpa.mcrl2
@@ -272,6 +272,16 @@ class TestRestrictedComposition:
             out = translate_init(spec, root, valuation)
             compared += _agree_with_reference(out.menv, out.top, cap=200)
         assert compared > 200
+
+    @pytest.mark.parametrize("text", [worker_grid_text(2, 2), ring_text(2, 3),
+                                      ring_text(3, 3)],
+                             ids=["W(2,2)", "R(2,3)", "R(3,3)"])
+    def test_grid_and_ring_translations(self, text):
+        # several components below the allow: their inner products are
+        # incomplete and paired by name tuple
+        spec, init = parse_spec(text)
+        out = translate_init(spec, init.root, init.valuation)
+        assert _agree_with_reference(out.menv, out.top, cap=40) >= 24
 
     def test_fragment_terms_unlike_the_translation(self):
         compared = 0

@@ -19,7 +19,8 @@ from oracles import enumerate_check_formulas
 
 from gvpa import bisim, hml, mcrl2, parser, sos, syntax, translate
 from gvpa.hml import (
-    Box, Check, Diamond, FALSE, HmlFormula, TRUE, all_labels, parse_formula,
+    Box, Check, Diamond, FALSE, HmlFormula, TRUE, all_labels, build_state_space,
+    parse_formula,
 )
 from gvpa.mcrl2 import (
     DConst, DataExpr, GroundAction, MAct, MCall, MDELTA, MPrefix, Mcrl2Process,
@@ -291,7 +292,7 @@ def records():
     found = _records(pipe, {})
     _records(check_theorem4(pipe, parse_formula("<t1> true", spec)), found)
     _records(check_bisimilarity_preservation(pipe), found)
-    _records(pipe.source_grid(ExplorationConfig()), found)
+    _records(build_state_space(spec, [init.root]), found)
     _records(bisim.state_based_bisim_on_lts(pipe.gv_lts, 0, 0), found)
     _records(translate.check_corollary1(spec, init.root, init.root, init.valuation,
                                         init.valuation), found)
@@ -353,7 +354,7 @@ class TestRecords:
         assert spec._codes is not None and spec == syntax.RecursiveSpec(
             spec.domain, spec.variables, spec.actions, spec.equations, spec.comm)
         assert sos.Lts._fields == ("states", "transitions", "initial")
-        assert translate.PipelineResult._caches == ("_grid",)
+        assert translate.PipelineResult._caches == ()
 
     def test_constructor_signatures(self):
         state = GvState(Name("P"), Valuation(()))

@@ -280,18 +280,20 @@ class TestTheorems:
             assert report.agrees
             assert report.source_verdict is expected
 
-    def test_theorem4_builds_the_source_grid_once(self, traffic, monkeypatch):
-        import gvpa.translate
+    def test_theorem4_builds_no_grid(self, traffic, monkeypatch):
+        import gvpa.hml
+        import gvpa.sos
         spec, init = traffic
         builds = []
-        build = gvpa.translate.build_state_space
-        monkeypatch.setattr(gvpa.translate, "build_state_space",
-                            lambda *args: builds.append(args) or build(*args))
+        for module, name in ((gvpa.hml, "build_state_space"),
+                             (gvpa.hml, "expression_closure"),
+                             (gvpa.sos, "expression_closure")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: builds.append(name))
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
-        assert builds == []
-        for text in ("<drive> true", "(t = red)", "(t = green)"):
+        for text in ("<drive> true", "(t = red)", "(t = green)",
+                     "[assign(t, red)] (t = red)"):
             assert check_theorem4(pipe, parse_formula(text, spec), CFG).agrees
-        assert len(builds) == 1
+        assert builds == []
 
     def test_corollary1_reflexive(self, traffic):
         spec, init = traffic
