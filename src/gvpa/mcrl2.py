@@ -4,7 +4,9 @@ Multi-actions with data parameters, their multiset interpretation, the
 communication / hiding / allow operators on semantic multi-actions, and
 the operational rules for the process fragment (synchronous merge, sum
 over the finite domain, parameterised recursion). Under an allow, the
-merge forms only the multi-actions the allow/hide/comm stack can keep.
+merge forms only the multi-actions the allow/hide/comm stack can keep,
+and the outermost merge binds the sums whose binders one partner fixes.
+One step table per exploration keeps the steps of every term it meets.
 """
 from __future__ import annotations
 
@@ -222,6 +224,7 @@ class MBar(MultiAction):
 
 
 TAU = MTau()
+TRUE_DATA = DBool(True)
 
 
 def sem_multiaction(action: MultiAction,
@@ -396,95 +399,115 @@ class Mcrl2Spec(Record):
 
 def step_mcrl2(env: Mcrl2Spec, proc: Mcrl2Process,
                _unfolding: frozenset = frozenset()) -> tuple[tuple[Multiset, Mcrl2Process], ...]:
-    """All transitions of a process term, deterministically ordered.
+    """All transitions of a process term, deterministically ordered: the
+    unrestricted product rule's, with the steps no allow can keep left out
+    (a one-shot `_StepTable`)."""
+    return _StepTable(env).steps(proc, _unfolding)
 
-    Under an allow, composition builds only the multi-actions the
-    enclosing allow/hide/comm stack can keep (see ``_Keep``); the result is
-    the unrestricted product rule's, with the dropped candidates left out.
+
+class _StepTable(dict):
+    """The steps of the terms met in one exploration, keyed by ``(term,
+    unfolding set, keep, complete, bind)``; a missing entry is derived.
+
+    Without ``keep`` an entry lists ``(alpha, target)`` pairs. With it, it
+    lists only the steps the enclosing allow stack can keep (see `_Keep`),
+    as rows ``(alpha, target, names, needs, args)`` made once by
+    `_Keep.row`; ``complete`` says that nothing is added to a step before
+    that stack's comm, so its argument groups are final. ``bind`` holds the
+    ``(name, arguments)`` pairs with which the outermost join fixes sum
+    binders (see `_Keep.bound`). Terms are interned, so keys hash by id.
     """
-    return tuple(dict.fromkeys(_msteps(env, proc, _unfolding)))
 
+    __slots__ = ("env",)
 
-def _msteps(env: Mcrl2Spec, proc: Mcrl2Process, unfolding,
-            keep: _Keep | None = None, complete: bool = False):
-    """The steps of ``proc``. With ``keep``, only those an enclosing
-    allow stack can keep; ``complete`` says that nothing is added to a
-    step before that stack's comm, so its argument groups are final."""
-    if isinstance(proc, MDeadlock):
-        return []
-    if isinstance(proc, MPrefix):
-        alpha = sem_multiaction(proc.action)
-        if keep is not None and not keep.admits(alpha, complete):
+    def __init__(self, env: Mcrl2Spec):
+        super().__init__()
+        self.env = env
+
+    def steps(self, proc: Mcrl2Process, unfolding: frozenset = frozenset()) -> tuple:
+        # a root's own steps are not stored: the explorer steps each once
+        return tuple(dict.fromkeys(self._derive(proc, unfolding, None, False, None)))
+
+    def __missing__(self, key: tuple) -> list:
+        rows = self[key] = self._derive(*key)
+        return rows
+
+    def _derive(self, proc, unfolding, keep, complete, bind) -> list:
+        if isinstance(proc, MDeadlock):
             return []
-        return [(alpha, proc.body)]
-    if isinstance(proc, MChoice):
-        return (_msteps(env, proc.left, unfolding, keep, complete)
-                + _msteps(env, proc.right, unfolding, keep, complete))
-    if isinstance(proc, MParallel):
-        left = _msteps(env, proc.left, unfolding, keep)
-        right = _msteps(env, proc.right, unfolding, keep)
-        if keep is None:
+        if isinstance(proc, MPrefix):
+            steps = [(sem_multiaction(proc.action), proc.body)]
+            return steps if keep is None else keep.rows(steps, complete)
+        if isinstance(proc, MChoice):
+            return (self[proc.left, unfolding, keep, complete, bind]
+                    + self[proc.right, unfolding, keep, complete, bind])
+        if isinstance(proc, MParallel):
+            if keep is not None:
+                return keep.parallel(self, proc, unfolding, complete, bind)
+            left = self[proc.left, unfolding, None, False, None]
+            right = self[proc.right, unfolding, None, False, None]
             return ([(alpha, MParallel(target, proc.right)) for alpha, target in left]
                     + [(beta, MParallel(proc.left, target)) for beta, target in right]
                     + [(alpha + beta, MParallel(lt, rt))
                        for alpha, lt in left for beta, rt in right])
-        return keep.parallel(proc, left, right, complete)
-    if isinstance(proc, MSum):
-        out = []
-        for value in env.domain:
-            body = subst_proc(proc.body, proc.var, DConst(value))
-            out.extend(_msteps(env, body, unfolding, keep, complete))
-        return out
-    if isinstance(proc, MCall):
-        if proc.name in unfolding:
-            return []
-        params, body = env.equation(proc.name)
-        if len(params) != len(proc.args):
-            raise ValueError(
-                f"{proc.name} expects {len(params)} arguments, got {len(proc.args)}")
-        for param, arg in zip(params, proc.args):
-            value = eval_data(arg)
-            if not isinstance(value, str):
+        if isinstance(proc, MSum):
+            fixed = keep.bound(proc, bind, self.env.domain) if bind else None
+            if fixed is not None:
+                values, prefix = fixed
+                target = prefix.body
+                for var, value in values.items():
+                    target = subst_proc(target, var, DConst(value))
+                return keep.rows([(sem_multiaction(prefix.action, values), target)], complete)
+            return [row for value in self.env.domain
+                    for row in self[subst_proc(proc.body, proc.var, DConst(value)),
+                                    unfolding, keep, complete, bind]]
+        if isinstance(proc, MCall):
+            if proc.name in unfolding:
+                return []
+            params, body = self.env.equation(proc.name)
+            if len(params) != len(proc.args):
                 raise ValueError(
-                    f"argument of {proc.name} must be a domain value, got {value!r}")
-            body = subst_proc(body, param, DConst(value))
-        return _msteps(env, body, unfolding | {proc.name}, keep, complete)
-    # hide, comm and allow rewrite or filter labels, so an enclosing
-    # stack's restriction applies to what they return
-    steps = _operator_steps(env, proc, unfolding)
-    if keep is not None:
-        steps = [step for step in steps if keep.admits(step[0], complete)]
-    return steps
+                    f"{proc.name} expects {len(params)} arguments, got {len(proc.args)}")
+            for param, arg in zip(params, proc.args):
+                value = eval_data(arg)
+                if not isinstance(value, str):
+                    raise ValueError(
+                        f"argument of {proc.name} must be a domain value, got {value!r}")
+                body = subst_proc(body, param, DConst(value))
+            return self[body, unfolding | {proc.name}, keep, complete, bind]
+        # hide, comm and allow rewrite or filter labels, so an enclosing
+        # stack's restriction applies to what they return
+        steps = self._operator_steps(proc, unfolding)
+        return steps if keep is None else keep.rows(steps, complete)
 
-
-def _operator_steps(env: Mcrl2Spec, proc: Mcrl2Process, unfolding):
-    if isinstance(proc, MHide):
-        return [(apply_hide(proc.hidden, alpha), MHide(proc.hidden, target))
-                for alpha, target in _msteps(env, proc.body, unfolding)]
-    if isinstance(proc, MComm):
-        return [(apply_comm(proc.entries, alpha), MComm(proc.entries, target))
-                for alpha, target in _msteps(env, proc.body, unfolding)]
-    if not isinstance(proc, MAllow):
-        raise TypeError(f"not an mCRL2 process: {proc!r}")
-    body, hide, comm = proc.body, None, None
-    if isinstance(body, MHide):
-        hide, body = body, body.body
-    if isinstance(body, MComm):
-        comm, body = body, body.body
-    keep = _keep_for(proc.allowed, hide.hidden if hide else frozenset(),
-                     comm.entries if comm else ())
-    if keep is None:
-        steps = _msteps(env, proc.body, unfolding)
-    else:
-        steps = _msteps(env, body, unfolding, keep, True)
-        if comm is not None:
-            steps = [(apply_comm(comm.entries, alpha), MComm(comm.entries, target))
-                     for alpha, target in steps]
-        if hide is not None:
-            steps = [(apply_hide(hide.hidden, alpha), MHide(hide.hidden, target))
-                     for alpha, target in steps]
-    return [(alpha, MAllow(proc.allowed, target)) for alpha, target in steps
-            if not alpha or names_of(alpha) in proc.allowed]
+    def _operator_steps(self, proc: Mcrl2Process, unfolding) -> list:
+        if isinstance(proc, MHide):
+            return [(apply_hide(proc.hidden, alpha), MHide(proc.hidden, target))
+                    for alpha, target in self[proc.body, unfolding, None, False, None]]
+        if isinstance(proc, MComm):
+            return [(apply_comm(proc.entries, alpha), MComm(proc.entries, target))
+                    for alpha, target in self[proc.body, unfolding, None, False, None]]
+        if not isinstance(proc, MAllow):
+            raise TypeError(f"not an mCRL2 process: {proc!r}")
+        body, hide, comm = proc.body, None, None
+        if isinstance(body, MHide):
+            hide, body = body, body.body
+        if isinstance(body, MComm):
+            comm, body = body, body.body
+        keep = _keep_for(proc.allowed, hide.hidden if hide else frozenset(),
+                         comm.entries if comm else ())
+        if keep is None:
+            steps = self[proc.body, unfolding, None, False, None]
+        else:
+            steps = [row[:2] for row in self[body, unfolding, keep, True, None]]
+            if comm is not None:
+                steps = [(apply_comm(comm.entries, alpha), MComm(comm.entries, target))
+                         for alpha, target in steps]
+            if hide is not None:
+                steps = [(apply_hide(hide.hidden, alpha), MHide(hide.hidden, target))
+                         for alpha, target in steps]
+        return [(alpha, MAllow(proc.allowed, target)) for alpha, target in steps
+                if not alpha or names_of(alpha) in proc.allowed]
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +531,12 @@ class _Keep:
     So an argument group that still holds a stuck name after comm *needs*
     a partner with its arguments, and a complete step that needs one is
     dropped.
+
+    Binders: a stuck name N whose only way out is the entry ``N|G`` (and
+    G is on no other entry) leaves with a G of equal arguments only;
+    ``partner`` maps G to N. When every G of a complete join carries one
+    argument tuple, an N element holding a sum binder as a whole argument
+    fixes that binder, and the join steps only that instance.
     """
 
     def __init__(self, allowed, hidden, entries):
@@ -527,6 +556,13 @@ class _Keep:
             for parts in product(*choices):
                 closed.update(_sub_multisets(sum(parts, ())))
         self.closed = frozenset(closed)
+        on_lhs = Counter(n for lhs, _ in self.entries for n, _ in lhs)
+        self.partner = {}
+        for lhs, _ in self.entries:
+            if len(lhs) == 2 and all(c == 1 and on_lhs[n] == 1 for n, c in lhs):
+                for (n, _), (g, _) in (lhs, lhs[::-1]):
+                    if n not in self.kept:
+                        self.partner[g] = n
 
     def names(self, alpha: Multiset) -> tuple:
         out = []
@@ -536,15 +572,16 @@ class _Keep:
         out.sort()
         return tuple(out)
 
-    def needs(self, alpha: Multiset) -> frozenset:
-        """The argument tuples of the groups of ``alpha`` that still hold a
-        stuck name after comm."""
+    def row(self, alpha: Multiset, target, names: tuple) -> tuple:
+        """The row of a step: its names, the argument tuples of the groups
+        of ``alpha`` that still hold a stuck name after comm (its needs),
+        and all its argument tuples."""
         groups: dict = {}
         for element, count in alpha._counts.items():
             group = groups.setdefault(element.args, {})
             group[element.name] = group.get(element.name, 0) + count
-        return frozenset(args for args, group in groups.items()
-                         if self._stuck(group))
+        needs = frozenset(args for args, group in groups.items() if self._stuck(group))
+        return (alpha, target, names, needs, frozenset(groups))
 
     def _stuck(self, group: dict) -> bool:
         # without chains, apply_comm fires each entry as often as it can,
@@ -556,63 +593,123 @@ class _Keep:
                 group[result] = group.get(result, 0) + 1
         return any(c and n not in self.kept for n, c in group.items())
 
-    def admits(self, alpha: Multiset, complete: bool) -> bool:
-        return (self.names(alpha) in self.closed
-                and not (complete and self.needs(alpha)))
+    def rows(self, steps, complete: bool) -> list:
+        """The rows of the steps this stack admits."""
+        out = []
+        for alpha, target in steps:
+            names = self.names(alpha)
+            if names in self.closed:
+                row = self.row(alpha, target, names)
+                if not (complete and row[3]):
+                    out.append(row)
+        return out
 
-    def parallel(self, proc: MParallel, left: list, right: list, complete: bool):
-        """The parallel rule over steps this stack admits: the unrestricted
+    def binding(self, rows) -> dict:
+        """N -> arguments, for each N whose partner names carry a single
+        argument tuple in ``rows``."""
+        found: dict = {}
+        for row in rows:
+            for element in row[0]._counts:
+                if element.name in self.partner:
+                    found.setdefault(self.partner[element.name], set()).add(element.args)
+        return {n: args.pop() for n, args in found.items() if len(args) == 1}
+
+    def bound(self, proc: MSum, bind: tuple, domain) -> tuple | None:
+        """For a chain of sums over a prefix whose binders ``bind`` fixes
+        all, their values and the prefix; otherwise None.
+
+        A binder is fixed when the action holds it only in arguments of
+        bound names N, once as a whole argument: an instance with another
+        value holds an N whose group only a partner with other arguments
+        than the join's could free. The N must not be a partner itself,
+        since its instances would then carry partners the join never sees.
+        """
+        binders, body = [], proc
+        while isinstance(body, MSum):
+            if body.var in binders:
+                return None
+            binders.append(body.var)
+            body = body.body
+        if not isinstance(body, MPrefix):
+            return None
+        fixed, values = dict(bind), {}
+        for act in _acts(body.action):
+            args = fixed.get(act.name)
+            if args is None or self.partner.get(act.name) in fixed:
+                if any(subst_data(a, var, TRUE_DATA) is not a
+                       for a in act.args for var in binders):
+                    return None
+            elif len(args) == len(act.args):
+                for a, value in zip(act.args, args):
+                    if isinstance(a, DVar) and a.name in binders and value in domain:
+                        values.setdefault(a.name, value)
+        return (values, body) if len(values) == len(binders) else None
+
+    def parallel(self, table: _StepTable, proc: MParallel, unfolding,
+                 complete: bool, bind) -> list:
+        """The parallel rule over rows this stack admits: the unrestricted
         rule's order, restricted to what can be kept. When the products are
         incomplete, a left step is paired only with the right steps whose
         names fit its own, judged once per pair of name tuples. When they
         are complete, a left step is paired only with right steps that hold
-        every argument tuple it needs, found through an index."""
-        lnames = [self.names(alpha) for alpha, _ in left]
-        rnames = [self.names(beta) for beta, _ in right]
+        every argument tuple it needs, found through an index; and the
+        left operand is stepped with the binders the right one fixes, as
+        long as no partner name on the left carries other arguments."""
+        right = table[proc.right, unfolding, self, False, bind]
+        if complete:
+            bind = tuple(sorted(self.binding(right).items())) or None
+        left = table[proc.left, unfolding, self, False, bind]
+        if complete and bind:
+            fixed = self.binding(left + right)
+            if any(fixed.get(n) != args for n, args in bind):
+                left = table[proc.left, unfolding, self, False, None]
         fits: dict = {}
 
-        def fit(a: tuple, b: tuple) -> bool:
+        def fit(a: tuple, b: tuple):
             if (a, b) not in fits:
-                fits[a, b] = tuple(sorted(a + b)) in self.closed
+                names = tuple(sorted(a + b))
+                fits[a, b] = names if names in self.closed else None
             return fits[a, b]
 
         if not complete:
             by_names: dict = {}
-            for j, b in enumerate(rnames):
-                by_names.setdefault(b, []).append(j)
+            for j, row in enumerate(right):
+                by_names.setdefault(row[2], []).append(j)
             partners: dict = {}
-            out = [(alpha, MParallel(target, proc.right)) for alpha, target in left]
-            out += [(beta, MParallel(proc.left, target)) for beta, target in right]
-            for (alpha, lt), a in zip(left, lnames):
+            out = [(row[0], MParallel(row[1], proc.right)) + row[2:] for row in left]
+            out += [(row[0], MParallel(proc.left, row[1])) + row[2:] for row in right]
+            for alpha, lt, a, _, _ in left:
                 js = partners.get(a)
                 if js is None:
                     js = partners[a] = sorted(j for b, group in by_names.items()
-                                              if fit(a, b) for j in group)
+                                              if fit(a, b) is not None for j in group)
                 for j in js:
-                    beta, rt = right[j]
-                    out.append((alpha + beta, MParallel(lt, rt)))
+                    beta, rt, b = right[j][:3]
+                    out.append(self.row(alpha + beta, MParallel(lt, rt), fit(a, b)))
             return out
-        lneeds = [self.needs(alpha) for alpha, _ in left]
-        rneeds = [self.needs(beta) for beta, _ in right]
-        rargs = [frozenset(e.args for e in beta._counts) for beta, _ in right]
         holding: dict = {}
-        for j, args in enumerate(rargs):
-            for t in args:
+        for j, row in enumerate(right):
+            for t in row[4]:
                 holding.setdefault(t, []).append(j)
-        out = [(alpha, MParallel(target, proc.right))
-               for (alpha, target), needs in zip(left, lneeds) if not needs]
-        out += [(beta, MParallel(proc.left, target))
-                for (beta, target), needs in zip(right, rneeds) if not needs]
-        for (alpha, lt), a, needs in zip(left, lnames, lneeds):
-            largs = frozenset(e.args for e in alpha._counts)
+        out = [(row[0], MParallel(row[1], proc.right)) + row[2:] for row in left if not row[3]]
+        out += [(row[0], MParallel(proc.left, row[1])) + row[2:] for row in right if not row[3]]
+        for alpha, lt, a, needs, largs in left:
             js = holding.get(next(iter(needs)), ()) if needs else range(len(right))
             for j in js:
-                if needs <= rargs[j] and rneeds[j] <= largs and fit(a, rnames[j]):
-                    beta, rt = right[j]
-                    gamma = alpha + beta
-                    if not self.needs(gamma):
-                        out.append((gamma, MParallel(lt, rt)))
+                beta, rt, b, rneeds, rargs = right[j]
+                if needs <= rargs and rneeds <= largs:
+                    names = fit(a, b)
+                    if names is not None:
+                        row = self.row(alpha + beta, MParallel(lt, rt), names)
+                        if not row[3]:
+                            out.append(row)
         return out
+
+
+def _acts(action: MultiAction) -> list:
+    if isinstance(action, MBar):
+        return _acts(action.left) + _acts(action.right)
+    return [action] if isinstance(action, MAct) else []
 
 
 def _sub_multisets(names: tuple):
@@ -660,9 +757,11 @@ def explore_mcrl2(env: Mcrl2Spec, roots: Sequence[Mcrl2Process],
                   cfg: ExplorationConfig = DEFAULT_CONFIG) -> tuple[Lts, tuple[int, ...]]:
     """BFS-reachable fragment from several roots; labels are canonical
     multi-action strings."""
+    table = _StepTable(env)
+
     def successors(term: Mcrl2Process):
         return [(canonical_label(env.domain, sem), target)
-                for sem, target in step_mcrl2(env, term)]
+                for sem, target in table.steps(term)]
 
     return _bfs_lts(roots, successors, cfg.max_states)
 

@@ -398,10 +398,16 @@ def verify_variable_consistency(spec: RecursiveSpec, gv_lts: Lts, m_lts: Lts,
     for i, m_state in enumerate(link):
         preimages.setdefault(m_state, []).append(i)
     for s, label, t in m_lts.transitions:
-        if label not in tl_labels:
+        if label not in tl_labels or s not in preimages:
             continue
-        for i in preimages.get(s, ()):
-            for j in preimages.get(t, ()):
+        if t not in preimages:
+            return ConsistencyReport(
+                ok=False, condition=3,
+                witness=(f"translated transition {s} --{label}--> {t} leaves "
+                         f"the image of {state_str(gv_lts.states[preimages[s][0]])}: "
+                         f"state {t} is the image of no source state"))
+        for i in preimages[s]:
+            for j in preimages[t]:
                 if (i, label, j) not in gv_trans:
                     return ConsistencyReport(
                         ok=False, condition=3,

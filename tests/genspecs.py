@@ -3,7 +3,9 @@
 Three families: small guarded specs over the full grammar (for the
 equivalence/logic criteria), parallel-sequential single-variable specs
 (for the translation criteria) and terms of the mCRL2 fragment that the
-translation never produces (for the restricted composition). Two scaled
+translation never produces (for the restricted composition), and terms
+whose sums feed a checkP-like name (for the binding of sum binders at the
+join). Two scaled
 families as spec texts: the worker grid W(n,k) (many valuations) and the
 handshake ring R(n,L) (many expressions). The
 parallel-sequential generator never puts a condition directly over delta
@@ -17,8 +19,8 @@ import random
 
 from gvpa.errors import ResourceLimitError
 from gvpa.mcrl2 import (
-    DConst, DVar, MAct, MAllow, MBar, MCall, MChoice, MComm, MDELTA, MHide,
-    MParallel, MPrefix, MSum, Mcrl2Spec, Multiset, TAU,
+    DBool, DConst, DEq, DVar, MAct, MAllow, MBar, MCall, MChoice, MComm, MDELTA,
+    MHide, MParallel, MPrefix, MSum, Mcrl2Spec, Multiset, TAU,
 )
 from gvpa.sos import ExplorationConfig, GvState, explore, reachable_exprs
 from gvpa.syntax import (
@@ -405,3 +407,84 @@ def gen_mcrl2_term(rng: random.Random):
         else:
             term = MAllow(_m_allowed(rng), term)
     return env, term
+
+
+# ---------------------------------------------------------------------------
+# mCRL2 terms whose sums feed a stuck name (binding at the join)
+
+_B_DOMAIN = ("0", "1")
+
+
+def _b_arg(rng: random.Random, binders: tuple):
+    roll = rng.random()
+    if binders and roll < 0.6:
+        return DVar(rng.choice(binders))
+    if binders and roll < 0.75:
+        return DEq(DVar(rng.choice(binders)), DConst(rng.choice(_B_DOMAIN)))
+    return DConst(rng.choice(_B_DOMAIN))
+
+
+def _b_action(rng: random.Random, binders: tuple):
+    acts = [MAct("p", (_b_arg(rng, binders), _b_arg(rng, binders)))]
+    if rng.random() < 0.5:
+        acts.append(MAct("a", (_b_arg(rng, binders),) if rng.random() < 0.2 else ()))
+    if rng.random() < 0.15:
+        acts.append(MAct("g", (_b_arg(rng, binders), _b_arg(rng, binders))))
+    rng.shuffle(acts)
+    action = acts[0]
+    for act in acts[1:]:
+        action = MBar(action, act)
+    return action
+
+
+def _b_seq(rng: random.Random, depth: int, binders: tuple):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.2:
+        if binders and rng.random() < 0.3:
+            return MCall("K", (DVar(rng.choice(binders)),))
+        return MCall("L") if rng.random() < 0.7 else MDELTA
+    if roll < 0.55:
+        return MPrefix(_b_action(rng, binders), _b_seq(rng, depth - 1, binders))
+    if roll < 0.7:
+        return MChoice(_b_seq(rng, depth - 1, binders), _b_seq(rng, depth - 1, binders))
+    var = rng.choice(binders) if binders and rng.random() < 0.15 else f"x{len(binders)}"
+    binders += (var,)
+    if rng.random() < 0.6:  # a chain of sums over a prefix, as chi makes
+        return MSum(var, MPrefix(_b_action(rng, binders), _b_seq(rng, depth - 1, binders)))
+    return MSum(var, _b_seq(rng, depth - 1, binders))
+
+
+def _b_partner(rng: random.Random, second):
+    """A summand of R(r): g carries r and mostly R's one second argument,
+    else another constant or a value of n."""
+    if rng.random() < 0.25:
+        second = DVar("n") if rng.random() < 0.3 else rng.choice(
+            (DConst("0"), DConst("1"), DBool(True)))
+    g = MAct(rng.choice("ggggp"), (DVar("r"), second))
+    action = rng.choice((g, g, MBar(g, g), MAct("b"), MBar(g, MAct("b"))))
+    target = MCall("R", (rng.choice((DVar("r"), DVar("n"), DConst("0"))),))
+    return MSum("n", MPrefix(action, target))
+
+
+def gen_bind_term(rng: random.Random):
+    """An environment and a term shaped like the translation's top: allow
+    over hide({c}) over comm(p|g -> c) over a left operand and a partner
+    R. As checkP does, p leaves only with a g of equal arguments. Sums on
+    the left feed p, and also plain actions, g, conditions, continuations
+    and shadowed binders; R offers g with one or several argument tuples,
+    and sometimes p."""
+    second = rng.choice((DConst("0"), DBool(True)))
+    right = _b_partner(rng, second)
+    for _ in range(rng.randint(0, 2)):
+        right = MChoice(right, _b_partner(rng, second))
+    env = Mcrl2Spec(domain=_B_DOMAIN, equations=(
+        ("L", (), _b_seq(rng, 4, ())),
+        ("K", ("k",), MPrefix(MBar(MAct("a"), MAct("p", (DVar("k"), DConst("0")))),
+                              MCall("L"))),
+        ("R", ("r",), right)))
+    left = MCall("L") if rng.random() < 0.5 else MParallel(MCall("L"), _b_seq(rng, 3, ()))
+    allowed = frozenset(Multiset(names) for names in (["a"], ["b"], ["a", "b"], ["a", "a"])
+                        if rng.random() < 0.8)
+    comm = ((Multiset(["g", "p"]), "c"),)
+    return env, MAllow(allowed, MHide(frozenset({"c"}), MComm(
+        comm, MParallel(left, MCall("R", (DConst(rng.choice(_B_DOMAIN)),))))))

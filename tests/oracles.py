@@ -17,7 +17,8 @@ from gvpa.hml import (
 from gvpa.mcrl2 import (
     DAnd, DBool, DConst, DEq, DVar, GroundAction, MAct, MAllow, MBar, MCall,
     MChoice, MComm, MDeadlock, MHide, MParallel, MPrefix, MSum, Multiset,
-    apply_comm, apply_hide, names_of, sem_multiaction, subst_proc,
+    apply_comm, apply_hide, canonical_label, names_of, sem_multiaction,
+    subst_proc,
 )
 from gvpa.sos import GvState, Lts
 from gvpa.syntax import (
@@ -305,6 +306,25 @@ def _reference_steps(env, proc, unfolding) -> list:
         return [(a, MAllow(proc.allowed, t)) for a, t in steps
                 if not a or names_of(a) in proc.allowed]
     raise TypeError(f"not an mCRL2 process: {proc!r}")
+
+
+def reference_explore_mcrl2(env, roots, cap: int):
+    """Breadth-first search over `reference_step_mcrl2` from several roots:
+    the states in discovery order and the ``(i, label, j)`` transitions, or
+    None once more than ``cap`` states are found."""
+    index = {}
+    for root in roots:
+        index.setdefault(root, len(index))
+    states, transitions = list(index), []
+    for i, state in enumerate(states):
+        for sem, target in reference_step_mcrl2(env, state):
+            if target not in index:
+                if len(states) == cap:
+                    return None
+                index[target] = len(states)
+                states.append(target)
+            transitions.append((i, canonical_label(env.domain, sem), index[target]))
+    return states, transitions
 
 
 # ---------------------------------------------------------------------------

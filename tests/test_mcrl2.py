@@ -4,19 +4,23 @@ from hypothesis import strategies as st
 
 import random
 
-from conftest import TRAFFIC_TEXT
-from genspecs import gen_mcrl2_term, gen_parseq_spec, ring_text, worker_grid_text
-from oracles import comm_normal_forms, reference_step_mcrl2
+from conftest import GOLDEN, TRAFFIC_TEXT
+from genspecs import (
+    gen_bind_term, gen_mcrl2_term, gen_parseq_spec, ring_text, worker_grid_text,
+)
+from oracles import comm_normal_forms, reference_explore_mcrl2
 
 import gvpa.mcrl2
 
+from gvpa.errors import ResourceLimitError
 from gvpa.mcrl2 import (
     DBool, DConst, DVar, EMPTY_MULTISET, GroundAction, MAct, MAllow, MBar,
-    MCall, MChoice, MDELTA, MParallel, MPrefix, MSum, Mcrl2Spec, Multiset,
-    TAU, apply_comm, apply_hide, canonical_label, explore_mcrl2,
+    MCall, MChoice, MComm, MDELTA, MHide, MParallel, MPrefix, MSum, Mcrl2Spec,
+    Multiset, TAU, apply_comm, apply_hide, canonical_label, explore_mcrl2,
     generate_lts_mcrl2, sem_multiaction, step_mcrl2,
 )
 from gvpa.parser import parse_spec
+from gvpa.sos import ExplorationConfig, export_lts
 from gvpa.translate import make_globs, translate_init
 
 
@@ -241,26 +245,52 @@ class TestGenerateLtsMcrl2:
         assert ms(ga("a"), ga("a")) in sems
 
 
-def _agree_with_reference(env, root, cap: int) -> int:
-    """Compares step_mcrl2 with the unrestricted product rule on every
-    term reachable from root (at most cap of them); returns the number of
-    steps compared."""
-    seen, frontier, compared = {root}, [root], 0
-    while frontier:
-        term = frontier.pop(0)
-        expected = reference_step_mcrl2(env, term)
-        assert step_mcrl2(env, term) == expected, term
-        compared += len(expected)
-        for _, target in expected:
-            if target not in seen and len(seen) < cap:
-                seen.add(target)
-                frontier.append(target)
-    return compared
+def _explores_like_reference(env, roots, cap: int = 300) -> int:
+    """Compares explore_mcrl2 with a BFS over reference_step_mcrl2: the
+    same states in the same order and the same transitions, or both past
+    the cap. Returns the number of transitions compared."""
+    expected = reference_explore_mcrl2(env, roots, cap)
+    cfg = ExplorationConfig(max_states=cap)
+    if expected is None:
+        with pytest.raises(ResourceLimitError):
+            explore_mcrl2(env, roots, cfg)
+        return 0
+    lts, _ = explore_mcrl2(env, roots, cfg)
+    assert (list(lts.states), list(lts.transitions)) == expected
+    return len(expected[1])
+
+
+def _translation(text: str):
+    spec, init = parse_spec(text)
+    return translate_init(spec, init.root, init.valuation)
+
+
+def _a(name, *args):
+    return MAct(name, tuple(DConst(a) if isinstance(a, str) else a for a in args))
+
+
+def _bar(*acts):
+    out = acts[0]
+    for act in acts[1:]:
+        out = MBar(out, act)
+    return out
+
+
+def _stack(allowed, entries, body, hidden=("c",)):
+    return MAllow(frozenset(Multiset(names) for names in allowed),
+                  MHide(frozenset(hidden), MComm(
+                      tuple((Multiset(lhs), result) for lhs, result in entries), body)))
+
+
+# p leaves only with a g of equal arguments, as checkP with checkG
+P_WITH_G = [(["g", "p"], "c")]
+SUM_P = MSum("x", MPrefix(_bar(_a("a"), _a("p", DVar("x"))), MDELTA))
 
 
 class TestRestrictedComposition:
-    """step_mcrl2 builds only what an allow/hide/comm stack can keep; the
-    result must be the unrestricted rule's, order included."""
+    """explore_mcrl2 builds only what an allow/hide/comm stack can keep,
+    from one step table for the whole search; its LTS must be the one a
+    BFS over the unrestricted rule gives, order included."""
 
     def test_translated_terms(self, traffic):
         spec, init = traffic
@@ -270,7 +300,7 @@ class TestRestrictedComposition:
         compared = 0
         for spec, root, valuation in sources:
             out = translate_init(spec, root, valuation)
-            compared += _agree_with_reference(out.menv, out.top, cap=200)
+            compared += _explores_like_reference(out.menv, [out.top])
         assert compared > 200
 
     @pytest.mark.parametrize("text", [worker_grid_text(2, 2), ring_text(2, 3),
@@ -279,16 +309,159 @@ class TestRestrictedComposition:
     def test_grid_and_ring_translations(self, text):
         # several components below the allow: their inner products are
         # incomplete and paired by name tuple
-        spec, init = parse_spec(text)
-        out = translate_init(spec, init.root, init.valuation)
-        assert _agree_with_reference(out.menv, out.top, cap=40) >= 24
+        out = _translation(text)
+        assert _explores_like_reference(out.menv, [out.top]) >= 24
 
     def test_fragment_terms_unlike_the_translation(self):
         compared = 0
         for seed in range(300):
             env, root = gen_mcrl2_term(random.Random(seed))
-            compared += _agree_with_reference(env, root, cap=30)
+            compared += _explores_like_reference(env, [root], cap=200)
         assert compared > 1000
+
+
+class TestStepTable:
+    """The cases the step table must keep apart, and the binding of sum
+    binders at the outermost join, against the same reference."""
+
+    def test_w33_translation_matches_the_pinned_aut(self):
+        # one state of W(3,3) has about 10^6 unrestricted products, more
+        # than the reference can hold, so the LTS is compared with the
+        # .aut that the recursion this table replaced wrote
+        out = _translation(worker_grid_text(3, 3))
+        lts = generate_lts_mcrl2(out.menv, out.top)
+        assert export_lts(lts) == (GOLDEN / "W33.translated.aut").read_text()
+
+    def test_terms_whose_sums_the_join_binds(self, monkeypatch):
+        fixed = []
+        bound = gvpa.mcrl2._Keep.bound
+        monkeypatch.setattr(gvpa.mcrl2._Keep, "bound",
+                            lambda keep, *args: fixed.append(bound(keep, *args))
+                            or fixed[-1])
+        compared = 0
+        for seed in range(300):
+            env, root = gen_bind_term(random.Random(seed))
+            compared += _explores_like_reference(env, [root])
+        assert compared > 1000
+        # the corpus reaches both outcomes of binding
+        assert sum(f is not None for f in fixed) > 50
+        assert sum(f is None for f in fixed) > 50
+
+    @pytest.mark.parametrize("left, right, transitions", [
+        # two argument tuples on the partner: no single instance
+        (SUM_P, MChoice(MPrefix(_a("g", "0"), MDELTA), MPrefix(_a("g", "1"), MCall("G"))),
+         2),
+        # a partner with other arguments on the left frees another instance
+        (MParallel(SUM_P, MPrefix(_a("g", "1"), MDELTA)), MPrefix(_a("g", "0"), MDELTA), 2),
+        # p is a partner too, and each instance frees itself
+        (MSum("x", MPrefix(_bar(_a("a"), _a("p", DVar("x")), _a("g", DVar("x"))),
+                           MCall("K", (DVar("x"),)))),
+         MPrefix(_bar(_a("g", "0"), _a("p", "1")), MDELTA), 4),
+        # the binder also feeds a plain action
+        (MSum("x", MPrefix(_bar(_a("a", DVar("x")), _a("p", DVar("x"))), MDELTA)),
+         MPrefix(_a("g", "0"), MDELTA), 1),
+        # the binder feeds the continuation
+        (MSum("x", MPrefix(_bar(_a("a"), _a("p", DVar("x"))), MCall("K", (DVar("x"),)))),
+         MPrefix(_a("g", "1"), MCall("G")), 2),
+    ], ids=["two-tuples", "partner-on-left", "bound-partner", "plain-action",
+            "continuation"])
+    def test_binding_only_where_one_instance_can_be_kept(self, left, right, transitions):
+        env = Mcrl2Spec(domain=("0", "1"), equations=(
+            ("K", ("k",), MPrefix(_a("a", DVar("k")), MDELTA)),
+            ("G", (), MPrefix(_a("g", "0"), MDELTA))))
+        root = _stack([["a"], ["a", "a"]], P_WITH_G, MParallel(left, right))
+        assert _explores_like_reference(env, [root]) == transitions
+
+    def test_restrictions_sharing_a_term(self):
+        # b is stuck under the first allow and kept under the second, so
+        # the rows of b(9) and their needs differ between the two; no other
+        # test steps b(9)
+        shared = MParallel(MPrefix(_a("b", "9"), MDELTA), MPrefix(_a("e", "9"), MDELTA))
+        root = MChoice(_stack([["c"]], [(["b", "e"], "c")], shared, hidden=()),
+                       _stack([["b"], ["c"]], [(["b", "e"], "c")], shared, hidden=()))
+        env = Mcrl2Spec(domain=("0",), equations=())
+        labels = [canonical_label(env.domain, sem) for sem, _ in step_mcrl2(env, root)]
+        assert labels == ["c(9)", "b(9)", "c(9)"]
+        assert _explores_like_reference(env, [root]) == 3
+
+    def test_complete_and_incomplete_steps_of_one_term(self):
+        # b(0) alone is dropped where it is complete, and pairs with e(0)
+        # where it is an operand; b is on two entries, so no binder is
+        # fixed and both lookups of b(0) have the same bind
+        b, e = MPrefix(_a("b", "0"), MDELTA), MPrefix(_a("e", "0"), MDELTA)
+        entries = [(["b", "e"], "c"), (["b", "f"], "d")]
+        root = MChoice(_stack([["c"]], entries, b, hidden=()),
+                       _stack([["c"]], entries, MParallel(b, e), hidden=()))
+        env = Mcrl2Spec(domain=("0",), equations=())
+        assert _explores_like_reference(env, [root]) == 1
+
+    def test_unfolding_sets_are_kept_apart(self):
+        # P steps a and b from the root, but only a inside Q's unfolding
+        env = Mcrl2Spec(domain=("0",), equations=(
+            ("P", (), MChoice(MPrefix(_a("a"), MDELTA), MCall("Q"))),
+            ("Q", (), MChoice(MPrefix(_a("b"), MDELTA), MCall("P")))))
+        root = MParallel(MCall("Q"), MCall("P"))
+        assert len(step_mcrl2(env, root)) == 7
+        assert _explores_like_reference(env, [root]) == 11
+
+    def test_explorations_of_two_specs_sharing_a_term(self):
+        root = MCall("P")
+        for name in ("a", "b"):
+            env = Mcrl2Spec(domain=("0",), equations=(
+                ("P", (), MPrefix(_a(name), MCall("P"))),))
+            lts, _ = explore_mcrl2(env, [root])
+            assert [label for _, label, _ in lts.transitions] == [name]
+            assert _explores_like_reference(env, [root]) == 1
+
+
+class TestTableWork:
+    """The table derives each key once per exploration, and binding at the
+    join keeps the substitutions per transition from growing with k^n."""
+
+    @staticmethod
+    def _count_derivations(monkeypatch) -> list:
+        derived = []
+        missing = gvpa.mcrl2._StepTable.__missing__
+        monkeypatch.setattr(gvpa.mcrl2._StepTable, "__missing__",
+                            lambda table, key: derived.append(key) or missing(table, key))
+        return derived
+
+    def test_each_key_derived_once_per_exploration(self, monkeypatch):
+        out = _translation(ring_text(3, 3))
+        derived = self._count_derivations(monkeypatch)
+        lts = generate_lts_mcrl2(out.menv, out.top)
+        first = list(derived)
+        assert len(first) == len(set(first))
+        # no state's own steps are stored; the parallel under each state's
+        # allow stack is derived once, as a complete join, and each Globs
+        # term once, however many states share it
+        terms = [key[0] for key in first]
+        assert not set(lts.states) & set(terms)
+        joins = {state.body.body.body for state in lts.states}
+        assert sorted((key[0] for key in first if key[3]), key=id) == sorted(joins, key=id)
+        globs = [t for t in terms if isinstance(t, MCall) and t.name == "Globs"]
+        assert len(globs) == len(set(globs)) == len({join.right for join in joins}) == 2
+        # the next exploration starts from an empty table
+        derived.clear()
+        generate_lts_mcrl2(out.menv, out.top)
+        assert derived == first
+
+    def test_substitutions_per_transition(self, monkeypatch):
+        ratios = []
+        subst = gvpa.mcrl2.subst_proc
+        for n in (2, 3, 4):
+            out = _translation(worker_grid_text(n, 3))
+            calls = []
+            monkeypatch.setattr(gvpa.mcrl2, "subst_proc",
+                                lambda *args: calls.append(1) or subst(*args))
+            lts = generate_lts_mcrl2(out.menv, out.top)
+            monkeypatch.setattr(gvpa.mcrl2, "subst_proc", subst)
+            assert len(lts.transitions) == 3 ** n * 3 * n
+            ratios.append(len(calls) / len(lts.transitions))
+        # k^n grows ninefold from W(2,3) to W(4,3); the ratio grows with n
+        # only (each state has n components), where every binder instance
+        # once cost about 240 substitutions per transition on W(4,3)
+        assert ratios[2] < 2 * ratios[0] < 30, ratios
 
 
 W22 = """

@@ -270,6 +270,26 @@ class TestVariableConsistency:
         assert not report.ok and report.condition == 3
 
 
+    def test_step_out_of_the_image_detected_as_condition_3(self, monkeypatch):
+        # with only the first conjunct of x = a, y = b left, the translation
+        # steps go from the image of the initial state to a term that is
+        # the image of no source state
+        import gvpa.translate
+        spec, init = parse_spec(
+            "domain { a, b }\nvars { x, y }\nacts { go }\n"
+            "init (x = a) -> (y = b) -> go.delta with { x = a, y = a }\n")
+        assert run_pipeline(spec, init.root, init.valuation, CFG).consistency.ok
+        constraint = gvpa.translate._constraint
+        monkeypatch.setattr(gvpa.translate, "_constraint",
+                            lambda *args: (lambda c: c.conjuncts[0]
+                                           if isinstance(c, DAnd) else c)(constraint(*args)))
+        pipe = run_pipeline(spec, init.root, init.valuation, CFG)
+        assert [label for _, label, _ in pipe.m_lts.transitions if label == "go"] == ["go"]
+        report = pipe.consistency
+        assert not report.ok and report.condition == 3
+        assert "--go--> 1 leaves the image" in report.witness
+
+
 class TestTheorems:
     def test_theorem4_traffic_examples(self, traffic):
         spec, init = traffic
