@@ -314,9 +314,8 @@ def _cmd_verify_translation(args) -> int:
         texts += [f"({v} = {d})" for v in spec.variables
                   for d in spec.domain.values]
         formulas = [parse_formula(t, spec) for t in texts]
-    for formula in formulas:
-        report = tr.check_theorem4(pipeline, formula, cfg)
-        checks.append((f"formula-preservation {formula_str(formula)}",
+    for report in tr.check_theorem4(pipeline, formulas, cfg):
+        checks.append((f"formula-preservation {formula_str(report.formula)}",
                        report.agrees,
                        f"source={report.source_verdict} "
                        f"translated={report.translated_verdict}"))

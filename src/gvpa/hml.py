@@ -4,17 +4,21 @@ A state is numbered ``e * count + code`` by its expression ``e`` and its
 valuation code, so a check reads one digit of the number and the set
 operator rewrites one. The set operator may leave the reachable fragment.
 
-`holds` decides one state locally: top down, memoised on (state,
-subformula), stepping a state only when a modality asks for it (Stirling
-& Walker, "Local model checking in the modal mu-calculus", TCS 1991).
-HML has no fixpoints, so a verdict depends only on the states that the
-formula's modalities and set operators reach. `satisfies` and
-`holds_on_lts` answer through the same core over given transitions.
+One core decides every formula: a checker (`_checker`) that works top
+down, memoised on (state, subformula), stepping a state only when a
+modality asks for it (Stirling & Walker, "Local model checking in the
+modal mu-calculus", TCS 1991). HML has no fixpoints, so a verdict depends
+only on the states that the formula's modalities and set operators reach.
+A checker answers any number of (state, formula) queries and steps each
+state at most once over all of them. `source_checker` and `holds` step a
+spec's states on demand; `satisfies` and `holds_on_lts` ask the same
+core over given transitions.
 
 `eval_formula` gives a formula's whole denotation on a grid state space
-(`build_state_space`): the reachable-expression closure of the roots
+(`build_state_space`: the reachable-expression closure of the roots
 crossed with every valuation, the smallest carrier closed under both
-transitions and set.
+transitions and set) by asking the grid's checker at every state;
+`eval_modal_on_lts` does the same on a plain LTS.
 """
 from __future__ import annotations
 
@@ -319,7 +323,7 @@ def parse_formula(text: str, spec: RecursiveSpec) -> HmlFormula:
 
 
 # ---------------------------------------------------------------------------
-# State space and evaluation
+# Grid state spaces
 
 
 class StateSpace(Record):
@@ -348,20 +352,6 @@ class StateSpace(Record):
             raise KeyError(f"state outside the grid: {state_str(state)}") from None
         return e_i * len(self.valuations) + v_i
 
-    def atom(self, formula: Check | SetVar, sub: frozenset[int] | None) -> frozenset[int]:
-        """Denotation of a check, or of a set operator whose body denotes
-        ``sub``; both read or rewrite one digit of the valuation codes."""
-        n, nv = len(self.states), len(self.valuations)
-        codes = self.spec.codes
-        weight, digit = codes.test(formula.var, formula.value)
-        base = codes.base
-        if isinstance(formula, Check):
-            passing = [v for v in range(nv) if v // weight % base == digit]
-            return frozenset(e + v for e in range(0, n, nv) for v in passing)
-        rewritten = [v + (digit - v // weight % base) * weight for v in range(nv)]
-        return frozenset(e + v for e in range(0, n, nv) for v in range(nv)
-                         if e + rewritten[v] in sub)
-
 
 def build_state_space(spec: RecursiveSpec,
                       roots: ProcessExpr | Iterable[ProcessExpr],
@@ -383,83 +373,27 @@ def build_state_space(spec: RecursiveSpec,
                       states=states, transitions=tuple(transitions))
 
 
-def _denotation(n: int, successors: Callable[[int], Iterable[tuple]],
-                atom: Callable[[HmlFormula, frozenset | None], frozenset[int]],
-                formula: HmlFormula, memo: dict) -> frozenset[int]:
-    """Denotation of a formula over states ``0..n-1``, computed bottom-up
-    and memoized on subformulas as in Cleaveland & Steffen (FMSD 1993);
-    each modality scans every state's successors once.
-
-    ``successors(i)`` lists the ``(label, j)`` moves of state ``i``;
-    ``atom(formula, sub)`` gives the denotation of a check, or of a set
-    operator whose body denotes ``sub``.
-    """
-    if formula in memo:
-        return memo[formula]
-
-    def sub(f: HmlFormula) -> frozenset[int]:
-        return _denotation(n, successors, atom, f, memo)
-
-    if isinstance(formula, HTrue):
-        out = frozenset(range(n))
-    elif isinstance(formula, HFalse):
-        out = frozenset()
-    elif isinstance(formula, Not):
-        out = frozenset(range(n)) - sub(formula.sub)
-    elif isinstance(formula, And):
-        out = sub(formula.left) & sub(formula.right)
-    elif isinstance(formula, Or):
-        out = sub(formula.left) | sub(formula.right)
-    elif isinstance(formula, Diamond):
-        body = sub(formula.sub)
-        out = frozenset(
-            i for i in range(n)
-            if any(label in formula.labels and j in body
-                   for label, j in successors(i)))
-    elif isinstance(formula, Box):
-        body = sub(formula.sub)
-        out = frozenset(
-            i for i in range(n)
-            if all(label not in formula.labels or j in body
-                   for label, j in successors(i)))
-    elif isinstance(formula, Check):
-        out = atom(formula, None)
-    elif isinstance(formula, SetVar):
-        out = atom(formula, sub(formula.sub))
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-    memo[formula] = out
-    return out
-
-
-def eval_formula(space: StateSpace, formula: HmlFormula,
-                 _memo: dict | None = None) -> frozenset[int]:
-    """Denotation of a formula on the grid, memoized on subformulas."""
-    return _denotation(len(space.states), space.transitions.__getitem__,
-                       space.atom, formula, _memo if _memo is not None else {})
-
-
-def _no_atoms(formula: HmlFormula, sub) -> frozenset[int]:
-    raise FragmentError("check/set operators are not defined on plain LTSs")
-
-
 # ---------------------------------------------------------------------------
-# Local evaluation at one state
+# Evaluation
 
 
-def _holds(successors: Callable[[int], list[tuple]],
-           atom: Callable[[HmlFormula, int], bool | int],
-           cap: int, key: int, formula: HmlFormula) -> bool:
-    """Whether a formula holds at state ``key``, evaluated top down with
-    short-circuits and memoised on (state, subformula).
+def _checker(successors: Callable[[int], list[tuple]],
+             atom: Callable[[HmlFormula, int], bool | int] | None,
+             cap: int, memo: dict | None = None) -> Callable[[int, HmlFormula], bool]:
+    """A checker of one transition system: ``check(i, formula)`` is whether
+    the formula holds at state ``i``, for any number of queries.
 
+    A query is evaluated top down with short-circuits. Verdicts are memoised
+    on (state, subformula) in ``memo``, a fresh dict unless the caller
+    passes one, and the moves of each stepped state are kept with the
+    checker, so later queries reuse what earlier ones found.
     ``successors(i)`` lists the ``(label, j)`` moves of state ``i``; it is
     called once per state, and only for the states a modality asks about,
-    at most ``cap`` of them. ``atom(formula, i)`` gives the truth of a
-    check at ``i``, or the state a set operator rewrites ``i`` to. One
-    formula level costs one Python frame.
+    at most ``cap`` of them over all queries. ``atom(formula, i)`` gives the
+    truth of a check at ``i``, or the state a set operator rewrites ``i``
+    to; a plain LTS has none. One formula level costs one Python frame.
     """
-    memo: dict[tuple, bool] = {}
+    memo = {} if memo is None else memo
     moves: dict[int, list[tuple]] = {}
 
     def step(i: int) -> list[tuple]:
@@ -511,7 +445,7 @@ def _holds(successors: Callable[[int], list[tuple]],
         memo[i, f] = out
         return out
 
-    return ev(key, formula)
+    return ev
 
 
 def _digit_atom(codes: ValuationCodes) -> Callable[[HmlFormula, int], bool | int]:
@@ -530,38 +464,68 @@ def _digit_atom(codes: ValuationCodes) -> Callable[[HmlFormula, int], bool | int
     return atom
 
 
-def holds(spec: RecursiveSpec, state: GvState, formula: HmlFormula,
-          cfg: ExplorationConfig = DEFAULT_CONFIG) -> bool:
-    """Whether a formula holds at a state, stepping only the states that
-    its modalities and set operators reach.
+def source_checker(spec: RecursiveSpec, cfg: ExplorationConfig = DEFAULT_CONFIG
+                   ) -> Callable[[GvState, HmlFormula], bool]:
+    """A checker of a spec's states, stepping only the states that the
+    formulas' modalities and set operators reach.
 
     The valuation count is checked against ``cfg.max_valuations`` first,
     as a grid build does; ``cfg.max_states`` bounds the distinct states
-    stepped."""
+    stepped over all queries."""
     codes = check_valuation_cap(spec, cfg.max_valuations)
     stepper = _Stepper(spec)
-    return _holds(stepper.successors, _digit_atom(codes), cfg.max_states,
-                  stepper.key(state), formula)
+    check = _checker(stepper.successors, _digit_atom(codes), cfg.max_states)
+    return lambda state, formula: check(stepper.key(state), formula)
+
+
+def holds(spec: RecursiveSpec, state: GvState, formula: HmlFormula,
+          cfg: ExplorationConfig = DEFAULT_CONFIG) -> bool:
+    """Whether a formula holds at a state (see `source_checker`)."""
+    return source_checker(spec, cfg)(state, formula)
+
+
+def _grid_checker(space: StateSpace, memo: dict | None = None):
+    return _checker(space.transitions.__getitem__, _digit_atom(space.spec.codes),
+                    len(space.states), memo)
 
 
 def satisfies(space: StateSpace, state: GvState, formula: HmlFormula) -> bool:
     """Whether a formula holds at a grid state, over the grid's transitions."""
-    return _holds(space.transitions.__getitem__, _digit_atom(space.spec.codes),
-                  len(space.states), space.index_of(state), formula)
+    return _grid_checker(space)(space.index_of(state), formula)
+
+
+def eval_formula(space: StateSpace, formula: HmlFormula,
+                 _memo: dict | None = None) -> frozenset[int]:
+    """Denotation of a formula on the grid: the states where it holds.
+    ``_memo`` is the checker's (state, subformula) memo; passing one dict
+    to several calls on the same grid shares their verdicts."""
+    check = _grid_checker(space, _memo)
+    return frozenset(i for i in range(len(space.states)) if check(i, formula))
+
+
+def lts_checker(lts: Lts, memo: dict | None = None) -> Callable[[int, HmlFormula], bool]:
+    """A checker of a plain LTS, whose states carry no valuation, for
+    formulas without check or set (`holds_on_lts` rejects the others)."""
+    return _checker(lts.successors, None, len(lts.states), memo)
+
+
+def _modal_only(formula: HmlFormula) -> HmlFormula:
+    if fragment(formula) != "HML":
+        raise FragmentError("check/set operators are not defined on plain LTSs")
+    return formula
 
 
 def holds_on_lts(lts: Lts, state: int, formula: HmlFormula) -> bool:
     """Whether a check- and set-free formula holds at a state of a plain
     LTS."""
-    return _holds(lts.successors, _no_atoms, len(lts.states), state, formula)
+    return lts_checker(lts)(state, _modal_only(formula))
 
 
 def eval_modal_on_lts(lts: Lts, formula: HmlFormula,
                       _memo: dict | None = None) -> frozenset[int]:
-    """Plain modal evaluation on an arbitrary LTS (no check, no set).
-
-    Used on the translated side, where labels are canonical multi-action
-    strings and states carry no valuation.
-    """
-    return _denotation(len(lts.states), lts.successors, _no_atoms, formula,
-                       _memo if _memo is not None else {})
+    """Denotation of a check- and set-free formula on a plain LTS, such as
+    the translated side, where labels are canonical multi-action strings.
+    ``_memo`` is as in `eval_formula`."""
+    _modal_only(formula)
+    check = lts_checker(lts, _memo)
+    return frozenset(i for i in range(len(lts.states)) if check(i, formula))

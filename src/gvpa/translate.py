@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from .errors import FragmentError, SpecValidationError
 from .hml import (
     FORMULA_RULES, And, Box, Check, Diamond, HFalse, HTrue, HmlFormula, Not, Or,
-    SetVar, TRUE, holds, holds_on_lts,
+    SetVar, TRUE, lts_checker, source_checker,
 )
 from .bisim import (
     BisimResult, state_based_bisim, state_based_bisim_on_lts, strong_bisim,
@@ -454,15 +454,21 @@ class Theorem4Report(Record, frozen=False):
         return self.source_verdict == self.translated_verdict
 
 
-def check_theorem4(pipeline: PipelineResult, formula: HmlFormula,
-                   cfg: ExplorationConfig = DEFAULT_CONFIG) -> Theorem4Report:
-    """Evaluates a check-fragment formula at the roots of both sides of the
-    translation, stepping only the states the formula reaches."""
-    source = holds(pipeline.out.spec, pipeline.gv_root, formula, cfg)
-    translated = holds_on_lts(pipeline.m_lts, pipeline.m_lts.initial,
-                              translate_formula(formula))
-    return Theorem4Report(formula=formula, source_verdict=source,
-                          translated_verdict=translated)
+def check_theorem4(pipeline: PipelineResult, formulas: Sequence[HmlFormula],
+                   cfg: ExplorationConfig = DEFAULT_CONFIG) -> list[Theorem4Report]:
+    """Evaluates check-fragment formulas at the roots of both sides of the
+    translation, one report per formula in order.
+
+    Every formula is translated before any is evaluated, so a set operator
+    is rejected before a state is stepped. One checker per side answers all
+    the formulas, so each state is stepped at most once."""
+    source = source_checker(pipeline.out.spec, cfg)
+    translated = [translate_formula(formula) for formula in formulas]
+    target, m_root = lts_checker(pipeline.m_lts), pipeline.m_lts.initial
+    return [Theorem4Report(formula=formula,
+                           source_verdict=source(pipeline.gv_root, formula),
+                           translated_verdict=target(m_root, image))
+            for formula, image in zip(formulas, translated)]
 
 
 class Corollary1Report(Record, frozen=False):

@@ -24,15 +24,15 @@ from gvpa.bisim import (
 )
 from gvpa.hml import (
     And, Box, Check, Diamond, Not, Or, SetVar, TRUE, FALSE, all_labels,
-    build_state_space, eval_formula, eval_modal_on_lts, parse_formula,
-    satisfies,
+    build_state_space, eval_formula, parse_formula, satisfies,
 )
 from gvpa.mcrl2 import GroundAction, Multiset, apply_comm
 from gvpa.sos import ExplorationConfig, GvState, Lts, explore, generate_lts
 from gvpa.syntax import Parallel, enumerate_valuations, label_str
 from gvpa.translate import (
-    check_bisimilarity_preservation, check_corollary1, emit_mcrl2_files,
-    run_pipeline, translate_formula, translate_init, verify_variable_consistency,
+    check_bisimilarity_preservation, check_corollary1, check_theorem4,
+    emit_mcrl2_files, run_pipeline, translate_formula, translate_init,
+    verify_variable_consistency,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -323,17 +323,9 @@ def test_criterion_08_formula_preservation(traffic, traffic_pipeline,
         labels = all_labels(spec_i)
         formulas = enumerate_check_formulas(spec_i, labels, max_depth=3,
                                             cap=2000)
-        space = build_state_space(spec_i, [root], CFG)
-        root_index = space.index_of(GvState(root, valuation))
-        source_memo: dict = {}
-        translated_memo: dict = {}
-        for formula in formulas:
-            source = root_index in eval_formula(space, formula, source_memo)
-            translated = pipe.m_lts.initial in eval_modal_on_lts(
-                pipe.m_lts, translate_formula(formula), translated_memo)
-            if source != translated:
-                ok = False
-                break
+        reports = check_theorem4(pipe, formulas, CFG)
+        ok &= [report.formula for report in reports] == formulas
+        ok &= all(report.agrees for report in reports)
         if not ok:
             break
     report(8, "check-formula preservation through the translation", ok,

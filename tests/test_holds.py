@@ -16,9 +16,9 @@ import gvpa.sos
 from gvpa.cli import main
 from gvpa.errors import FragmentError, ResourceLimitError
 from gvpa.hml import (
-    And, Box, Check, Diamond, Not, Or, SetVar, TRUE, all_labels, build_state_space,
-    eval_formula, eval_modal_on_lts, formula_str, holds, holds_on_lts,
-    parse_formula, satisfies,
+    FALSE, And, Box, Check, Diamond, Not, Or, SetVar, TRUE, all_labels,
+    build_state_space, eval_formula, eval_modal_on_lts, formula_str, holds,
+    holds_on_lts, parse_formula, satisfies,
 )
 from gvpa.parser import parse_spec
 from gvpa.sos import ExplorationConfig, GvState, reachable_exprs
@@ -98,13 +98,15 @@ class TestAgreesWithTheGrid:
             space = build_state_space(spec, [root], CFG)
             source_root = space.index_of(pipe.gv_root)
             memo: dict = {}
-            for formula in enumerate_check_formulas(spec, all_labels(spec),
-                                                    max_depth=2, cap=150):
+            formulas = enumerate_check_formulas(spec, all_labels(spec),
+                                                max_depth=2, cap=150)
+            reports = check_theorem4(pipe, formulas, CFG)
+            assert [report.formula for report in reports] == formulas
+            for formula, report in zip(formulas, reports):
                 translated = translate_formula(formula)
                 den = eval_modal_on_lts(pipe.m_lts, translated, memo)
                 for i in range(0, len(pipe.m_lts.states), 3):
                     assert holds_on_lts(pipe.m_lts, i, translated) is (i in den)
-                report = check_theorem4(pipe, formula, CFG)
                 assert report.source_verdict is (source_root in eval_formula(space, formula))
                 assert report.translated_verdict is (pipe.m_lts.initial in den)
                 compared += 1
@@ -113,9 +115,14 @@ class TestAgreesWithTheGrid:
     def test_checks_and_sets_are_not_defined_on_a_plain_lts(self, traffic):
         spec, init = traffic
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
-        for formula in (Check("t", "red"), SetVar("t", "red", TRUE)):
+        # a short-circuit must not hide a check or a set
+        for formula in (Check("t", "red"), SetVar("t", "red", TRUE),
+                        Or(TRUE, Check("t", "red")),
+                        And(FALSE, SetVar("t", "red", TRUE))):
             with pytest.raises(FragmentError):
                 holds_on_lts(pipe.m_lts, pipe.m_lts.initial, formula)
+            with pytest.raises(FragmentError):
+                eval_modal_on_lts(pipe.m_lts, formula)
 
 
 class TestWorkDone:
@@ -143,6 +150,29 @@ class TestWorkDone:
         # each state is stepped once, and within distance 2 of the root
         # (the set operator reaches 12 more)
         assert len(stepped) == len(set(stepped)) <= at_most <= 1 + 12 + 144
+
+    def test_theorem4_steps_each_state_once(self, stepped):
+        # the formulas `verify-translation` checks when given none
+        spec, init = parse_spec(worker_grid_text(3, 3))
+        texts = [f"<{a}> true" for a in spec.actions]
+        texts += [f"({v} = {d})" for v in spec.variables for d in spec.domain.values]
+        pipe = run_pipeline(spec, init.root, init.valuation, CFG)
+        del stepped[:]
+        reports = check_theorem4(pipe, [parse_formula(t, spec) for t in texts], CFG)
+        assert len(reports) == len(texts) and all(r.agrees for r in reports)
+        assert stepped and len(stepped) == len(set(stepped))
+
+    def test_theorem4_cap_is_shared_and_fits_the_exploration(self, tmp_path, capsys):
+        # W(3,3) has 27 states, and each formula steps all of them
+        source = tmp_path / "w33.gvpa"
+        source.write_text(worker_grid_text(3, 3), encoding="utf-8")
+        props = tmp_path / "props.txt"
+        props.write_text("[*] [*] [*] [*] [*] [*] [*] true\n"
+                         "!<*> <*> <*> <*> <*> <*> <*> false\n", encoding="utf-8")
+        argv = ["verify-translation", str(source), "--formulas", str(props)]
+        assert main(["--max-states", "27", *argv]) == 0
+        assert main(["--max-states", "26", *argv]) == 3
+        assert "stepped-state" not in capsys.readouterr().err
 
     def test_each_state_and_subformula_is_evaluated_once(self, monkeypatch):
         # a formula DAG of 5 levels whose tree unfolds to 9^5 visits

@@ -290,7 +290,7 @@ def records():
     spec, init = parse_spec(ring_text(2, 2))
     pipe = run_pipeline(spec, init.root, init.valuation)
     found = _records(pipe, {})
-    _records(check_theorem4(pipe, parse_formula("<t1> true", spec)), found)
+    _records(check_theorem4(pipe, [parse_formula("<t1> true", spec)]), found)
     _records(check_bisimilarity_preservation(pipe), found)
     _records(build_state_space(spec, [init.root]), found)
     _records(bisim.state_based_bisim_on_lts(pipe.gv_lts, 0, 0), found)

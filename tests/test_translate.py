@@ -294,9 +294,12 @@ class TestTheorems:
     def test_theorem4_traffic_examples(self, traffic):
         spec, init = traffic
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
-        for text, expected in [("<drive> true", True), ("(t = red)", False),
-                               ("[assign(t, red)] (t = red)", True)]:
-            report = check_theorem4(pipe, parse_formula(text, spec), CFG)
+        cases = [("<drive> true", True), ("(t = red)", False),
+                 ("[assign(t, red)] (t = red)", True)]
+        formulas = [parse_formula(text, spec) for text, _ in cases]
+        reports = check_theorem4(pipe, formulas, CFG)
+        assert [report.formula for report in reports] == formulas
+        for report, (_, expected) in zip(reports, cases):
             assert report.agrees
             assert report.source_verdict is expected
 
@@ -310,9 +313,10 @@ class TestTheorems:
                              (gvpa.sos, "expression_closure")):
             monkeypatch.setattr(module, name, lambda *args, name=name: builds.append(name))
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
-        for text in ("<drive> true", "(t = red)", "(t = green)",
-                     "[assign(t, red)] (t = red)"):
-            assert check_theorem4(pipe, parse_formula(text, spec), CFG).agrees
+        texts = ("<drive> true", "(t = red)", "(t = green)",
+                 "[assign(t, red)] (t = red)")
+        reports = check_theorem4(pipe, [parse_formula(t, spec) for t in texts], CFG)
+        assert len(reports) == len(texts) and all(r.agrees for r in reports)
         assert builds == []
 
     def test_corollary1_reflexive(self, traffic):
