@@ -8,20 +8,24 @@ expression-level system whose labels are (valuation, label, target
 valuation) triples: the matching clause of its definition quantifies over
 every valuation and fixes the target valuation.
 
-Refinement interns the labels into integers once and keeps one signature
-per block. After the first round it signs again only the predecessors of
-states that moved to a new block, so a round costs work in proportion to
-what changed; the history is the same as that of full sweeps.
+Refinement reads the label ids and targets of one `Transitions` store and
+keeps one signature per block. After the first round it signs again only
+the predecessors of states that moved to a new block, so a round costs
+work in proportion to what changed; the history is the same as that of
+full sweeps.
 """
 from __future__ import annotations
 
-from operator import add, itemgetter
+from array import array
+from itertools import accumulate
+from operator import add
 from typing import Sequence
 
 from .errors import ContractViolationError
 from .hml import Check, Diamond, HmlFormula, Not, conjunction, set_all
 from .sos import (
-    DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, explore, expression_closure,
+    DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, Transitions, explore,
+    expression_closure,
 )
 from .syntax import ProcessExpr, Record, RecursiveSpec, Valuation
 
@@ -31,25 +35,22 @@ from .syntax import ProcessExpr, Record, RecursiveSpec, Valuation
 #
 # Two states of one block stay together in the next round iff their
 # signatures, the sets of (label, block) pairs of their moves, agree
-# (Blom & Orzan, STTT 2005). Labels are interned once, so a signature is a
-# set of ``label * (n + 1) + block`` ints, held as a sorted tuple because
-# one is stored per block (on 64-bit CPython 3.11 a frozenset of 5 to 18
-# ints takes 728 bytes, the tuple 80 to 184). Block ids are stable: a
-# block that splits keeps its id for one part and only the other parts'
+# (Blom & Orzan, STTT 2005). The store's label ids make a signature a set
+# of ``block * L + label id`` ints for L labels, held as a sorted tuple
+# because one is stored per block (on 64-bit CPython 3.11 a frozenset of 5
+# to 18 ints takes 728 bytes, the tuple 80 to 184). Block ids are stable:
+# a block that splits keeps its id for one part and only the other parts'
 # states move. A state's signature can change only when a successor
 # moved, so after round 1 only the predecessors of moved states are
 # signed again; each block stores the one signature that its other
 # members still carry.
 
 
-_target = itemgetter(1)
-
-
-def _signature(bases: tuple[int, ...], row: Sequence[tuple],
-               block: list[int]) -> tuple[int, ...]:
-    """The interned signature of a state with moves ``row`` whose labels
-    have the ids ``bases`` (already multiplied by n + 1)."""
-    return tuple(sorted(set(map(add, bases, map(block.__getitem__, map(_target, row))))))
+def _signature(label_ids: Sequence[int], targets: Sequence[int],
+               keyed: list[int]) -> tuple[int, ...]:
+    """The signature of a state with these moves, where ``keyed[t]`` is
+    the block of state ``t`` times the number of labels."""
+    return tuple(sorted(set(map(add, label_ids, map(keyed.__getitem__, targets)))))
 
 
 def _first_occurrence(ids: Sequence[int]) -> list[int]:
@@ -57,10 +58,28 @@ def _first_occurrence(ids: Sequence[int]) -> list[int]:
     return list(map(rank.__getitem__, ids))
 
 
-def refinement_history(n_states: int,
-                       adjacency: Sequence[Sequence[tuple]],
+def _predecessors(transitions: Transitions) -> tuple[array, array]:
+    """The sources of each state's incoming moves in compressed sparse row
+    form: those of state ``t`` are ``sources[starts[t]:starts[t + 1]]``,
+    one per move."""
+    offsets, targets = transitions.offsets, transitions.targets
+    counts = [0] * len(offsets)
+    for t in targets:
+        counts[t + 1] += 1
+    starts = array("i", accumulate(counts))
+    fill = starts.tolist()
+    sources = array("i", [0]) * len(targets)
+    for s in range(len(offsets) - 1):
+        for t in targets[offsets[s]:offsets[s + 1]]:
+            sources[fill[t]] = s
+            fill[t] += 1
+    return starts, sources
+
+
+def refinement_history(transitions: Transitions,
                        initial_blocks: Sequence[int]) -> list[list[int]]:
-    """Rounds of signature refinement until stable.
+    """Rounds of signature refinement until stable, on the label ids and
+    targets of a `Transitions` store.
 
     ``history[k][s]`` is the block of state ``s`` after k rounds, numbered
     in order of first occurrence for k >= 1 (``history[0]`` is the initial
@@ -68,24 +87,17 @@ def refinement_history(n_states: int,
     modal depth <= k (over the seeded atoms) tells them apart.
     """
     history = [list(initial_blocks)]
-    width = n_states + 1
-    label_ids: dict = {}
-    # states whose moves carry the same labels share one tuple of label ids
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    bases: list[tuple[int, ...]] = []
-    for s in range(n_states):
-        row = adjacency[s]
-        row_bases = tuple([label_ids.setdefault(label, len(label_ids) * width)
-                           for label, _ in row])
-        bases.append(shared.setdefault(row_bases, row_bases))
-    del label_ids, shared
-
+    offsets, label_ids, targets = (transitions.offsets, transitions.label_ids,
+                                   transitions.targets)
+    n_states = len(offsets) - 1
+    width = len(transitions.labels)
     block = _first_occurrence(history[0])
+    keyed = [b * width for b in block]
     size = [0] * (max(block, default=-1) + 1)
     for b in block:
         size[b] += 1
     stored: list = [None] * len(size)
-    predecessors = None
+    sources = None
     dirty: Sequence[int] = range(n_states)
     # a round either splits a block or is the last, so n_states rounds suffice
     for _ in range(n_states):
@@ -94,7 +106,8 @@ def refinement_history(n_states: int,
         parts_of: dict[int, dict[tuple[int, ...], list[int]]] = {}
         for s in dirty:
             b = block[s]
-            signature = _signature(bases[s], adjacency[s], block)
+            start, stop = offsets[s], offsets[s + 1]
+            signature = _signature(label_ids[start:stop], targets[start:stop], keyed)
             if signature == stored[b]:
                 continue
             parts = parts_of.get(b)
@@ -118,17 +131,14 @@ def refinement_history(n_states: int,
                 size[b] -= len(members)
                 for s in members:
                     block[s] = new
+                    keyed[s] = new * width
                 moved += members
         if not moved:
             break
         history.append(_first_occurrence(block))
-        if predecessors is None:
-            predecessors = [[] for _ in range(n_states)]
-            for s in range(n_states):
-                for t in set(map(_target, adjacency[s])):
-                    predecessors[t].append(s)
-            predecessors = list(map(tuple, predecessors))
-        dirty = sorted({p for t in moved for p in predecessors[t]})
+        if sources is None:
+            starts, sources = _predecessors(transitions)
+        dirty = sorted({p for t in moved for p in sources[starts[t]:starts[t + 1]]})
     return history
 
 
@@ -159,9 +169,10 @@ class BisimResult(Record, frozen=False):
     """A verdict with the structure its partition was refined on.
 
     ``states`` are LTS payloads (strong, state-based) or expressions
-    (stateless); ``successors(i)`` lists the ``(label, j)`` rows the
-    history was refined on. Stateless labels are ``(v, label, v2)``
-    triples that index ``valuations``, which is empty in the other modes.
+    (stateless); ``adjacency`` is the `Transitions` store the history was
+    refined on, and ``successors(i)`` lists its ``(label, j)`` moves.
+    Stateless labels are ``(v, label, v2)`` triples that index
+    ``valuations``, which is empty in the other modes.
     """
     mode: str
     equivalent: bool
@@ -171,22 +182,22 @@ class BisimResult(Record, frozen=False):
     blocks: tuple[frozenset[int], ...]
     history: list[list[int]]
     states: tuple
-    adjacency: Sequence[Sequence[tuple]]
+    adjacency: Transitions
     valuations: tuple[Valuation, ...]
 
-    def successors(self, i: int) -> Sequence[tuple]:
-        return self.adjacency[i]
+    def successors(self, i: int) -> list[tuple]:
+        return self.adjacency.successors(i)
 
     @property
     def relation_size(self) -> int:
         return sum(len(b) * (len(b) + 1) // 2 for b in self.blocks)
 
 
-def _result(mode: str, states: tuple, adjacency: Sequence[Sequence[tuple]],
+def _result(mode: str, states: tuple, adjacency: Transitions,
             valuations: tuple[Valuation, ...], initial_blocks: Sequence[int],
             s: int, t: int) -> BisimResult:
     """Refines the seeded partition and reads the verdict on (s, t) off it."""
-    history = refinement_history(len(states), adjacency, initial_blocks)
+    history = refinement_history(adjacency, initial_blocks)
     final = history[-1]
     return BisimResult(mode=mode, equivalent=final[s] == final[t], left=s,
                        right=t, rounds=len(history) - 1,
@@ -194,13 +205,9 @@ def _result(mode: str, states: tuple, adjacency: Sequence[Sequence[tuple]],
                        states=states, adjacency=adjacency, valuations=valuations)
 
 
-def _lts_rows(lts: Lts) -> list:
-    return [lts.successors(i) for i in range(len(lts.states))]
-
-
 def strong_bisim(lts: Lts, s: int, t: int) -> BisimResult:
     """Coarsest strong bisimulation on a finite LTS, via refinement."""
-    return _result("strong", lts.states, _lts_rows(lts), (),
+    return _result("strong", lts.states, lts.transitions, (),
                    [0] * len(lts.states), s, t)
 
 
@@ -209,7 +216,7 @@ def state_based_bisim_on_lts(lts: Lts, s: int, t: int) -> BisimResult:
     the initial partition splits states by their full valuation."""
     seen: dict[Valuation, int] = {}
     initial = [seen.setdefault(state.valuation, len(seen)) for state in lts.states]
-    return _result("state-based", lts.states, _lts_rows(lts), (), initial, s, t)
+    return _result("state-based", lts.states, lts.transitions, (), initial, s, t)
 
 
 def state_based_bisim(spec: RecursiveSpec, s: GvState, t: GvState,

@@ -156,16 +156,16 @@ def _cmd_lts(args) -> int:
 
     spec, init = _load(args)
     lts = generate_lts(spec, init, _config(args))
-    text = export_lts(lts, args.format)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with Path(args.out).open("w", encoding="utf-8") as out:
+            export_lts(lts, args.format, out)
         _emit(args, {"states": len(lts.states),
                      "transitions": len(lts.transitions),
                      "out": args.out},
               f"wrote {args.out}: {len(lts.states)} states, "
               f"{len(lts.transitions)} transitions")
     else:
-        sys.stdout.write(text)
+        export_lts(lts, args.format, sys.stdout)
     return EXIT_OK
 
 

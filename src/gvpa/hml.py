@@ -356,18 +356,14 @@ class StateSpace(Record):
 def build_state_space(spec: RecursiveSpec,
                       roots: ProcessExpr | Iterable[ProcessExpr],
                       cfg: ExplorationConfig = DEFAULT_CONFIG) -> StateSpace:
-    exprs, valuations, rows, _ = expression_closure(spec, roots, cfg)
+    exprs, valuations, closure, _ = expression_closure(spec, roots, cfg)
     nv = len(valuations)
     transitions = []
-    for e_i, row in enumerate(rows):
-        rows[e_i] = None
+    for e_i in range(len(exprs)):
         grid_rows = [[] for _ in valuations]
-        # Popping frees each closure move as its grid copy is made, so the
-        # two tables never coexist; the rows come out reversed.
-        while row:
-            (v_i, label, target_v), e_j = row.pop()
+        for (v_i, label, target_v), e_j in closure.successors(e_i):
             grid_rows[v_i].append((label, e_j * nv + target_v))
-        transitions.extend(tuple(reversed(r)) for r in grid_rows)
+        transitions.extend(map(tuple, grid_rows))
     states = tuple(GvState(e, v) for e in exprs for v in valuations)
     return StateSpace(spec=spec, exprs=exprs, valuations=valuations,
                       states=states, transitions=tuple(transitions))

@@ -9,7 +9,12 @@ guarded step table, and each valuation filters that table by its code
 """
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from array import array
+from bisect import bisect_right
+from collections import abc
+from itertools import chain, islice, repeat
+from operator import eq, sub
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from .errors import ResourceLimitError
 from .syntax import (
@@ -42,29 +47,99 @@ class ExplorationConfig(Record):
 DEFAULT_CONFIG = ExplorationConfig()
 
 
+class Transitions(abc.Sequence):
+    """One transition relation in compressed sparse row form.
+
+    The moves of state ``s`` sit at positions ``offsets[s]`` up to
+    ``offsets[s + 1]`` of the flat ``label_ids`` and ``targets`` arrays; a
+    label id indexes ``labels``, the relation's distinct labels in order of
+    first occurrence. As a sequence the store is its ``(src, label, dst)``
+    triples in source order, made on demand; ``len`` is O(1).
+    """
+
+    __slots__ = ("offsets", "label_ids", "targets", "labels")
+
+    def __init__(self, rows: Iterable[Iterable[tuple]] = (),
+                 index: Callable[[Any], int] = int):
+        """The store of ``rows``: one iterable of ``(label, target)`` moves
+        per state, in state order. ``index`` maps a move's target to its
+        state number as the move is stored (a search registers new states
+        through it)."""
+        offsets, label_ids, targets = array("i", [0]), array("i"), array("i")
+        ids: dict = {}
+        intern = ids.setdefault
+        for row in rows:
+            for label, target in row:
+                label_ids.append(intern(label, len(ids)))
+                targets.append(index(target))
+            offsets.append(len(targets))
+        self.offsets, self.label_ids, self.targets = offsets, label_ids, targets
+        self.labels = tuple(ids)
+
+    def successors(self, state: int) -> list[tuple[Any, int]]:
+        """``(label, target)`` for each move of a state, in order."""
+        start, stop = self.offsets[state], self.offsets[state + 1]
+        return list(zip(map(self.labels.__getitem__, self.label_ids[start:stop]),
+                        self.targets[start:stop]))
+
+    def id_triples(self) -> Iterable[tuple[int, int, int]]:
+        """``(src, label id, dst)`` for each transition, in source order."""
+        offsets = self.offsets
+        sources = chain.from_iterable(map(repeat, range(len(offsets) - 1),
+                                          map(sub, offsets[1:], offsets)))
+        return zip(sources, self.label_ids, self.targets)
+
+    def __iter__(self):
+        labels = self.labels
+        for src, label, dst in self.id_triples():
+            yield src, labels[label], dst
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(*k.indices(len(self)))))
+        k = range(len(self.targets))[k]
+        return (bisect_right(self.offsets, k) - 1, self.labels[self.label_ids[k]],
+                self.targets[k])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Transitions, tuple, list)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return (f"<Transitions: {len(self)} over {len(self.offsets) - 1} states, "
+                f"{len(self.labels)} labels>")
+
+
 class Lts(Record):
     """Explicit LTS with a designated initial state.
 
     State payloads are opaque; transitions refer to state indices. The
     index order is the (deterministic) discovery order of the BFS that
-    built the system. The successor lists are built on the first call of
-    `successors`, so an LTS that is only exported holds its transitions
-    once.
+    built the system, which stores its moves as they are found. Given
+    ``(src, label, dst)`` triples, the LTS stores them as a `Transitions`
+    store too, each state's moves in the order given.
     """
 
     states: tuple
-    transitions: tuple[tuple[int, Any, int], ...]
+    transitions: Transitions
     initial: int = 0
-    _succ: list | None
+
+    def __post_init__(self):
+        if not isinstance(self.transitions, Transitions):
+            rows: list[list] = [[] for _ in self.states]
+            for src, label, dst in self.transitions:
+                rows[src].append((label, dst))
+            object.__setattr__(self, "transitions", Transitions(rows))
 
     def successors(self, state: int) -> list[tuple[Any, int]]:
-        succ = self._succ
-        if succ is None:
-            succ = [[] for _ in self.states]
-            for src, label, dst in self.transitions:
-                succ[src].append((label, dst))
-            object.__setattr__(self, "_succ", succ)
-        return succ[state]
+        return self.transitions.successors(state)
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +351,17 @@ def step(spec: RecursiveSpec, state: GvState) -> tuple[tuple[TransitionLabel, Gv
 
 
 def _bfs(roots: Iterable, successors: Callable[[Any], Iterable[tuple[Any, Any]]],
-         cap: int, what: str = "state") -> tuple[list, list[list], tuple[int, ...]]:
+         cap: int, what: str = "state") -> tuple[list, Transitions, tuple[int, ...]]:
     """Breadth-first search from several roots at once.
 
-    Returns the nodes in discovery order, one row of ``(label, j)`` moves
-    per node, where ``j`` indexes the nodes, and the index of each root.
-    Raises ResourceLimitError rather than store more than ``cap`` nodes.
+    Returns the nodes in discovery order, their ``(label, node)`` moves as
+    one `Transitions` store whose targets index the nodes, and the index
+    of each root. Raises ResourceLimitError rather than store more than
+    ``cap`` nodes.
     """
     index: dict = {}
     nodes: list = []
-    rows: list[list] = []
+    done = 0
 
     def register(node) -> int:
         i = index.get(node)
@@ -293,26 +369,27 @@ def _bfs(roots: Iterable, successors: Callable[[Any], Iterable[tuple[Any, Any]]]
             if len(nodes) >= cap:
                 raise ResourceLimitError(
                     f"{what} cap of {cap} exceeded "
-                    f"(frontier size {len(nodes) - len(rows)})",
+                    f"(frontier size {len(nodes) - done})",
                     limit=cap, reached=len(nodes) + 1)
             i = index[node] = len(nodes)
             nodes.append(node)
         return i
 
-    root_indices = tuple(register(root) for root in roots)
-    while len(rows) < len(nodes):
-        rows.append([(label, register(target))
-                     for label, target in successors(nodes[len(rows)])])
-    return nodes, rows, root_indices
+    def rows():
+        nonlocal done
+        while done < len(nodes):
+            yield successors(nodes[done])
+            done += 1
+
+    root_indices = tuple(map(register, roots))
+    return nodes, Transitions(rows(), register), root_indices
 
 
 def _bfs_lts(roots: Iterable, successors, cap: int,
              payload: Callable[[Any], Any] | None = None) -> tuple[Lts, tuple[int, ...]]:
     """The reachable LTS of the roots, states indexed in BFS order; each
     state holds ``payload(node)``, or the node itself."""
-    nodes, rows, root_indices = _bfs(roots, successors, cap)
-    transitions = tuple((i, label, j) for i, row in enumerate(rows) for label, j in row)
-    del rows
+    nodes, transitions, root_indices = _bfs(roots, successors, cap)
     states = tuple(nodes if payload is None else map(payload, nodes))
     return Lts(states=states, transitions=transitions, initial=root_indices[0]), root_indices
 
@@ -343,31 +420,34 @@ def expression_closure(spec: RecursiveSpec, roots: ProcessExpr | Iterable[Proces
                        cfg: ExplorationConfig = DEFAULT_CONFIG):
     """Closure of the roots under steps taken from every valuation.
 
-    One pass returns ``(exprs, valuations, rows, root_indices)``. Row ``e``
+    One pass returns ``(exprs, valuations, transitions, root_indices)``.
+    ``transitions`` is a `Transitions` store over the expressions whose
+    labels are ``(v, label, v2)`` triples: ``transitions.successors(e)``
     lists the moves of ``exprs[e]`` from every valuation, valuation by
     valuation in grid order and in `step` order within one valuation, as
     ``((v, label, v2), e2)``: from ``valuations[v]`` the label leads to
-    ``exprs[e2]`` under ``valuations[v2]``; equal triples are one shared
-    tuple, as the rows of many expressions repeat them. Valuations are
-    given by their codes, and each expression's table is derived once and
-    dropped after its row is made.
+    ``exprs[e2]`` under ``valuations[v2]``. Valuations are given by their
+    codes, and each expression's table is derived once and dropped after
+    its moves are stored.
     """
     if isinstance(roots, ProcessExpr):
         roots = [roots]
     valuations = enumerate_valuations(spec, cfg.max_valuations)
     stepper = _Stepper(spec)
-    triples: dict[tuple, tuple] = {}
+
+    # one int object per code, shared by every label triple that holds it
+    codes = list(range(len(valuations)))
 
     def successors(e):
         table = stepper.table(e)
-        for v in range(len(valuations)):
+        for v in codes:
             for label, t, c in stepper.moves(table, v):
-                triple = (v, label, c)
-                yield triples.setdefault(triple, triple), t
+                yield (v, label, codes[c]), t
 
-    nodes, rows, root_indices = _bfs([stepper.number(root) for root in roots],
-                                     successors, cfg.max_states, "expression closure")
-    return tuple(stepper.exprs[e] for e in nodes), valuations, rows, root_indices
+    nodes, transitions, root_indices = _bfs([stepper.number(root) for root in roots],
+                                            successors, cfg.max_states,
+                                            "expression closure")
+    return tuple(stepper.exprs[e] for e in nodes), valuations, transitions, root_indices
 
 
 def reachable_exprs(spec: RecursiveSpec, roots: ProcessExpr | Iterable[ProcessExpr],
@@ -392,21 +472,34 @@ def _state_text(payload) -> str:
     return str(payload)
 
 
-def export_lts(lts: Lts, fmt: str = "aut") -> str:
+def _escaped(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def export_lts(lts: Lts, fmt: str = "aut", out: TextIO | None = None) -> str | None:
+    """The LTS as Aldebaran (``aut``) or Graphviz (``dot``) text, written
+    to the text file ``out`` in chunks of lines when one is given (and
+    None returned), or else returned. Each distinct label is rendered
+    once."""
+    store = lts.transitions
     if fmt == "aut":
-        lines = [f"des ({lts.initial},{len(lts.transitions)},{len(lts.states)})"]
-        for src, label, dst in lts.transitions:
-            lines.append(f'({src},"{_label_text(label)}",{dst})')
-        return "\n".join(lines) + "\n"
-    if fmt == "dot":
-        lines = ["digraph lts {", "  rankdir=LR;", '  node [shape=box];',
-                 '  init [shape=point];', f"  init -> s{lts.initial};"]
-        for i, payload in enumerate(lts.states):
-            text = _state_text(payload).replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  s{i} [label="{text}"];')
-        for src, label, dst in lts.transitions:
-            text = _label_text(label).replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  s{src} -> s{dst} [label="{text}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown export format {fmt!r}")
+        texts = [_label_text(label) for label in store.labels]
+        lines = chain([f"des ({lts.initial},{len(store)},{len(lts.states)})\n"],
+                      (f'({src},"{texts[label]}",{dst})\n'
+                       for src, label, dst in store.id_triples()))
+    elif fmt == "dot":
+        texts = [_escaped(_label_text(label)) for label in store.labels]
+        lines = chain(["digraph lts {\n", "  rankdir=LR;\n", "  node [shape=box];\n",
+                       "  init [shape=point];\n", f"  init -> s{lts.initial};\n"],
+                      (f'  s{i} [label="{_escaped(_state_text(payload))}"];\n'
+                       for i, payload in enumerate(lts.states)),
+                      (f'  s{src} -> s{dst} [label="{texts[label]}"];\n'
+                       for src, label, dst in store.id_triples()),
+                      ["}\n"])
+    else:
+        raise ValueError(f"unknown export format {fmt!r}")
+    chunks: list[str] = []
+    write = chunks.append if out is None else out.write
+    while chunk := "".join(islice(lines, 4096)):
+        write(chunk)
+    return "".join(chunks) if out is None else None

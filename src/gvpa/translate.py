@@ -284,25 +284,38 @@ def translate_state(out: TranslationOutput, expr: ProcessExpr,
 # Formula translation (theta)
 
 
-def translate_formula(formula: HmlFormula) -> HmlFormula:
+def translate_formula(formula: HmlFormula, memo: dict | None = None) -> HmlFormula:
     """check (v=e) becomes a diamond over the value(v,e) self-loop; modal
-    label sets carry over as canonical label strings."""
+    label sets carry over as canonical label strings. Formulas are
+    hash-consed, so a ``memo`` passed to several calls translates each
+    shared subformula once."""
+    if memo is None:
+        memo = {}
+    out = memo.get(formula)
+    if out is None:
+        out = memo[formula] = _translate(formula, memo)
+    return out
+
+
+def _translate(formula: HmlFormula, memo: dict) -> HmlFormula:
     if isinstance(formula, (HTrue, HFalse)):
         return formula
     if isinstance(formula, Check):
         return Diamond(frozenset({f"value({formula.var},{formula.value})"}), TRUE)
     if isinstance(formula, Not):
-        return Not(translate_formula(formula.sub))
+        return Not(translate_formula(formula.sub, memo))
     if isinstance(formula, And):
-        return And(translate_formula(formula.left), translate_formula(formula.right))
+        return And(translate_formula(formula.left, memo),
+                   translate_formula(formula.right, memo))
     if isinstance(formula, Or):
-        return Or(translate_formula(formula.left), translate_formula(formula.right))
+        return Or(translate_formula(formula.left, memo),
+                  translate_formula(formula.right, memo))
     if isinstance(formula, Diamond):
         return Diamond(frozenset(label_str(l) for l in formula.labels),
-                       translate_formula(formula.sub))
+                       translate_formula(formula.sub, memo))
     if isinstance(formula, Box):
         return Box(frozenset(label_str(l) for l in formula.labels),
-                   translate_formula(formula.sub))
+                   translate_formula(formula.sub, memo))
     if isinstance(formula, SetVar):
         raise FragmentError(
             "the formula translation is defined on the check fragment only; "
@@ -459,11 +472,13 @@ def check_theorem4(pipeline: PipelineResult, formulas: Sequence[HmlFormula],
     """Evaluates check-fragment formulas at the roots of both sides of the
     translation, one report per formula in order.
 
-    Every formula is translated before any is evaluated, so a set operator
-    is rejected before a state is stepped. One checker per side answers all
-    the formulas, so each state is stepped at most once."""
+    Every formula is translated before any is evaluated, through one memo,
+    so a set operator is rejected before a state is stepped. One checker
+    per side answers all the formulas, so each state is stepped at most
+    once."""
     source = source_checker(pipeline.out.spec, cfg)
-    translated = [translate_formula(formula) for formula in formulas]
+    memo: dict = {}
+    translated = [translate_formula(formula, memo) for formula in formulas]
     target, m_root = lts_checker(pipeline.m_lts), pipeline.m_lts.initial
     return [Theorem4Report(formula=formula,
                            source_verdict=source(pipeline.gv_root, formula),

@@ -86,6 +86,97 @@ def _reference_source_steps(spec, expr, valuation, unfolding) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Row-list exploration and export: one list of moves per state, and the
+# LTS as a tuple of (src, label, dst) triples
+
+
+def reference_bfs(roots, successors):
+    """Breadth-first search from several roots at once: the nodes in
+    discovery order, one row of ``(label, j)`` moves per node, where ``j``
+    indexes the nodes, and the index of each root."""
+    index: dict = {}
+    nodes: list = []
+    rows: list[list] = []
+
+    def register(node) -> int:
+        if node not in index:
+            index[node] = len(nodes)
+            nodes.append(node)
+        return index[node]
+
+    root_indices = tuple(register(root) for root in roots)
+    while len(rows) < len(nodes):
+        rows.append([(label, register(target))
+                     for label, target in successors(nodes[len(rows)])])
+    return nodes, rows, root_indices
+
+
+def reference_explore(spec, roots):
+    """The states, ``(i, label, j)`` triples and root indices of the LTS
+    reachable from `GvState` roots, stepping by `reference_step`."""
+    nodes, rows, root_indices = reference_bfs(
+        roots, lambda state: reference_step(spec, state))
+    return (tuple(nodes), [(i, label, j) for i, row in enumerate(rows) for label, j in row],
+            root_indices)
+
+
+def reference_closure(spec, roots):
+    """The expressions, valuations, rows and root indices of the closure
+    of the roots under steps from every valuation; a row lists
+    ``((v, label, v2), e2)`` valuation by valuation, stepping by
+    `reference_step`."""
+    valuations = enumerate_valuations(spec)
+    code = {valuation: v for v, valuation in enumerate(valuations)}
+
+    def successors(expr):
+        return [((v, label, code[target.valuation]), target.expr)
+                for v, valuation in enumerate(valuations)
+                for label, target in reference_step(spec, GvState(expr, valuation))]
+
+    exprs, rows, root_indices = reference_bfs(roots, successors)
+    return tuple(exprs), valuations, rows, root_indices
+
+
+def reference_lts_rows(n_states: int, triples) -> list[list[tuple]]:
+    """The ``(label, dst)`` moves of each state, in the order of the
+    triples."""
+    rows: list[list[tuple]] = [[] for _ in range(n_states)]
+    for src, label, dst in triples:
+        rows[src].append((label, dst))
+    return rows
+
+
+def _reference_label_text(label) -> str:
+    return label_str(label) if isinstance(label, (Action, Assign)) else str(label)
+
+
+def _reference_state_text(payload) -> str:
+    if isinstance(payload, GvState):
+        return f"<{reference_expr_str(payload.expr)}, {payload.valuation}>"
+    return str(payload)
+
+
+def reference_export_lts(states, triples, initial: int, fmt: str = "aut") -> str:
+    """The ``.aut`` or ``.dot`` text of an LTS, one line per transition,
+    joined at the end."""
+    if fmt == "aut":
+        lines = [f"des ({initial},{len(triples)},{len(states)})"]
+        for src, label, dst in triples:
+            lines.append(f'({src},"{_reference_label_text(label)}",{dst})')
+        return "\n".join(lines) + "\n"
+    lines = ["digraph lts {", "  rankdir=LR;", '  node [shape=box];',
+             '  init [shape=point];', f"  init -> s{initial};"]
+    for i, payload in enumerate(states):
+        text = _reference_state_text(payload).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  s{i} [label="{text}"];')
+    for src, label, dst in triples:
+        text = _reference_label_text(label).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  s{src} -> s{dst} [label="{text}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # Full-sweep signature refinement
 
 

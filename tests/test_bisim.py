@@ -22,7 +22,7 @@ from gvpa.hml import (
     Check, Diamond, TRUE, build_state_space, formula_str, fragment, satisfies,
 )
 from gvpa.parser import parse_spec
-from gvpa.sos import ExplorationConfig, GvState, explore
+from gvpa.sos import ExplorationConfig, GvState, Transitions, explore
 from gvpa.syntax import (
     Action, Choice, Cond, Deadlock, Encap, Parallel, Prefix, Valuation,
     enumerate_valuations,
@@ -312,7 +312,7 @@ def _seeded_cases():
 
 def _assert_same_history(n_states, adjacency, initial):
     expected = reference_refinement_history(n_states, adjacency, initial)
-    assert refinement_history(n_states, adjacency, initial) == expected
+    assert refinement_history(Transitions(adjacency), initial) == expected
     return expected
 
 
@@ -323,8 +323,9 @@ class TestRefinementAgainstReference:
 
     @staticmethod
     def _assert_matches(result):
+        n = len(result.states)
         assert result.history == reference_refinement_history(
-            len(result.states), result.adjacency, result.history[0])
+            n, [result.successors(s) for s in range(n)], result.history[0])
 
     def test_seeded_corpora_in_all_three_modes(self):
         for spec, roots, valuation in _seeded_cases():

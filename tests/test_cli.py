@@ -146,6 +146,23 @@ class TestLts:
     def test_resource_cap_exit_3(self, capsys):
         assert main(["lts", TRAFFIC, "--max-states", "2"]) == 3
 
+    @pytest.mark.parametrize("fmt", ["aut", "dot"])
+    def test_stdout_and_out_file_bytes_match_the_golden(self, tmp_path, fmt):
+        # a fresh interpreter, so the bytes are those a shell sees
+        golden = (DATA.parent / "golden" / f"traffic.lts.{fmt}").read_bytes()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        target = tmp_path / f"traffic.{fmt}"
+        for extra in ([], ["--out", str(target)]):
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys\nfrom gvpa.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))", "lts", TRAFFIC, "--format", fmt, *extra],
+                env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            if not extra:
+                assert done.stdout == golden
+        assert target.read_bytes() == golden
+
 
 class TestModelcheck:
     def test_true_formula_exit_0(self, capsys):

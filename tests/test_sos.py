@@ -12,7 +12,7 @@ import gvpa.sos
 from gvpa.errors import ResourceLimitError
 from gvpa.parser import parse_expr, parse_spec
 from gvpa.sos import (
-    ExplorationConfig, GvState, explore, export_lts,
+    ExplorationConfig, GvState, Transitions, explore, export_lts,
     expression_closure, generate_lts, reachable_exprs, step,
 )
 from gvpa.syntax import (
@@ -149,10 +149,12 @@ class TestGenerateLts:
         assert len(lts.states) == 6
         assert len(lts.transitions) == 9
 
-    def test_successor_lists_are_built_on_first_use(self, traffic):
+    def test_successors_read_from_the_store(self, traffic):
         spec, init = traffic
         lts = generate_lts(spec, init)
-        assert lts._succ is None
+        assert isinstance(lts.transitions, Transitions)
+        assert lts.transitions.labels == tuple(dict.fromkeys(
+            label for _, label, _ in lts.transitions))
         for i in range(len(lts.states)):
             assert lts.successors(i) == [(label, dst) for src, label, dst
                                          in lts.transitions if src == i]
@@ -322,7 +324,7 @@ class TestStepAgainstReference:
             cases.append((spec, (init.root,)))
         cases += [(spec, roots) for spec, roots, _ in _seeded_specs()]
         for spec, roots in cases:
-            exprs, valuations, rows, _ = expression_closure(spec, roots)
+            exprs, valuations, transitions, _ = expression_closure(spec, roots)
             for e, expr in enumerate(exprs):
                 expected = []
                 for v, valuation in enumerate(valuations):
@@ -330,7 +332,7 @@ class TestStepAgainstReference:
                     assert got == reference_step(spec, GvState(expr, valuation))
                     expected += [((v, label, valuations.index(target.valuation)),
                                   exprs.index(target.expr)) for label, target in got]
-                assert rows[e] == expected
+                assert transitions.successors(e) == expected
 
     @staticmethod
     def _spec(comm=(), equations=()):
@@ -387,9 +389,9 @@ class TestStepAgainstReference:
         for i, state in enumerate(lts.states):
             got = tuple((label, lts.states[j]) for label, j in lts.successors(i))
             assert got == reference_step(spec, state)
-        exprs, valuations, rows, _ = expression_closure(spec, roots)
+        exprs, valuations, transitions, _ = expression_closure(spec, roots)
         for e, expr in enumerate(exprs):
-            assert rows[e] == [
+            assert transitions.successors(e) == [
                 ((v, label, valuations.index(target.valuation)), exprs.index(target.expr))
                 for v, valuation in enumerate(valuations)
                 for label, target in reference_step(spec, GvState(expr, valuation))]

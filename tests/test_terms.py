@@ -115,9 +115,9 @@ def _process_corpus() -> list:
         cases.append((spec, (init.root,)))
     terms = []
     for spec, roots in cases:
-        exprs, _, rows, _ = expression_closure(spec, roots)
+        exprs, _, transitions, _ = expression_closure(spec, roots)
         terms += [body for _, body in spec.equations] + list(exprs)
-        terms += [label for row in rows for (_, label, _), _ in row]
+        terms += [label for _, label, _ in transitions.labels]
     return terms
 
 
@@ -346,15 +346,11 @@ class TestRecords:
                 again.other = 1
 
     def test_cache_slots_are_no_fields(self, records):
-        lts = records[sos.Lts]
-        assert lts._succ is not None
-        fresh = sos.Lts(lts.states, lts.transitions, lts.initial)
-        assert fresh._succ is None and fresh == lts and "_succ" not in repr(lts)
         spec = records[syntax.RecursiveSpec]
         assert spec._codes is not None and spec == syntax.RecursiveSpec(
             spec.domain, spec.variables, spec.actions, spec.equations, spec.comm)
         assert sos.Lts._fields == ("states", "transitions", "initial")
-        assert translate.PipelineResult._caches == ()
+        assert sos.Lts._caches == translate.PipelineResult._caches == ()
 
     def test_constructor_signatures(self):
         state = GvState(Name("P"), Valuation(()))
