@@ -230,14 +230,8 @@ class _FormulaParser:
             return Box(labels, self._unary())
         if tok.kind == "WORD" and tok.text == "set":
             self.ts.next()
-            var = self.ts.expect("WORD", "variable name")
-            if var.text not in self.spec.variables:
-                raise SpecSyntaxError(f"unknown variable {var.text}", var.line, var.col)
-            self.ts.expect("COLONEQ", "':='")
-            value = self.ts.expect("WORD", "domain value")
-            if value.text not in self.spec.domain:
-                raise SpecSyntaxError(f"unknown value {value.text}",
-                                      value.line, value.col)
+            var, value = self.ts.var_value("COLONEQ", self.spec.variables,
+                                           self.spec.domain, "':='")
             self.ts.expect("DOT", "'.'")
             return SetVar(var.text, value.text, self._unary())
         if tok.kind == "WORD" and tok.text == "true":
@@ -250,15 +244,8 @@ class _FormulaParser:
             if (self.ts.peek(1).kind == "WORD"
                     and self.ts.peek(2).kind == "EQUALS"):
                 self.ts.next()
-                var = self.ts.expect("WORD", "variable name")
-                if var.text not in self.spec.variables:
-                    raise SpecSyntaxError(f"unknown variable {var.text}",
-                                          var.line, var.col)
-                self.ts.expect("EQUALS")
-                value = self.ts.expect("WORD", "domain value")
-                if value.text not in self.spec.domain:
-                    raise SpecSyntaxError(f"unknown value {value.text}",
-                                          value.line, value.col)
+                var, value = self.ts.var_value("EQUALS", self.spec.variables,
+                                               self.spec.domain)
                 self.ts.expect("RPAREN")
                 return Check(var.text, value.text)
             self.ts.next()
@@ -291,14 +278,8 @@ class _FormulaParser:
         word = self.ts.expect("WORD", "transition label")
         if word.text == "assign":
             self.ts.expect("LPAREN")
-            var = self.ts.expect("WORD", "variable name")
-            if var.text not in self.spec.variables:
-                raise SpecSyntaxError(f"unknown variable {var.text}", var.line, var.col)
-            self.ts.expect("COMMA")
-            value = self.ts.expect("WORD", "domain value")
-            if value.text not in self.spec.domain:
-                raise SpecSyntaxError(f"unknown value {value.text}",
-                                      value.line, value.col)
+            var, value = self.ts.var_value("COMMA", self.spec.variables,
+                                           self.spec.domain)
             self.ts.expect("RPAREN")
             return [Assign(var.text, value.text)]
         if word.text not in self.spec.actions:
@@ -375,21 +356,20 @@ def build_state_space(spec: RecursiveSpec,
 
 def _checker(successors: Callable[[int], list[tuple]],
              atom: Callable[[HmlFormula, int], bool | int] | None,
-             cap: int, memo: dict | None = None) -> Callable[[int, HmlFormula], bool]:
+             cap: int) -> Callable[[int, HmlFormula], bool]:
     """A checker of one transition system: ``check(i, formula)`` is whether
     the formula holds at state ``i``, for any number of queries.
 
     A query is evaluated top down with short-circuits. Verdicts are memoised
-    on (state, subformula) in ``memo``, a fresh dict unless the caller
-    passes one, and the moves of each stepped state are kept with the
-    checker, so later queries reuse what earlier ones found.
+    on (state, subformula), and the moves of each stepped state are kept
+    with the checker, so later queries reuse what earlier ones found.
     ``successors(i)`` lists the ``(label, j)`` moves of state ``i``; it is
     called once per state, and only for the states a modality asks about,
     at most ``cap`` of them over all queries. ``atom(formula, i)`` gives the
     truth of a check at ``i``, or the state a set operator rewrites ``i``
     to; a plain LTS has none. One formula level costs one Python frame.
     """
-    memo = {} if memo is None else memo
+    memo: dict[tuple, bool] = {}
     moves: dict[int, list[tuple]] = {}
 
     def step(i: int) -> list[tuple]:
@@ -480,9 +460,9 @@ def holds(spec: RecursiveSpec, state: GvState, formula: HmlFormula,
     return source_checker(spec, cfg)(state, formula)
 
 
-def _grid_checker(space: StateSpace, memo: dict | None = None):
+def _grid_checker(space: StateSpace):
     return _checker(space.transitions.__getitem__, _digit_atom(space.spec.codes),
-                    len(space.states), memo)
+                    len(space.states))
 
 
 def satisfies(space: StateSpace, state: GvState, formula: HmlFormula) -> bool:
@@ -490,19 +470,16 @@ def satisfies(space: StateSpace, state: GvState, formula: HmlFormula) -> bool:
     return _grid_checker(space)(space.index_of(state), formula)
 
 
-def eval_formula(space: StateSpace, formula: HmlFormula,
-                 _memo: dict | None = None) -> frozenset[int]:
-    """Denotation of a formula on the grid: the states where it holds.
-    ``_memo`` is the checker's (state, subformula) memo; passing one dict
-    to several calls on the same grid shares their verdicts."""
-    check = _grid_checker(space, _memo)
+def eval_formula(space: StateSpace, formula: HmlFormula) -> frozenset[int]:
+    """Denotation of a formula on the grid: the states where it holds."""
+    check = _grid_checker(space)
     return frozenset(i for i in range(len(space.states)) if check(i, formula))
 
 
-def lts_checker(lts: Lts, memo: dict | None = None) -> Callable[[int, HmlFormula], bool]:
+def lts_checker(lts: Lts) -> Callable[[int, HmlFormula], bool]:
     """A checker of a plain LTS, whose states carry no valuation, for
     formulas without check or set (`holds_on_lts` rejects the others)."""
-    return _checker(lts.successors, None, len(lts.states), memo)
+    return _checker(lts.successors, None, len(lts.states))
 
 
 def _modal_only(formula: HmlFormula) -> HmlFormula:
@@ -517,11 +494,9 @@ def holds_on_lts(lts: Lts, state: int, formula: HmlFormula) -> bool:
     return lts_checker(lts)(state, _modal_only(formula))
 
 
-def eval_modal_on_lts(lts: Lts, formula: HmlFormula,
-                      _memo: dict | None = None) -> frozenset[int]:
+def eval_modal_on_lts(lts: Lts, formula: HmlFormula) -> frozenset[int]:
     """Denotation of a check- and set-free formula on a plain LTS, such as
-    the translated side, where labels are canonical multi-action strings.
-    ``_memo`` is as in `eval_formula`."""
+    the translated side, where labels are canonical multi-action strings."""
     _modal_only(formula)
-    check = lts_checker(lts, _memo)
+    check = lts_checker(lts)
     return frozenset(i for i in range(len(lts.states)) if check(i, formula))

@@ -174,31 +174,18 @@ class DAnd(DataExpr):
     conjuncts: tuple[DataExpr, ...]
 
 
-def eval_data(expr: DataExpr, env: Mapping[str, object] | None = None):
+def eval_data(expr: DataExpr):
     if isinstance(expr, DConst):
         return expr.symbol
     if isinstance(expr, DBool):
         return expr.value
     if isinstance(expr, DVar):
-        if env and expr.name in env:
-            return env[expr.name]
         raise ValueError(f"unbound data variable {expr.name}")
     if isinstance(expr, DEq):
-        return eval_data(expr.left, env) == eval_data(expr.right, env)
+        return eval_data(expr.left) == eval_data(expr.right)
     if isinstance(expr, DAnd):
-        return all(eval_data(c, env) for c in expr.conjuncts)
+        return all(eval_data(c) for c in expr.conjuncts)
     raise TypeError(f"not a data expression: {expr!r}")
-
-
-def subst_data(expr: DataExpr, var: str, replacement: DataExpr) -> DataExpr:
-    if isinstance(expr, DVar):
-        return replacement if expr.name == var else expr
-    if isinstance(expr, DEq):
-        return DEq(subst_data(expr.left, var, replacement),
-                   subst_data(expr.right, var, replacement))
-    if isinstance(expr, DAnd):
-        return DAnd(tuple(subst_data(c, var, replacement) for c in expr.conjuncts))
-    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +211,17 @@ class MBar(MultiAction):
 
 
 TAU = MTau()
-TRUE_DATA = DBool(True)
 
 
-def sem_multiaction(action: MultiAction,
-                    env: Mapping[str, object] | None = None) -> Multiset:
+def sem_multiaction(action: MultiAction) -> Multiset:
     """The semantic multi-action: tau is empty, bar is multiset addition."""
     if isinstance(action, MTau):
         return EMPTY_MULTISET
     if isinstance(action, MAct):
-        args = tuple(eval_data(a, env) for a in action.args)
+        args = tuple(eval_data(a) for a in action.args)
         return Multiset([GroundAction(action.name, args)])
     if isinstance(action, MBar):
-        return sem_multiaction(action.left, env) + sem_multiaction(action.right, env)
+        return sem_multiaction(action.left) + sem_multiaction(action.right)
     raise TypeError(f"not a multi-action: {action!r}")
 
 
@@ -339,42 +324,40 @@ class MComm(Mcrl2Process):
 MDELTA = MDeadlock()
 
 
-def subst_action(action: MultiAction, var: str, replacement: DataExpr) -> MultiAction:
-    if isinstance(action, MAct):
-        return MAct(action.name,
-                    tuple(subst_data(a, var, replacement) for a in action.args))
-    if isinstance(action, MBar):
-        return MBar(subst_action(action.left, var, replacement),
-                    subst_action(action.right, var, replacement))
-    return action
-
-
-def subst_proc(proc: Mcrl2Process, var: str, replacement: DataExpr) -> Mcrl2Process:
-    if isinstance(proc, MPrefix):
-        return MPrefix(subst_action(proc.action, var, replacement),
-                       subst_proc(proc.body, var, replacement))
-    if isinstance(proc, MDeadlock):
-        return proc
-    if isinstance(proc, MChoice):
-        return MChoice(subst_proc(proc.left, var, replacement),
-                       subst_proc(proc.right, var, replacement))
-    if isinstance(proc, MParallel):
-        return MParallel(subst_proc(proc.left, var, replacement),
-                         subst_proc(proc.right, var, replacement))
-    if isinstance(proc, MAllow):
-        return MAllow(proc.allowed, subst_proc(proc.body, var, replacement))
-    if isinstance(proc, MCall):
-        return MCall(proc.name,
-                     tuple(subst_data(a, var, replacement) for a in proc.args))
-    if isinstance(proc, MSum):
-        if proc.var == var:  # inner binder shadows
-            return proc
-        return MSum(proc.var, subst_proc(proc.body, var, replacement))
-    if isinstance(proc, MHide):
-        return MHide(proc.hidden, subst_proc(proc.body, var, replacement))
-    if isinstance(proc, MComm):
-        return MComm(proc.entries, subst_proc(proc.body, var, replacement))
-    raise TypeError(f"not an mCRL2 process: {proc!r}")
+def instantiate(term, values: Mapping[str, str]):
+    """A data expression, multi-action or process term with every free
+    variable named in ``values`` replaced by its value as a constant, in
+    one walk. A sum over a bound name drops that name from what it passes
+    on, and returns the sum unchanged when no name is left."""
+    cls = term.__class__
+    if cls is DVar:
+        value = values.get(term.name)
+        return term if value is None else DConst(value)
+    if cls is MAct:
+        return MAct(term.name, tuple(instantiate(a, values) for a in term.args))
+    if cls is MPrefix:
+        return MPrefix(instantiate(term.action, values), instantiate(term.body, values))
+    if cls is MCall:
+        return MCall(term.name, tuple(instantiate(a, values) for a in term.args))
+    if cls is MSum:
+        if term.var in values:  # the binder shadows its name
+            values = {k: v for k, v in values.items() if k != term.var}
+            if not values:
+                return term
+        return MSum(term.var, instantiate(term.body, values))
+    if cls is MChoice or cls is MParallel or cls is MBar or cls is DEq:
+        return cls(instantiate(term.left, values), instantiate(term.right, values))
+    if cls is DAnd:
+        return DAnd(tuple(instantiate(c, values) for c in term.conjuncts))
+    if cls is MAllow:
+        return MAllow(term.allowed, instantiate(term.body, values))
+    if cls is MHide:
+        return MHide(term.hidden, instantiate(term.body, values))
+    if cls is MComm:
+        return MComm(term.entries, instantiate(term.body, values))
+    if isinstance(term, (DataExpr, MultiAction, MDeadlock)):
+        return term
+    raise TypeError(f"not an mCRL2 term: {term!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +436,10 @@ class _StepTable(dict):
         if isinstance(proc, MSum):
             fixed = keep.bound(proc, bind, self.env.domain) if bind else None
             if fixed is not None:
-                values, prefix = fixed
-                target = prefix.body
-                for var, value in values.items():
-                    target = subst_proc(target, var, DConst(value))
-                return keep.rows([(sem_multiaction(prefix.action, values), target)], complete)
+                prefix = instantiate(*fixed)
+                return keep.rows([(sem_multiaction(prefix.action), prefix.body)], complete)
             return [row for value in self.env.domain
-                    for row in self[subst_proc(proc.body, proc.var, DConst(value)),
+                    for row in self[instantiate(proc.body, {proc.var: value}),
                                     unfolding, keep, complete, bind]]
         if isinstance(proc, MCall):
             if proc.name in unfolding:
@@ -468,12 +448,15 @@ class _StepTable(dict):
             if len(params) != len(proc.args):
                 raise ValueError(
                     f"{proc.name} expects {len(params)} arguments, got {len(proc.args)}")
+            values = {}
             for param, arg in zip(params, proc.args):
                 value = eval_data(arg)
                 if not isinstance(value, str):
                     raise ValueError(
                         f"argument of {proc.name} must be a domain value, got {value!r}")
-                body = subst_proc(body, param, DConst(value))
+                values[param] = value
+            if values:
+                body = instantiate(body, values)
             return self[body, unfolding | {proc.name}, keep, complete, bind]
         # hide, comm and allow rewrite or filter labels, so an enclosing
         # stack's restriction applies to what they return
@@ -616,7 +599,7 @@ class _Keep:
 
     def bound(self, proc: MSum, bind: tuple, domain) -> tuple | None:
         """For a chain of sums over a prefix whose binders ``bind`` fixes
-        all, their values and the prefix; otherwise None.
+        all, the prefix and the binders' values; otherwise None.
 
         A binder is fixed when the action holds it only in arguments of
         bound names N, once as a whole argument: an instance with another
@@ -632,18 +615,17 @@ class _Keep:
             body = body.body
         if not isinstance(body, MPrefix):
             return None
-        fixed, values = dict(bind), {}
+        fixed, values, probe = dict(bind), {}, dict.fromkeys(binders, "")
         for act in _acts(body.action):
             args = fixed.get(act.name)
             if args is None or self.partner.get(act.name) in fixed:
-                if any(subst_data(a, var, TRUE_DATA) is not a
-                       for a in act.args for var in binders):
+                if instantiate(act, probe) is not act:  # it holds a binder
                     return None
             elif len(args) == len(act.args):
                 for a, value in zip(act.args, args):
                     if isinstance(a, DVar) and a.name in binders and value in domain:
                         values.setdefault(a.name, value)
-        return (values, body) if len(values) == len(binders) else None
+        return (body, values) if len(values) == len(binders) else None
 
     def parallel(self, table: _StepTable, proc: MParallel, unfolding,
                  complete: bool, bind) -> list:

@@ -135,6 +135,19 @@ class TokenStream:
             )
         return self.next()
 
+    def var_value(self, sep: str, variables, values,
+                  what: str | None = None) -> tuple[Token, Token]:
+        """Parses `variable <sep> value`, both declared: the production of
+        conditions, assignments, `with` entries, checks and `set`."""
+        var = self.expect("WORD", "variable name")
+        if var.text not in variables:
+            raise SpecSyntaxError(f"unknown variable {var.text}", var.line, var.col)
+        self.expect(sep, what)
+        value = self.expect("WORD", "domain value")
+        if value.text not in values:
+            raise SpecSyntaxError(f"unknown value {value.text}", value.line, value.col)
+        return var, value
+
 
 def _declared_name(ts: TokenStream, what: str) -> Token:
     tok = ts.expect("WORD", what)
@@ -227,13 +240,7 @@ class _ExprParser:
 
     def _cond(self) -> ProcessExpr:
         self.ts.expect("LPAREN")
-        var = self.ts.expect("WORD", "variable name")
-        if var.text not in self.variables:
-            raise SpecSyntaxError(f"unknown variable {var.text}", var.line, var.col)
-        self.ts.expect("EQUALS")
-        value = self.ts.expect("WORD", "domain value")
-        if value.text not in self.values:
-            raise SpecSyntaxError(f"unknown value {value.text}", value.line, value.col)
+        var, value = self.ts.var_value("EQUALS", self.variables, self.values)
         self.ts.expect("RPAREN")
         self.ts.expect("ARROW", "'->'")
         return Cond(var.text, value.text, self._tight())
@@ -241,13 +248,7 @@ class _ExprParser:
     def _assign_label(self) -> Assign:
         self.ts.eat_word("assign")
         self.ts.expect("LPAREN")
-        var = self.ts.expect("WORD", "variable name")
-        if var.text not in self.variables:
-            raise SpecSyntaxError(f"unknown variable {var.text}", var.line, var.col)
-        self.ts.expect("COMMA")
-        value = self.ts.expect("WORD", "domain value")
-        if value.text not in self.values:
-            raise SpecSyntaxError(f"unknown value {value.text}", value.line, value.col)
+        var, value = self.ts.var_value("COMMA", self.variables, self.values)
         self.ts.expect("RPAREN")
         return Assign(var.text, value.text)
 
@@ -333,13 +334,7 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
         ts.next()
         ts.expect("LBRACE")
         while ts.peek().kind != "RBRACE":
-            var = ts.expect("WORD", "variable name")
-            if var.text not in variables:
-                raise SpecSyntaxError(f"unknown variable {var.text}", var.line, var.col)
-            ts.expect("EQUALS")
-            value = ts.expect("WORD", "domain value")
-            if value.text not in values:
-                raise SpecSyntaxError(f"unknown value {value.text}", value.line, value.col)
+            var, value = ts.var_value("EQUALS", variables, values)
             if var.text in assignment:
                 raise SpecSyntaxError(
                     f"variable {var.text} assigned twice", var.line, var.col)

@@ -16,9 +16,8 @@ from gvpa.hml import (
 )
 from gvpa.mcrl2 import (
     DAnd, DBool, DConst, DEq, DVar, GroundAction, MAct, MAllow, MBar, MCall,
-    MChoice, MComm, MDeadlock, MHide, MParallel, MPrefix, MSum, Multiset,
+    MChoice, MComm, MDeadlock, MHide, MParallel, MPrefix, MSum, MTau, Multiset,
     apply_comm, apply_hide, canonical_label, names_of, sem_multiaction,
-    subst_proc,
 )
 from gvpa.sos import GvState, Lts
 from gvpa.syntax import (
@@ -354,6 +353,47 @@ def comm_normal_forms(entries, sem) -> set[Multiset]:
 # mCRL2 steps by the unrestricted product rule
 
 
+def reference_subst(term, var: str, replacement):
+    """A data expression, multi-action or process term with the free
+    occurrences of one variable replaced, one walk per variable; a sum over
+    ``var`` shadows it."""
+    if isinstance(term, DVar):
+        return replacement if term.name == var else term
+    if isinstance(term, (DConst, DBool, MTau, MDeadlock)):
+        return term
+    if isinstance(term, DEq):
+        return DEq(reference_subst(term.left, var, replacement),
+                   reference_subst(term.right, var, replacement))
+    if isinstance(term, DAnd):
+        return DAnd(tuple(reference_subst(c, var, replacement) for c in term.conjuncts))
+    if isinstance(term, (MAct, MCall)):
+        return type(term)(term.name,
+                          tuple(reference_subst(a, var, replacement) for a in term.args))
+    if isinstance(term, MBar):
+        return MBar(reference_subst(term.left, var, replacement),
+                    reference_subst(term.right, var, replacement))
+    if isinstance(term, MPrefix):
+        return MPrefix(reference_subst(term.action, var, replacement),
+                       reference_subst(term.body, var, replacement))
+    if isinstance(term, MChoice):
+        return MChoice(reference_subst(term.left, var, replacement),
+                       reference_subst(term.right, var, replacement))
+    if isinstance(term, MParallel):
+        return MParallel(reference_subst(term.left, var, replacement),
+                         reference_subst(term.right, var, replacement))
+    if isinstance(term, MSum):
+        if term.var == var:
+            return term
+        return MSum(term.var, reference_subst(term.body, var, replacement))
+    if isinstance(term, MAllow):
+        return MAllow(term.allowed, reference_subst(term.body, var, replacement))
+    if isinstance(term, MHide):
+        return MHide(term.hidden, reference_subst(term.body, var, replacement))
+    if isinstance(term, MComm):
+        return MComm(term.entries, reference_subst(term.body, var, replacement))
+    raise TypeError(f"not an mCRL2 term: {term!r}")
+
+
 def reference_step_mcrl2(env, proc) -> tuple:
     """Every step of an mCRL2 term by the rules as written: the parallel
     rule forms every product and the operators filter afterwards; repeated
@@ -378,7 +418,7 @@ def _reference_steps(env, proc, unfolding) -> list:
     if isinstance(proc, MSum):
         return [step for value in env.domain
                 for step in _reference_steps(
-                    env, subst_proc(proc.body, proc.var, DConst(value)), unfolding)]
+                    env, reference_subst(proc.body, proc.var, DConst(value)), unfolding)]
     if isinstance(proc, MCall):
         if proc.name in unfolding:
             return []
@@ -386,7 +426,7 @@ def _reference_steps(env, proc, unfolding) -> list:
         for param, arg in zip(params, proc.args, strict=True):
             if not isinstance(arg, DConst):
                 raise ValueError(f"argument of {proc.name} is not a domain value")
-            body = subst_proc(body, param, arg)
+            body = reference_subst(body, param, arg)
         return _reference_steps(env, body, unfolding | {proc.name})
     steps = _reference_steps(env, proc.body, unfolding)
     if isinstance(proc, MHide):

@@ -267,10 +267,9 @@ class TestReferenceEvaluatorAgreement:
                     for v in spec.variables for d in spec.domain.values]
             formulas += sets
             formulas += [Box(frozenset({label}), f) for f in sets[::5] for label in labels]
-            memo: dict = {}
             reference_memo: dict = {}
             for formula in formulas:
-                assert eval_formula(space, formula, memo) == reference_eval_formula(
+                assert eval_formula(space, formula) == reference_eval_formula(
                     space, formula, reference_memo), formula_str(formula)
 
     def test_translated_lts(self):
@@ -280,10 +279,9 @@ class TestReferenceEvaluatorAgreement:
             pipe = run_pipeline(spec, root, valuation, ExplorationConfig(max_states=3000))
             formulas = enumerate_check_formulas(spec, all_labels(spec), max_depth=2,
                                                 cap=400)
-            memo: dict = {}
             reference_memo: dict = {}
             for formula in formulas:
                 translated = translate_formula(formula)
-                assert eval_modal_on_lts(pipe.m_lts, translated, memo) == \
+                assert eval_modal_on_lts(pipe.m_lts, translated) == \
                     reference_eval_formula(pipe.m_lts, translated, reference_memo), \
                     formula_str(formula)

@@ -47,11 +47,10 @@ def _formulas(spec, cap: int) -> list:
 
 
 def _agree_on_grid(spec, space, formulas, sample) -> int:
-    memo: dict = {}
     reference_memo: dict = {}
     compared = 0
     for formula in formulas:
-        den = eval_formula(space, formula, memo)
+        den = eval_formula(space, formula)
         assert den == reference_eval_formula(space, formula, reference_memo), \
             formula_str(formula)
         for i in sample:
@@ -97,14 +96,13 @@ class TestAgreesWithTheGrid:
             pipe = run_pipeline(spec, root, valuation, CFG)
             space = build_state_space(spec, [root], CFG)
             source_root = space.index_of(pipe.gv_root)
-            memo: dict = {}
             formulas = enumerate_check_formulas(spec, all_labels(spec),
                                                 max_depth=2, cap=150)
             reports = check_theorem4(pipe, formulas, CFG)
             assert [report.formula for report in reports] == formulas
             for formula, report in zip(formulas, reports):
                 translated = translate_formula(formula)
-                den = eval_modal_on_lts(pipe.m_lts, translated, memo)
+                den = eval_modal_on_lts(pipe.m_lts, translated)
                 for i in range(0, len(pipe.m_lts.states), 3):
                     assert holds_on_lts(pipe.m_lts, i, translated) is (i in den)
                 assert report.source_verdict is (source_root in eval_formula(space, formula))

@@ -146,3 +146,41 @@ class TestPrecedence:
         assert expr == Prefix(
             Action("a"),
             Choice(Prefix(Action("b"), Deadlock()), Name("X")))
+
+
+_SITES_SPEC = """domain {{ v0, v1 }}
+vars {{ x }}
+acts {{ a }}
+proc X = {proc}
+init X with {{ {init} }}
+"""
+
+
+@pytest.mark.parametrize("site, text, message", [
+    ("cond", "(BAD = v0) -> a.X", "4:11: unknown variable BAD"),
+    ("cond", "(x = BAD) -> a.X", "4:15: unknown value BAD"),
+    ("assign", "assign(BAD, v0).X", "4:17: unknown variable BAD"),
+    ("assign", "assign(x, BAD).X", "4:20: unknown value BAD"),
+    ("with", "BAD = v0", "5:15: unknown variable BAD"),
+    ("with", "x = BAD", "5:19: unknown value BAD"),
+    ("check", "(BAD = v0)", "1:2: unknown variable BAD"),
+    ("check", "(x = BAD)", "1:6: unknown value BAD"),
+    ("set", "set BAD := v0 . true", "1:5: unknown variable BAD"),
+    ("set", "set x := BAD . true", "1:10: unknown value BAD"),
+    ("assign label", "<assign(BAD, v0)> true", "1:9: unknown variable BAD"),
+    ("assign label", "<assign(x, BAD)> true", "1:12: unknown value BAD"),
+])
+def test_variable_value_sites_report_unknown_names(site, text, message):
+    """Every `variable <sep> value` production names the unknown variable or
+    value at its own position, in specs and in formulas alike."""
+    from gvpa.hml import parse_formula
+
+    with pytest.raises(SpecSyntaxError) as err:
+        if site in ("cond", "assign"):
+            parse_spec(_SITES_SPEC.format(proc=text, init="x = v0"))
+        elif site == "with":
+            parse_spec(_SITES_SPEC.format(proc="a.X", init=text))
+        else:
+            spec, _ = parse_spec(_SITES_SPEC.format(proc="a.X", init="x = v0"))
+            parse_formula(text, spec)
+    assert str(err.value) == message
