@@ -203,6 +203,40 @@ def _conjoin(left: tuple, right: tuple) -> tuple | None:
 
 
 def _rows(spec, codes, expr, unfolding, memo) -> list[tuple]:
+    # The operators that a state's table starts from come first. A target
+    # is looked up in its class's intern table and constructed only when
+    # it is new: most targets exist already, and the lookup costs a
+    # quarter of the constructor's call.
+    if isinstance(expr, Encap):
+        blocked = expr.blocked
+        find = Encap.find()
+        return [(tests, label, find((blocked, target)) or Encap(blocked, target))
+                for tests, label, target in _rows(spec, codes, expr.body, unfolding, memo)
+                if not (isinstance(label, Action) and label.name in blocked)]
+    if isinstance(expr, Parallel):
+        p, q = expr.left, expr.right
+        left = memo[p, unfolding]
+        right = memo[q, unfolding]
+        find = Parallel.find()
+        out = [(tests, label, find((target, q)) or Parallel(target, q))
+               for tests, label, target in left]
+        out += [(tests, label, find((p, target)) or Parallel(p, target))
+                for tests, label, target in right]
+        if not spec.comm.is_empty():
+            right = [row for row in right if isinstance(row[1], Action)]
+            find_action = Action.find()
+            for ta, la, pa in left:
+                if not isinstance(la, Action):
+                    continue
+                for tb, lb, pb in right:
+                    result = spec.comm.lookup(la.name, lb.name)
+                    if result is not None:
+                        # both sides step from the same valuation
+                        tests = _conjoin(ta, tb)
+                        if tests is not None:
+                            out.append((tests, find_action((result,)) or Action(result),
+                                        find((pa, pb)) or Parallel(pa, pb)))
+        return out
     if isinstance(expr, Deadlock):
         return []
     if isinstance(expr, Prefix):
@@ -224,31 +258,20 @@ def _rows(spec, codes, expr, unfolding, memo) -> list[tuple]:
         if expr.name in unfolding:
             return []
         return memo[spec.equation(expr.name), unfolding | {expr.name}]
-    if isinstance(expr, Encap):
-        return [(tests, label, Encap(expr.blocked, target))
-                for tests, label, target in _rows(spec, codes, expr.body, unfolding, memo)
-                if not (isinstance(label, Action) and label.name in expr.blocked)]
-    if isinstance(expr, Parallel):
-        left = memo[expr.left, unfolding]
-        right = memo[expr.right, unfolding]
-        out = [(tests, label, Parallel(target, expr.right))
-               for tests, label, target in left]
-        out += [(tests, label, Parallel(expr.left, target))
-                for tests, label, target in right]
-        if not spec.comm.is_empty():
-            right = [row for row in right if isinstance(row[1], Action)]
-            for ta, la, pa in left:
-                if not isinstance(la, Action):
-                    continue
-                for tb, lb, pb in right:
-                    result = spec.comm.lookup(la.name, lb.name)
-                    if result is not None:
-                        # both sides step from the same valuation
-                        tests = _conjoin(ta, tb)
-                        if tests is not None:
-                            out.append((tests, Action(result), Parallel(pa, pb)))
-        return out
     raise TypeError(f"not a process expression: {expr!r}")
+
+
+def _derived_twice(runs: list[tuple]) -> bool:
+    """Whether two rows of a table's runs have one label and target and
+    tests that can both hold."""
+    seen: dict[tuple, list] = {}
+    for tests, rows in runs:
+        for label, t, _, _ in rows:
+            earlier = seen.setdefault((label, t), [])
+            if any(_conjoin(other, tests) is not None for other in earlier):
+                return True
+            earlier.append(tests)
+    return False
 
 
 class _Stepper:
@@ -278,20 +301,25 @@ class _Stepper:
         twice (two rows with one label and target whose tests can both
         hold)."""
         runs: list[tuple] = []
-        seen: dict[tuple, list] = {}
-        twice = False
-        for tests, label, target in guarded_steps(self.spec, self.exprs[e], self._memo):
-            t = self.number(target)
-            weight, digit = (self.codes.test(label.var, label.value)
-                             if isinstance(label, Assign) else (0, 0))
-            if runs and runs[-1][0] == tests:
-                runs[-1][1].append((label, t, weight, digit))
+        pairs: set[tuple] = set()
+        numbered, number, test = self._number.get, self.number, self.codes.test
+        last = rows = None
+        n = 0
+        for n, (tests, label, target) in enumerate(
+                guarded_steps(self.spec, self.exprs[e], self._memo), 1):
+            t = numbered(target)
+            if t is None:
+                t = number(target)
+            row = ((label, t) + test(label.var, label.value) if isinstance(label, Assign)
+                   else (label, t, 0, 0))
+            if tests == last:
+                rows.append(row)
             else:
-                runs.append((tests, [(label, t, weight, digit)]))
-            earlier = seen.setdefault((label, t), [])
-            twice = twice or any(_conjoin(other, tests) is not None for other in earlier)
-            earlier.append(tests)
-        return runs, twice
+                last, rows = tests, [row]
+                runs.append((tests, rows))
+            pairs.add((label, t))
+        # only a repeated (label, target) pair can be derived twice
+        return runs, len(pairs) < n and _derived_twice(runs)
 
     def moves(self, table: tuple[list[tuple], bool], code: int) -> list[tuple]:
         """``(label, target number, target code)`` for each step from the

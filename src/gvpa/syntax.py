@@ -95,6 +95,15 @@ class Term(_Node):
         return node
 
     @classmethod
+    def find(cls):
+        """The lookup of the class's intern table, for code that builds many
+        nodes most of which exist already: called with the tuple of a node's
+        field values in field order, the key `__new__` looks up, it returns
+        the node made for them, or None if there is none yet. It is the
+        table's own ``get``, so a hit costs no constructor call."""
+        return cls._table.get
+
+    @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:
         """All field values, from positions, keywords and defaults."""
         if len(args) > len(cls._fields):

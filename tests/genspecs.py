@@ -7,7 +7,8 @@ translation never produces (for the restricted composition), and terms
 whose sums feed a checkP-like name (for the binding of sum binders at the
 join). Two scaled
 families as spec texts: the worker grid W(n,k) (many valuations) and the
-handshake ring R(n,L) (many expressions). The
+handshake ring R(n,L) (many expressions); and hand-built corners of step
+tables. The
 parallel-sequential generator never puts a condition directly over delta
 and never nests conditions, so the translated state map stays injective
 and the structure-preservation counts are meaningful. `mutate_spec` edits
@@ -316,6 +317,41 @@ def ring_text(n: int, stages: int) -> str:
     ring = " || ".join(f"C{i}_0" for i in range(1, n + 1))
     lines.append(f"init encap({{a1, a2}}) ({ring}) with {{ f = lo }}")
     return "\n".join(lines) + "\n"
+
+
+def step_corner_specs() -> list[tuple[RecursiveSpec, tuple]]:
+    """(spec, roots) pairs built by hand for the corners of step tables:
+    operands that meet in both orders, so that a target built from swapped
+    operands already exists; a nested encap; a handshake that the
+    enclosing encap blocks; one step derived twice under tests that can
+    both hold, that conflict, and under none; and the unguarded
+    P = p + Q, Q = q + P."""
+    p, q, r = (Prefix(Action(n), Deadlock()) for n in ("p", "q", "r"))
+    P, Q, R = Name("P"), Name("Q"), Name("R")
+    spec = RecursiveSpec(
+        domain=DomainDef(("a", "b")), variables=("x", "y"),
+        actions=("p", "q", "r", "s"),
+        equations=(("P", Choice(Cond("x", "a", Prefix(Action("p"), P)),
+                                Prefix(Assign("y", "b"), Q))),
+                   ("Q", Choice(Prefix(Action("q"), Q), Prefix(Assign("x", "b"), P))),
+                   ("R", Choice(Prefix(Action("p"), R),
+                                Cond("y", "a", Prefix(Action("q"), Deadlock()))))),
+        comm=CommFunction(((frozenset(("p", "q")), "r"),)))
+    compatible = Choice(Cond("x", "a", p), Cond("y", "b", p))
+    conflicting = Choice(Cond("x", "a", p), Cond("x", "b", p))
+    roots = (Parallel(Encap(frozenset({"p"}), Parallel(P, Q)), R),
+             Parallel(R, Encap(frozenset({"p"}), Parallel(Q, P))),
+             # the handshake p|q -> r happens inside and is blocked outside
+             Encap(frozenset({"r"}), Parallel(P, Q)), Encap(frozenset({"r"}), Parallel(Q, P)),
+             compatible, conflicting, Choice(Choice(p, q), p),
+             Parallel(compatible, conflicting), Parallel(conflicting, compatible))
+    # unfolding sets keep the two bodies apart
+    loop = RecursiveSpec(
+        domain=DomainDef(("a",)), variables=(), actions=("p", "q", "r"),
+        equations=(("P", Choice(p, Q)), ("Q", Choice(q, P))),
+        comm=CommFunction(((frozenset(("p", "q")), "r"),)))
+    return [(spec, roots),
+            (loop, (Parallel(P, Q), Parallel(Q, P), Choice(P, Parallel(Q, r))))]
 
 
 # ---------------------------------------------------------------------------

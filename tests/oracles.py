@@ -85,6 +85,91 @@ def _reference_source_steps(spec, expr, valuation, unfolding) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Guarded step tables as first written: every target built through its
+# constructor, the table's runs and repeat test in one loop over all rows
+
+
+def _reference_conjoin(left: tuple, right: tuple):
+    """Both sets of ``(weight, digit)`` tests, or None if they conflict."""
+    if not left:
+        return right
+    if not right:
+        return left
+    merged = dict(left)
+    for weight, digit in right:
+        if merged.setdefault(weight, digit) != digit:
+            return None
+    return tuple(merged.items())
+
+
+def reference_guarded_steps(spec, expr, unfolding=frozenset()) -> list:
+    """The ``(tests, label, target)`` rows of an expression in derivation
+    order, each operand and name body derived where it is met."""
+    codes = spec.codes
+    if isinstance(expr, Deadlock):
+        return []
+    if isinstance(expr, Prefix):
+        return [((), expr.label, expr.body)]
+    if isinstance(expr, Choice):
+        return (reference_guarded_steps(spec, expr.left, unfolding)
+                + reference_guarded_steps(spec, expr.right, unfolding))
+    if isinstance(expr, Cond):
+        test = (codes.test(expr.var, expr.value),)
+        out = []
+        for tests, label, target in reference_guarded_steps(spec, expr.body, unfolding):
+            tests = _reference_conjoin(test, tests)
+            if tests is not None:
+                out.append((tests, label, target))
+        return out
+    if isinstance(expr, Name):
+        if expr.name in unfolding:
+            return []
+        return reference_guarded_steps(spec, spec.equation(expr.name),
+                                       unfolding | {expr.name})
+    if isinstance(expr, Encap):
+        return [(tests, label, Encap(expr.blocked, target))
+                for tests, label, target in reference_guarded_steps(spec, expr.body, unfolding)
+                if not (isinstance(label, Action) and label.name in expr.blocked)]
+    if isinstance(expr, Parallel):
+        left = reference_guarded_steps(spec, expr.left, unfolding)
+        right = reference_guarded_steps(spec, expr.right, unfolding)
+        out = [(tests, label, Parallel(target, expr.right)) for tests, label, target in left]
+        out += [(tests, label, Parallel(expr.left, target)) for tests, label, target in right]
+        for ta, la, pa in left:
+            for tb, lb, pb in right:
+                if isinstance(la, Action) and isinstance(lb, Action):
+                    result = spec.comm.lookup(la.name, lb.name)
+                    if result is not None:
+                        tests = _reference_conjoin(ta, tb)
+                        if tests is not None:
+                            out.append((tests, Action(result), Parallel(pa, pb)))
+        return out
+    raise TypeError(f"not a process expression: {expr!r}")
+
+
+def reference_step_table(spec, expr) -> tuple[list, bool]:
+    """An expression's rows grouped into runs of equal tests, as
+    ``(tests, [(label, target, weight, digit), ...])`` with the ``(weight,
+    digit)`` an assignment writes (``(0, 0)`` for an action); and whether
+    two rows with one label and target have tests that can both hold."""
+    runs: list = []
+    seen: dict = {}
+    twice = False
+    for tests, label, target in reference_guarded_steps(spec, expr):
+        weight, digit = (spec.codes.test(label.var, label.value)
+                         if isinstance(label, Assign) else (0, 0))
+        if runs and runs[-1][0] == tests:
+            runs[-1][1].append((label, target, weight, digit))
+        else:
+            runs.append((tests, [(label, target, weight, digit)]))
+        earlier = seen.setdefault((label, target), [])
+        twice = twice or any(_reference_conjoin(other, tests) is not None
+                             for other in earlier)
+        earlier.append(tests)
+    return runs, twice
+
+
+# ---------------------------------------------------------------------------
 # Row-list exploration and export: one list of moves per state, and the
 # LTS as a tuple of (src, label, dst) triples
 

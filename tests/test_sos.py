@@ -1,23 +1,25 @@
 import random
+from collections import Counter
+from itertools import count
 
 import pytest
 
 from conftest import TRAFFIC_TEXT
 from genspecs import (
-    gen_pair, gen_parseq_spec, gen_spec, ring_text, worker_grid_text,
+    gen_pair, gen_parseq_spec, gen_spec, ring_text, step_corner_specs, worker_grid_text,
 )
-from oracles import reference_step
+from oracles import reference_guarded_steps, reference_step, reference_step_table
 
 import gvpa.sos
 from gvpa.errors import ResourceLimitError
 from gvpa.parser import parse_expr, parse_spec
 from gvpa.sos import (
-    ExplorationConfig, GvState, Transitions, explore, export_lts,
-    expression_closure, generate_lts, reachable_exprs, step,
+    ExplorationConfig, GvState, Transitions, _Stepper, explore, export_lts,
+    expression_closure, generate_lts, guarded_steps, reachable_exprs, step,
 )
 from gvpa.syntax import (
     Action, Assign, Choice, CommFunction, Cond, Deadlock, DomainDef, Encap,
-    Name, Parallel, Prefix, RecursiveSpec, Valuation, enumerate_valuations,
+    Name, Parallel, Prefix, RecursiveSpec, Term, Valuation, enumerate_valuations,
 )
 
 
@@ -317,13 +319,22 @@ class TestStepAgainstReference:
             for state in lts.states:
                 assert step(spec, state) == reference_step(spec, state)
 
+    def test_every_reachable_state_of_the_corner_specs(self):
+        for spec, roots in step_corner_specs():
+            lts, _ = explore(spec, [GvState(root, valuation) for root in roots
+                                    for valuation in enumerate_valuations(spec)])
+            for i, state in enumerate(lts.states):
+                assert step(spec, state) == reference_step(spec, state)
+                assert tuple((label, lts.states[j]) for label, j in lts.successors(i)) \
+                    == reference_step(spec, state)
+
     def test_every_closure_expression_under_every_valuation(self, traffic):
         cases = [(traffic[0], (traffic[1].root,))]
         for text in (worker_grid_text(2, 3), ring_text(3, 3)):
             spec, init = parse_spec(text)
             cases.append((spec, (init.root,)))
         cases += [(spec, roots) for spec, roots, _ in _seeded_specs()]
-        for spec, roots in cases:
+        for spec, roots in cases + step_corner_specs():
             exprs, valuations, transitions, _ = expression_closure(spec, roots)
             for e, expr in enumerate(exprs):
                 expected = []
@@ -491,3 +502,60 @@ class TestTablesPerPass:
         assert len(lts.states) == 2 * len(exprs)
         assert len(calls) == len(exprs)
         assert set(calls) == exprs
+
+
+class TestStepKernelAgainstReference:
+    """`guarded_steps` and `_Stepper.table` against the tables as first
+    written (`reference_guarded_steps`, `reference_step_table`) at every
+    expression the closure reaches."""
+
+    def test_tables_of_every_reached_expression(self):
+        cases = []
+        for text in (TRAFFIC_TEXT, worker_grid_text(2, 3), ring_text(3, 3)):
+            spec, init = parse_spec(text)
+            cases.append((spec, (init.root,)))
+        cases += [(spec, roots) for spec, roots, _ in _seeded_specs()]
+        flags = Counter()
+        for spec, roots in cases + step_corner_specs():
+            exprs = expression_closure(spec, roots)[0]
+            stepper = _Stepper(spec)
+            for expr in exprs:
+                expected = reference_step_table(spec, expr)
+                assert guarded_steps(spec, expr) == reference_guarded_steps(spec, expr)
+                runs, twice = stepper.table(stepper.number(expr))
+                assert ([(tests, [(label, stepper.exprs[t], w, d) for label, t, w, d in rows])
+                         for tests, rows in runs], twice) == expected
+                rows = [(label, target) for _, run in expected[0] for label, target, _, _ in run]
+                flags[twice, len(set(rows)) < len(rows)] += 1
+        # the corpus reaches pairs derived twice, and repeated pairs whose
+        # tests conflict
+        assert flags[True, True] and flags[False, True] and flags[False, False]
+
+
+class TestTargetsBuiltOnce:
+    """The step kernel builds a `||`, `encap` or handshake target only when
+    it is a new term: one that exists already is found in its intern
+    table."""
+
+    @pytest.mark.parametrize("pass_over", ["closure", "explore"])
+    def test_constructor_calls_equal_new_terms(self, monkeypatch, pass_over):
+        # a ring under names that no earlier test interned
+        tag = next(f"N{k}" for k in count() if (f"N{k}C1_0",) not in Name._table)
+        spec, init = parse_spec(ring_text(3, 3).replace("C", tag + "C"))
+        calls = Counter()
+        new = Term.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls[cls] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Term, "__new__", staticmethod(counting))
+        before = {cls: len(cls._table) for cls in (Parallel, Encap, Action)}
+        if pass_over == "closure":
+            expression_closure(spec, init.root)
+        else:
+            generate_lts(spec, init)
+        for cls in (Parallel, Encap):
+            assert calls[cls] == len(cls._table) - before[cls] > 0
+        # the handshake's result action exists from its first step on
+        assert calls[Action] == len(Action._table) - before[Action]

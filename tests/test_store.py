@@ -11,7 +11,9 @@ import tracemalloc
 import pytest
 
 from conftest import TRAFFIC_TEXT
-from genspecs import gen_pair, gen_parseq_spec, gen_spec, ring_text, worker_grid_text
+from genspecs import (
+    gen_pair, gen_parseq_spec, gen_spec, ring_text, step_corner_specs, worker_grid_text,
+)
 from oracles import (
     reference_closure, reference_explore, reference_export_lts,
     reference_lts_rows, reference_refinement_history,
@@ -29,8 +31,9 @@ from gvpa.translate import run_pipeline
 
 @pytest.fixture(scope="module")
 def corpus():
-    """(spec, roots, valuation) from both seeded generators and the
-    families; W(5,4) has more lines than one export chunk."""
+    """(spec, roots, valuation) from both seeded generators, the families
+    and the hand-built step corners; W(5,4) has more lines than one export
+    chunk."""
     rng = random.Random(1313)
     out = []
     for _ in range(10):
@@ -43,6 +46,8 @@ def corpus():
                  ring_text(2, 2), ring_text(3, 3)):
         spec, init = parse_spec(text)
         out.append((spec, (init.root,), init.valuation))
+    for spec, roots in step_corner_specs():
+        out += [(spec, roots, valuation) for valuation in enumerate_valuations(spec)]
     return out
 
 
