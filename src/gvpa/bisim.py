@@ -19,15 +19,17 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate
 from operator import add
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ContractViolationError
-from .hml import Check, Diamond, HmlFormula, Not, conjunction, set_all
 from .sos import (
     DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, Transitions, explore,
     expression_closure,
 )
 from .syntax import ProcessExpr, Record, RecursiveSpec, Valuation
+
+if TYPE_CHECKING:
+    from .hml import HmlFormula
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +258,8 @@ def _distinguish(result: BisimResult, mode: str, diamond,
     formula for that move from one refutation per same-label partner.
     ``split(a, b)`` refutes pairs already apart in the initial partition.
     """
+    from .hml import Not
+
     if result.mode != mode:
         raise ContractViolationError(
             f"{mode} distinguishing formula requested for a {result.mode} result")
@@ -307,6 +311,8 @@ def distinguishing_formula_stateless(
     valuation). When ``at`` pins the evaluation valuation, the result is
     wrapped so the split holds there.
     """
+    from .hml import Diamond, conjunction, set_all
+
     def diamond(move, refutations):
         v_i, label, _ = move
         body = conjunction(list(dict.fromkeys(
@@ -326,6 +332,8 @@ def distinguishing_formula_state_based(result: BisimResult) -> HmlFormula:
     Root pairs with differing valuations get a bare check; otherwise an
     unmatched move yields a diamond over recursive refutations.
     """
+    from .hml import Check, Diamond, conjunction
+
     def diamond(label, refutations):
         body = conjunction(list(dict.fromkeys(f for f, _ in refutations)))
         return Diamond(frozenset({label}), body), None

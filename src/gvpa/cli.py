@@ -197,19 +197,22 @@ def _decide(args):
 
 
 def _cmd_bisim(args) -> int:
-    from .hml import formula_str
-
     result, formula, witness = _decide(args)
+    shown = None
+    if formula is not None:
+        from .hml import formula_str  # a bisimilar pair needs no formula module
+
+        shown = formula_str(formula)
     payload = {
         "mode": args.mode,
         "verdict": result.equivalent,
         "relation_size": result.relation_size,
-        "witness_formula": formula_str(formula) if formula is not None else None,
+        "witness_formula": shown,
         "witness_valuation": str(witness) if witness is not None else None,
     }
     human = f"{args.mode}: {'bisimilar' if result.equivalent else 'not bisimilar'}"
-    if formula is not None:
-        human += f"\nformula: {formula_str(formula)}"
+    if shown is not None:
+        human += f"\nformula: {shown}"
     if witness is not None:
         human += f"\nvaluation: {witness}"
     _emit(args, payload, human)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .errors import FragmentError, ResourceLimitError, SpecSyntaxError
-from .parser import TokenStream, tokenize
+from .parser import TokenStream
 from .sos import (
     DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, _Stepper, expression_closure,
     state_str,
@@ -197,21 +197,10 @@ class _FormulaParser:
         self.spec = spec
 
     def parse(self) -> HmlFormula:
-        return self._or()
-
-    def _or(self) -> HmlFormula:
-        out = self._and()
-        while self.ts.peek().kind == "BARBAR":
-            self.ts.next()
-            out = Or(out, self._and())
-        return out
+        return self.ts.chain("BARBAR", self._and, Or)
 
     def _and(self) -> HmlFormula:
-        out = self._unary()
-        while self.ts.peek().kind == "AMPAMP":
-            self.ts.next()
-            out = And(out, self._unary())
-        return out
+        return self.ts.chain("AMPAMP", self._unary, And)
 
     def _unary(self) -> HmlFormula:
         tok = self.ts.peek()
@@ -249,13 +238,10 @@ class _FormulaParser:
                 self.ts.expect("RPAREN")
                 return Check(var.text, value.text)
             self.ts.next()
-            out = self._or()
+            out = self.parse()
             self.ts.expect("RPAREN")
             return out
-        raise SpecSyntaxError(
-            f"found {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input",
-            tok.line, tok.col, expected=("formula",),
-        )
+        raise self.ts.unexpected("formula")
 
     def _label_set(self, closing: str) -> frozenset:
         tok = self.ts.peek()
@@ -277,11 +263,7 @@ class _FormulaParser:
             return list(all_labels(self.spec))
         word = self.ts.expect("WORD", "transition label")
         if word.text == "assign":
-            self.ts.expect("LPAREN")
-            var, value = self.ts.var_value("COMMA", self.spec.variables,
-                                           self.spec.domain)
-            self.ts.expect("RPAREN")
-            return [Assign(var.text, value.text)]
+            return [self.ts.assign_args(self.spec.variables, self.spec.domain)]
         if word.text not in self.spec.actions:
             raise SpecSyntaxError(f"unknown action {word.text}", word.line, word.col)
         return [Action(word.text)]
@@ -297,7 +279,7 @@ def all_labels(spec: RecursiveSpec) -> tuple[TransitionLabel, ...]:
 
 
 def parse_formula(text: str, spec: RecursiveSpec) -> HmlFormula:
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     out = _FormulaParser(ts, spec).parse()
     ts.expect("EOF", "end of formula")
     return out

@@ -15,6 +15,8 @@ conditions and encap bind tighter than `||`, which binds tighter than `+`.
 """
 from __future__ import annotations
 
+import re
+
 from . import syntax
 from .errors import SpecSyntaxError, SpecValidationError
 from .syntax import (
@@ -31,95 +33,79 @@ class Token(Record):
     col: int
 
 
-_PUNCT = [
-    ("||", "BARBAR"),
-    ("&&", "AMPAMP"),
-    ("->", "ARROW"),
-    (":=", "COLONEQ"),
-    ("{", "LBRACE"),
-    ("}", "RBRACE"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    ("[", "LBRACK"),
-    ("]", "RBRACK"),
-    ("<", "LT"),
-    (">", "GT"),
-    (",", "COMMA"),
-    (";", "SEMI"),
-    (".", "DOT"),
-    ("+", "PLUS"),
-    ("=", "EQUALS"),
-    ("|", "BAR"),
-    ("!", "BANG"),
-    ("*", "STAR"),
-]
-
-
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+# two-character operators before the one-character operators they start with
+_PUNCT = {
+    "||": "BARBAR", "&&": "AMPAMP", "->": "ARROW", ":=": "COLONEQ",
+    "{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
+    "[": "LBRACK", "]": "RBRACK", "<": "LT", ">": "GT", ",": "COMMA",
+    ";": "SEMI", ".": "DOT", "+": "PLUS", "=": "EQUALS", "|": "BAR",
+    "!": "BANG", "*": "STAR",
+}
+# One alternative per group, tried in order. `\w` and `\s` are the str
+# predicates `isalnum() or == "_"` and `isspace()`, so a name is a run of
+# Unicode letters, digits and underscores.
+_WORD, _SPACE, _OP, _NEWLINE, _COMMENT, _OTHER = range(1, 7)
+_TOKEN = re.compile(
+    r"(\w+)|([^\S\n]+)|(" + "|".join(map(re.escape, _PUNCT)) + r")|(\n)|(//[^\n]*)|(.)",
+    re.DOTALL)
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending in one EOF token. Columns count
+    characters from 1; a comment that ends the text counts no column."""
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    append = tokens.append
+    line, start, end = 1, 0, len(text)
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == _WORD:
+            append(Token("WORD", m[0], line, m.start() - start + 1))
+        elif group == _OP:
+            append(Token(_PUNCT[m[0]], m[0], line, m.start() - start + 1))
+        elif group == _NEWLINE:
             line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if _is_word_char(ch):
-            start = i
-            while i < n and _is_word_char(text[i]):
-                i += 1
-            word = text[start:i]
-            tokens.append(Token("WORD", word, line, col))
-            col += len(word)
-            continue
-        for lit, kind in _PUNCT:
-            if text.startswith(lit, i):
-                tokens.append(Token(kind, lit, line, col))
-                i += len(lit)
-                col += len(lit)
-                break
-        else:
-            raise SpecSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+            start = m.end()
+        elif group == _COMMENT:
+            if m.end() == len(text):
+                end = m.start()
+        elif group == _OTHER:
+            raise SpecSyntaxError(f"unexpected character {m[0]!r}",
+                                  line, m.start() - start + 1)
+    append(Token("EOF", "", line, end - start + 1))
     return tokens
 
 
 class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+    """The tokens of a text, and the productions that specs and formulas
+    share."""
+
+    def __init__(self, text: str):
+        tokens = tokenize(text)
+        # so that `peek(2)` at the end of input needs no bounds check
+        self._tokens = tokens + tokens[-1:] * 2
         self._pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+        """The token ``ahead`` (at most 2) tokens past the next one."""
+        return self._tokens[self._pos + ahead]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self._tokens[self._pos]
         if tok.kind != "EOF":
             self._pos += 1
         return tok
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
+    def unexpected(self, what: str) -> SpecSyntaxError:
+        """The error for the next token where ``what`` was expected."""
         tok = self.peek()
-        if tok.kind != kind:
-            raise SpecSyntaxError(
-                f"found {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input",
-                tok.line, tok.col,
-                expected=(what or kind.lower(),),
-            )
+        return SpecSyntaxError(
+            f"found {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input",
+            tok.line, tok.col, expected=(what,),
+        )
+
+    def expect(self, kind: str, what: str | None = None) -> Token:
+        if self.peek().kind != kind:
+            raise self.unexpected(what or kind.lower())
         return self.next()
 
     def at_word(self, text: str) -> bool:
@@ -127,13 +113,30 @@ class TokenStream:
         return tok.kind == "WORD" and tok.text == text
 
     def eat_word(self, text: str) -> Token:
-        tok = self.peek()
         if not self.at_word(text):
-            raise SpecSyntaxError(
-                f"found {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input",
-                tok.line, tok.col, expected=(repr(text),),
-            )
+            raise self.unexpected(repr(text))
         return self.next()
+
+    def chain(self, kind: str, operand, build):
+        """Parses ``operand (kind operand)*``, grouped to the left by
+        ``build(left, right)``."""
+        out = operand()
+        while self.peek().kind == kind:
+            self.next()
+            out = build(out, operand())
+        return out
+
+    def braced(self, item) -> list:
+        """Parses ``{ item, item, ... }``, possibly empty."""
+        self.expect("LBRACE")
+        items = []
+        if self.peek().kind != "RBRACE":
+            items.append(item())
+            while self.peek().kind == "COMMA":
+                self.next()
+                items.append(item())
+        self.expect("RBRACE")
+        return items
 
     def var_value(self, sep: str, variables, values,
                   what: str | None = None) -> tuple[Token, Token]:
@@ -148,28 +151,22 @@ class TokenStream:
             raise SpecSyntaxError(f"unknown value {value.text}", value.line, value.col)
         return var, value
 
+    def assign_args(self, variables, values) -> Assign:
+        """Parses the `( variable , value )` after `assign`."""
+        self.expect("LPAREN")
+        var, value = self.var_value("COMMA", variables, values)
+        self.expect("RPAREN")
+        return Assign(var.text, value.text)
 
-def _declared_name(ts: TokenStream, what: str) -> Token:
+
+def _declared_name(ts: TokenStream, what: str) -> str:
     tok = ts.expect("WORD", what)
     if tok.text in RESERVED_WORDS:
         raise SpecSyntaxError(
             f"{tok.text!r} is a reserved word and cannot be used as a {what}",
             tok.line, tok.col,
         )
-    return tok
-
-
-def _name_list(ts: TokenStream, what: str) -> list[Token]:
-    """Parses `{ a, b, ... }`, possibly empty."""
-    ts.expect("LBRACE")
-    names = []
-    if ts.peek().kind != "RBRACE":
-        names.append(_declared_name(ts, what))
-        while ts.peek().kind == "COMMA":
-            ts.next()
-            names.append(_declared_name(ts, what))
-    ts.expect("RBRACE")
-    return names
+    return tok.text
 
 
 class _ExprParser:
@@ -183,21 +180,10 @@ class _ExprParser:
         self.name_uses: list[Token] = []
 
     def parse(self) -> ProcessExpr:
-        return self._choice()
-
-    def _choice(self) -> ProcessExpr:
-        expr = self._parallel()
-        while self.ts.peek().kind == "PLUS":
-            self.ts.next()
-            expr = Choice(expr, self._parallel())
-        return expr
+        return self.ts.chain("PLUS", self._parallel, Choice)
 
     def _parallel(self) -> ProcessExpr:
-        expr = self._tight()
-        while self.ts.peek().kind == "BARBAR":
-            self.ts.next()
-            expr = Parallel(expr, self._tight())
-        return expr
+        return self.ts.chain("BARBAR", self._tight, Parallel)
 
     def _tight(self) -> ProcessExpr:
         tok = self.ts.peek()
@@ -208,7 +194,8 @@ class _ExprParser:
             if tok.text == "encap":
                 return self._encap()
             if tok.text == "assign" and self.ts.peek(1).kind == "LPAREN":
-                label = self._assign_label()
+                self.ts.next()
+                label = self.ts.assign_args(self.variables, self.values)
                 self.ts.expect("DOT")
                 return Prefix(label, self._tight())
             if tok.text in RESERVED_WORDS:
@@ -230,13 +217,10 @@ class _ExprParser:
                     and self.ts.peek(2).kind == "EQUALS"):
                 return self._cond()
             self.ts.next()
-            expr = self._choice()
+            expr = self.parse()
             self.ts.expect("RPAREN")
             return expr
-        raise SpecSyntaxError(
-            f"found {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input",
-            tok.line, tok.col, expected=("process expression",),
-        )
+        raise self.ts.unexpected("process expression")
 
     def _cond(self) -> ProcessExpr:
         self.ts.expect("LPAREN")
@@ -245,31 +229,19 @@ class _ExprParser:
         self.ts.expect("ARROW", "'->'")
         return Cond(var.text, value.text, self._tight())
 
-    def _assign_label(self) -> Assign:
-        self.ts.eat_word("assign")
-        self.ts.expect("LPAREN")
-        var, value = self.ts.var_value("COMMA", self.variables, self.values)
-        self.ts.expect("RPAREN")
-        return Assign(var.text, value.text)
+    def _blocked(self) -> str:
+        tok = self.ts.expect("WORD", "action name")
+        if tok.text not in self.actions:
+            raise SpecSyntaxError(
+                f"encap blocks unknown action {tok.text}", tok.line, tok.col)
+        return tok.text
 
     def _encap_set(self) -> frozenset[str]:
         self.ts.eat_word("encap")
         self.ts.expect("LPAREN")
-        self.ts.expect("LBRACE")
-        names = set()
-        if self.ts.peek().kind != "RBRACE":
-            while True:
-                tok = self.ts.expect("WORD", "action name")
-                if tok.text not in self.actions:
-                    raise SpecSyntaxError(
-                        f"encap blocks unknown action {tok.text}", tok.line, tok.col)
-                names.add(tok.text)
-                if self.ts.peek().kind != "COMMA":
-                    break
-                self.ts.next()
-        self.ts.expect("RBRACE")
+        names = frozenset(self.ts.braced(self._blocked))
         self.ts.expect("RPAREN")
-        return frozenset(names)
+        return names
 
     def _encap(self) -> ProcessExpr:
         blocked = self._encap_set()
@@ -278,19 +250,19 @@ class _ExprParser:
 
 def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
     """Parses and validates a full specification file."""
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
 
     ts.eat_word("domain")
-    values = [t.text for t in _name_list(ts, "domain value")]
+    values = ts.braced(lambda: _declared_name(ts, "domain value"))
     domain = DomainDef(tuple(values))
 
     variables: list[str] = []
     if ts.at_word("vars"):
         ts.next()
-        variables = [t.text for t in _name_list(ts, "variable name")]
+        variables = ts.braced(lambda: _declared_name(ts, "variable name"))
 
     ts.eat_word("acts")
-    actions = [t.text for t in _name_list(ts, "action name")]
+    actions = ts.braced(lambda: _declared_name(ts, "action name"))
 
     comm_entries: list[tuple[frozenset[str], str]] = []
     if ts.at_word("comm"):
@@ -308,26 +280,21 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
         ts.expect("RBRACE")
     comm = CommFunction(tuple(comm_entries))
 
+    parser = _ExprParser(ts, variables, values, actions)
     equations: list[tuple[str, ProcessExpr]] = []
-    name_uses: list[Token] = []
     while ts.at_word("proc"):
         ts.next()
         name = _declared_name(ts, "process name")
         ts.expect("EQUALS", "'='")
-        parser = _ExprParser(ts, variables, values, actions)
-        body = parser.parse()
-        name_uses.extend(parser.name_uses)
-        equations.append((name.text, body))
+        equations.append((name, parser.parse()))
 
     ts.eat_word("init")
-    parser = _ExprParser(ts, variables, values, actions)
     blocked = None
     if ts.at_word("encap"):
         blocked = parser._encap_set()
     root = parser.parse()
     if blocked is not None:
         root = Encap(blocked, root)
-    name_uses.extend(parser.name_uses)
 
     assignment: dict[str, str] = {}
     if ts.at_word("with"):
@@ -350,7 +317,7 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
             [f"init valuation misses variable {v}" for v in missing])
 
     defined = {name for name, _ in equations}
-    for tok in name_uses:
+    for tok in parser.name_uses:
         if tok.text not in defined:
             raise SpecSyntaxError(
                 f"unknown process name {tok.text}", tok.line, tok.col)
@@ -369,7 +336,7 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
 
 def parse_expr(text: str, spec: RecursiveSpec) -> ProcessExpr:
     """Parses a single process expression in the context of a spec."""
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     parser = _ExprParser(
         ts, spec.variables, spec.domain.values, spec.actions)
     expr = parser.parse()

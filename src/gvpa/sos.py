@@ -222,14 +222,18 @@ def _rows(spec, codes, expr, unfolding, memo) -> list[tuple]:
                for tests, label, target in left]
         out += [(tests, label, find((p, target)) or Parallel(p, target))
                 for tests, label, target in right]
-        if not spec.comm.is_empty():
-            right = [row for row in right if isinstance(row[1], Action)]
+        comm = spec.comm
+        if not comm.is_empty():
+            # only the rows of actions that some comm entry names can meet
+            parties = comm.parties()
+            left = [row for row in left
+                    if isinstance(row[1], Action) and row[1].name in parties]
+            right = [row for row in right
+                     if isinstance(row[1], Action) and row[1].name in parties]
             find_action = Action.find()
             for ta, la, pa in left:
-                if not isinstance(la, Action):
-                    continue
                 for tb, lb, pb in right:
-                    result = spec.comm.lookup(la.name, lb.name)
+                    result = comm.lookup(la.name, lb.name)
                     if result is not None:
                         # both sides step from the same valuation
                         tests = _conjoin(ta, tb)

@@ -415,6 +415,7 @@ class CommFunction(Record):
 
     entries: tuple[tuple[frozenset[str], str], ...] = ()
     _index: dict
+    _parties: frozenset
 
     def __post_init__(self):
         # both orders of each pair, so a lookup builds no set
@@ -426,9 +427,16 @@ class CommFunction(Record):
                 raise SpecValidationError([f"duplicate comm entry for {'|'.join(names)}"])
             index[a, b] = index[b, a] = result
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_parties", frozenset(name for key, _ in self.entries
+                                                       for name in key))
 
     def lookup(self, a: str, b: str) -> str | None:
         return self._index.get((a, b))
+
+    def parties(self) -> frozenset[str]:
+        """The actions that some entry pairs: the only ones that can
+        handshake."""
+        return self._parties
 
     def is_empty(self) -> bool:
         return not self.entries

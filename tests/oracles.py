@@ -4,13 +4,14 @@ Everything here is written from the definitions directly (naive pairwise
 fixpoints, all-orders rewriting, permutation search, full-sweep
 refinement) and stays free of the package's partition-refinement and
 greedy code paths. The printers keep one isinstance chain per term
-language, free of `gvpa.syntax.render`.
+language, free of `gvpa.syntax.render`, and the scanner reads one
+character at a time, free of the compiled pattern.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from gvpa.errors import FragmentError, SpecValidationError
+from gvpa.errors import FragmentError, SpecSyntaxError, SpecValidationError
 from gvpa.hml import (
     And, Box, Check, Diamond, FALSE, HFalse, HTrue, Not, Or, SetVar, TRUE,
 )
@@ -19,6 +20,7 @@ from gvpa.mcrl2 import (
     MChoice, MComm, MDeadlock, MHide, MParallel, MPrefix, MSum, MTau, Multiset,
     apply_comm, apply_hide, canonical_label, names_of, sem_multiaction,
 )
+from gvpa.parser import Token
 from gvpa.sos import GvState, Lts
 from gvpa.syntax import (
     Action, Assign, Choice, Cond, Deadlock, Encap, Name, Parallel, Prefix,
@@ -757,6 +759,63 @@ def find_distinguishing_formula(space, left, right, labels, max_depth: int,
     except _Found as hit:
         return hit.formula
     return None
+
+
+# ---------------------------------------------------------------------------
+# The scanner as a character loop (before the compiled pattern of
+# `gvpa.parser.tokenize`)
+
+_REFERENCE_PUNCT = [
+    ("||", "BARBAR"), ("&&", "AMPAMP"), ("->", "ARROW"), (":=", "COLONEQ"),
+    ("{", "LBRACE"), ("}", "RBRACE"), ("(", "LPAREN"), (")", "RPAREN"),
+    ("[", "LBRACK"), ("]", "RBRACK"), ("<", "LT"), (">", "GT"),
+    (",", "COMMA"), (";", "SEMI"), (".", "DOT"), ("+", "PLUS"),
+    ("=", "EQUALS"), ("|", "BAR"), ("!", "BANG"), ("*", "STAR"),
+]
+
+
+def _reference_is_word_char(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
+
+
+def reference_tokenize(text: str) -> list:
+    """Tokens one character at a time; a comment advances no column."""
+    tokens = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if _reference_is_word_char(ch):
+            start = i
+            while i < n and _reference_is_word_char(text[i]):
+                i += 1
+            word = text[start:i]
+            tokens.append(Token("WORD", word, line, col))
+            col += len(word)
+            continue
+        for lit, kind in _REFERENCE_PUNCT:
+            if text.startswith(lit, i):
+                tokens.append(Token(kind, lit, line, col))
+                i += len(lit)
+                col += len(lit)
+                break
+        else:
+            raise SpecSyntaxError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("EOF", "", line, col))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

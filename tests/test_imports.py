@@ -98,7 +98,10 @@ FOOTPRINTS = {
     "validate": (["validate", TRAFFIC], _BASE),
     "lts": (["lts", TRAFFIC], _BASE | {"gvpa.sos"}),
     "bisim": (["bisim", TRAFFIC, "--mode", "strong", "--left", "CAR",
-               "--right", "CAR"], _BASE | {"gvpa.sos", "gvpa.hml", "gvpa.bisim"}),
+               "--right", "CAR"], _BASE | {"gvpa.sos", "gvpa.bisim"}),
+    # a pair that is not bisimilar gets a distinguishing formula
+    "bisim-distinct": (["bisim", TRAFFIC, "--mode", "stateless", "--left", "CAR",
+                        "--right", "TLC"], _BASE | {"gvpa.sos", "gvpa.hml", "gvpa.bisim"}),
     "modelcheck": (["modelcheck", TRAFFIC, "--formula", "<drive> true"],
                    _BASE | {"gvpa.sos", "gvpa.hml"}),
     "distinguish": (["distinguish", TRAFFIC, "--mode", "stateless", "--left",

@@ -1,10 +1,17 @@
+import random
+
 import pytest
 
+from conftest import DATA, TRAFFIC_TEXT
+from genspecs import gen_pair, gen_parseq_spec, gen_spec, ring_text, worker_grid_text
 from gvpa.errors import SpecSyntaxError, SpecValidationError
-from gvpa.parser import parse_expr, parse_spec, render_spec
+from gvpa.hml import parse_formula
+from gvpa.parser import parse_expr, parse_spec, render_spec, tokenize
 from gvpa.syntax import (
     Action, Assign, Choice, Cond, Deadlock, Encap, InitSpec, Name, Parallel, Prefix,
+    expr_str,
 )
+from oracles import reference_tokenize
 
 
 class TestTrafficSpec:
@@ -173,8 +180,6 @@ init X with {{ {init} }}
 def test_variable_value_sites_report_unknown_names(site, text, message):
     """Every `variable <sep> value` production names the unknown variable or
     value at its own position, in specs and in formulas alike."""
-    from gvpa.hml import parse_formula
-
     with pytest.raises(SpecSyntaxError) as err:
         if site in ("cond", "assign"):
             parse_spec(_SITES_SPEC.format(proc=text, init="x = v0"))
@@ -184,3 +189,170 @@ def test_variable_value_sites_report_unknown_names(site, text, message):
             spec, _ = parse_spec(_SITES_SPEC.format(proc="a.X", init="x = v0"))
             parse_formula(text, spec)
     assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The scanner against its character-loop reference
+
+
+def _scan(tokenizer, text):
+    """The tokens of ``text``, or the message and position of its error."""
+    try:
+        return tokenizer(text)
+    except SpecSyntaxError as err:
+        return str(err), err.line, err.col, err.expected
+
+
+def _genspecs_texts() -> list[str]:
+    rng = random.Random(1701)
+    texts = [worker_grid_text(n, k) for n, k in ((1, 2), (3, 3), (6, 4))]
+    texts += [ring_text(n, stages) for n, stages in ((2, 2), (3, 3), (4, 8))]
+    for _ in range(20):
+        spec = gen_spec(rng)
+        texts.append(render_spec(spec))
+        texts += [expr_str(e) for e in gen_pair(rng, spec)]
+        spec, root, valuation = gen_parseq_spec(rng)
+        texts.append(render_spec(spec, InitSpec(root, valuation)))
+    return texts
+
+
+# every punctuation character, the lone first characters of the
+# two-character operators, and whitespace, names and digits beyond ASCII
+_PIECES = ["//", "\r", "\t", "\x0b", "\n", " ", "é", "²", "٣", "_", "/", "-", ":",
+           "&", "a", "Zq", "07", "x_1", "#", *"{}()[]<>,;.+=|!*"]
+
+
+def _random_texts(count: int) -> list[str]:
+    rng = random.Random(4242)
+    return ["".join(rng.choices(_PIECES, k=rng.randrange(25))) for _ in range(count)]
+
+
+class TestScanner:
+    def test_data_files_match_the_reference(self):
+        paths = sorted(DATA.iterdir())
+        assert paths
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            assert _scan(tokenize, text) == _scan(reference_tokenize, text), path.name
+
+    def test_genspecs_corpora_match_the_reference(self):
+        for text in _genspecs_texts():
+            assert _scan(tokenize, text) == _scan(reference_tokenize, text), text
+
+    def test_random_strings_match_the_reference(self):
+        texts = _random_texts(3000)
+        errors = 0
+        for text in texts:
+            expected = _scan(reference_tokenize, text)
+            assert _scan(tokenize, text) == expected, repr(text)
+            errors += isinstance(expected, tuple)
+        # both outcomes are well represented
+        assert 300 < errors < 2700
+
+    def test_crlf_line_ends_are_whitespace(self):
+        crlf = TRAFFIC_TEXT.replace("\n", "\r\n")
+        def shape(text):
+            return [(t.kind, t.text, t.line) for t in tokenize(text)]
+
+        assert shape(crlf) == shape(TRAFFIC_TEXT)
+        assert parse_spec(crlf) == parse_spec(TRAFFIC_TEXT)
+
+
+_HEAD = "domain { a }\nvars { v }\nacts { x, y }\n"
+_WITH = " init P with { v = a }"
+
+
+# (where, text, message, expected): "spec" texts go to parse_spec, "left"
+# ones to parse_expr and "formula" ones to parse_formula against the
+# traffic spec. The messages and positions are the ones the character-loop
+# scanner and the per-grammar productions gave.
+@pytest.mark.parametrize("where, text, message, expected", [
+    # a token other than the expected one, and the end of input
+    ("spec", "domain { a }\nacts { x }\nproc P = x.P\ninit // trailing",
+     "4:6: unexpected end of input (expected process expression)", ("process expression",)),
+    ("spec", _HEAD + "proc P = x.P",
+     "4:13: unexpected end of input (expected 'init')", ("'init'",)),
+    ("spec", "domain { a } proc P = x.P init P",
+     "1:14: found 'proc' (expected 'acts')", ("'acts'",)),
+    ("spec", _HEAD + "proc P x.P" + _WITH, "4:8: found 'x' (expected '=')", ("'='",)),
+    ("spec", _HEAD + "proc P = x.)" + _WITH,
+     "4:12: found ')' (expected process expression)", ("process expression",)),
+    ("spec", _HEAD + "proc P = x.P" + _WITH + " P",
+     "4:36: found 'P' (expected end of file)", ("end of file",)),
+    ("left", "drive.delta delta",
+     "1:13: found 'delta' (expected end of expression)", ("end of expression",)),
+    ("left", "drive.",
+     "1:7: unexpected end of input (expected process expression)", ("process expression",)),
+    ("formula", "&& true", "1:1: found '&&' (expected formula)", ("formula",)),
+    ("formula", "true true", "1:6: found 'true' (expected end of formula)",
+     ("end of formula",)),
+    ("formula", "set t := red true", "1:14: found 'true' (expected '.')", ("'.'",)),
+    ("formula", "true || // no formula follows",
+     "1:9: unexpected end of input (expected formula)", ("formula",)),
+    # the arguments of assign
+    ("spec", _HEAD + "proc P = assign(v a).P" + _WITH,
+     "4:19: found 'a' (expected comma)", ("comma",)),
+    ("spec", _HEAD + "proc P = assign(v, a.P" + _WITH,
+     "4:21: found '.' (expected rparen)", ("rparen",)),
+    ("left", "assign(", "1:8: unexpected end of input (expected variable name)",
+     ("variable name",)),
+    ("left", "assign(t, red)", "1:15: unexpected end of input (expected dot)", ("dot",)),
+    ("formula", "<assign(t red)> true", "1:11: found 'red' (expected comma)", ("comma",)),
+    ("formula", "[assign(t, red] true", "1:15: found ']' (expected rparen)", ("rparen",)),
+    ("formula", "<assign> true", "1:8: found '>' (expected lparen)", ("lparen",)),
+    # braced lists
+    ("spec", "domain a acts { x } init delta", "1:8: found 'a' (expected lbrace)",
+     ("lbrace",)),
+    ("spec", "domain { a, } acts { x } init delta",
+     "1:13: found '}' (expected domain value)", ("domain value",)),
+    ("spec", "domain { a b } acts { x } init delta",
+     "1:12: found 'b' (expected rbrace)", ("rbrace",)),
+    ("spec", "domain { a } acts { x, init } init delta",
+     "1:24: 'init' is a reserved word and cannot be used as a action name", ()),
+    ("spec", "domain { a } acts { x\ninit delta",
+     "2:1: found 'init' (expected rbrace)", ("rbrace",)),
+    ("spec", _HEAD + "proc P = x.P init encap({x, }) P with { v = a }",
+     "4:29: found '}' (expected action name)", ("action name",)),
+    ("spec", _HEAD + "proc P = x.P init encap({z}) P with { v = a }",
+     "4:26: encap blocks unknown action z", ()),
+    ("spec", _HEAD + "proc P = encap({x} P" + _WITH,
+     "4:20: found 'P' (expected rparen)", ("rparen",)),
+    ("left", "encap(drive) CAR", "1:7: found 'drive' (expected lbrace)", ("lbrace",)),
+    ("left", "encap({drive, brake CAR", "1:21: found 'CAR' (expected rbrace)", ("rbrace",)),
+    # operator chains
+    ("spec", _HEAD + "proc P = x.P +\ninit P with { v = a }",
+     "5:1: found reserved word 'init' (expected process expression)",
+     ("process expression",)),
+    ("spec", _HEAD + "proc P = x.P || )" + _WITH,
+     "4:17: found ')' (expected process expression)", ("process expression",)),
+    ("left", "CAR ||", "1:7: unexpected end of input (expected process expression)",
+     ("process expression",)),
+    ("left", "CAR + TLC || (CAR", "1:18: unexpected end of input (expected rparen)",
+     ("rparen",)),
+    ("left", "CAR + + TLC", "1:7: found '+' (expected process expression)",
+     ("process expression",)),
+    ("formula", "<drive> true &&", "1:16: unexpected end of input (expected formula)",
+     ("formula",)),
+    ("formula", "true || false && )", "1:18: found ')' (expected formula)", ("formula",)),
+    ("formula", "(t = red", "1:9: unexpected end of input (expected rparen)", ("rparen",)),
+    ("formula", "<drive,> true", "1:8: found '>' (expected transition label)",
+     ("transition label",)),
+    ("formula", "<> true",
+     "1:2: modal label set must be nonempty (expected transition label)",
+     ("transition label",)),
+    # characters no token starts with
+    ("spec", _HEAD + "proc P = x.P - y.P" + _WITH, "4:14: unexpected character '-'", ()),
+    ("left", "CAR & TLC", "1:5: unexpected character '&'", ()),
+])
+def test_error_positions(traffic, where, text, message, expected):
+    """The errors of the productions that specs, expressions and formulas
+    share, with their positions, in each grammar that uses them."""
+    spec, _ = traffic
+    with pytest.raises(SpecSyntaxError) as err:
+        if where == "spec":
+            parse_spec(text)
+        elif where == "left":
+            parse_expr(text, spec)
+        else:
+            parse_formula(text, spec)
+    assert (str(err.value), err.value.expected) == (message, expected)
