@@ -17,6 +17,7 @@ full sweeps.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from itertools import accumulate
 from operator import add
 from typing import TYPE_CHECKING, Sequence
@@ -181,18 +182,26 @@ class BisimResult(Record, frozen=False):
     left: int
     right: int
     rounds: int
-    blocks: tuple[frozenset[int], ...]
     history: list[list[int]]
     states: tuple
     adjacency: Transitions
     valuations: tuple[Valuation, ...]
+    _blocks: tuple[frozenset[int], ...] | None
 
     def successors(self, i: int) -> list[tuple]:
         return self.adjacency.successors(i)
 
     @property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """The blocks of the final partition, by block id, built on first
+        read."""
+        if self._blocks is None:
+            self._blocks = _blocks_of(self.history[-1])
+        return self._blocks
+
+    @property
     def relation_size(self) -> int:
-        return sum(len(b) * (len(b) + 1) // 2 for b in self.blocks)
+        return sum(n * (n + 1) // 2 for n in Counter(self.history[-1]).values())
 
 
 def _result(mode: str, states: tuple, adjacency: Transitions,
@@ -202,8 +211,7 @@ def _result(mode: str, states: tuple, adjacency: Transitions,
     history = refinement_history(adjacency, initial_blocks)
     final = history[-1]
     return BisimResult(mode=mode, equivalent=final[s] == final[t], left=s,
-                       right=t, rounds=len(history) - 1,
-                       blocks=_blocks_of(final), history=history,
+                       right=t, rounds=len(history) - 1, history=history,
                        states=states, adjacency=adjacency, valuations=valuations)
 
 

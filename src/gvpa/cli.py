@@ -112,26 +112,6 @@ def _load(args):
     return parse_spec(text)
 
 
-def _valuation(args, spec, init):
-    from .syntax import Valuation
-
-    if not args.valuation:
-        return init.valuation
-    assignment = {}
-    for part in args.valuation.split(","):
-        var, _, value = part.partition("=")
-        var, value = var.strip(), value.strip()
-        if var not in spec.variables:
-            raise GvpaError(f"unknown variable {var}")
-        if value not in spec.domain:
-            raise GvpaError(f"unknown value {value}")
-        assignment[var] = value
-    missing = [v for v in spec.variables if v not in assignment]
-    if missing:
-        raise GvpaError(f"valuation misses variables: {', '.join(missing)}")
-    return Valuation.make(spec.variables, assignment)
-
-
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         import json
@@ -173,14 +153,15 @@ def _decide(args):
         distinguishing_formula_state_based, distinguishing_formula_stateless,
         state_based_bisim, stateless_bisim, strong_bisim,
     )
-    from .parser import parse_expr
+    from .parser import parse_expr, parse_valuation
     from .sos import GvState, explore
 
     spec, init = _load(args)
     cfg = _config(args)
     left = parse_expr(args.left, spec)
     right = parse_expr(args.right, spec)
-    valuation = _valuation(args, spec, init)
+    valuation = (parse_valuation(args.valuation, spec) if args.valuation
+                 else init.valuation)
     if args.mode == "stateless":
         result = stateless_bisim(spec, left, right, cfg)
         if result.equivalent:
@@ -228,7 +209,7 @@ def _cmd_modelcheck(args) -> int:
     if args.formula is not None:
         text = args.formula
     else:
-        text = Path(args.formula_file).read_text(encoding="utf-8").strip()
+        text = Path(args.formula_file).read_text(encoding="utf-8")
     formula = parse_formula(text, spec)
     verdict = holds(spec, GvState(init.root, init.valuation), formula, cfg)
     _emit(args, {"verdict": verdict,
@@ -254,14 +235,9 @@ def _cmd_distinguish(args) -> int:
 def _load_formulas(path: str | None, spec) -> list:
     if path is None:
         return []
-    from .hml import parse_formula
+    from .hml import parse_formulas
 
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("//"):
-            out.append(parse_formula(line, spec))
-    return out
+    return parse_formulas(Path(path).read_text(encoding="utf-8"), spec)
 
 
 def _cmd_translate(args) -> int:
@@ -288,8 +264,9 @@ def _cmd_translate(args) -> int:
 
 def _cmd_verify_translation(args) -> int:
     from . import translate as tr
-    from .hml import formula_str, parse_formula
+    from .hml import TRUE, Check, Diamond, formula_str
     from .sos import state_str
+    from .syntax import Action
 
     spec, init = _load(args)
     cfg = _config(args)
@@ -309,10 +286,8 @@ def _cmd_verify_translation(args) -> int:
                    f"{len(pipeline.m_lts.states)}/{len(pipeline.m_lts.transitions)}"))
     formulas = _load_formulas(args.formulas, spec)
     if not formulas:
-        texts = [f"<{a}> true" for a in spec.actions]
-        texts += [f"({v} = {d})" for v in spec.variables
-                  for d in spec.domain.values]
-        formulas = [parse_formula(t, spec) for t in texts]
+        formulas = [Diamond(frozenset({Action(a)}), TRUE) for a in spec.actions]
+        formulas += [Check(v, d) for v in spec.variables for d in spec.domain.values]
     for report in tr.check_theorem4(pipeline, formulas, cfg):
         checks.append((f"formula-preservation {formula_str(report.formula)}",
                        report.agrees,

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .errors import FragmentError, ResourceLimitError, SpecSyntaxError
-from .parser import TokenStream
+from .parser import TokenStream, tokenize
 from .sos import (
     DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, _Stepper, expression_closure,
     state_str,
@@ -223,20 +223,13 @@ class _FormulaParser:
                                            self.spec.domain, "':='")
             self.ts.expect("DOT", "'.'")
             return SetVar(var.text, value.text, self._unary())
-        if tok.kind == "WORD" and tok.text == "true":
+        if tok.kind == "WORD" and tok.text in ("true", "false"):
             self.ts.next()
-            return TRUE
-        if tok.kind == "WORD" and tok.text == "false":
-            self.ts.next()
-            return FALSE
+            return TRUE if tok.text == "true" else FALSE
         if tok.kind == "LPAREN":
-            if (self.ts.peek(1).kind == "WORD"
-                    and self.ts.peek(2).kind == "EQUALS"):
-                self.ts.next()
-                var, value = self.ts.var_value("EQUALS", self.spec.variables,
-                                               self.spec.domain)
-                self.ts.expect("RPAREN")
-                return Check(var.text, value.text)
+            test = self.ts.test(self.spec.variables, self.spec.domain)
+            if test is not None:
+                return Check(*test)
             self.ts.next()
             out = self.parse()
             self.ts.expect("RPAREN")
@@ -248,13 +241,8 @@ class _FormulaParser:
         if tok.kind == closing:
             raise SpecSyntaxError("modal label set must be nonempty",
                                   tok.line, tok.col, expected=("transition label",))
-        labels: list[TransitionLabel] = []
-        while True:
-            labels.extend(self._label())
-            if self.ts.peek().kind != "COMMA":
-                break
-            self.ts.next()
-        return frozenset(labels)
+        return frozenset(label for labels in self.ts.separated(self._label)
+                         for label in labels)
 
     def _label(self) -> list[TransitionLabel]:
         tok = self.ts.peek()
@@ -278,11 +266,23 @@ def all_labels(spec: RecursiveSpec) -> tuple[TransitionLabel, ...]:
     return tuple(out)
 
 
-def parse_formula(text: str, spec: RecursiveSpec) -> HmlFormula:
-    ts = TokenStream(text)
+def _parse(ts: TokenStream, spec: RecursiveSpec) -> HmlFormula:
     out = _FormulaParser(ts, spec).parse()
     ts.expect("EOF", "end of formula")
     return out
+
+
+def parse_formula(text: str, spec: RecursiveSpec) -> HmlFormula:
+    return _parse(TokenStream(tokenize(text)), spec)
+
+
+def parse_formulas(text: str, spec: RecursiveSpec) -> list[HmlFormula]:
+    """The formulas of a text that holds one per line, each of which ends
+    in an end-of-input token; a line with no token holds none."""
+    tokens = tokenize(text, lines=True)
+    ends = [i for i, tok in enumerate(tokens) if tok.kind == "EOF"]
+    return [_parse(TokenStream(tokens[a + 1:b + 1]), spec)
+            for a, b in zip([-1, *ends], ends) if b > a + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ conditions and encap bind tighter than `||`, which binds tighter than `+`.
 from __future__ import annotations
 
 import re
+from functools import reduce
 
 from . import syntax
 from .errors import SpecSyntaxError, SpecValidationError
@@ -50,12 +51,13 @@ _TOKEN = re.compile(
     re.DOTALL)
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text``, ending in one EOF token. Columns count
-    characters from 1; a comment that ends the text counts no column."""
+def tokenize(text: str, lines: bool = False) -> list[Token]:
+    """The tokens of ``text``, ending in one EOF token; with ``lines``, an
+    EOF token ends every line. Columns count characters from 1; a comment
+    that ends a line counts no column."""
     tokens = []
     append = tokens.append
-    line, start, end = 1, 0, len(text)
+    line, start, end = 1, 0, None
     for m in _TOKEN.finditer(text):
         group = m.lastindex
         if group == _WORD:
@@ -63,24 +65,26 @@ def tokenize(text: str) -> list[Token]:
         elif group == _OP:
             append(Token(_PUNCT[m[0]], m[0], line, m.start() - start + 1))
         elif group == _NEWLINE:
+            if lines:
+                stop = m.start() if end is None else end
+                append(Token("EOF", "", line, stop - start + 1))
             line += 1
             start = m.end()
+            end = None
         elif group == _COMMENT:
-            if m.end() == len(text):
-                end = m.start()
+            end = m.start()
         elif group == _OTHER:
             raise SpecSyntaxError(f"unexpected character {m[0]!r}",
                                   line, m.start() - start + 1)
-    append(Token("EOF", "", line, end - start + 1))
+    append(Token("EOF", "", line, (len(text) if end is None else end) - start + 1))
     return tokens
 
 
 class TokenStream:
-    """The tokens of a text, and the productions that specs and formulas
-    share."""
+    """The tokens of a text, and the productions that specs, formulas and
+    valuations share."""
 
-    def __init__(self, text: str):
-        tokens = tokenize(text)
+    def __init__(self, tokens: list[Token]):
         # so that `peek(2)` at the end of input needs no bounds check
         self._tokens = tokens + tokens[-1:] * 2
         self._pos = 0
@@ -117,31 +121,30 @@ class TokenStream:
             raise self.unexpected(repr(text))
         return self.next()
 
+    def separated(self, item, sep: str = "COMMA") -> list:
+        """Parses ``item (sep item)*``."""
+        items = [item()]
+        while self.peek().kind == sep:
+            self.next()
+            items.append(item())
+        return items
+
     def chain(self, kind: str, operand, build):
         """Parses ``operand (kind operand)*``, grouped to the left by
         ``build(left, right)``."""
-        out = operand()
-        while self.peek().kind == kind:
-            self.next()
-            out = build(out, operand())
-        return out
+        return reduce(build, self.separated(operand, kind))
 
-    def braced(self, item) -> list:
-        """Parses ``{ item, item, ... }``, possibly empty."""
+    def braced(self, item, sep: str = "COMMA") -> list:
+        """Parses ``{ item sep item sep ... }``, possibly empty."""
         self.expect("LBRACE")
-        items = []
-        if self.peek().kind != "RBRACE":
-            items.append(item())
-            while self.peek().kind == "COMMA":
-                self.next()
-                items.append(item())
+        items = self.separated(item, sep) if self.peek().kind != "RBRACE" else []
         self.expect("RBRACE")
         return items
 
     def var_value(self, sep: str, variables, values,
                   what: str | None = None) -> tuple[Token, Token]:
         """Parses `variable <sep> value`, both declared: the production of
-        conditions, assignments, `with` entries, checks and `set`."""
+        tests, assignments, valuation entries and `set`."""
         var = self.expect("WORD", "variable name")
         if var.text not in variables:
             raise SpecSyntaxError(f"unknown variable {var.text}", var.line, var.col)
@@ -151,12 +154,38 @@ class TokenStream:
             raise SpecSyntaxError(f"unknown value {value.text}", value.line, value.col)
         return var, value
 
+    def _pair(self, sep: str, variables, values) -> tuple[str, str]:
+        self.expect("LPAREN")
+        var, value = self.var_value(sep, variables, values)
+        self.expect("RPAREN")
+        return var.text, value.text
+
     def assign_args(self, variables, values) -> Assign:
         """Parses the `( variable , value )` after `assign`."""
-        self.expect("LPAREN")
-        var, value = self.var_value("COMMA", variables, values)
-        self.expect("RPAREN")
-        return Assign(var.text, value.text)
+        return Assign(*self._pair("COMMA", variables, values))
+
+    def test(self, variables, values) -> tuple[str, str] | None:
+        """Parses a `( variable = value )` test, the condition of an
+        expression and the check of a formula, if one is next."""
+        if (self.peek().kind == "LPAREN" and self.peek(1).kind == "WORD"
+                and self.peek(2).kind == "EQUALS"):
+            return self._pair("EQUALS", variables, values)
+        return None
+
+    def valuation(self, variables, values, braced: bool = True) -> dict[str, str]:
+        """Parses `variable = value` entries separated by `,`, each variable
+        at most once: in braces after `with`, or bare (`--valuation`)."""
+        entries: dict[str, str] = {}
+
+        def entry():
+            var, value = self.var_value("EQUALS", variables, values, "'='")
+            if var.text in entries:
+                raise SpecSyntaxError(
+                    f"variable {var.text} assigned twice", var.line, var.col)
+            entries[var.text] = value.text
+
+        (self.braced if braced else self.separated)(entry)
+        return entries
 
 
 def _declared_name(ts: TokenStream, what: str) -> str:
@@ -192,7 +221,7 @@ class _ExprParser:
                 self.ts.next()
                 return Deadlock()
             if tok.text == "encap":
-                return self._encap()
+                return Encap(self._encap_set(), self._tight())
             if tok.text == "assign" and self.ts.peek(1).kind == "LPAREN":
                 self.ts.next()
                 label = self.ts.assign_args(self.variables, self.values)
@@ -213,21 +242,15 @@ class _ExprParser:
             self.name_uses.append(tok)
             return Name(tok.text)
         if tok.kind == "LPAREN":
-            if (self.ts.peek(1).kind == "WORD"
-                    and self.ts.peek(2).kind == "EQUALS"):
-                return self._cond()
+            test = self.ts.test(self.variables, self.values)
+            if test is not None:
+                self.ts.expect("ARROW", "'->'")
+                return Cond(*test, self._tight())
             self.ts.next()
             expr = self.parse()
             self.ts.expect("RPAREN")
             return expr
         raise self.ts.unexpected("process expression")
-
-    def _cond(self) -> ProcessExpr:
-        self.ts.expect("LPAREN")
-        var, value = self.ts.var_value("EQUALS", self.variables, self.values)
-        self.ts.expect("RPAREN")
-        self.ts.expect("ARROW", "'->'")
-        return Cond(var.text, value.text, self._tight())
 
     def _blocked(self) -> str:
         tok = self.ts.expect("WORD", "action name")
@@ -243,14 +266,10 @@ class _ExprParser:
         self.ts.expect("RPAREN")
         return names
 
-    def _encap(self) -> ProcessExpr:
-        blocked = self._encap_set()
-        return Encap(blocked, self._tight())
-
 
 def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
     """Parses and validates a full specification file."""
-    ts = TokenStream(text)
+    ts = TokenStream(tokenize(text))
 
     ts.eat_word("domain")
     values = ts.braced(lambda: _declared_name(ts, "domain value"))
@@ -264,20 +283,18 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
     ts.eat_word("acts")
     actions = ts.braced(lambda: _declared_name(ts, "action name"))
 
-    comm_entries: list[tuple[frozenset[str], str]] = []
+    def comm_entry() -> tuple[frozenset[str], str]:
+        a = ts.expect("WORD", "action name")
+        ts.expect("BAR", "'|'")
+        b = ts.expect("WORD", "action name")
+        ts.expect("ARROW", "'->'")
+        c = ts.expect("WORD", "action name")
+        return frozenset((a.text, b.text)), c.text
+
+    comm_entries = []
     if ts.at_word("comm"):
         ts.next()
-        ts.expect("LBRACE")
-        while ts.peek().kind != "RBRACE":
-            a = ts.expect("WORD", "action name")
-            ts.expect("BAR", "'|'")
-            b = ts.expect("WORD", "action name")
-            ts.expect("ARROW", "'->'")
-            c = ts.expect("WORD", "action name")
-            comm_entries.append((frozenset((a.text, b.text)), c.text))
-            if ts.peek().kind == "SEMI":
-                ts.next()
-        ts.expect("RBRACE")
+        comm_entries = ts.braced(comm_entry, "SEMI")
     comm = CommFunction(tuple(comm_entries))
 
     parser = _ExprParser(ts, variables, values, actions)
@@ -299,22 +316,9 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
     assignment: dict[str, str] = {}
     if ts.at_word("with"):
         ts.next()
-        ts.expect("LBRACE")
-        while ts.peek().kind != "RBRACE":
-            var, value = ts.var_value("EQUALS", variables, values)
-            if var.text in assignment:
-                raise SpecSyntaxError(
-                    f"variable {var.text} assigned twice", var.line, var.col)
-            assignment[var.text] = value.text
-            if ts.peek().kind == "COMMA":
-                ts.next()
-        ts.expect("RBRACE")
+        assignment = ts.valuation(variables, values)
     ts.expect("EOF", "end of file")
-
-    missing = [v for v in variables if v not in assignment]
-    if missing:
-        raise SpecValidationError(
-            [f"init valuation misses variable {v}" for v in missing])
+    valuation = _complete(variables, assignment, "init valuation")
 
     defined = {name for name, _ in equations}
     for tok in parser.name_uses:
@@ -329,14 +333,30 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
         equations=tuple(equations),
         comm=comm,
     )
-    init = InitSpec(root=root, valuation=Valuation.make(variables, assignment))
+    init = InitSpec(root=root, valuation=valuation)
     syntax.require_valid(spec, init)
     return spec, init
 
 
+def _complete(variables, assignment: dict[str, str], what: str) -> Valuation:
+    missing = [v for v in variables if v not in assignment]
+    if missing:
+        raise SpecValidationError([f"{what} misses variable {v}" for v in missing])
+    return Valuation.make(variables, assignment)
+
+
+def parse_valuation(text: str, spec: RecursiveSpec) -> Valuation:
+    """Parses the entries of a `with` block without its braces, such as
+    `x = a, y = b`, into a valuation of every variable of ``spec``."""
+    ts = TokenStream(tokenize(text))
+    assignment = ts.valuation(spec.variables, spec.domain.values, braced=False)
+    ts.expect("EOF", "',' or end of valuation")
+    return _complete(spec.variables, assignment, "valuation")
+
+
 def parse_expr(text: str, spec: RecursiveSpec) -> ProcessExpr:
     """Parses a single process expression in the context of a spec."""
-    ts = TokenStream(text)
+    ts = TokenStream(tokenize(text))
     parser = _ExprParser(
         ts, spec.variables, spec.domain.values, spec.actions)
     expr = parser.parse()

@@ -129,19 +129,17 @@ def _constraint(eps: frozenset[tuple[str, str]], slots: Sequence[str],
     return DAnd(conjuncts)
 
 
-def chi(spec: RecursiveSpec, expr: ProcessExpr,
-        eps: frozenset[tuple[str, str]] = frozenset(),
-        slots: Sequence[str] | None = None) -> Mcrl2Process:
+def chi(spec: RecursiveSpec, expr: ProcessExpr, slots: Sequence[str],
+        eps: frozenset[tuple[str, str]] = frozenset()) -> Mcrl2Process:
     """The six translation clauses; conditions accumulate into the checkP
-    constraint of the next prefix, parallel distributes at the top."""
-    if slots is None:
-        slots = spec.variables
+    constraint of the next prefix, parallel distributes at the top.
+    ``slots`` orders the variables of the checkP arguments, as in `Globs`."""
     binders = _slot_binders(len(slots))
     if isinstance(expr, Choice):
-        return MChoice(chi(spec, expr.left, eps, slots),
-                       chi(spec, expr.right, eps, slots))
+        return MChoice(chi(spec, expr.left, slots, eps),
+                       chi(spec, expr.right, slots, eps))
     if isinstance(expr, Cond):
-        return chi(spec, expr.body, eps | {(expr.var, expr.value)}, slots)
+        return chi(spec, expr.body, slots, eps | {(expr.var, expr.value)})
     if isinstance(expr, Prefix):
         condition = _constraint(eps, slots, binders, spec.domain)
         check_args = tuple(DVar(b) for b in binders) + (condition,)
@@ -153,7 +151,7 @@ def chi(spec: RecursiveSpec, expr: ProcessExpr,
         if isinstance(expr.body, Name):
             cont: Mcrl2Process = MCall(expr.body.name)
         else:
-            cont = chi(spec, expr.body, frozenset(), slots)
+            cont = chi(spec, expr.body, slots)
         out: Mcrl2Process = MPrefix(multi, cont)
         for binder in reversed(binders):
             out = MSum(binder, out)
@@ -166,8 +164,8 @@ def chi(spec: RecursiveSpec, expr: ProcessExpr,
         if eps:
             raise SpecValidationError(
                 ["parallel composition under a condition is not translatable"])
-        return MParallel(chi(spec, expr.left, frozenset(), slots),
-                         chi(spec, expr.right, frozenset(), slots))
+        return MParallel(chi(spec, expr.left, slots),
+                         chi(spec, expr.right, slots))
     raise SpecValidationError([f"untranslatable construct: {expr_str(expr)}"])
 
 
@@ -241,7 +239,7 @@ def _comm_sets(spec: RecursiveSpec):
 
 def _psi_term(spec, slots, allow_set, hidden, comm_entries, expr, valuation):
     globs_args = tuple(DConst(valuation.value_of(slot)) for slot in slots)
-    par = MParallel(chi(spec, expr, frozenset(), slots),
+    par = MParallel(chi(spec, expr, slots),
                     MCall("Globs", globs_args))
     return MAllow(allow_set, MHide(hidden, MComm(comm_entries, par)))
 
@@ -258,7 +256,7 @@ def translate_init(spec: RecursiveSpec, root: ProcessExpr,
     allow_set = frozenset(Multiset([name]) for name in allow_names)
     hidden = frozenset({"check"})
 
-    equations = [(name, (), chi(spec, body, frozenset(), slots))
+    equations = [(name, (), chi(spec, body, slots))
                  for name, body in spec.equations]
     equations.append(make_globs(slots, spec.domain.values))
     menv = Mcrl2Spec(domain=spec.domain.values, equations=tuple(equations))

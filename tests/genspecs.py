@@ -12,13 +12,15 @@ tables. The
 parallel-sequential generator never puts a condition directly over delta
 and never nests conditions, so the translated state map stays injective
 and the structure-preservation counts are meaningful. `mutate_spec` edits
-a spec's AST so that its text still parses (for the CLI fuzz).
+a spec's AST so that its text still parses (for the CLI fuzz), and
+`gen_formula` draws formulas over a spec.
 """
 from __future__ import annotations
 
 import random
 
 from gvpa.errors import ResourceLimitError
+from gvpa.hml import FALSE, TRUE, And, Box, Check, Diamond, Not, Or, SetVar
 from gvpa.mcrl2 import (
     DBool, DConst, DEq, DVar, MAct, MAllow, MBar, MCall, MChoice, MComm, MDELTA,
     MHide, MParallel, MPrefix, MSum, Mcrl2Spec, Multiset, TAU,
@@ -271,6 +273,31 @@ def mutate_spec(rng: random.Random, spec: RecursiveSpec, root, valuation, edits:
                          actions=spec.actions, equations=tuple(equations),
                          comm=spec.comm)
     return spec, root, valuation
+
+
+def gen_formula(rng: random.Random, spec: RecursiveSpec, labels, depth: int):
+    """A formula with every operator of the logic, nested at most ``depth``
+    operators deep, over a spec's variables and values and ``labels``."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.18:
+        atoms = [TRUE, FALSE] + [Check(v, d) for v in spec.variables
+                                 for d in spec.domain.values]
+        return rng.choice(atoms)
+    if roll < 0.33:
+        return Not(gen_formula(rng, spec, labels, depth - 1))
+    if roll < 0.48:
+        return And(gen_formula(rng, spec, labels, depth - 1),
+                   gen_formula(rng, spec, labels, depth - 1))
+    if roll < 0.58:
+        return Or(gen_formula(rng, spec, labels, depth - 1),
+                  gen_formula(rng, spec, labels, depth - 1))
+    label_set = frozenset(rng.sample(labels, rng.randint(1, min(3, len(labels)))))
+    if roll < 0.75:
+        return Diamond(label_set, gen_formula(rng, spec, labels, depth - 1))
+    if roll < 0.9:
+        return Box(label_set, gen_formula(rng, spec, labels, depth - 1))
+    return SetVar(rng.choice(spec.variables), rng.choice(spec.domain.values),
+                  gen_formula(rng, spec, labels, depth - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,21 @@ Everything here is written from the definitions directly (naive pairwise
 fixpoints, all-orders rewriting, permutation search, full-sweep
 refinement) and stays free of the package's partition-refinement and
 greedy code paths. The printers keep one isinstance chain per term
-language, free of `gvpa.syntax.render`, and the scanner reads one
-character at a time, free of the compiled pattern.
+language, free of `gvpa.syntax.render`, the scanner reads one
+character at a time, free of the compiled pattern, and the readers of
+`--valuation` and `--formulas` split their text by hand, free of the
+token stream.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from gvpa.errors import FragmentError, SpecSyntaxError, SpecValidationError
+from gvpa.errors import (
+    FragmentError, GvpaError, SpecSyntaxError, SpecValidationError,
+)
 from gvpa.hml import (
     And, Box, Check, Diamond, FALSE, HFalse, HTrue, Not, Or, SetVar, TRUE,
+    parse_formula,
 )
 from gvpa.mcrl2 import (
     DAnd, DBool, DConst, DEq, DVar, GroundAction, MAct, MAllow, MBar, MCall,
@@ -24,7 +29,7 @@ from gvpa.parser import Token
 from gvpa.sos import GvState, Lts
 from gvpa.syntax import (
     Action, Assign, Choice, Cond, Deadlock, Encap, Name, Parallel, Prefix,
-    enumerate_valuations, label_str,
+    Valuation, enumerate_valuations, label_str,
 )
 from gvpa.translate import MACHINERY_NAMES, _Namer
 
@@ -1119,3 +1124,36 @@ def reference_emit_mcrl2_files(out, formulas=(), base: str = "model") -> dict[st
     for i, formula in enumerate(formulas, start=1):
         files[f"{base}_prop{i}.mcf"] = _reference_render_mcf(formula, out)
     return files
+
+
+# ---------------------------------------------------------------------------
+# The command line's readers of `--valuation` and `--formulas`, by hand
+
+
+def reference_cli_valuation(text: str, spec) -> Valuation:
+    """A `--valuation` text split on `,` and `=`; a repeated variable
+    keeps its last value, and errors carry no position."""
+    assignment = {}
+    for part in text.split(","):
+        var, _, value = part.partition("=")
+        var, value = var.strip(), value.strip()
+        if var not in spec.variables:
+            raise GvpaError(f"unknown variable {var}")
+        if value not in spec.domain:
+            raise GvpaError(f"unknown value {value}")
+        assignment[var] = value
+    missing = [v for v in spec.variables if v not in assignment]
+    if missing:
+        raise GvpaError(f"valuation misses variables: {', '.join(missing)}")
+    return Valuation.make(spec.variables, assignment)
+
+
+def reference_load_formulas(text: str, spec) -> list:
+    """The formulas of a `--formulas` text, each line parsed on its own;
+    blank lines and lines that start with `//` hold none."""
+    out = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("//"):
+            out.append(parse_formula(line, spec))
+    return out

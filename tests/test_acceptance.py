@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from genspecs import gen_parseq_spec, gen_pair, gen_spec
+from genspecs import gen_formula, gen_parseq_spec, gen_pair, gen_spec
 from oracles import (
     comm_normal_forms, enumerate_check_formulas, find_distinguishing_formula,
     isomorphic, naive_state_based_relation, naive_stateless_relation,
@@ -23,8 +23,8 @@ from gvpa.bisim import (
     state_based_bisim, stateless_bisim, strong_bisim,
 )
 from gvpa.hml import (
-    And, Box, Check, Diamond, Not, Or, SetVar, TRUE, FALSE, all_labels,
-    build_state_space, eval_formula, parse_formula, satisfies,
+    Box, Check, Diamond, Not, SetVar, all_labels, build_state_space,
+    eval_formula, parse_formula, satisfies,
 )
 from gvpa.mcrl2 import GroundAction, Multiset, apply_comm
 from gvpa.sos import ExplorationConfig, GvState, Lts, explore, generate_lts
@@ -183,29 +183,6 @@ def test_criterion_04_hierarchy(general_corpus):
            started)
 
 
-def _random_formula(rng, spec, labels, depth):
-    roll = rng.random()
-    if depth == 0 or roll < 0.18:
-        atoms = [TRUE, FALSE] + [Check(v, d) for v in spec.variables
-                                 for d in spec.domain.values]
-        return rng.choice(atoms)
-    if roll < 0.33:
-        return Not(_random_formula(rng, spec, labels, depth - 1))
-    if roll < 0.48:
-        return And(_random_formula(rng, spec, labels, depth - 1),
-                   _random_formula(rng, spec, labels, depth - 1))
-    if roll < 0.58:
-        return Or(_random_formula(rng, spec, labels, depth - 1),
-                  _random_formula(rng, spec, labels, depth - 1))
-    label_set = frozenset(rng.sample(labels, rng.randint(1, min(3, len(labels)))))
-    if roll < 0.75:
-        return Diamond(label_set, _random_formula(rng, spec, labels, depth - 1))
-    if roll < 0.9:
-        return Box(label_set, _random_formula(rng, spec, labels, depth - 1))
-    return SetVar(rng.choice(spec.variables), rng.choice(spec.domain.values),
-                  _random_formula(rng, spec, labels, depth - 1))
-
-
 def test_criterion_05_hml_semantic_laws():
     started = time.perf_counter()
     rng = random.Random(5150)
@@ -220,7 +197,7 @@ def test_criterion_05_hml_semantic_laws():
         labels = list(all_labels(spec))
         everything = frozenset(range(len(space.states)))
         for _ in range(25):
-            phi = _random_formula(rng, spec, labels, 3)
+            phi = gen_formula(rng, spec, labels, 3)
             den = eval_formula(space, phi)
             ok &= eval_formula(space, Not(phi)) == everything - den
             label_set = frozenset(

@@ -58,6 +58,11 @@ class TestStrong:
             assert not (union & block)
             union |= block
         assert union == set(range(len(lts.states)))
+        # the blocks are built once, and the relation size (unordered pairs
+        # with repetition) is read off the partition without them
+        assert result.blocks is result.blocks
+        assert result.relation_size == sum(
+            len(b) * (len(b) + 1) // 2 for b in result.blocks)
 
 
 class TestStateBased:

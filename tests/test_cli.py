@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pathlib
@@ -9,15 +10,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from genspecs import gen_pair, gen_parseq_spec, gen_spec, mutate_spec
+from genspecs import (
+    gen_formula, gen_pair, gen_parseq_spec, gen_spec, mutate_spec, ring_text,
+)
+from oracles import reference_cli_valuation, reference_load_formulas
 
 import gvpa.syntax
 from gvpa.cli import main
-from gvpa.parser import parse_spec, render_spec
+from gvpa.hml import all_labels, formula_str, parse_formulas
+from gvpa.parser import parse_spec, parse_valuation, render_spec
 from gvpa.syntax import InitSpec, enumerate_valuations, expr_str
 
 DATA = pathlib.Path(__file__).parent / "data"
 TRAFFIC = str(DATA / "traffic.gvpa")
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 SRC = str(pathlib.Path(gvpa.syntax.__file__).resolve().parent.parent)
 
 EXAMPLE3 = """
@@ -369,3 +375,137 @@ class TestFuzz:
         codes = self._run_every_command(tmp_path, capsys, str(path), seed,
                                         root, root if parseq else right)
         assert codes["validate"] == 0
+
+
+_TWO_VARS = "domain { a, b } vars { x, y } acts { c } init delta with "
+_COMM = "domain { a } acts { b, c, d, e, f, g }\ncomm { b|c -> d e|f -> g }\ninit delta"
+_BISIM = ["--left", "CAR", "--right", "TLC", "--valuation"]
+
+
+class TestReaderErrors:
+    """Inputs the README grammar forbids that the hand-split readers and
+    the separator-optional `with`/`comm` loops let through or misplaced:
+    each exits 2 with one positioned error line. The last two cases
+    failed before as well."""
+
+    @pytest.mark.parametrize("argv, text, line", [
+        (["validate", "{file}"], _TWO_VARS + "{ x = a y = b }",
+         "1:66: found 'y' (expected rbrace)"),
+        (["validate", "{file}"], _TWO_VARS + "{ x = a, }",
+         "1:67: found '}' (expected variable name)"),
+        (["validate", "{file}"], _COMM, "2:17: found 'e' (expected rbrace)"),
+        (["bisim", TRAFFIC, "--mode", "stateless", *_BISIM, "t=green,t=red"], None,
+         "1:9: variable t assigned twice"),
+        (["bisim", TRAFFIC, "--mode", "state-based", *_BISIM, "t=purple"], None,
+         "1:3: unknown value purple"),
+        (["distinguish", TRAFFIC, "--mode", "stateless", *_BISIM, "t"], None,
+         "1:2: unexpected end of input (expected '=')"),
+        (["translate", TRAFFIC, "--out", "{dir}", "--formulas", "{file}"],
+         "(t = green)\n// a comment\n\n<drive> (t = purple)\n",
+         "4:14: unknown value purple"),
+        (["modelcheck", TRAFFIC, "--formula-file", "{file}"],
+         "\n\n<drive> (t = purple)\n", "3:14: unknown value purple"),
+        (["verify-translation", TRAFFIC, "--formulas", "{file}"],
+         "(t = green)\n<drive> true <brake> true\n",
+         "2:14: found '<' (expected end of formula)"),
+        (["verify-translation", TRAFFIC, "--formulas", "{file}"],
+         "<drive> true &&\n(t = red)\n",
+         "1:16: unexpected end of input (expected formula)"),
+    ], ids=["with-no-comma", "with-trailing-comma", "comm-no-semicolon",
+            "valuation-twice", "valuation-unknown-value", "valuation-no-value",
+            "formulas-bad-fourth-line", "formula-file-leading-blank-lines",
+            "formulas-two-on-one-line", "formulas-cut-off-line"])
+    def test_exit_2_with_the_position(self, tmp_path, capsys, argv, text, line):
+        path = tmp_path / "input.txt"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        argv = [a.format(file=path, dir=tmp_path / "out") for a in argv]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+
+
+def _load_by_path(name: str, monkeypatch):
+    """A perfbench module, read from its file without writing bytecode
+    next to it, and registered under its own name for the test's duration
+    (its dataclasses and its sibling imports look modules up by name)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestReadersAgreeWithTheReference:
+    """`parse_valuation` and `parse_formulas` return what the hand-split
+    readers they replaced (`oracles.reference_cli_valuation` and
+    `oracles.reference_load_formulas`) returned, on valid input."""
+
+    SPACES = ("", " ", "  ", "\t")
+
+    @staticmethod
+    def _agree_on_valuation(spec, text):
+        assert parse_valuation(text, spec) == reference_cli_valuation(text, spec), text
+
+    def test_valuations_the_tests_write(self):
+        specs = {"v": parse_spec(EXAMPLE3)[0],
+                 "f": parse_spec(ring_text(3, 3))[0],
+                 "t": parse_spec(pathlib.Path(TRAFFIC).read_text(encoding="utf-8"))[0]}
+        for text in ("v=0", "v=1", "f=lo", "f=hi", "t=green", "t = red"):
+            self._agree_on_valuation(specs[text[0]], text)
+
+    @pytest.mark.parametrize("workload", ["grid", "closure"])
+    def test_valuations_the_benchmark_writes(self, tmp_path, monkeypatch, workload):
+        _load_by_path("families", monkeypatch)
+        workloads = _load_by_path("workloads", monkeypatch)
+        seen = 0
+        for seed in range(4):
+            workdir = tmp_path / f"{workload}{seed}"
+            workdir.mkdir()
+            _, _, jobs = workloads.build(workload, seed, workdir)
+            for job in jobs:
+                if "--valuation" in job.args:
+                    text = job.args[job.args.index("--valuation") + 1]
+                    spec, _ = parse_spec((workdir / job.args[1]).read_text(encoding="utf-8"))
+                    self._agree_on_valuation(spec, text)
+                    seen += 1
+        assert seen >= 8
+
+    def test_seeded_valuations_with_arbitrary_spacing(self):
+        rng = random.Random(1818)
+        checked = 0
+        while checked < 300:
+            spec = gen_spec(rng)
+            if not spec.variables:
+                continue
+            variables = rng.sample(spec.variables, len(spec.variables))
+            pad = lambda: rng.choice(self.SPACES)
+            text = ",".join(f"{pad()}{v}{pad()}={pad()}{rng.choice(spec.domain.values)}{pad()}"
+                            for v in variables)
+            self._agree_on_valuation(spec, text)
+            checked += 1
+
+    def test_traffic_props(self, traffic):
+        spec, _ = traffic
+        text = (DATA / "traffic_props.txt").read_text(encoding="utf-8")
+        assert parse_formulas(text, spec) == reference_load_formulas(text, spec)
+
+    def test_seeded_files_with_comments_and_blank_lines(self, traffic):
+        spec, _ = traffic
+        labels = list(all_labels(spec))
+        rng = random.Random(1819)
+        for _ in range(100):
+            lines = []
+            for _ in range(rng.randint(0, 8)):
+                kind = rng.random()
+                if kind < 0.15:
+                    lines.append(rng.choice(self.SPACES))
+                elif kind < 0.3:
+                    lines.append(f"{rng.choice(self.SPACES)}// a comment")
+                else:
+                    formula = formula_str(gen_formula(rng, spec, labels, 3))
+                    comment = rng.choice(["", " // trailing", "//"])
+                    lines.append(f"{rng.choice(self.SPACES)}{formula}{comment}")
+            text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+            expected = reference_load_formulas(text, spec)
+            assert parse_formulas(text, spec) == expected, text

@@ -257,6 +257,19 @@ class TestScanner:
         assert shape(crlf) == shape(TRAFFIC_TEXT)
         assert parse_spec(crlf) == parse_spec(TRAFFIC_TEXT)
 
+    def test_line_ends(self):
+        # one end token per line, where the line's text or a comment ends;
+        # without them the tokens are those of the whole text
+        text = "a b  \n\n  // only a comment\nc // trailing\nd"
+        tokens = tokenize(text, lines=True)
+        ends = [(t.line, t.col) for t in tokens if t.kind == "EOF"]
+        assert ends == [(1, 6), (2, 1), (3, 3), (4, 3), (5, 2)]
+        assert [t for t in tokens if t.kind != "EOF"] == tokenize(text)[:-1]
+        for text in _genspecs_texts():
+            tokens = tokenize(text, lines=True)
+            assert len([t for t in tokens if t.kind == "EOF"]) == text.count("\n") + 1
+            assert [t for t in tokens if t.kind != "EOF"] + [tokens[-1]] == tokenize(text)
+
 
 _HEAD = "domain { a }\nvars { v }\nacts { x, y }\n"
 _WITH = " init P with { v = a }"

@@ -69,7 +69,7 @@ class TestChi:
     def test_condition_then_prefix(self, traffic):
         spec, _ = traffic
         expr = Cond("t", "green", Prefix(Action("drive"), Deadlock()))
-        got = chi(spec, expr)
+        got = chi(spec, expr, tuple(sorted(spec.variables)))
         assert got == MSum("d1", MPrefix(
             MBar(MAct("drive"),
                  MAct("checkP", (DVar("d1"), DEq(DVar("d1"), DConst("green"))))),
@@ -77,13 +77,14 @@ class TestChi:
 
     def test_deadlock_for_any_constraints(self, traffic):
         spec, _ = traffic
-        assert chi(spec, Deadlock()) == MDELTA
-        assert chi(spec, Deadlock(), frozenset({("t", "red")})) == MDELTA
+        slots = tuple(sorted(spec.variables))
+        assert chi(spec, Deadlock(), slots) == MDELTA
+        assert chi(spec, Deadlock(), slots, frozenset({("t", "red")})) == MDELTA
 
     def test_assign_prefix_with_empty_constraint(self, traffic):
         spec, _ = traffic
         expr = Prefix(Assign("t", "red"), Name("TLC"))
-        got = chi(spec, expr)
+        got = chi(spec, expr, tuple(sorted(spec.variables)))
         assert got == MSum("d1", MPrefix(
             MBar(MAct("assignP", (DConst("t"), DConst("red"))),
                  MAct("checkP", (DVar("d1"), DBool(True)))),
@@ -91,11 +92,11 @@ class TestChi:
 
     def test_name_maps_to_name(self, traffic):
         spec, _ = traffic
-        assert chi(spec, Name("CAR")) == MCall("CAR")
+        assert chi(spec, Name("CAR"), tuple(sorted(spec.variables))) == MCall("CAR")
 
     def test_parallel_distributes(self, traffic):
         spec, _ = traffic
-        got = chi(spec, Parallel(Name("CAR"), Name("TLC")))
+        got = chi(spec, Parallel(Name("CAR"), Name("TLC")), tuple(sorted(spec.variables)))
         assert got == MParallel(MCall("CAR"), MCall("TLC"))
 
 
@@ -368,13 +369,14 @@ class TestLemma3Shape:
         spec, _ = traffic
         from gvpa.sos import reachable_exprs
         closure = reachable_exprs(spec, [Name("CAR"), Name("TLC")])
-        env_eqs = tuple((n, (), chi(spec, b)) for n, b in spec.equations)
+        slots = tuple(sorted(spec.variables))
+        env_eqs = tuple((n, (), chi(spec, b, slots)) for n, b in spec.equations)
         env = Mcrl2Spec(domain=spec.domain.values,
                         equations=env_eqs + (make_globs(("t",), spec.domain.values),))
-        images = {chi(spec, e) for e in closure}
+        images = {chi(spec, e, slots) for e in closure}
         images |= {MCall(n) for n in spec.process_names}
         for expr in closure:
-            for sem, target in step_mcrl2(env, chi(spec, expr)):
+            for sem, target in step_mcrl2(env, chi(spec, expr, slots)):
                 has_true_check = any(
                     e.name == "checkP" and e.args[-1] is True
                     for e, _ in sem.items())
@@ -439,6 +441,17 @@ class TestMultiVariable:
             "domain { 0, 1 } vars { u, v } acts { a, b } "
             "proc X = a.assign(u, 1).X "
             "init X || (u = 1) -> b.delta with { u = 0, v = 0 }")
+        pipe = run_pipeline(spec, init.root, init.valuation, CFG)
+        assert pipe.consistency.ok
+        assert len(pipe.m_lts.transitions) == (
+            len(pipe.gv_lts.transitions) + 2 * len(pipe.gv_lts.states))
+
+    def test_variables_declared_out_of_order(self):
+        # checkP orders its arguments as Globs does, by sorted name
+        spec, init = parse_spec(
+            "domain { 0, 1 } vars { v, u } acts { a, b } "
+            "proc X = (u = 1) -> a.assign(v, 1).X "
+            "init X || assign(u, 1).(v = 1) -> b.delta with { v = 0, u = 0 }")
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
         assert pipe.consistency.ok
         assert len(pipe.m_lts.transitions) == (
