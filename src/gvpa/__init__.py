@@ -31,7 +31,7 @@ _EXPORTS = {
         "And", "Box", "Check", "Diamond", "HFalse", "HTrue", "HmlFormula",
         "Not", "Or", "SetVar", "StateSpace", "build_state_space",
         "eval_formula", "eval_modal_on_lts", "formula_str", "fragment",
-        "modal_depth", "parse_formula", "satisfies", "set_all",
+        "modal_depth", "parse_formula", "set_all",
     ),
     "bisim": (
         "BisimResult", "distinguishing_formula_state_based",

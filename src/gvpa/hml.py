@@ -11,13 +11,13 @@ modal mu-calculus", TCS 1991). HML has no fixpoints, so a verdict depends
 only on the states that the formula's modalities and set operators reach.
 A checker answers any number of (state, formula) queries and steps each
 state at most once over all of them. `source_checker` and `holds` step a
-spec's states on demand; `satisfies` and `holds_on_lts` ask the same
-core over given transitions.
+spec's states on demand; `lts_checker` asks the same core over the given
+transitions of a plain LTS.
 
 `eval_formula` gives a formula's whole denotation on a grid state space
 (`build_state_space`: the reachable-expression closure of the roots
 crossed with every valuation, the smallest carrier closed under both
-transitions and set) by asking the grid's checker at every state;
+transitions and set) by asking a checker of the grid at every state;
 `eval_modal_on_lts` does the same on a plain LTS.
 """
 from __future__ import annotations
@@ -210,18 +210,18 @@ class _FormulaParser:
         if tok.kind == "LT":
             self.ts.next()
             labels = self._label_set("GT")
-            self.ts.expect("GT", "'>'")
+            self.ts.expect("GT")
             return Diamond(labels, self._unary())
         if tok.kind == "LBRACK":
             self.ts.next()
             labels = self._label_set("RBRACK")
-            self.ts.expect("RBRACK", "']'")
+            self.ts.expect("RBRACK")
             return Box(labels, self._unary())
         if tok.kind == "WORD" and tok.text == "set":
             self.ts.next()
             var, value = self.ts.var_value("COLONEQ", self.spec.variables,
-                                           self.spec.domain, "':='")
-            self.ts.expect("DOT", "'.'")
+                                           self.spec.domain)
+            self.ts.expect("DOT")
             return SetVar(var.text, value.text, self._unary())
         if tok.kind == "WORD" and tok.text in ("true", "false"):
             self.ts.next()
@@ -442,43 +442,24 @@ def holds(spec: RecursiveSpec, state: GvState, formula: HmlFormula,
     return source_checker(spec, cfg)(state, formula)
 
 
-def _grid_checker(space: StateSpace):
-    return _checker(space.transitions.__getitem__, _digit_atom(space.spec.codes),
-                    len(space.states))
-
-
-def satisfies(space: StateSpace, state: GvState, formula: HmlFormula) -> bool:
-    """Whether a formula holds at a grid state, over the grid's transitions."""
-    return _grid_checker(space)(space.index_of(state), formula)
-
-
 def eval_formula(space: StateSpace, formula: HmlFormula) -> frozenset[int]:
     """Denotation of a formula on the grid: the states where it holds."""
-    check = _grid_checker(space)
+    check = _checker(space.transitions.__getitem__, _digit_atom(space.spec.codes),
+                     len(space.states))
     return frozenset(i for i in range(len(space.states)) if check(i, formula))
 
 
 def lts_checker(lts: Lts) -> Callable[[int, HmlFormula], bool]:
     """A checker of a plain LTS, whose states carry no valuation, for
-    formulas without check or set (`holds_on_lts` rejects the others)."""
+    formulas without check or set (`eval_modal_on_lts` rejects the
+    others)."""
     return _checker(lts.successors, None, len(lts.states))
-
-
-def _modal_only(formula: HmlFormula) -> HmlFormula:
-    if fragment(formula) != "HML":
-        raise FragmentError("check/set operators are not defined on plain LTSs")
-    return formula
-
-
-def holds_on_lts(lts: Lts, state: int, formula: HmlFormula) -> bool:
-    """Whether a check- and set-free formula holds at a state of a plain
-    LTS."""
-    return lts_checker(lts)(state, _modal_only(formula))
 
 
 def eval_modal_on_lts(lts: Lts, formula: HmlFormula) -> frozenset[int]:
     """Denotation of a check- and set-free formula on a plain LTS, such as
     the translated side, where labels are canonical multi-action strings."""
-    _modal_only(formula)
+    if fragment(formula) != "HML":
+        raise FragmentError("check/set operators are not defined on plain LTSs")
     check = lts_checker(lts)
     return frozenset(i for i in range(len(lts.states)) if check(i, formula))

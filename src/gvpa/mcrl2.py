@@ -746,9 +746,3 @@ def explore_mcrl2(env: Mcrl2Spec, roots: Sequence[Mcrl2Process],
                 for sem, target in table.steps(term)]
 
     return _bfs_lts(roots, successors, cfg.max_states)
-
-
-def generate_lts_mcrl2(env: Mcrl2Spec, proc: Mcrl2Process,
-                       cfg: ExplorationConfig = DEFAULT_CONFIG) -> Lts:
-    lts, _ = explore_mcrl2(env, [proc], cfg)
-    return lts

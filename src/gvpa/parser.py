@@ -19,7 +19,7 @@ import re
 from functools import reduce
 
 from . import syntax
-from .errors import SpecSyntaxError, SpecValidationError
+from .errors import SpecSyntaxError
 from .syntax import (
     Action, Assign, Choice, Cond, DomainDef, Deadlock, Encap, InitSpec, Name,
     Parallel, Prefix, ProcessExpr, Record, RecursiveSpec, CommFunction, Valuation,
@@ -42,6 +42,8 @@ _PUNCT = {
     ";": "SEMI", ".": "DOT", "+": "PLUS", "=": "EQUALS", "|": "BAR",
     "!": "BANG", "*": "STAR",
 }
+# what an error expects in place of a punctuation kind
+_SPELLING = {kind: repr(text) for text, kind in _PUNCT.items()}
 # One alternative per group, tried in order. `\w` and `\s` are the str
 # predicates `isalnum() or == "_"` and `isspace()`, so a name is a run of
 # Unicode letters, digits and underscores.
@@ -108,8 +110,10 @@ class TokenStream:
         )
 
     def expect(self, kind: str, what: str | None = None) -> Token:
+        """The next token, which must be of ``kind``; an error names
+        ``what``, by default the spelling of a punctuation kind."""
         if self.peek().kind != kind:
-            raise self.unexpected(what or kind.lower())
+            raise self.unexpected(what or _SPELLING[kind])
         return self.next()
 
     def at_word(self, text: str) -> bool:
@@ -138,17 +142,16 @@ class TokenStream:
         """Parses ``{ item sep item sep ... }``, possibly empty."""
         self.expect("LBRACE")
         items = self.separated(item, sep) if self.peek().kind != "RBRACE" else []
-        self.expect("RBRACE")
+        self.expect("RBRACE", f"{_SPELLING[sep]} or '}}'")
         return items
 
-    def var_value(self, sep: str, variables, values,
-                  what: str | None = None) -> tuple[Token, Token]:
+    def var_value(self, sep: str, variables, values) -> tuple[Token, Token]:
         """Parses `variable <sep> value`, both declared: the production of
         tests, assignments, valuation entries and `set`."""
         var = self.expect("WORD", "variable name")
         if var.text not in variables:
             raise SpecSyntaxError(f"unknown variable {var.text}", var.line, var.col)
-        self.expect(sep, what)
+        self.expect(sep)
         value = self.expect("WORD", "domain value")
         if value.text not in values:
             raise SpecSyntaxError(f"unknown value {value.text}", value.line, value.col)
@@ -172,20 +175,27 @@ class TokenStream:
             return self._pair("EQUALS", variables, values)
         return None
 
-    def valuation(self, variables, values, braced: bool = True) -> dict[str, str]:
+    def valuation(self, variables, values, braced: bool = True) -> Valuation:
         """Parses `variable = value` entries separated by `,`, each variable
-        at most once: in braces after `with`, or bare (`--valuation`)."""
+        exactly once: in braces after `with` (the init valuation), or bare up
+        to the end of the text (`--valuation`). The variables missing are
+        reported at the closing brace or at the end of the text."""
         entries: dict[str, str] = {}
 
         def entry():
-            var, value = self.var_value("EQUALS", variables, values, "'='")
+            var, value = self.var_value("EQUALS", variables, values)
             if var.text in entries:
                 raise SpecSyntaxError(
                     f"variable {var.text} assigned twice", var.line, var.col)
             entries[var.text] = value.text
 
-        (self.braced if braced else self.separated)(entry)
-        return entries
+        if braced:
+            self.braced(entry)
+            return _complete(variables, entries, "init valuation",
+                             self._tokens[self._pos - 1])  # the closing brace
+        self.separated(entry)
+        end = self.expect("EOF", "',' or end of valuation")
+        return _complete(variables, entries, "valuation", end)
 
 
 def _declared_name(ts: TokenStream, what: str) -> str:
@@ -244,7 +254,7 @@ class _ExprParser:
         if tok.kind == "LPAREN":
             test = self.ts.test(self.variables, self.values)
             if test is not None:
-                self.ts.expect("ARROW", "'->'")
+                self.ts.expect("ARROW")
                 return Cond(*test, self._tight())
             self.ts.next()
             expr = self.parse()
@@ -285,9 +295,9 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
 
     def comm_entry() -> tuple[frozenset[str], str]:
         a = ts.expect("WORD", "action name")
-        ts.expect("BAR", "'|'")
+        ts.expect("BAR")
         b = ts.expect("WORD", "action name")
-        ts.expect("ARROW", "'->'")
+        ts.expect("ARROW")
         c = ts.expect("WORD", "action name")
         return frozenset((a.text, b.text)), c.text
 
@@ -302,7 +312,7 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
     while ts.at_word("proc"):
         ts.next()
         name = _declared_name(ts, "process name")
-        ts.expect("EQUALS", "'='")
+        ts.expect("EQUALS")
         equations.append((name, parser.parse()))
 
     ts.eat_word("init")
@@ -313,12 +323,13 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
     if blocked is not None:
         root = Encap(blocked, root)
 
-    assignment: dict[str, str] = {}
     if ts.at_word("with"):
         ts.next()
-        assignment = ts.valuation(variables, values)
-    ts.expect("EOF", "end of file")
-    valuation = _complete(variables, assignment, "init valuation")
+        valuation = ts.valuation(variables, values)
+        ts.expect("EOF", "end of file")
+    else:
+        valuation = _complete(variables, {}, "init valuation",
+                              ts.expect("EOF", "end of file"))
 
     defined = {name for name, _ in equations}
     for tok in parser.name_uses:
@@ -338,20 +349,22 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
     return spec, init
 
 
-def _complete(variables, assignment: dict[str, str], what: str) -> Valuation:
+def _complete(variables, assignment: dict[str, str], what: str, at: Token) -> Valuation:
+    """The valuation ``assignment`` gives, if it gives every variable; one
+    error at ``at`` names all the variables it misses."""
     missing = [v for v in variables if v not in assignment]
     if missing:
-        raise SpecValidationError([f"{what} misses variable {v}" for v in missing])
+        noun = "variables" if len(missing) > 1 else "variable"
+        raise SpecSyntaxError(f"{what} misses {noun} {', '.join(missing)}",
+                              at.line, at.col)
     return Valuation.make(variables, assignment)
 
 
 def parse_valuation(text: str, spec: RecursiveSpec) -> Valuation:
     """Parses the entries of a `with` block without its braces, such as
     `x = a, y = b`, into a valuation of every variable of ``spec``."""
-    ts = TokenStream(tokenize(text))
-    assignment = ts.valuation(spec.variables, spec.domain.values, braced=False)
-    ts.expect("EOF", "',' or end of valuation")
-    return _complete(spec.variables, assignment, "valuation")
+    return TokenStream(tokenize(text)).valuation(
+        spec.variables, spec.domain.values, braced=False)
 
 
 def parse_expr(text: str, spec: RecursiveSpec) -> ProcessExpr:

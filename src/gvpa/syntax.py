@@ -10,6 +10,7 @@ The other values with named fields, in every module, are `Record`s.
 """
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Mapping
 
 from .errors import ResourceLimitError, SpecValidationError
@@ -303,6 +304,12 @@ def expr_str(expr: ProcessExpr) -> str:
 # Domain, valuations
 
 
+def _declared_twice(what: str, names) -> list[str]:
+    """One problem for each name that ``names`` holds more than once."""
+    return [f"{what} {name} is declared twice"
+            for name, n in Counter(names).items() if n > 1]
+
+
 class DomainDef(Record):
     """The finite data domain D; declaration order is the iteration order."""
 
@@ -311,8 +318,9 @@ class DomainDef(Record):
     def __post_init__(self):
         if not self.values:
             raise SpecValidationError(["domain must not be empty"])
-        if len(set(self.values)) != len(self.values):
-            raise SpecValidationError(["domain values must be distinct"])
+        problems = _declared_twice("domain value", self.values)
+        if problems:
+            raise SpecValidationError(problems)
 
     def index(self, value: str) -> int:
         return self.values.index(value)
@@ -576,11 +584,8 @@ def _check_expr_names(spec: RecursiveSpec, expr: ProcessExpr, where: str,
 
 def validate_spec(spec: RecursiveSpec, init: InitSpec | None = None) -> list[str]:
     """Name resolution, comm checks and guardedness for a whole spec."""
-    problems = []
-    if len(set(spec.variables)) != len(spec.variables):
-        problems.append("variable names must be distinct")
-    if len(set(spec.actions)) != len(spec.actions):
-        problems.append("action names must be distinct")
+    problems = _declared_twice("variable", spec.variables)
+    problems += _declared_twice("action", spec.actions)
     for name in spec.variables:
         if name in spec.actions:
             problems.append(f"{name} is declared both as variable and action")

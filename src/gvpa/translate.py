@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from .errors import FragmentError, SpecValidationError
 from .hml import (
     FORMULA_RULES, And, Box, Check, Diamond, HFalse, HTrue, HmlFormula, Not, Or,
-    SetVar, TRUE, lts_checker, source_checker,
+    SetVar, TRUE, all_labels, lts_checker, source_checker,
 )
 from .bisim import (
     BisimResult, state_based_bisim, state_based_bisim_on_lts, strong_bisim,
@@ -23,11 +23,11 @@ from .bisim import (
 from .mcrl2 import (
     DAnd, DBool, DConst, DEq, DVar, DataExpr, MAct, MAllow, MBar, MCall,
     MChoice, MComm, MDELTA, MDeadlock, MHide, MParallel, MPrefix, MSum,
-    Mcrl2Process, Mcrl2Spec, Multiset, explore_mcrl2, generate_lts_mcrl2,
+    Mcrl2Process, Mcrl2Spec, Multiset, explore_mcrl2,
 )
 from .sos import DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, explore, state_str
 from .syntax import (
-    Action, Assign, Choice, Cond, Deadlock, Encap, Name, Parallel, Prefix,
+    Action, Choice, Cond, Deadlock, Encap, Name, Parallel, Prefix,
     ProcessExpr, Record, RecursiveSpec, Valuation, expr_str, label_str, render,
 )
 
@@ -208,7 +208,6 @@ class TranslationOutput(Record):
     blocked: frozenset[str]
     root: ProcessExpr           # the inner parallel-sequential expression
     wrapped: bool               # whether the source root carried the encap
-    initial_valuation: Valuation
     menv: Mcrl2Spec
     top: Mcrl2Process
     comm_entries: tuple[tuple[Multiset, str], ...]
@@ -263,7 +262,7 @@ def translate_init(spec: RecursiveSpec, root: ProcessExpr,
 
     return TranslationOutput(
         spec=spec, slots=slots, blocked=blocked, root=inner,
-        wrapped=isinstance(root, Encap), initial_valuation=valuation, menv=menv,
+        wrapped=isinstance(root, Encap), menv=menv,
         top=_psi_term(spec, slots, allow_set, hidden, comm_entries, inner, valuation),
         comm_entries=comm_entries, comm_render=comm_render,
         allow_names=allow_names, allow_set=allow_set, hidden=hidden,
@@ -359,10 +358,7 @@ def verify_variable_consistency(spec: RecursiveSpec, gv_lts: Lts, m_lts: Lts,
     """Checks the three conditions in order and reports the first failure."""
     value_labels = {f"value({v},{d})": (v, d)
                     for v in spec.variables for d in spec.domain.values}
-    tl_labels = {label_str(Action(a)) for a in spec.actions}
-    for v in spec.variables:
-        for d in spec.domain.values:
-            tl_labels.add(label_str(Assign(v, d)))
+    tl_labels = {label_str(label) for label in all_labels(spec)}
 
     # Condition 1: reachable translated labels stay inside TL + value loops.
     for src, label, dst in m_lts.transitions:
@@ -448,7 +444,7 @@ def run_pipeline(spec: RecursiveSpec, root: ProcessExpr, valuation: Valuation,
     out = translate_init(spec, root, valuation)
     gv_root = GvState(root, valuation)
     gv_lts, _ = explore(spec, [gv_root], cfg)
-    m_lts = generate_lts_mcrl2(out.menv, out.top, cfg)
+    m_lts, _ = explore_mcrl2(out.menv, [out.top], cfg)
     link = build_consistency_map(out, gv_lts, m_lts)
     report = verify_variable_consistency(spec, gv_lts, m_lts, link)
     return PipelineResult(out=out, gv_root=gv_root, gv_lts=gv_lts,

@@ -7,7 +7,8 @@ greedy code paths. The printers keep one isinstance chain per term
 language, free of `gvpa.syntax.render`, the scanner reads one
 character at a time, free of the compiled pattern, and the readers of
 `--valuation` and `--formulas` split their text by hand, free of the
-token stream.
+token stream. The formula oracles read a grid built from the oracles'
+own closure, free of `gvpa.hml.build_state_space`.
 """
 from __future__ import annotations
 
@@ -226,6 +227,32 @@ def reference_closure(spec, roots):
 
     exprs, rows, root_indices = reference_bfs(roots, successors)
     return tuple(exprs), valuations, rows, root_indices
+
+
+class ReferenceGrid:
+    """The closure of the roots by `reference_closure`, crossed with every
+    valuation: state ``e * len(valuations) + v`` is expression ``e`` under
+    valuation ``v``, and ``transitions[i]`` lists its ``(label, j)`` moves."""
+
+    def __init__(self, spec, roots):
+        exprs, valuations, rows, _ = reference_closure(spec, roots)
+        nv = len(valuations)
+        self.spec = spec
+        self.states = tuple(GvState(e, v) for e in exprs for v in valuations)
+        self.transitions = [[] for _ in self.states]
+        for e, row in enumerate(rows):
+            for (v, label, v2), e2 in row:
+                self.transitions[e * nv + v].append((label, e2 * nv + v2))
+        self._index = {state: i for i, state in enumerate(self.states)}
+
+    def index_of(self, state) -> int:
+        return self._index[state]
+
+
+def states_of(model, denotation) -> frozenset:
+    """The states a denotation numbers, so that the denotations of two
+    models that number one carrier apart compare."""
+    return frozenset(model.states[i] for i in denotation)
 
 
 def reference_lts_rows(n_states: int, triples) -> list[list[tuple]]:
@@ -592,7 +619,7 @@ def reference_eval_formula(model, formula, memo: dict | None = None) -> frozense
     """Denotation of a formula by scanning every state's successors,
     memoized on subformulas.
 
-    ``model`` is a grid StateSpace, where a check reads a state's valuation
+    ``model`` is a `ReferenceGrid`, where a check reads a state's valuation
     and a set operator rewrites it, or a plain Lts for the modal fragment.
     """
     memo = {} if memo is None else memo
@@ -679,7 +706,7 @@ def find_distinguishing_formula(space, left, right, labels, max_depth: int,
                                 include_check: bool, include_set: bool,
                                 cap: int = 4000):
     """Searches the fragment up to the given modal depth for a formula
-    separating the two states.
+    separating the two states of a `ReferenceGrid`.
 
     Complete in distinguishing power relative to the fragment: Boolean
     connectives cannot separate states that agree on every generator, and

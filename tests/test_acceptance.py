@@ -13,9 +13,9 @@ import pytest
 
 from genspecs import gen_formula, gen_parseq_spec, gen_pair, gen_spec
 from oracles import (
-    comm_normal_forms, enumerate_check_formulas, find_distinguishing_formula,
-    isomorphic, naive_state_based_relation, naive_stateless_relation,
-    naive_strong_relation,
+    ReferenceGrid, comm_normal_forms, enumerate_check_formulas,
+    find_distinguishing_formula, isomorphic, naive_state_based_relation,
+    naive_stateless_relation, naive_strong_relation,
 )
 
 from gvpa.bisim import (
@@ -24,7 +24,7 @@ from gvpa.bisim import (
 )
 from gvpa.hml import (
     Box, Check, Diamond, Not, SetVar, all_labels, build_state_space,
-    eval_formula, parse_formula, satisfies,
+    eval_formula, holds, parse_formula,
 )
 from gvpa.mcrl2 import GroundAction, Multiset, apply_comm
 from gvpa.sos import ExplorationConfig, GvState, Lts, explore, generate_lts
@@ -136,30 +136,30 @@ def test_criterion_03_distinguishing_formula_soundness(general_corpus):
     for spec, p, q in general_corpus:
         labels = all_labels(spec)
         valuation = enumerate_valuations(spec)[0]
-        space = build_state_space(spec, [p, q], CFG)
+        grid = ReferenceGrid(spec, [p, q])
         s, t = GvState(p, valuation), GvState(q, valuation)
 
         sl = stateless_bisim(spec, p, q, CFG)
         if not sl.equivalent:
             formula, witness = distinguishing_formula_stateless(sl)
-            ok &= (satisfies(space, GvState(p, witness), formula)
-                   and not satisfies(space, GvState(q, witness), formula))
+            ok &= (holds(spec, GvState(p, witness), formula, CFG)
+                   and not holds(spec, GvState(q, witness), formula, CFG))
         else:
             # the set operator makes distinguishability valuation-independent,
             # so one grid point decides the whole check+set fragment
             found = find_distinguishing_formula(
-                space, s, t, labels, max_depth=max(sl.rounds, 1),
+                grid, s, t, labels, max_depth=max(sl.rounds, 1),
                 include_check=True, include_set=True, cap=3000)
             ok &= found is None
 
         sb = state_based_bisim(spec, s, t, CFG)
         if not sb.equivalent:
             formula = distinguishing_formula_state_based(sb)
-            ok &= (satisfies(space, s, formula)
-                   and not satisfies(space, t, formula))
+            ok &= (holds(spec, s, formula, CFG)
+                   and not holds(spec, t, formula, CFG))
         else:
             found = find_distinguishing_formula(
-                space, s, t, labels, max_depth=max(sb.rounds, 1),
+                grid, s, t, labels, max_depth=max(sb.rounds, 1),
                 include_check=True, include_set=False, cap=3000)
             ok &= found is None
         if not ok:

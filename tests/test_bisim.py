@@ -19,7 +19,7 @@ from gvpa.bisim import (
 )
 from gvpa.errors import ContractViolationError
 from gvpa.hml import (
-    Check, Diamond, TRUE, build_state_space, formula_str, fragment, satisfies,
+    Check, Diamond, TRUE, formula_str, fragment, holds,
 )
 from gvpa.parser import parse_spec
 from gvpa.sos import ExplorationConfig, GvState, Transitions, explore
@@ -123,9 +123,8 @@ class TestDistinguishingStateless:
         q = parse_expr("assign(v, 1).delta", spec)
         formula, witness = distinguishing_formula_stateless(
             stateless_bisim(spec, p, q))
-        space = build_state_space(spec, [p, q])
-        assert satisfies(space, GvState(p, witness), formula)
-        assert not satisfies(space, GvState(q, witness), formula)
+        assert holds(spec, GvState(p, witness), formula)
+        assert not holds(spec, GvState(q, witness), formula)
 
     def test_rejects_bisimilar_pair(self, example3):
         spec, p, _, _, _ = example3
@@ -154,10 +153,9 @@ class TestDistinguishingStateBased:
         t = GvState(Parallel(q, r), v0)
         formula = distinguishing_formula_state_based(state_based_bisim(spec, s, t))
         assert fragment(formula) in ("HML", "HML^check")
-        space = build_state_space(spec, [s.expr, t.expr])
-        assert satisfies(space, s, formula) != satisfies(space, t, formula)
+        assert holds(spec, s, formula) != holds(spec, t, formula)
         # the construction puts the satisfied side first
-        assert satisfies(space, s, formula)
+        assert holds(spec, s, formula)
 
     def test_root_valuation_split_gives_bare_check(self, example3):
         spec, p, _, _, v0 = example3

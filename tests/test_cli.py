@@ -390,16 +390,23 @@ class TestReaderErrors:
 
     @pytest.mark.parametrize("argv, text, line", [
         (["validate", "{file}"], _TWO_VARS + "{ x = a y = b }",
-         "1:66: found 'y' (expected rbrace)"),
+         "1:66: found 'y' (expected ',' or '}')"),
         (["validate", "{file}"], _TWO_VARS + "{ x = a, }",
          "1:67: found '}' (expected variable name)"),
-        (["validate", "{file}"], _COMM, "2:17: found 'e' (expected rbrace)"),
+        (["validate", "{file}"], _COMM, "2:17: found 'e' (expected ';' or '}')"),
         (["bisim", TRAFFIC, "--mode", "stateless", *_BISIM, "t=green,t=red"], None,
          "1:9: variable t assigned twice"),
         (["bisim", TRAFFIC, "--mode", "state-based", *_BISIM, "t=purple"], None,
          "1:3: unknown value purple"),
         (["distinguish", TRAFFIC, "--mode", "stateless", *_BISIM, "t"], None,
          "1:2: unexpected end of input (expected '=')"),
+        (["validate", "{file}"], _TWO_VARS + "{ y = b }",
+         "1:66: init valuation misses variable x"),
+        (["validate", "{file}"], _TWO_VARS.replace(" with ", "\n"),
+         "2:1: init valuation misses variables x, y"),
+        (["bisim", "{file}", "--mode", "stateless", "--left", "delta", "--right", "delta",
+          "--valuation", "x=a"], _TWO_VARS + "{ x = a, y = b }",
+         "1:4: valuation misses variable y"),
         (["translate", TRAFFIC, "--out", "{dir}", "--formulas", "{file}"],
          "(t = green)\n// a comment\n\n<drive> (t = purple)\n",
          "4:14: unknown value purple"),
@@ -413,6 +420,7 @@ class TestReaderErrors:
          "1:16: unexpected end of input (expected formula)"),
     ], ids=["with-no-comma", "with-trailing-comma", "comm-no-semicolon",
             "valuation-twice", "valuation-unknown-value", "valuation-no-value",
+            "with-misses-variable", "no-with-misses-variables", "valuation-misses-variable",
             "formulas-bad-fourth-line", "formula-file-leading-blank-lines",
             "formulas-two-on-one-line", "formulas-cut-off-line"])
     def test_exit_2_with_the_position(self, tmp_path, capsys, argv, text, line):

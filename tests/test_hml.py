@@ -5,13 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genspecs import gen_pair, gen_parseq_spec, gen_spec
-from oracles import enumerate_check_formulas, reference_eval_formula
+from oracles import (
+    ReferenceGrid, enumerate_check_formulas, reference_eval_formula, states_of,
+)
 
 from gvpa.errors import SpecSyntaxError
 from gvpa.hml import (
     And, Box, Check, Diamond, FALSE, Not, Or, SetVar, TRUE, all_labels,
     build_state_space, eval_formula, eval_modal_on_lts, formula_str, fragment,
-    modal_depth, parse_formula, satisfies, set_all,
+    holds, modal_depth, parse_formula, set_all,
 )
 from gvpa.parser import parse_spec
 from gvpa.sos import ExplorationConfig, GvState
@@ -124,10 +126,9 @@ class TestEval:
 
     def test_example3_distinguishing_formula(self, example3):
         spec, p, q, _, v0 = example3
-        space = build_state_space(spec, [p, q])
         formula = parse_formula("set v := 1 . <a> true", spec)
-        assert satisfies(space, GvState(q, v0), formula)
-        assert not satisfies(space, GvState(p, v0), formula)
+        assert holds(spec, GvState(q, v0), formula)
+        assert not holds(spec, GvState(p, v0), formula)
 
     def test_box_false_is_absence_of_labelled_steps(self, example3):
         spec, p, q, _, v0 = example3
@@ -137,22 +138,20 @@ class TestEval:
         for i in denotation:
             assert all(label != Action("a")
                        for label, _ in space.transitions[i])
-        assert not satisfies(space, GvState(q, v0), formula)
+        assert space.index_of(GvState(q, v0)) not in denotation
 
     def test_satisfies_traffic_examples(self, traffic):
         spec, init = traffic
-        space = build_state_space(spec, [init.root])
         state = GvState(init.root, init.valuation)
-        assert satisfies(space, state, parse_formula("<drive> true", spec))
-        assert not satisfies(space, state, parse_formula("(t = red)", spec))
-        assert satisfies(space, state,
-                         parse_formula("[assign(t, red)] (t = red)", spec))
+        assert holds(spec, state, parse_formula("<drive> true", spec))
+        assert not holds(spec, state, parse_formula("(t = red)", spec))
+        assert holds(spec, state, parse_formula("[assign(t, red)] (t = red)", spec))
 
     def test_state_outside_grid(self, traffic):
         spec, init = traffic
         space = build_state_space(spec, [Deadlock()])
         with pytest.raises(KeyError):
-            satisfies(space, GvState(init.root, init.valuation), TRUE)
+            space.index_of(GvState(init.root, init.valuation))
 
 
 class TestSetAll:
@@ -261,6 +260,7 @@ class TestReferenceEvaluatorAgreement:
             spec = gen_spec(rng)
             p, q = gen_pair(rng, spec)
             space = build_state_space(spec, [p, q], ExplorationConfig(max_states=2000))
+            grid = ReferenceGrid(spec, [p, q])
             labels = all_labels(spec)
             formulas = enumerate_check_formulas(spec, labels, max_depth=2, cap=400)
             sets = [SetVar(v, d, f) for f in formulas[::7]
@@ -269,8 +269,9 @@ class TestReferenceEvaluatorAgreement:
             formulas += [Box(frozenset({label}), f) for f in sets[::5] for label in labels]
             reference_memo: dict = {}
             for formula in formulas:
-                assert eval_formula(space, formula) == reference_eval_formula(
-                    space, formula, reference_memo), formula_str(formula)
+                assert states_of(space, eval_formula(space, formula)) == states_of(
+                    grid, reference_eval_formula(grid, formula, reference_memo)), \
+                    formula_str(formula)
 
     def test_translated_lts(self):
         rng = random.Random(4343)

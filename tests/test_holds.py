@@ -1,5 +1,5 @@
 """Local model checking: `holds` decides one state by stepping only the
-states a formula reaches, and agrees with the grid evaluators."""
+states a formula reaches, and agrees with the grid evaluator."""
 import os
 import pathlib
 import random
@@ -9,7 +9,9 @@ import sys
 import pytest
 
 from genspecs import gen_pair, gen_parseq_spec, gen_spec, worker_grid_text
-from oracles import enumerate_check_formulas, reference_eval_formula
+from oracles import (
+    ReferenceGrid, enumerate_check_formulas, reference_eval_formula, states_of,
+)
 
 import gvpa.hml
 import gvpa.sos
@@ -18,7 +20,7 @@ from gvpa.errors import FragmentError, ResourceLimitError
 from gvpa.hml import (
     FALSE, And, Box, Check, Diamond, Not, Or, SetVar, TRUE, all_labels,
     build_state_space, eval_formula, eval_modal_on_lts, formula_str, holds,
-    holds_on_lts, parse_formula, satisfies,
+    lts_checker, parse_formula,
 )
 from gvpa.parser import parse_spec
 from gvpa.sos import ExplorationConfig, GvState, reachable_exprs
@@ -46,26 +48,25 @@ def _formulas(spec, cap: int) -> list:
     return formulas
 
 
-def _agree_on_grid(spec, space, formulas, sample) -> int:
+def _agree_on_grid(spec, space, grid, formulas, sample) -> int:
     reference_memo: dict = {}
     compared = 0
     for formula in formulas:
         den = eval_formula(space, formula)
-        assert den == reference_eval_formula(space, formula, reference_memo), \
+        assert states_of(space, den) == states_of(
+            grid, reference_eval_formula(grid, formula, reference_memo)), \
             formula_str(formula)
         for i in sample:
-            state = space.states[i]
-            expected = i in den
-            assert holds(spec, state, formula, CFG) is expected, formula_str(formula)
-            assert satisfies(space, state, formula) is expected, formula_str(formula)
+            assert holds(spec, space.states[i], formula, CFG) is (i in den), \
+                formula_str(formula)
             compared += 1
     return compared
 
 
 class TestAgreesWithTheGrid:
-    """`holds` and `satisfies` against `eval_formula` and the successor-scan
-    reference, on sampled grid states, states off the reachable fragment
-    included."""
+    """`holds` against `eval_formula`, and `eval_formula` against the
+    successor-scan reference on the oracles' own grid, on sampled grid
+    states, states off the reachable fragment included."""
 
     def test_gen_spec_grids(self):
         rng = random.Random(5150)
@@ -75,7 +76,8 @@ class TestAgreesWithTheGrid:
             p, q = gen_pair(rng, spec)
             space = build_state_space(spec, [p, q], CFG)
             sample = rng.sample(range(len(space.states)), min(4, len(space.states)))
-            compared += _agree_on_grid(spec, space, _formulas(spec, 150), sample)
+            compared += _agree_on_grid(spec, space, ReferenceGrid(spec, [p, q]),
+                                       _formulas(spec, 150), sample)
         assert compared > 20000
 
     def test_parseq_grids(self):
@@ -85,7 +87,8 @@ class TestAgreesWithTheGrid:
             spec, root, _ = gen_parseq_spec(rng, state_cap=30, n_vars=1 + seed % 2)
             space = build_state_space(spec, [root], CFG)
             sample = rng.sample(range(len(space.states)), min(4, len(space.states)))
-            compared += _agree_on_grid(spec, space, _formulas(spec, 150), sample)
+            compared += _agree_on_grid(spec, space, ReferenceGrid(spec, [root]),
+                                       _formulas(spec, 150), sample)
         assert compared > 12000
 
     def test_translated_side(self):
@@ -100,11 +103,12 @@ class TestAgreesWithTheGrid:
                                                 max_depth=2, cap=150)
             reports = check_theorem4(pipe, formulas, CFG)
             assert [report.formula for report in reports] == formulas
+            check = lts_checker(pipe.m_lts)
             for formula, report in zip(formulas, reports):
                 translated = translate_formula(formula)
                 den = eval_modal_on_lts(pipe.m_lts, translated)
                 for i in range(0, len(pipe.m_lts.states), 3):
-                    assert holds_on_lts(pipe.m_lts, i, translated) is (i in den)
+                    assert check(i, translated) is (i in den)
                 assert report.source_verdict is (source_root in eval_formula(space, formula))
                 assert report.translated_verdict is (pipe.m_lts.initial in den)
                 compared += 1
@@ -117,8 +121,6 @@ class TestAgreesWithTheGrid:
         for formula in (Check("t", "red"), SetVar("t", "red", TRUE),
                         Or(TRUE, Check("t", "red")),
                         And(FALSE, SetVar("t", "red", TRUE))):
-            with pytest.raises(FragmentError):
-                holds_on_lts(pipe.m_lts, pipe.m_lts.initial, formula)
             with pytest.raises(FragmentError):
                 eval_modal_on_lts(pipe.m_lts, formula)
 

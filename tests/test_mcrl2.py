@@ -17,7 +17,7 @@ from gvpa.mcrl2 import (
     DAnd, DBool, DConst, DEq, DVar, EMPTY_MULTISET, GroundAction, MAct, MAllow,
     MBar, MCall, MChoice, MComm, MDELTA, MHide, MParallel, MPrefix, MSum,
     Mcrl2Process, Mcrl2Spec, Multiset, TAU, apply_comm, apply_hide,
-    canonical_label, explore_mcrl2, generate_lts_mcrl2, instantiate,
+    canonical_label, explore_mcrl2, instantiate,
     sem_multiaction, step_mcrl2,
 )
 from gvpa.parser import parse_spec
@@ -288,7 +288,7 @@ class TestStepMcrl2:
 
 class TestGenerateLtsMcrl2:
     def test_globs_alone_has_one_state_per_value(self, globs_env):
-        lts = generate_lts_mcrl2(globs_env, MCall("Globs", (DConst("green"),)))
+        lts, _ = explore_mcrl2(globs_env, [MCall("Globs", (DConst("green"),))])
         assert len(lts.states) == len(DOMAIN)
 
     def test_multi_root_exploration(self, globs_env):
@@ -389,7 +389,7 @@ class TestStepTable:
         # than the reference can hold, so the LTS is compared with the
         # .aut that the recursion this table replaced wrote
         out = _translation(worker_grid_text(3, 3))
-        lts = generate_lts_mcrl2(out.menv, out.top)
+        lts, _ = explore_mcrl2(out.menv, [out.top])
         assert export_lts(lts) == (GOLDEN / "W33.translated.aut").read_text()
 
     def test_terms_whose_sums_the_join_binds(self, monkeypatch):
@@ -489,7 +489,7 @@ class TestTableWork:
     def test_each_key_derived_once_per_exploration(self, monkeypatch):
         out = _translation(ring_text(3, 3))
         derived = self._count_derivations(monkeypatch)
-        lts = generate_lts_mcrl2(out.menv, out.top)
+        lts, _ = explore_mcrl2(out.menv, [out.top])
         first = list(derived)
         assert len(first) == len(set(first))
         # no state's own steps are stored; the parallel under each state's
@@ -503,7 +503,7 @@ class TestTableWork:
         assert len(globs) == len(set(globs)) == len({join.right for join in joins}) == 2
         # the next exploration starts from an empty table
         derived.clear()
-        generate_lts_mcrl2(out.menv, out.top)
+        explore_mcrl2(out.menv, [out.top])
         assert derived == first
 
     def test_substitutions_per_transition(self, monkeypatch):
@@ -519,7 +519,7 @@ class TestTableWork:
                 return real(term, values)
 
             monkeypatch.setattr(gvpa.mcrl2, "instantiate", counted)
-            lts = generate_lts_mcrl2(out.menv, out.top)
+            lts, _ = explore_mcrl2(out.menv, [out.top])
             monkeypatch.setattr(gvpa.mcrl2, "instantiate", real)
             assert len(lts.transitions) == 3 ** n * 3 * n
             ratios.append(len(calls) / len(lts.transitions))
@@ -554,7 +554,7 @@ def test_allow_sees_few_candidates(monkeypatch, text, transitions):
     names_of = gvpa.mcrl2.names_of
     monkeypatch.setattr(gvpa.mcrl2, "names_of",
                         lambda sem: calls.append(sem) or names_of(sem))
-    lts = generate_lts_mcrl2(out.menv, out.top)
+    lts, _ = explore_mcrl2(out.menv, [out.top])
     assert len(lts.transitions) == transitions
     assert len(calls) <= 2 * transitions
 

@@ -13,6 +13,8 @@ from gvpa.syntax import (
 )
 from oracles import reference_tokenize
 
+_TWO_VARS = "domain { a, b } vars { x, y } acts { c } init delta "
+
 
 class TestTrafficSpec:
     def test_structure(self, traffic):
@@ -68,8 +70,9 @@ class TestMinimalSpecs:
         assert parse_spec(text)[1].root == root
 
     def test_missing_init_valuation(self):
-        with pytest.raises(SpecValidationError):
+        with pytest.raises(SpecSyntaxError) as err:
             parse_spec("domain { d } vars { x } acts { a } init delta with { }")
+        assert str(err.value) == "1:54: init valuation misses variable x"
 
 
 class TestSyntaxErrors:
@@ -106,6 +109,17 @@ class TestSyntaxErrors:
             parse_spec("domain { d } acts { a } proc A = a.delta || A "
                        "init A with { }")
         assert "unguarded" in str(err.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("domain { a, b, a } acts { c } init delta", "domain value a is declared twice"),
+        ("domain { a } vars { x, y, x, y } acts { c } init delta with { x = a, y = a }",
+         "variable x is declared twice; variable y is declared twice"),
+        ("domain { a } acts { c, d, c } init delta", "action c is declared twice"),
+    ])
+    def test_a_repeated_declaration_is_named(self, text, message):
+        with pytest.raises(SpecValidationError) as err:
+            parse_spec(text)
+        assert str(err.value) == message
 
     def test_cond_without_arrow(self):
         spec, _ = parse_spec(
@@ -277,8 +291,9 @@ _WITH = " init P with { v = a }"
 
 # (where, text, message, expected): "spec" texts go to parse_spec, "left"
 # ones to parse_expr and "formula" ones to parse_formula against the
-# traffic spec. The messages and positions are the ones the character-loop
-# scanner and the per-grammar productions gave.
+# traffic spec. The positions are the ones the character-loop scanner and
+# the per-grammar productions gave; a missing punctuation token is spelled
+# as written, and a braced list names its separator and its closer.
 @pytest.mark.parametrize("where, text, message, expected", [
     # a token other than the expected one, and the end of input
     ("spec", "domain { a }\nacts { x }\nproc P = x.P\ninit // trailing",
@@ -304,34 +319,35 @@ _WITH = " init P with { v = a }"
      "1:9: unexpected end of input (expected formula)", ("formula",)),
     # the arguments of assign
     ("spec", _HEAD + "proc P = assign(v a).P" + _WITH,
-     "4:19: found 'a' (expected comma)", ("comma",)),
+     "4:19: found 'a' (expected ',')", ("','",)),
     ("spec", _HEAD + "proc P = assign(v, a.P" + _WITH,
-     "4:21: found '.' (expected rparen)", ("rparen",)),
+     "4:21: found '.' (expected ')')", ("')'",)),
     ("left", "assign(", "1:8: unexpected end of input (expected variable name)",
      ("variable name",)),
-    ("left", "assign(t, red)", "1:15: unexpected end of input (expected dot)", ("dot",)),
-    ("formula", "<assign(t red)> true", "1:11: found 'red' (expected comma)", ("comma",)),
-    ("formula", "[assign(t, red] true", "1:15: found ']' (expected rparen)", ("rparen",)),
-    ("formula", "<assign> true", "1:8: found '>' (expected lparen)", ("lparen",)),
+    ("left", "assign(t, red)", "1:15: unexpected end of input (expected '.')", ("'.'",)),
+    ("formula", "<assign(t red)> true", "1:11: found 'red' (expected ',')", ("','",)),
+    ("formula", "[assign(t, red] true", "1:15: found ']' (expected ')')", ("')'",)),
+    ("formula", "<assign> true", "1:8: found '>' (expected '(')", ("'('",)),
     # braced lists
-    ("spec", "domain a acts { x } init delta", "1:8: found 'a' (expected lbrace)",
-     ("lbrace",)),
+    ("spec", "domain a acts { x } init delta", "1:8: found 'a' (expected '{')",
+     ("'{'",)),
     ("spec", "domain { a, } acts { x } init delta",
      "1:13: found '}' (expected domain value)", ("domain value",)),
     ("spec", "domain { a b } acts { x } init delta",
-     "1:12: found 'b' (expected rbrace)", ("rbrace",)),
+     "1:12: found 'b' (expected ',' or '}')", ("',' or '}'",)),
     ("spec", "domain { a } acts { x, init } init delta",
      "1:24: 'init' is a reserved word and cannot be used as a action name", ()),
     ("spec", "domain { a } acts { x\ninit delta",
-     "2:1: found 'init' (expected rbrace)", ("rbrace",)),
+     "2:1: found 'init' (expected ',' or '}')", ("',' or '}'",)),
     ("spec", _HEAD + "proc P = x.P init encap({x, }) P with { v = a }",
      "4:29: found '}' (expected action name)", ("action name",)),
     ("spec", _HEAD + "proc P = x.P init encap({z}) P with { v = a }",
      "4:26: encap blocks unknown action z", ()),
     ("spec", _HEAD + "proc P = encap({x} P" + _WITH,
-     "4:20: found 'P' (expected rparen)", ("rparen",)),
-    ("left", "encap(drive) CAR", "1:7: found 'drive' (expected lbrace)", ("lbrace",)),
-    ("left", "encap({drive, brake CAR", "1:21: found 'CAR' (expected rbrace)", ("rbrace",)),
+     "4:20: found 'P' (expected ')')", ("')'",)),
+    ("left", "encap(drive) CAR", "1:7: found 'drive' (expected '{')", ("'{'",)),
+    ("left", "encap({drive, brake CAR", "1:21: found 'CAR' (expected ',' or '}')",
+     ("',' or '}'",)),
     # operator chains
     ("spec", _HEAD + "proc P = x.P +\ninit P with { v = a }",
      "5:1: found reserved word 'init' (expected process expression)",
@@ -340,14 +356,14 @@ _WITH = " init P with { v = a }"
      "4:17: found ')' (expected process expression)", ("process expression",)),
     ("left", "CAR ||", "1:7: unexpected end of input (expected process expression)",
      ("process expression",)),
-    ("left", "CAR + TLC || (CAR", "1:18: unexpected end of input (expected rparen)",
-     ("rparen",)),
+    ("left", "CAR + TLC || (CAR", "1:18: unexpected end of input (expected ')')",
+     ("')'",)),
     ("left", "CAR + + TLC", "1:7: found '+' (expected process expression)",
      ("process expression",)),
     ("formula", "<drive> true &&", "1:16: unexpected end of input (expected formula)",
      ("formula",)),
     ("formula", "true || false && )", "1:18: found ')' (expected formula)", ("formula",)),
-    ("formula", "(t = red", "1:9: unexpected end of input (expected rparen)", ("rparen",)),
+    ("formula", "(t = red", "1:9: unexpected end of input (expected ')')", ("')'",)),
     ("formula", "<drive,> true", "1:8: found '>' (expected transition label)",
      ("transition label",)),
     ("formula", "<> true",
@@ -356,6 +372,10 @@ _WITH = " init P with { v = a }"
     # characters no token starts with
     ("spec", _HEAD + "proc P = x.P - y.P" + _WITH, "4:14: unexpected character '-'", ()),
     ("left", "CAR & TLC", "1:5: unexpected character '&'", ()),
+    # one error names the variables a valuation misses, at its end
+    ("spec", _TWO_VARS + "with { y = b }", "1:66: init valuation misses variable x", ()),
+    ("spec", _TWO_VARS + "// no with block", "1:53: init valuation misses variables x, y",
+     ()),
 ])
 def test_error_positions(traffic, where, text, message, expected):
     """The errors of the productions that specs, expressions and formulas

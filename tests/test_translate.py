@@ -10,7 +10,7 @@ from gvpa.hml import Box, Diamond, TRUE, parse_formula
 from gvpa.mcrl2 import (
     DAnd, DBool, DConst, DEq, DVar, MAct, MBar, MCall, MChoice, MDELTA,
     MParallel, MPrefix, MSum, Mcrl2Spec, Multiset, canonical_label,
-    generate_lts_mcrl2, step_mcrl2,
+    explore_mcrl2, step_mcrl2,
 )
 from gvpa.parser import parse_expr, parse_spec
 from gvpa.sos import ExplorationConfig, Lts
@@ -157,7 +157,7 @@ class TestPsi:
     def test_psi_of_deadlock_value_loop_only(self, traffic):
         spec, init = traffic
         out = translate_init(spec, Deadlock(), init.valuation)
-        lts = generate_lts_mcrl2(out.menv, out.top)
+        lts, _ = explore_mcrl2(out.menv, [out.top])
         assert len(lts.states) == 1
         assert [label for _, label, _ in lts.transitions] == ["value(t,green)"]
 
