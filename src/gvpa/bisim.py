@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, islice
+from operator import itemgetter, lt
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ContractViolationError
@@ -38,22 +38,74 @@ if TYPE_CHECKING:
 #
 # Two states of one block stay together in the next round iff their
 # signatures, the sets of (label, block) pairs of their moves, agree
-# (Blom & Orzan, STTT 2005). The store's label ids make a signature a set
-# of ``block * L + label id`` ints for L labels, held as a sorted tuple
-# because one is stored per block (on 64-bit CPython 3.11 a frozenset of 5
-# to 18 ints takes 728 bytes, the tuple 80 to 184). Block ids are stable:
-# a block that splits keeps its id for one part and only the other parts'
-# states move. A state's signature can change only when a successor
-# moved, so after round 1 only the predecessors of moved states are
-# signed again; each block stores the one signature that its other
+# (Blom & Orzan, STTT 2005). Each row's moves are put in label order once
+# per refinement: a pattern numbers the sorted label-id tuple of a row,
+# and the row's targets are kept in that order. A row whose labels are
+# distinct signs as ``(pattern, block of each target)``: no set, no sort
+# and no int computed per move, as the tuple holds the block list's own
+# ints. A row that repeats a label signs from its sorted, deduplicated
+# (label id, block) pairs in the same form, with the pattern of their
+# label tuple, so equal sets of pairs give equal signatures. Block ids are
+# stable: a block that splits keeps its id for one part and only the
+# other parts' states move. A state's signature can change only when a
+# successor moved, so after round 1 only the predecessors of moved states
+# are signed again; each block stores the one signature that its other
 # members still carry.
 
 
-def _signature(label_ids: Sequence[int], targets: Sequence[int],
-               keyed: list[int]) -> tuple[int, ...]:
-    """The signature of a state with these moves, where ``keyed[t]`` is
-    the block of state ``t`` times the number of labels."""
-    return tuple(sorted(set(map(add, label_ids, map(keyed.__getitem__, targets)))))
+class _Patterns(dict):
+    """Sorted label-id tuples numbered in order of first sight; ``labels[p]``
+    is the tuple of pattern ``p``."""
+
+    def __init__(self):
+        super().__init__()
+        self.labels: list[tuple[int, ...]] = []
+
+    def __missing__(self, labels: tuple[int, ...]) -> int:
+        self[labels] = pattern = len(self.labels)
+        self.labels.append(labels)
+        return pattern
+
+
+def _signature(pattern: int, targets: Sequence[int], block: list[int],
+               patterns: _Patterns) -> tuple[int, ...]:
+    """The signature of a state whose move targets are ``targets`` in label
+    order. ``pattern`` numbers the row's sorted labels if they are
+    distinct, and is ``~p`` for the pattern ``p`` of a row that repeats a
+    label."""
+    if pattern >= 0:
+        return (pattern, *map(block.__getitem__, targets))
+    labels, blocks = zip(*sorted(set(zip(patterns.labels[~pattern],
+                                         map(block.__getitem__, targets)))))
+    return (patterns[labels], *blocks)
+
+
+def _label_order(transitions: Transitions,
+                 patterns: _Patterns) -> tuple[list[int], array]:
+    """Each state's pattern (see `_signature`) and the targets of all moves
+    in label order, on the store's offsets; each distinct label sequence is
+    sorted once."""
+    offsets, label_ids, targets = (transitions.offsets, transitions.label_ids,
+                                   transitions.targets)
+    raw, size = label_ids.tobytes(), label_ids.itemsize
+    orders: dict[bytes, tuple[int, itemgetter | None]] = {}
+    pattern_of = []
+    ordered = array("i", targets)
+    for start, stop in zip(offsets, islice(offsets, 1, None)):
+        found = orders.get(key := raw[start * size:stop * size])
+        if found is None:
+            sequence = label_ids[start:stop]
+            labels = tuple(sorted(sequence))
+            pattern = patterns[labels]
+            found = orders[key] = (
+                pattern if all(map(lt, labels, labels[1:])) else ~pattern,
+                None if labels == tuple(sequence) else
+                itemgetter(*sorted(range(stop - start), key=sequence.__getitem__)))
+        pattern, order = found
+        pattern_of.append(pattern)
+        if order is not None:
+            ordered[start:stop] = array("i", order(targets[start:stop]))
+    return pattern_of, ordered
 
 
 def _first_occurrence(ids: Sequence[int]) -> list[int]:
@@ -90,12 +142,11 @@ def refinement_history(transitions: Transitions,
     modal depth <= k (over the seeded atoms) tells them apart.
     """
     history = [list(initial_blocks)]
-    offsets, label_ids, targets = (transitions.offsets, transitions.label_ids,
-                                   transitions.targets)
+    offsets = transitions.offsets
     n_states = len(offsets) - 1
-    width = len(transitions.labels)
+    patterns = _Patterns()
+    pattern_of, ordered = _label_order(transitions, patterns)
     block = _first_occurrence(history[0])
-    keyed = [b * width for b in block]
     size = [0] * (max(block, default=-1) + 1)
     for b in block:
         size[b] += 1
@@ -109,8 +160,8 @@ def refinement_history(transitions: Transitions,
         parts_of: dict[int, dict[tuple[int, ...], list[int]]] = {}
         for s in dirty:
             b = block[s]
-            start, stop = offsets[s], offsets[s + 1]
-            signature = _signature(label_ids[start:stop], targets[start:stop], keyed)
+            signature = _signature(pattern_of[s], ordered[offsets[s]:offsets[s + 1]],
+                                   block, patterns)
             if signature == stored[b]:
                 continue
             parts = parts_of.get(b)
@@ -134,7 +185,6 @@ def refinement_history(transitions: Transitions,
                 size[b] -= len(members)
                 for s in members:
                     block[s] = new
-                    keyed[s] = new * width
                 moved += members
         if not moved:
             break

@@ -198,14 +198,34 @@ class TokenStream:
         return _complete(variables, entries, "valuation", end)
 
 
-def _declared_name(ts: TokenStream, what: str) -> str:
+def _once(seen: set, key, tok: Token, twice: str) -> None:
+    """Adds ``key`` to ``seen``; a key seen before is the error ``twice``
+    at ``tok``, its second occurrence."""
+    if key in seen:
+        raise SpecSyntaxError(twice, tok.line, tok.col)
+    seen.add(key)
+
+
+def _declared_name(ts: TokenStream, what: str) -> Token:
     tok = ts.expect("WORD", what)
     if tok.text in RESERVED_WORDS:
         raise SpecSyntaxError(
             f"{tok.text!r} is a reserved word and cannot be used as a {what}",
             tok.line, tok.col,
         )
-    return tok.text
+    return tok
+
+
+def _declarations(ts: TokenStream, what: str, noun: str) -> list[str]:
+    """A braced list of names declared as ``what``, each at most once."""
+    seen: set[str] = set()
+
+    def name() -> str:
+        tok = _declared_name(ts, what)
+        _once(seen, tok.text, tok, f"{noun} {tok.text} is declared twice")
+        return tok.text
+
+    return ts.braced(name)
 
 
 class _ExprParser:
@@ -282,16 +302,18 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
     ts = TokenStream(tokenize(text))
 
     ts.eat_word("domain")
-    values = ts.braced(lambda: _declared_name(ts, "domain value"))
+    values = _declarations(ts, "domain value", "domain value")
     domain = DomainDef(tuple(values))
 
     variables: list[str] = []
     if ts.at_word("vars"):
         ts.next()
-        variables = ts.braced(lambda: _declared_name(ts, "variable name"))
+        variables = _declarations(ts, "variable name", "variable")
 
     ts.eat_word("acts")
-    actions = ts.braced(lambda: _declared_name(ts, "action name"))
+    actions = _declarations(ts, "action name", "action")
+
+    pairs: set[frozenset[str]] = set()
 
     def comm_entry() -> tuple[frozenset[str], str]:
         a = ts.expect("WORD", "action name")
@@ -299,7 +321,9 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
         b = ts.expect("WORD", "action name")
         ts.expect("ARROW")
         c = ts.expect("WORD", "action name")
-        return frozenset((a.text, b.text)), c.text
+        pair = frozenset((a.text, b.text))
+        _once(pairs, pair, a, f"duplicate comm entry for {'|'.join(sorted(pair))}")
+        return pair, c.text
 
     comm_entries = []
     if ts.at_word("comm"):
@@ -309,11 +333,13 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
 
     parser = _ExprParser(ts, variables, values, actions)
     equations: list[tuple[str, ProcessExpr]] = []
+    defined: set[str] = set()
     while ts.at_word("proc"):
         ts.next()
         name = _declared_name(ts, "process name")
+        _once(defined, name.text, name, f"duplicate equation for {name.text}")
         ts.expect("EQUALS")
-        equations.append((name, parser.parse()))
+        equations.append((name.text, parser.parse()))
 
     ts.eat_word("init")
     blocked = None
@@ -331,7 +357,6 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
         valuation = _complete(variables, {}, "init valuation",
                               ts.expect("EOF", "end of file"))
 
-    defined = {name for name, _ in equations}
     for tok in parser.name_uses:
         if tok.text not in defined:
             raise SpecSyntaxError(

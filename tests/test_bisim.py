@@ -402,6 +402,94 @@ class TestRefinementAgainstReference:
         _assert_same_history(4, adjacency, [0] * 4)
 
 
+class TestLabelOrderedSignatures:
+    """A row whose labels are distinct signs with its targets' blocks in
+    label order; a row that repeats a label signs from its deduplicated
+    (label, block) pairs. Hand-made stores with rows of each kind, against
+    the full-sweep reference round by round."""
+
+    def test_repeated_label_into_one_block_signs_as_one_move(self):
+        adjacency = [
+            [("a", 1), ("a", 2)],            # 1 and 2 are bisimilar
+            [("b", 1)],
+            [("b", 2)],
+            [("a", 1)],
+            [("a", 2), ("a", 1), ("a", 2)],
+        ]
+        final = _assert_same_history(5, adjacency, [0] * 5)[-1]
+        assert final[0] == final[3] == final[4]
+        assert final[1] == final[2] != final[0]
+
+    def test_repeated_label_into_two_blocks(self):
+        adjacency = [
+            [("a", 1), ("a", 2)],            # 1 and 2 are not bisimilar
+            [("b", 1)],
+            [],
+            [("a", 2), ("a", 1)],
+            [("a", 1)],
+            [("a", 1), ("a", 2), ("a", 1)],
+            [("b", 2), ("a", 1), ("a", 2)],  # a label still repeats after dedup
+            [("a", 2), ("b", 2), ("a", 1), ("a", 1)],
+            [("b", 2), ("a", 1)],
+        ]
+        final = _assert_same_history(9, adjacency, [0] * 9)[-1]
+        assert final[0] == final[3] == final[5] != final[4]
+        assert final[6] == final[7] != final[8]
+        assert len({final[0], final[4], final[6], final[8]}) == 4
+
+    def test_rows_without_moves(self):
+        adjacency = [[], [("a", 0)], [], [("a", 2)], [("a", 1)]]
+        final = _assert_same_history(5, adjacency, [0] * 5)[-1]
+        assert final[0] == final[2] and final[1] == final[3] != final[4]
+        assert _assert_same_history(3, [[], [], []], [0, 1, 0]) == [[0, 1, 0]]
+
+    def test_equal_label_sets_in_different_orders(self):
+        adjacency = [
+            [("a", 1), ("b", 2), ("c", 3)],
+            [],
+            [("d", 2)],
+            [("e", 3)],
+            [("c", 3), ("a", 1), ("b", 2)],
+            [("b", 2), ("c", 3), ("a", 1)],
+            [("a", 2), ("b", 1), ("c", 3)],  # a and b swap blocks: not equal
+            [("b", 1), ("c", 3), ("a", 2)],
+        ]
+        final = _assert_same_history(8, adjacency, [0] * 8)[-1]
+        assert final[0] == final[4] == final[5] != final[6]
+        assert final[6] == final[7]
+        # the first row seen need not be the one in label order
+        _assert_same_history(8, adjacency[::-1], [0] * 8)
+
+
+class TestRowOrder:
+    """The moves of a row may be stored in any order: shuffling them within
+    each row keeps every round of the history, which equals the reference."""
+
+    @staticmethod
+    def _assert_order_free(result, rng):
+        n = len(result.states)
+        rows = [result.successors(s) for s in range(n)]
+        initial = result.history[0]
+        expected = reference_refinement_history(n, rows, initial)
+        assert result.history == expected
+        for _ in range(3):
+            shuffled = [rng.sample(row, len(row)) for row in rows]
+            assert refinement_history(Transitions(shuffled), initial) == expected
+
+    def test_ring_stores(self):
+        spec, init = parse_spec(ring_text(3, 6))
+        lts, _ = explore(spec, [GvState(init.root, init.valuation)], CFG)
+        rng = random.Random(4245)
+        self._assert_order_free(stateless_bisim(spec, init.root, init.root, CFG), rng)
+        self._assert_order_free(strong_bisim(lts, 0, 0), rng)
+
+    def test_seeded_corpora_in_all_three_modes(self):
+        rng = random.Random(4246)
+        for spec, roots, valuation in _seeded_cases():
+            for result in _results(spec, roots, valuation):
+                self._assert_order_free(result, rng)
+
+
 class TestRefinementWork:
     """After round 1 only the predecessors of moved states are signed
     again, so a refinement signs fewer than the ``(rounds + 1) * n``

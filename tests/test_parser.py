@@ -95,7 +95,7 @@ class TestSyntaxErrors:
         assert "NOPE" in str(err.value)
 
     def test_duplicate_equation(self):
-        with pytest.raises(SpecValidationError) as err:
+        with pytest.raises(SpecSyntaxError) as err:
             parse_spec("domain { d } acts { a } proc X = a.delta "
                        "proc X = a.delta init X with { }")
         assert "duplicate equation" in str(err.value)
@@ -111,15 +111,33 @@ class TestSyntaxErrors:
         assert "unguarded" in str(err.value)
 
     @pytest.mark.parametrize("text, message", [
-        ("domain { a, b, a } acts { c } init delta", "domain value a is declared twice"),
+        ("domain { a, b, a } acts { c } init delta", "1:16: domain value a is declared twice"),
         ("domain { a } vars { x, y, x, y } acts { c } init delta with { x = a, y = a }",
-         "variable x is declared twice; variable y is declared twice"),
-        ("domain { a } acts { c, d, c } init delta", "action c is declared twice"),
+         "1:27: variable x is declared twice"),
+        ("domain { a } acts { c, d, c } init delta", "1:27: action c is declared twice"),
     ])
     def test_a_repeated_declaration_is_named(self, text, message):
-        with pytest.raises(SpecValidationError) as err:
+        with pytest.raises(SpecSyntaxError) as err:
             parse_spec(text)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message, line, col", [
+        ("domain { a, a } acts { c } init delta",
+         "domain value a is declared twice", 1, 13),
+        ("domain { a }\nvars { x,\n  x }\nacts { c } init delta with { x = a }",
+         "variable x is declared twice", 3, 3),
+        ("domain { a } acts { c, c } init delta", "action c is declared twice", 1, 24),
+        ("domain { a } acts { c }\nproc P = c.P\nproc P = c.delta\ninit P",
+         "duplicate equation for P", 3, 6),
+        ("domain { a } acts { c, d, e }\ncomm { c|d -> e; d|c -> e }\ninit delta",
+         "duplicate comm entry for c|d", 2, 18),
+    ], ids=["domain", "vars", "acts", "proc", "comm"])
+    def test_a_repeated_declaration_is_reported_where_it_repeats(
+            self, text, message, line, col):
+        with pytest.raises(SpecSyntaxError) as err:
+            parse_spec(text)
+        assert (str(err.value), err.value.line, err.value.col) == (
+            f"{line}:{col}: {message}", line, col)
 
     def test_cond_without_arrow(self):
         spec, _ = parse_spec(
