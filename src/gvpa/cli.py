@@ -6,9 +6,11 @@ is not UTF-8 text, a non-positive cap, and input nested too deeply for
 Python's recursion limit), 3 a resource cap was exceeded, 4 an internal
 error (an unexpected exception, reported in one line).
 
-Each command imports the layers it runs when it runs, so a process loads
-no more of the package than its command needs (`validate` loads only the
-parser and the term language).
+Each handler loads its input, calls the library and prints what it
+returns; verdicts and their wording live in the library (`verify-translation`
+prints `translate.verification_checks`). Each command imports the layers it
+runs when it runs, so a process loads no more of the package than its
+command needs (`validate` loads only the parser and the term language).
 """
 from __future__ import annotations
 
@@ -264,46 +266,14 @@ def _cmd_translate(args) -> int:
 
 def _cmd_verify_translation(args) -> int:
     from . import translate as tr
-    from .hml import TRUE, Check, Diamond, formula_str
-    from .sos import state_str
-    from .syntax import Action
 
     spec, init = _load(args)
     cfg = _config(args)
     pipeline = tr.run_pipeline(spec, init.root, init.valuation, cfg)
-    checks: list[tuple[str, bool, str]] = []
-    consistency = pipeline.consistency
-    checks.append(("variable-consistency", consistency.ok,
-                   "" if consistency.ok else
-                   f"condition {consistency.condition}: {consistency.witness}"))
-    expected = (len(pipeline.gv_lts.transitions)
-                + len(pipeline.gv_lts.states) * len(spec.variables))
-    counts_ok = (len(pipeline.m_lts.states) == len(pipeline.gv_lts.states)
-                 and len(pipeline.m_lts.transitions) == expected)
-    checks.append(("structure-preservation", counts_ok,
-                   f"source {len(pipeline.gv_lts.states)}/"
-                   f"{len(pipeline.gv_lts.transitions)}, translated "
-                   f"{len(pipeline.m_lts.states)}/{len(pipeline.m_lts.transitions)}"))
-    formulas = _load_formulas(args.formulas, spec)
-    if not formulas:
-        formulas = [Diamond(frozenset({Action(a)}), TRUE) for a in spec.actions]
-        formulas += [Check(v, d) for v in spec.variables for d in spec.domain.values]
-    for report in tr.check_theorem4(pipeline, formulas, cfg):
-        checks.append((f"formula-preservation {formula_str(report.formula)}",
-                       report.agrees,
-                       f"source={report.source_verdict} "
-                       f"translated={report.translated_verdict}"))
-    preservation = tr.check_bisimilarity_preservation(pipeline)
-    checks.append(("bisimilarity-preservation", preservation.ok,
-                   "" if preservation.ok else
-                   f"{state_str(preservation.pair[0])} and "
-                   f"{state_str(preservation.pair[1])}: "
-                   f"source={preservation.source_bisimilar} "
-                   f"translated={not preservation.source_bisimilar}"))
-
+    checks = tr.verification_checks(pipeline, _load_formulas(args.formulas, spec), cfg)
     all_ok = all(ok for _, ok, _ in checks)
     payload = {"ok": all_ok,
-               "consistency": consistency.as_dict(),
+               "consistency": pipeline.consistency.as_dict(),
                "checks": [{"name": name, "ok": ok, "detail": detail}
                           for name, ok, detail in checks]}
     human = "\n".join(

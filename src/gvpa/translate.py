@@ -6,7 +6,9 @@ accumulated condition constraints, so a step can only synchronise with
 Globs when the constraints hold for the current values. The verifier
 checks the three variable-consistency conditions relating the source LTS
 to the translated one, and the theorem checkers compare formula
-satisfaction and bisimilarity verdicts across the translation.
+satisfaction and bisimilarity verdicts across the translation;
+`verification_checks` turns their reports into the lines
+`verify-translation` prints.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Iterable, Sequence
 from .errors import FragmentError, SpecValidationError
 from .hml import (
     FORMULA_RULES, And, Box, Check, Diamond, HFalse, HTrue, HmlFormula, Not, Or,
-    SetVar, TRUE, all_labels, lts_checker, source_checker,
+    SetVar, TRUE, all_labels, formula_str, lts_checker, source_checker,
 )
 from .bisim import (
     BisimResult, state_based_bisim, state_based_bisim_on_lts, strong_bisim,
@@ -520,6 +522,40 @@ def check_bisimilarity_preservation(pipeline: PipelineResult) -> PreservationRep
     return PreservationReport(pair=None, source_bisimilar=None)
 
 
+def verification_checks(pipeline: PipelineResult, formulas: Sequence[HmlFormula],
+                        cfg: ExplorationConfig = DEFAULT_CONFIG) -> list[tuple[str, bool, str]]:
+    """The ``(name, ok, detail)`` of every line `verify-translation` prints,
+    in order: variable consistency, the state and transition counts, one
+    formula-preservation line per formula (Theorem 4) and bisimilarity
+    preservation (Corollary 1). Without ``formulas``, each action's
+    ``<a> true`` and each ``(x = v)`` are checked."""
+    spec, gv, m = pipeline.out.spec, pipeline.gv_lts, pipeline.m_lts
+    consistency = pipeline.consistency
+    checks = [("variable-consistency", consistency.ok,
+               "" if consistency.ok else
+               f"condition {consistency.condition}: {consistency.witness}")]
+    # every source move has one image, and every state one value loop per variable
+    expected = len(gv.transitions) + len(gv.states) * len(spec.variables)
+    checks.append(("structure-preservation",
+                   len(m.states) == len(gv.states) and len(m.transitions) == expected,
+                   f"source {len(gv.states)}/{len(gv.transitions)}, "
+                   f"translated {len(m.states)}/{len(m.transitions)}"))
+    if not formulas:
+        formulas = [Diamond(frozenset({Action(a)}), TRUE) for a in spec.actions]
+        formulas += [Check(v, d) for v in spec.variables for d in spec.domain.values]
+    checks += [(f"formula-preservation {formula_str(report.formula)}", report.agrees,
+                f"source={report.source_verdict} translated={report.translated_verdict}")
+               for report in check_theorem4(pipeline, formulas, cfg)]
+    preservation = check_bisimilarity_preservation(pipeline)
+    pair = preservation.pair
+    checks.append(("bisimilarity-preservation", preservation.ok,
+                   "" if preservation.ok else
+                   f"{state_str(pair[0])} and {state_str(pair[1])}: "
+                   f"source={preservation.source_bisimilar} "
+                   f"translated={not preservation.source_bisimilar}"))
+    return checks
+
+
 # ---------------------------------------------------------------------------
 # File emission (.mcrl2 / .mcf)
 
@@ -588,57 +624,38 @@ def _build_namer(out: TranslationOutput) -> _Namer:
     return namer
 
 
-def _render_data(expr, symbols: dict[str, str]) -> str:
-    if isinstance(expr, DConst):
-        return symbols[expr.symbol]
-    if isinstance(expr, DBool):
-        return "true" if expr.value else "false"
-    if isinstance(expr, DVar):
-        return expr.name
-    if isinstance(expr, DEq):
-        return f"{_render_data(expr.left, symbols)} == {_render_data(expr.right, symbols)}"
-    if isinstance(expr, DAnd):
-        return " && ".join(_render_data(c, symbols) for c in expr.conjuncts)
-    raise TypeError(f"not a data expression: {expr!r}")
-
-
-def _render_args(name: str, args, symbols: dict[str, str]) -> str:
-    if not args:
-        return name
-    return f"{name}({', '.join(_render_data(a, symbols) for a in args)})"
-
-
-def _render_maction(action, namer: _Namer) -> str:
-    parts = []
-
-    def collect(node):
-        if isinstance(node, MBar):
-            collect(node.left)
-            collect(node.right)
-        elif isinstance(node, MAct):
-            parts.append(_render_args(namer.get("action", node.name), node.args,
-                                      namer.symbols))
-        else:
-            parts.append("tau")
-
-    collect(action)
-    text = "|".join(parts)
-    return f"({text})" if len(parts) > 1 else text
-
-
 _M_CHOICE, _M_PAR, _M_PREFIX, _M_ATOM = 0, 1, 2, 3
+# a data expression shares the scale: `&&` is loosest and `==` binds
+# tighter; a multi-action's `|` sits below an atom, so a prefix keeps a
+# multi-part action in parentheses
+_M_AND, _M_EQ, _M_BAR = _M_CHOICE, _M_PAR, _M_PREFIX
 
 
 def render_mcrl2_spec(out: TranslationOutput, namer: _Namer) -> str:
     """The .mcrl2 model under the names of `_build_namer`; deterministic,
     byte-stable rendering."""
     symbols = namer.symbols
+
+    def call(name: str, args) -> str:
+        if not args:
+            return name
+        return f"{name}({', '.join(render(arg, rules) for arg in args)})"
+
     rules = {
+        DConst: (_M_ATOM, (), lambda expr: symbols[expr.symbol]),
+        DBool: (_M_ATOM, (), lambda expr: "true" if expr.value else "false"),
+        DVar: (_M_ATOM, (), lambda expr: expr.name),
+        DEq: (_M_EQ, (("left", _M_ATOM), ("right", _M_ATOM)),
+              lambda expr, left, right: f"{left} == {right}"),
+        DAnd: (_M_AND, (), lambda expr: " && ".join(
+            render(c, rules, _M_EQ) for c in expr.conjuncts)),
+        MAct: (_M_ATOM, (), lambda act: call(namer.get("action", act.name), act.args)),
+        MBar: (_M_BAR, (("left", _M_BAR), ("right", _M_BAR)),
+               lambda act, left, right: f"{left}|{right}"),
         MDeadlock: (_M_ATOM, (), lambda proc: "delta"),
-        MCall: (_M_ATOM, (), lambda proc: _render_args(
-            namer.get("proc", proc.name), proc.args, symbols)),
-        MPrefix: (_M_PREFIX, (("body", _M_PREFIX),),
-                  lambda proc, body: f"{_render_maction(proc.action, namer)} . {body}"),
+        MCall: (_M_ATOM, (), lambda proc: call(namer.get("proc", proc.name), proc.args)),
+        MPrefix: (_M_PREFIX, (("action", _M_ATOM), ("body", _M_PREFIX)),
+                  lambda proc, action, body: f"{action} . {body}"),
         MSum: (_M_ATOM, (("body", _M_CHOICE),),
                lambda proc, body: f"(sum {proc.var}: GvValue . {body})"),
         MParallel: (_M_PAR, (("left", _M_PAR), ("right", _M_PREFIX)),

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 import os
@@ -295,6 +296,37 @@ class TestVerifyTranslation:
         assert {c["name"] for c in payload["checks"]} >= {
             "variable-consistency", "structure-preservation",
             "bisimilarity-preservation"}
+
+    def test_a_failing_check_exits_1(self, capsys, monkeypatch):
+        # the translated side loses the move from CAR || TLC under assign(t, red)
+        import gvpa.translate as tr
+        from gvpa.sos import Lts
+
+        run_pipeline = tr.run_pipeline
+
+        def dropped(spec, root, valuation, cfg):
+            pipe = copy.copy(run_pipeline(spec, root, valuation, cfg))
+            m = pipe.m_lts
+            pipe.m_lts = Lts(states=m.states, initial=m.initial, transitions=tuple(
+                t for t in m.transitions if t != (0, "assign(t,red)", 2)))
+            pipe.consistency = tr.verify_variable_consistency(
+                spec, pipe.gv_lts, pipe.m_lts, pipe.link)
+            return pipe
+
+        monkeypatch.setattr(tr, "run_pipeline", dropped)
+        assert main(["verify-translation", TRAFFIC]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith("PASS ")]
+        assert failed == [
+            "FAIL variable-consistency (condition 3: source transition "
+            "<CAR || TLC, t=green> --assign(t,red)--> <CAR || TLC, t=red> has no image)",
+            "FAIL structure-preservation (source 6/9, translated 6/14)"]
+        assert main(["--json", "verify-translation", TRAFFIC]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert payload["consistency"]["condition"] == 3
+        assert [c["name"] for c in payload["checks"] if not c["ok"]] == [
+            "variable-consistency", "structure-preservation"]
 
 
 class TestJsonStability:

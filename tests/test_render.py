@@ -111,6 +111,21 @@ class TestAgainstTheChains:
                 assert files == reference_emit_mcrl2_files(out, theta, base="m")
 
     @pytest.mark.parametrize("text", [
+        # a condition directly under a condition: a conjunction in checkP
+        "domain { a, b } vars { x, y } acts { p } proc P = (x = a) -> (y = b) -> p.P "
+        "init P || (y = a) -> (x = b) -> (y = a) -> assign(x, a).delta "
+        "with { x = a, y = b }",
+        # a self-communication entry renders as a|a
+        "domain { 0, 1 } vars { v } acts { a, c } comm { a|a -> c } "
+        "init encap({a}) a.delta || (v = 1) -> a.delta with { v = 0 }",
+    ])
+    def test_shapes_the_generator_does_not_draw(self, text):
+        spec, init = parse_spec(text)
+        out = translate_init(spec, init.root, init.valuation)
+        files = emit_mcrl2_files(out, base="m")
+        assert files == reference_emit_mcrl2_files(out, base="m")
+
+    @pytest.mark.parametrize("text", [
         "domain { sort, b } vars { sort } acts { a } "
         "init (sort = b) -> a.delta with { sort = sort }",
         "domain { x, y } vars { x } acts { a } "

@@ -20,7 +20,8 @@ from gvpa.syntax import (
 from gvpa.translate import (
     check_bisimilarity_preservation, check_corollary1, check_theorem4, chi,
     emit_mcrl2_files, make_globs, run_pipeline, translate_formula,
-    translate_init, validate_parseq, verify_variable_consistency,
+    translate_init, validate_parseq, verification_checks,
+    verify_variable_consistency,
 )
 
 CFG = ExplorationConfig(max_states=3000)
@@ -362,6 +363,115 @@ class TestTheorems:
         assert not report.ok
         assert {state.expr for state in report.pair} == {Name("X"), Name("Y")}
         assert report.source_bisimilar is source_bisimilar
+
+
+def _mutant(pipe, mutate):
+    """The pipeline with each translated transition passed through
+    ``mutate`` (a list in, a list out) and its consistency checked again."""
+    m = pipe.m_lts
+    mutant = copy.copy(pipe)
+    mutant.m_lts = Lts(states=m.states, transitions=tuple(mutate(list(m.transitions))),
+                       initial=m.initial)
+    mutant.consistency = verify_variable_consistency(
+        pipe.out.spec, pipe.gv_lts, mutant.m_lts, pipe.link)
+    return mutant
+
+
+def _replaced(old, new):
+    return lambda transitions: [new if t == old else t for t in transitions]
+
+
+_TRAFFIC_FORMULAS = [
+    ("formula-preservation <drive> true", True, "source=True translated=True"),
+    ("formula-preservation <brake> true", True, "source=False translated=False"),
+    ("formula-preservation (t = green)", True, "source=True translated=True"),
+    ("formula-preservation (t = red)", True, "source=False translated=False"),
+]
+
+
+class TestVerificationChecks:
+    """The lines `verify-translation` prints, pinned on mutants of a
+    correct translation; each mutant breaks the checks its fault reaches."""
+
+    def test_traffic_passes_with_the_default_formulas(self, traffic):
+        spec, init = traffic
+        pipe = run_pipeline(spec, init.root, init.valuation, CFG)
+        assert verification_checks(pipe, [], CFG) == [
+            ("variable-consistency", True, ""),
+            ("structure-preservation", True, "source 6/9, translated 6/15"),
+            *_TRAFFIC_FORMULAS,
+            ("bisimilarity-preservation", True, ""),
+        ]
+
+    def test_given_formulas_replace_the_defaults(self, traffic):
+        spec, init = traffic
+        pipe = run_pipeline(spec, init.root, init.valuation, CFG)
+        formula = parse_formula("[assign(t, red)] (t = red)", spec)
+        assert [check[0] for check in verification_checks(pipe, [formula], CFG)] == [
+            "variable-consistency", "structure-preservation",
+            "formula-preservation [assign(t,red)] (t = red)",
+            "bisimilarity-preservation"]
+
+    def test_dropped_transition(self, traffic):
+        spec, init = traffic
+        pipe = run_pipeline(spec, init.root, init.valuation, CFG)
+        mutant = _mutant(pipe, lambda ts: [t for t in ts if t != (0, "assign(t,red)", 2)])
+        assert verification_checks(mutant, [], CFG) == [
+            ("variable-consistency", False,
+             "condition 3: source transition <CAR || TLC, t=green> --assign(t,red)--> "
+             "<CAR || TLC, t=red> has no image"),
+            ("structure-preservation", False, "source 6/9, translated 6/14"),
+            *_TRAFFIC_FORMULAS,
+            ("bisimilarity-preservation", True, ""),
+        ]
+
+    def test_relabelled_move(self, traffic):
+        spec, init = traffic
+        pipe = run_pipeline(spec, init.root, init.valuation, CFG)
+        mutant = _mutant(pipe, _replaced((0, "drive", 1), (0, "assign(t,red)", 1)))
+        assert verification_checks(mutant, [], CFG) == [
+            ("variable-consistency", False,
+             "condition 3: source transition <CAR || TLC, t=green> --drive--> "
+             "<delta || TLC, t=green> has no image"),
+            ("structure-preservation", True, "source 6/9, translated 6/15"),
+            ("formula-preservation <drive> true", False, "source=True translated=False"),
+            *_TRAFFIC_FORMULAS[1:],
+            ("bisimilarity-preservation", True, ""),
+        ]
+
+    def test_redirected_move_splits_images(self):
+        # X and Y are bisimilar; sending X's `a` to D splits their images
+        spec, init = parse_spec(
+            "domain { 0 } vars { v } acts { a, b } "
+            "proc X = a.Y + b.D proc Y = a.X + b.D proc D = delta "
+            "init X with { v = 0 }")
+        pipe = run_pipeline(spec, init.root, init.valuation, CFG)
+        mutant = _mutant(pipe, _replaced((0, "a", 1), (0, "a", 2)))
+        assert verification_checks(mutant, [], CFG) == [
+            ("variable-consistency", False,
+             "condition 3: source transition <X, v=0> --a--> <Y, v=0> has no image"),
+            ("structure-preservation", True, "source 3/4, translated 3/7"),
+            ("formula-preservation <a> true", True, "source=True translated=True"),
+            ("formula-preservation <b> true", True, "source=True translated=True"),
+            ("formula-preservation (v = 0)", True, "source=True translated=True"),
+            ("bisimilarity-preservation", False,
+             "<X, v=0> and <Y, v=0>: source=True translated=False"),
+        ]
+
+    def test_wrong_transition_count_only(self):
+        # two variables: every state carries two value loops
+        spec, init = parse_spec(
+            "domain { a, b } vars { x, y } acts { go } "
+            "proc P = (x = a) -> (y = b) -> go.P + assign(y, b).P "
+            "init P with { x = a, y = a }")
+        pipe = run_pipeline(spec, init.root, init.valuation, CFG)
+        checks = verification_checks(pipe, [], CFG)
+        assert checks[1] == ("structure-preservation", True, "source 2/3, translated 2/7")
+        assert all(ok for _, ok, _ in checks)
+        mutant = _mutant(pipe, lambda ts: ts + ts[-1:])
+        assert verification_checks(mutant, [], CFG) == [
+            checks[0], ("structure-preservation", False, "source 2/3, translated 2/8"),
+            *checks[2:]]
 
 
 class TestLemma3Shape:
