@@ -101,10 +101,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args):
+    """The caps given on the command line, and the defaults of the others."""
     from .sos import ExplorationConfig
 
-    return ExplorationConfig(max_states=args.max_states,
-                             max_valuations=args.max_valuations)
+    return ExplorationConfig(**{cap: value for cap, value in vars(args).items()
+                                if cap in ("max_states", "max_valuations")})
 
 
 def _load(args):
@@ -268,9 +269,8 @@ def _cmd_verify_translation(args) -> int:
     from . import translate as tr
 
     spec, init = _load(args)
-    cfg = _config(args)
-    pipeline = tr.run_pipeline(spec, init.root, init.valuation, cfg)
-    checks = tr.verification_checks(pipeline, _load_formulas(args.formulas, spec), cfg)
+    pipeline = tr.run_pipeline(spec, init.root, init.valuation, _config(args))
+    checks = tr.verification_checks(pipeline, _load_formulas(args.formulas, spec))
     all_ok = all(ok for _, ok, _ in checks)
     payload = {"ok": all_ok,
                "consistency": pipeline.consistency.as_dict(),
@@ -295,9 +295,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    defaults = argparse.Namespace(json=False, max_states=100_000,
-                                  max_valuations=4096)
-    args = _build_parser().parse_args(argv, namespace=defaults)
+    args = _build_parser().parse_args(argv, namespace=argparse.Namespace(json=False))
     try:
         return _COMMANDS[args.command](args)
     except ResourceLimitError as err:

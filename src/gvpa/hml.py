@@ -10,9 +10,9 @@ modality asks for it (Stirling & Walker, "Local model checking in the
 modal mu-calculus", TCS 1991). HML has no fixpoints, so a verdict depends
 only on the states that the formula's modalities and set operators reach.
 A checker answers any number of (state, formula) queries and steps each
-state at most once over all of them. `source_checker` and `holds` step a
-spec's states on demand; `lts_checker` asks the same core over the given
-transitions of a plain LTS.
+state at most once over all of them. `holds` steps a spec's states on
+demand; `lts_checker` asks the same core over the transitions of an
+explored LTS, reading a check from a state's valuation.
 
 `eval_formula` gives a formula's whole denotation on a grid state space
 (`build_state_space`: the reachable-expression closure of the roots
@@ -337,7 +337,7 @@ def build_state_space(spec: RecursiveSpec,
 
 
 def _checker(successors: Callable[[int], list[tuple]],
-             atom: Callable[[HmlFormula, int], bool | int] | None,
+             atom: Callable[[HmlFormula, int], bool | int],
              cap: int) -> Callable[[int, HmlFormula], bool]:
     """A checker of one transition system: ``check(i, formula)`` is whether
     the formula holds at state ``i``, for any number of queries.
@@ -349,7 +349,7 @@ def _checker(successors: Callable[[int], list[tuple]],
     called once per state, and only for the states a modality asks about,
     at most ``cap`` of them over all queries. ``atom(formula, i)`` gives the
     truth of a check at ``i``, or the state a set operator rewrites ``i``
-    to; a plain LTS has none. One formula level costs one Python frame.
+    to, or raises `FragmentError`. One formula level costs one Python frame.
     """
     memo: dict[tuple, bool] = {}
     moves: dict[int, list[tuple]] = {}
@@ -422,24 +422,18 @@ def _digit_atom(codes: ValuationCodes) -> Callable[[HmlFormula, int], bool | int
     return atom
 
 
-def source_checker(spec: RecursiveSpec, cfg: ExplorationConfig = DEFAULT_CONFIG
-                   ) -> Callable[[GvState, HmlFormula], bool]:
-    """A checker of a spec's states, stepping only the states that the
-    formulas' modalities and set operators reach.
+def holds(spec: RecursiveSpec, state: GvState, formula: HmlFormula,
+          cfg: ExplorationConfig = DEFAULT_CONFIG) -> bool:
+    """Whether a formula holds at a state, stepping only the states that the
+    formula's modalities and set operators reach.
 
     The valuation count is checked against ``cfg.max_valuations`` first,
     as a grid build does; ``cfg.max_states`` bounds the distinct states
-    stepped over all queries."""
+    stepped."""
     codes = check_valuation_cap(spec, cfg.max_valuations)
     stepper = _Stepper(spec)
-    check = _checker(stepper.successors, _digit_atom(codes), cfg.max_states)
-    return lambda state, formula: check(stepper.key(state), formula)
-
-
-def holds(spec: RecursiveSpec, state: GvState, formula: HmlFormula,
-          cfg: ExplorationConfig = DEFAULT_CONFIG) -> bool:
-    """Whether a formula holds at a state (see `source_checker`)."""
-    return source_checker(spec, cfg)(state, formula)
+    return _checker(stepper.successors, _digit_atom(codes),
+                    cfg.max_states)(stepper.key(state), formula)
 
 
 def eval_formula(space: StateSpace, formula: HmlFormula) -> frozenset[int]:
@@ -450,10 +444,18 @@ def eval_formula(space: StateSpace, formula: HmlFormula) -> frozenset[int]:
 
 
 def lts_checker(lts: Lts) -> Callable[[int, HmlFormula], bool]:
-    """A checker of a plain LTS, whose states carry no valuation, for
-    formulas without check or set (`eval_modal_on_lts` rejects the
-    others)."""
-    return _checker(lts.successors, None, len(lts.states))
+    """A checker of an explored LTS. A check reads the valuation of a
+    `GvState`; a set operator, or a check on states that carry no
+    valuation (the translated side's), raises `FragmentError`."""
+    states = lts.states
+
+    def atom(formula: Check | SetVar, i: int) -> bool:
+        if formula.__class__ is SetVar or not isinstance(states[i], GvState):
+            raise FragmentError("set operators, and checks on states without a "
+                                "valuation, are not defined on an explored LTS")
+        return states[i].valuation.value_of(formula.var) == formula.value
+
+    return _checker(lts.successors, atom, len(states))
 
 
 def eval_modal_on_lts(lts: Lts, formula: HmlFormula) -> frozenset[int]:

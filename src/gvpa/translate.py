@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .errors import FragmentError, SpecValidationError
 from .hml import (
     FORMULA_RULES, And, Box, Check, Diamond, HFalse, HTrue, HmlFormula, Not, Or,
-    SetVar, TRUE, all_labels, formula_str, lts_checker, source_checker,
+    SetVar, TRUE, all_labels, formula_str, lts_checker,
 )
 from .bisim import (
     BisimResult, state_based_bisim, state_based_bisim_on_lts, strong_bisim,
@@ -433,7 +433,6 @@ def verify_variable_consistency(spec: RecursiveSpec, gv_lts: Lts, m_lts: Lts,
 
 class PipelineResult(Record, frozen=False):
     out: TranslationOutput
-    gv_root: GvState
     gv_lts: Lts
     m_lts: Lts
     link: list[int]
@@ -444,13 +443,12 @@ def run_pipeline(spec: RecursiveSpec, root: ProcessExpr, valuation: Valuation,
                  cfg: ExplorationConfig = DEFAULT_CONFIG) -> PipelineResult:
     """Translate, generate both LTSs, build the state map, verify."""
     out = translate_init(spec, root, valuation)
-    gv_root = GvState(root, valuation)
-    gv_lts, _ = explore(spec, [gv_root], cfg)
+    gv_lts, _ = explore(spec, [GvState(root, valuation)], cfg)
     m_lts, _ = explore_mcrl2(out.menv, [out.top], cfg)
     link = build_consistency_map(out, gv_lts, m_lts)
     report = verify_variable_consistency(spec, gv_lts, m_lts, link)
-    return PipelineResult(out=out, gv_root=gv_root, gv_lts=gv_lts,
-                          m_lts=m_lts, link=link, consistency=report)
+    return PipelineResult(out=out, gv_lts=gv_lts, m_lts=m_lts, link=link,
+                          consistency=report)
 
 
 class Theorem4Report(Record, frozen=False):
@@ -463,22 +461,23 @@ class Theorem4Report(Record, frozen=False):
         return self.source_verdict == self.translated_verdict
 
 
-def check_theorem4(pipeline: PipelineResult, formulas: Sequence[HmlFormula],
-                   cfg: ExplorationConfig = DEFAULT_CONFIG) -> list[Theorem4Report]:
+def check_theorem4(pipeline: PipelineResult,
+                   formulas: Sequence[HmlFormula]) -> list[Theorem4Report]:
     """Evaluates check-fragment formulas at the roots of both sides of the
     translation, one report per formula in order.
 
     Every formula is translated before any is evaluated, through one memo,
-    so a set operator is rejected before a state is stepped. One checker
-    per side answers all the formulas, so each state is stepped at most
-    once."""
-    source = source_checker(pipeline.out.spec, cfg)
+    so a set operator is rejected before a state is read. One checker of
+    each explored LTS answers all the formulas: a check-fragment formula
+    only reaches states the exploration already holds, so no state is
+    stepped again and no cap can trip."""
     memo: dict = {}
     translated = [translate_formula(formula, memo) for formula in formulas]
-    target, m_root = lts_checker(pipeline.m_lts), pipeline.m_lts.initial
+    gv, m = pipeline.gv_lts, pipeline.m_lts
+    source, target = lts_checker(gv), lts_checker(m)
     return [Theorem4Report(formula=formula,
-                           source_verdict=source(pipeline.gv_root, formula),
-                           translated_verdict=target(m_root, image))
+                           source_verdict=source(gv.initial, formula),
+                           translated_verdict=target(m.initial, image))
             for formula, image in zip(formulas, translated)]
 
 
@@ -522,8 +521,8 @@ def check_bisimilarity_preservation(pipeline: PipelineResult) -> PreservationRep
     return PreservationReport(pair=None, source_bisimilar=None)
 
 
-def verification_checks(pipeline: PipelineResult, formulas: Sequence[HmlFormula],
-                        cfg: ExplorationConfig = DEFAULT_CONFIG) -> list[tuple[str, bool, str]]:
+def verification_checks(pipeline: PipelineResult,
+                        formulas: Sequence[HmlFormula]) -> list[tuple[str, bool, str]]:
     """The ``(name, ok, detail)`` of every line `verify-translation` prints,
     in order: variable consistency, the state and transition counts, one
     formula-preservation line per formula (Theorem 4) and bisimilarity
@@ -545,7 +544,7 @@ def verification_checks(pipeline: PipelineResult, formulas: Sequence[HmlFormula]
         formulas += [Check(v, d) for v in spec.variables for d in spec.domain.values]
     checks += [(f"formula-preservation {formula_str(report.formula)}", report.agrees,
                 f"source={report.source_verdict} translated={report.translated_verdict}")
-               for report in check_theorem4(pipeline, formulas, cfg)]
+               for report in check_theorem4(pipeline, formulas)]
     preservation = check_bisimilarity_preservation(pipeline)
     pair = preservation.pair
     checks.append(("bisimilarity-preservation", preservation.ok,

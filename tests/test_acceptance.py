@@ -299,7 +299,7 @@ def test_criterion_08_formula_preservation(traffic, traffic_pipeline,
         labels = all_labels(spec_i)
         formulas = enumerate_check_formulas(spec_i, labels, max_depth=3,
                                             cap=2000)
-        reports = check_theorem4(pipe, formulas, CFG)
+        reports = check_theorem4(pipe, formulas)
         ok &= [report.formula for report in reports] == formulas
         ok &= all(report.agrees for report in reports)
         if not ok:

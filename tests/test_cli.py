@@ -329,6 +329,29 @@ class TestVerifyTranslation:
             "variable-consistency", "structure-preservation"]
 
 
+    def test_thirteen_variables_pass_under_the_default_caps(self, tmp_path, capsys):
+        # 2^13 valuations: only the two explored states are ever read
+        names = [f"x{i}" for i in range(13)]
+        path = tmp_path / "v13.gvpa"
+        path.write_text(
+            "domain { a, b }\n"
+            f"vars {{ {', '.join(names)} }}\n"
+            "acts { t }\n"
+            "proc P = ((x0 = a) -> assign(x0, b).P) + ((x0 = b) -> t.P)\n"
+            f"init P with {{ {', '.join(f'{x} = a' for x in names)} }}\n",
+            encoding="utf-8")
+        assert main(["verify-translation", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 1 + 1 + 2 * 13 + 1
+        assert all(line.startswith("PASS ") for line in lines)
+        # the default valuation cap still holds where the work ranges over
+        # every valuation
+        assert main(["modelcheck", str(path), "--formula", "true"]) == 3
+        assert capsys.readouterr().err == (
+            "resource limit: valuation space has 8192 elements, "
+            "exceeding the cap of 4096\n")
+
+
 class TestJsonStability:
     def test_same_output_across_runs(self, capsys):
         main(["--json", "bisim", TRAFFIC, "--mode", "stateless",

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from genspecs import gen_pair, gen_parseq_spec, gen_spec, worker_grid_text
+from genspecs import gen_pair, gen_parseq_spec, gen_spec, ring_text, worker_grid_text
 from oracles import (
     ReferenceGrid, enumerate_check_formulas, reference_eval_formula, states_of,
 )
@@ -98,10 +98,10 @@ class TestAgreesWithTheGrid:
             spec, root, valuation = gen_parseq_spec(rng, state_cap=30)
             pipe = run_pipeline(spec, root, valuation, CFG)
             space = build_state_space(spec, [root], CFG)
-            source_root = space.index_of(pipe.gv_root)
+            source_root = space.index_of(pipe.gv_lts.states[pipe.gv_lts.initial])
             formulas = enumerate_check_formulas(spec, all_labels(spec),
                                                 max_depth=2, cap=150)
-            reports = check_theorem4(pipe, formulas, CFG)
+            reports = check_theorem4(pipe, formulas)
             assert [report.formula for report in reports] == formulas
             check = lts_checker(pipe.m_lts)
             for formula, report in zip(formulas, reports):
@@ -123,6 +123,49 @@ class TestAgreesWithTheGrid:
                         And(FALSE, SetVar("t", "red", TRUE))):
             with pytest.raises(FragmentError):
                 eval_modal_on_lts(pipe.m_lts, formula)
+        # the translated side's states carry no valuation to check, and a
+        # set operator would leave the explored states
+        with pytest.raises(FragmentError):
+            lts_checker(pipe.m_lts)(pipe.m_lts.initial, Check("t", "red"))
+        with pytest.raises(FragmentError):
+            lts_checker(pipe.gv_lts)(pipe.gv_lts.initial, SetVar("t", "red", TRUE))
+
+
+class TestExploredSourceAgreesWithHolds:
+    """`lts_checker` on the explored source LTS, which `check_theorem4`
+    asks, against `holds`, which steps the spec itself, at every explored
+    state."""
+
+    @staticmethod
+    def _agree(spec, init_root, valuation) -> int:
+        pipe = run_pipeline(spec, init_root, valuation, CFG)
+        labels = all_labels(spec)
+        formulas = enumerate_check_formulas(spec, labels, max_depth=2, cap=3000)[::15]
+        # `[*]` over a depth-one formula reads every state two moves away
+        formulas += [Box(frozenset(labels), f) for f in formulas[::10]]
+        gv = pipe.gv_lts
+        check = lts_checker(gv)
+        for i, state in enumerate(gv.states):
+            for formula in formulas:
+                assert check(i, formula) is holds(spec, state, formula, CFG), \
+                    (i, formula_str(formula))
+        return len(gv.states) * len(formulas)
+
+    @pytest.mark.parametrize("text", [
+        pathlib.Path(TRAFFIC).read_text(encoding="utf-8"),
+        worker_grid_text(3, 3), ring_text(3, 3)], ids=["traffic", "W33", "R33"])
+    def test_examples(self, text):
+        spec, init = parse_spec(text)
+        assert self._agree(spec, init.root, init.valuation) > 1000
+
+    def test_parseq_corpora(self):
+        rng = random.Random(5153)
+        compared = 0
+        for seed in range(8):
+            spec, root, valuation = gen_parseq_spec(rng, state_cap=30,
+                                                    n_vars=1 + seed % 2)
+            compared += self._agree(spec, root, valuation)
+        assert compared > 5000
 
 
 class TestWorkDone:
@@ -151,19 +194,21 @@ class TestWorkDone:
         # (the set operator reaches 12 more)
         assert len(stepped) == len(set(stepped)) <= at_most <= 1 + 12 + 144
 
-    def test_theorem4_steps_each_state_once(self, stepped):
-        # the formulas `verify-translation` checks when given none
+    def test_theorem4_steps_no_source_state(self, stepped):
+        # the formulas `verify-translation` checks when given none, read
+        # from the explored source LTS
         spec, init = parse_spec(worker_grid_text(3, 3))
         texts = [f"<{a}> true" for a in spec.actions]
         texts += [f"({v} = {d})" for v in spec.variables for d in spec.domain.values]
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
         del stepped[:]
-        reports = check_theorem4(pipe, [parse_formula(t, spec) for t in texts], CFG)
+        reports = check_theorem4(pipe, [parse_formula(t, spec) for t in texts])
         assert len(reports) == len(texts) and all(r.agrees for r in reports)
-        assert stepped and len(stepped) == len(set(stepped))
+        assert stepped == []
 
     def test_theorem4_cap_is_shared_and_fits_the_exploration(self, tmp_path, capsys):
-        # W(3,3) has 27 states, and each formula steps all of them
+        # W(3,3) has 27 states, and each formula reaches all of them; the
+        # formulas read the explored LTS, so only its exploration can trip
         source = tmp_path / "w33.gvpa"
         source.write_text(worker_grid_text(3, 3), encoding="utf-8")
         props = tmp_path / "props.txt"

@@ -299,7 +299,7 @@ class TestTheorems:
         cases = [("<drive> true", True), ("(t = red)", False),
                  ("[assign(t, red)] (t = red)", True)]
         formulas = [parse_formula(text, spec) for text, _ in cases]
-        reports = check_theorem4(pipe, formulas, CFG)
+        reports = check_theorem4(pipe, formulas)
         assert [report.formula for report in reports] == formulas
         for report, (_, expected) in zip(reports, cases):
             assert report.agrees
@@ -317,7 +317,7 @@ class TestTheorems:
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
         texts = ("<drive> true", "(t = red)", "(t = green)",
                  "[assign(t, red)] (t = red)")
-        reports = check_theorem4(pipe, [parse_formula(t, spec) for t in texts], CFG)
+        reports = check_theorem4(pipe, [parse_formula(t, spec) for t in texts])
         assert len(reports) == len(texts) and all(r.agrees for r in reports)
         assert builds == []
 
@@ -396,7 +396,7 @@ class TestVerificationChecks:
     def test_traffic_passes_with_the_default_formulas(self, traffic):
         spec, init = traffic
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
-        assert verification_checks(pipe, [], CFG) == [
+        assert verification_checks(pipe, []) == [
             ("variable-consistency", True, ""),
             ("structure-preservation", True, "source 6/9, translated 6/15"),
             *_TRAFFIC_FORMULAS,
@@ -407,7 +407,7 @@ class TestVerificationChecks:
         spec, init = traffic
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
         formula = parse_formula("[assign(t, red)] (t = red)", spec)
-        assert [check[0] for check in verification_checks(pipe, [formula], CFG)] == [
+        assert [check[0] for check in verification_checks(pipe, [formula])] == [
             "variable-consistency", "structure-preservation",
             "formula-preservation [assign(t,red)] (t = red)",
             "bisimilarity-preservation"]
@@ -416,7 +416,7 @@ class TestVerificationChecks:
         spec, init = traffic
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
         mutant = _mutant(pipe, lambda ts: [t for t in ts if t != (0, "assign(t,red)", 2)])
-        assert verification_checks(mutant, [], CFG) == [
+        assert verification_checks(mutant, []) == [
             ("variable-consistency", False,
              "condition 3: source transition <CAR || TLC, t=green> --assign(t,red)--> "
              "<CAR || TLC, t=red> has no image"),
@@ -429,7 +429,7 @@ class TestVerificationChecks:
         spec, init = traffic
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
         mutant = _mutant(pipe, _replaced((0, "drive", 1), (0, "assign(t,red)", 1)))
-        assert verification_checks(mutant, [], CFG) == [
+        assert verification_checks(mutant, []) == [
             ("variable-consistency", False,
              "condition 3: source transition <CAR || TLC, t=green> --drive--> "
              "<delta || TLC, t=green> has no image"),
@@ -447,7 +447,7 @@ class TestVerificationChecks:
             "init X with { v = 0 }")
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
         mutant = _mutant(pipe, _replaced((0, "a", 1), (0, "a", 2)))
-        assert verification_checks(mutant, [], CFG) == [
+        assert verification_checks(mutant, []) == [
             ("variable-consistency", False,
              "condition 3: source transition <X, v=0> --a--> <Y, v=0> has no image"),
             ("structure-preservation", True, "source 3/4, translated 3/7"),
@@ -465,11 +465,11 @@ class TestVerificationChecks:
             "proc P = (x = a) -> (y = b) -> go.P + assign(y, b).P "
             "init P with { x = a, y = a }")
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
-        checks = verification_checks(pipe, [], CFG)
+        checks = verification_checks(pipe, [])
         assert checks[1] == ("structure-preservation", True, "source 2/3, translated 2/7")
         assert all(ok for _, ok, _ in checks)
         mutant = _mutant(pipe, lambda ts: ts + ts[-1:])
-        assert verification_checks(mutant, [], CFG) == [
+        assert verification_checks(mutant, []) == [
             checks[0], ("structure-preservation", False, "source 2/3, translated 2/8"),
             *checks[2:]]
 
