@@ -213,16 +213,24 @@ class MBar(MultiAction):
 TAU = MTau()
 
 
+def _acts(action: MultiAction) -> list:
+    """The actions of a multi-action, left to right; tau holds none."""
+    if isinstance(action, MBar):
+        return _acts(action.left) + _acts(action.right)
+    if isinstance(action, MAct):
+        return [action]
+    if isinstance(action, MTau):
+        return []
+    raise TypeError(f"not a multi-action: {action!r}")
+
+
 def sem_multiaction(action: MultiAction) -> Multiset:
     """The semantic multi-action: tau is empty, bar is multiset addition."""
-    if isinstance(action, MTau):
-        return EMPTY_MULTISET
-    if isinstance(action, MAct):
-        args = tuple(eval_data(a) for a in action.args)
-        return Multiset([GroundAction(action.name, args)])
-    if isinstance(action, MBar):
-        return sem_multiaction(action.left) + sem_multiaction(action.right)
-    raise TypeError(f"not a multi-action: {action!r}")
+    counts: dict = {}
+    for act in _acts(action):
+        element = GroundAction(act.name, tuple(eval_data(a) for a in act.args))
+        counts[element] = counts.get(element, 0) + 1
+    return Multiset._of(counts)
 
 
 def names_of(sem: Multiset) -> Multiset:
@@ -233,34 +241,48 @@ def names_of(sem: Multiset) -> Multiset:
     return Multiset._of(counts)
 
 
+def _groups(sem: Multiset) -> dict:
+    """The name counts of a semantic multi-action per argument tuple."""
+    groups: dict = {}
+    for element, count in sem._counts.items():
+        group = groups.setdefault(element.args, {})
+        group[element.name] = group.get(element.name, 0) + count
+    return groups
+
+
+def _fire(entries: Sequence[tuple[Multiset, str]], group: dict) -> dict:
+    """Fires comm entries on the name counts of one argument group, in
+    place: the first entry whose names the group holds, again and again,
+    until none applies. An entry with no names never fires."""
+    fired = True
+    while fired:
+        fired = False
+        for lhs, result in entries:
+            need = lhs._counts
+            if need and all(group.get(n, 0) >= c for n, c in need.items()):
+                for n, c in need.items():
+                    group[n] -= c
+                group[result] = group.get(result, 0) + 1
+                fired = True
+                break
+    return group
+
+
 def apply_comm(entries: Sequence[tuple[Multiset, str]], sem: Multiset) -> Multiset:
     """Exhaustively applies the renamings to parameter-matching handshakes.
 
     An entry (lhs, result) fires on a sub-multiset carrying one instance
     of every lhs name, all with identical parameter lists; those labels
     collapse into the result name carrying the same parameters. Disjoint
-    left-hand sides make the outcome order-independent.
+    left-hand sides make the outcome order-independent; otherwise the
+    entry order decides (see `_fire`).
     """
-    changed = True
-    while changed:
-        changed = False
-        for lhs, result in entries:
-            lhs_items = lhs.items()
-            if not lhs_items:
-                continue
-            first_name = lhs_items[0][0]
-            candidates = [e for e, _ in sem.items() if e.name == first_name]
-            for candidate in candidates:
-                args = candidate.args
-                needed = Multiset._of({GroundAction(name, args): count
-                                       for name, count in lhs_items})
-                if sem.includes(needed):
-                    sem = sem - needed + Multiset._of({GroundAction(result, args): 1})
-                    changed = True
-                    break
-            if changed:
-                break
-    return sem
+    counts: dict = {}
+    for args, group in _groups(sem).items():
+        for name, count in _fire(entries, group).items():
+            if count:
+                counts[GroundAction(name, args)] = count
+    return Multiset._of(counts)
 
 
 def apply_hide(hidden: frozenset[str], sem: Multiset) -> Multiset:
@@ -380,12 +402,12 @@ class Mcrl2Spec(Record):
         return self._eqmap[name]
 
 
-def step_mcrl2(env: Mcrl2Spec, proc: Mcrl2Process,
-               _unfolding: frozenset = frozenset()) -> tuple[tuple[Multiset, Mcrl2Process], ...]:
+def step_mcrl2(env: Mcrl2Spec,
+               proc: Mcrl2Process) -> tuple[tuple[Multiset, Mcrl2Process], ...]:
     """All transitions of a process term, deterministically ordered: the
     unrestricted product rule's, with the steps no allow can keep left out
     (a one-shot `_StepTable`)."""
-    return _StepTable(env).steps(proc, _unfolding)
+    return _StepTable(env).steps(proc)
 
 
 class _StepTable(dict):
@@ -407,9 +429,9 @@ class _StepTable(dict):
         super().__init__()
         self.env = env
 
-    def steps(self, proc: Mcrl2Process, unfolding: frozenset = frozenset()) -> tuple:
+    def steps(self, proc: Mcrl2Process) -> tuple:
         # a root's own steps are not stored: the explorer steps each once
-        return tuple(dict.fromkeys(self._derive(proc, unfolding, None, False, None)))
+        return tuple(dict.fromkeys(self._derive(proc, frozenset(), None, False, None)))
 
     def __missing__(self, key: tuple) -> list:
         rows = self[key] = self._derive(*key)
@@ -464,12 +486,8 @@ class _StepTable(dict):
         return steps if keep is None else keep.rows(steps, complete)
 
     def _operator_steps(self, proc: Mcrl2Process, unfolding) -> list:
-        if isinstance(proc, MHide):
-            return [(apply_hide(proc.hidden, alpha), MHide(proc.hidden, target))
-                    for alpha, target in self[proc.body, unfolding, None, False, None]]
-        if isinstance(proc, MComm):
-            return [(apply_comm(proc.entries, alpha), MComm(proc.entries, target))
-                    for alpha, target in self[proc.body, unfolding, None, False, None]]
+        if isinstance(proc, (MHide, MComm)):
+            return _relabel(proc, self[proc.body, unfolding, None, False, None])
         if not isinstance(proc, MAllow):
             raise TypeError(f"not an mCRL2 process: {proc!r}")
         body, hide, comm = proc.body, None, None
@@ -479,18 +497,22 @@ class _StepTable(dict):
             comm, body = body, body.body
         keep = _keep_for(proc.allowed, hide.hidden if hide else frozenset(),
                          comm.entries if comm else ())
-        if keep is None:
-            steps = self[proc.body, unfolding, None, False, None]
-        else:
-            steps = [row[:2] for row in self[body, unfolding, keep, True, None]]
-            if comm is not None:
-                steps = [(apply_comm(comm.entries, alpha), MComm(comm.entries, target))
-                         for alpha, target in steps]
-            if hide is not None:
-                steps = [(apply_hide(hide.hidden, alpha), MHide(hide.hidden, target))
-                         for alpha, target in steps]
+        steps = (self[body, unfolding, None, False, None] if keep is None
+                 else [row[:2] for row in self[body, unfolding, keep, True, None]])
+        for op in (comm, hide):
+            if op is not None:
+                steps = _relabel(op, steps)
         return [(alpha, MAllow(proc.allowed, target)) for alpha, target in steps
                 if not alpha or names_of(alpha) in proc.allowed]
+
+
+def _relabel(op: MHide | MComm, steps) -> list:
+    """The steps of a hide or comm over the steps of its body."""
+    if isinstance(op, MHide):
+        return [(apply_hide(op.hidden, alpha), MHide(op.hidden, target))
+                for alpha, target in steps]
+    return [(apply_comm(op.entries, alpha), MComm(op.entries, target))
+            for alpha, target in steps]
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +545,7 @@ class _Keep:
     """
 
     def __init__(self, allowed, hidden, entries):
-        self.entries = tuple((tuple(lhs.items()), result)
-                             for lhs, result in entries if lhs)
+        self.entries = entries
         self.free = frozenset(hidden).union(
             *(lhs._counts for lhs, result in entries if result in hidden))
         self.kept = frozenset(hidden).union(*(f._counts for f in allowed))
@@ -539,11 +560,12 @@ class _Keep:
             for parts in product(*choices):
                 closed.update(_sub_multisets(sum(parts, ())))
         self.closed = frozenset(closed)
-        on_lhs = Counter(n for lhs, _ in self.entries for n, _ in lhs)
+        on_lhs = Counter(n for lhs, _ in entries for n in lhs._counts)
         self.partner = {}
-        for lhs, _ in self.entries:
-            if len(lhs) == 2 and all(c == 1 and on_lhs[n] == 1 for n, c in lhs):
-                for (n, _), (g, _) in (lhs, lhs[::-1]):
+        for lhs, _ in entries:
+            pair = tuple(lhs._counts.items())
+            if len(pair) == 2 and all(c == 1 and on_lhs[n] == 1 for n, c in pair):
+                for (n, _), (g, _) in (pair, pair[::-1]):
                     if n not in self.kept:
                         self.partner[g] = n
 
@@ -559,22 +581,11 @@ class _Keep:
         """The row of a step: its names, the argument tuples of the groups
         of ``alpha`` that still hold a stuck name after comm (its needs),
         and all its argument tuples."""
-        groups: dict = {}
-        for element, count in alpha._counts.items():
-            group = groups.setdefault(element.args, {})
-            group[element.name] = group.get(element.name, 0) + count
-        needs = frozenset(args for args, group in groups.items() if self._stuck(group))
+        groups = _groups(alpha)
+        needs = frozenset(args for args, group in groups.items()
+                          if any(c and n not in self.kept
+                                 for n, c in _fire(self.entries, group).items()))
         return (alpha, target, names, needs, frozenset(groups))
-
-    def _stuck(self, group: dict) -> bool:
-        # without chains, apply_comm fires each entry as often as it can,
-        # in entry order
-        for lhs, result in self.entries:
-            while all(group.get(n, 0) >= c for n, c in lhs):
-                for n, c in lhs:
-                    group[n] -= c
-                group[result] = group.get(result, 0) + 1
-        return any(c and n not in self.kept for n, c in group.items())
 
     def rows(self, steps, complete: bool) -> list:
         """The rows of the steps this stack admits."""
@@ -686,12 +697,6 @@ class _Keep:
                         if not row[3]:
                             out.append(row)
         return out
-
-
-def _acts(action: MultiAction) -> list:
-    if isinstance(action, MBar):
-        return _acts(action.left) + _acts(action.right)
-    return [action] if isinstance(action, MAct) else []
 
 
 def _sub_multisets(names: tuple):

@@ -208,7 +208,6 @@ class TranslationOutput(Record):
     spec: RecursiveSpec
     slots: tuple[str, ...]
     blocked: frozenset[str]
-    root: ProcessExpr           # the inner parallel-sequential expression
     wrapped: bool               # whether the source root carried the encap
     menv: Mcrl2Spec
     top: Mcrl2Process
@@ -263,7 +262,7 @@ def translate_init(spec: RecursiveSpec, root: ProcessExpr,
     menv = Mcrl2Spec(domain=spec.domain.values, equations=tuple(equations))
 
     return TranslationOutput(
-        spec=spec, slots=slots, blocked=blocked, root=inner,
+        spec=spec, slots=slots, blocked=blocked,
         wrapped=isinstance(root, Encap), menv=menv,
         top=_psi_term(spec, slots, allow_set, hidden, comm_entries, inner, valuation),
         comm_entries=comm_entries, comm_render=comm_render,
@@ -335,8 +334,10 @@ class ConsistencyReport(Record, frozen=False):
         return {"ok": self.ok, "condition": self.condition, "witness": self.witness}
 
 
-def build_consistency_map(out: TranslationOutput, gv_lts: Lts, m_lts: Lts) -> list[int]:
-    """Maps the i-th source state to the index of its translated term."""
+def build_consistency_map(out: TranslationOutput, gv_lts: Lts,
+                          m_lts: Lts) -> list[int | None]:
+    """Maps the i-th source state to the index of its translated term, or
+    to None where that term is not a state of the translated LTS."""
     m_index = {term: i for i, term in enumerate(m_lts.states)}
     link = []
     for state in gv_lts.states:
@@ -346,18 +347,20 @@ def build_consistency_map(out: TranslationOutput, gv_lts: Lts, m_lts: Lts) -> li
                 raise SpecValidationError(
                     [f"source state lost its encapsulation: {state_str(state)}"])
             expr = expr.body
-        term = translate_state(out, expr, state.valuation)
-        if term not in m_index:
-            raise SpecValidationError(
-                [f"translated term of {state_str(state)} is not a state of "
-                 "the translated LTS"])
-        link.append(m_index[term])
+        link.append(m_index.get(translate_state(out, expr, state.valuation)))
     return link
 
 
 def verify_variable_consistency(spec: RecursiveSpec, gv_lts: Lts, m_lts: Lts,
-                                link: Sequence[int]) -> ConsistencyReport:
-    """Checks the three conditions in order and reports the first failure."""
+                                link: Sequence[int | None]) -> ConsistencyReport:
+    """Checks the three conditions in order and reports the first failure;
+    a source state without an image fails condition 3 before any is read."""
+    for state, m_state in zip(gv_lts.states, link):
+        if m_state is None:
+            return ConsistencyReport(
+                ok=False, condition=3,
+                witness=(f"the image of {state_str(state)} is not a state of "
+                         "the translated LTS"))
     value_labels = {f"value({v},{d})": (v, d)
                     for v in spec.variables for d in spec.domain.values}
     tl_labels = {label_str(label) for label in all_labels(spec)}
@@ -513,7 +516,8 @@ def check_bisimilarity_preservation(pipeline: PipelineResult) -> PreservationRep
     first_in_translated: dict[int, int] = {}
     for i, image in enumerate(pipeline.link):
         a = first_in_source.setdefault(source[i], i)
-        b = first_in_translated.setdefault(translated[image], i)
+        # a state without an image is related to no other on that side
+        b = i if image is None else first_in_translated.setdefault(translated[image], i)
         if a != b:
             # the earlier of the two is related to i on one side only
             return PreservationReport(pair=(gv.states[min(a, b)], gv.states[i]),
@@ -563,7 +567,9 @@ _MCRL2_RESERVED = frozenset(
     "lambda forall exists whr end sum dist delta tau block allow hide rename "
     "comm min max pred succ Bool Pos Nat Int Real List Set Bag FSet FBag".split())
 
-_BINDERS = frozenset({"d", "new"})
+#: The identifiers the model declares itself: its sorts, the binders of
+#: its sums and of Globs (and the slot binders ``d<k>``) and the machinery.
+_OWN_NAMES = MACHINERY_NAMES | {"GvValue", "GvName", "d", "new"}
 
 
 def _needs_prefix(name: str) -> bool:
@@ -571,21 +577,32 @@ def _needs_prefix(name: str) -> bool:
         return True
     if not all(ch.isalnum() or ch == "_" for ch in name):
         return True
-    if name in _MCRL2_RESERVED or name in MACHINERY_NAMES or name in _BINDERS:
-        return True
-    if name in {"GvValue", "GvName"}:
-        return True
-    return name[0] == "d" and name[1:].isdigit()
+    return (name in _MCRL2_RESERVED or name in _OWN_NAMES
+            or (name[0] == "d" and name[1:].isdigit()))
 
 
 class _Namer:
-    """Deterministic renaming into valid, pairwise distinct mCRL2 ids, and
+    """The one table of the identifiers the model of ``spec`` uses: the
+    machinery actions and Globs as themselves, and every source name as a
+    valid mCRL2 id distinct from all others (see `_needs_prefix`), with
     the mCRL2 symbol of each domain value and variable name."""
 
-    def __init__(self):
-        self.maps: dict[str, dict[str, str]] = {}
-        self.taken: set[str] = set(MACHINERY_NAMES) | {"d", "new", "GvValue", "GvName"}
-        self.symbols: dict[str, str] = {}
+    def __init__(self, spec: RecursiveSpec):
+        self.maps: dict[str, dict[str, str]] = {
+            "action": {n: n for n in MACHINERY_NAMES - {"Globs"}},
+            "proc": {"Globs": "Globs"}}
+        self.taken: set[str] = set(_OWN_NAMES)
+        self.add("value", "v_", spec.domain.values)
+        self.add("var", "g_", spec.variables)
+        self.add("action", "a_", spec.actions)
+        self.add("proc", "P_", spec.process_names)
+        self.symbols = dict(self.maps["value"])
+        for var in spec.variables:
+            if var in self.symbols:
+                raise SpecValidationError(
+                    [f"variable {var} also names a domain value; the rendered "
+                     "model cannot keep both"])
+            self.symbols[var] = self.maps["var"][var]
 
     def add(self, kind: str, prefix: str, names: Iterable[str]):
         table = self.maps.setdefault(kind, {})
@@ -599,28 +616,7 @@ class _Namer:
             table[name] = rendered
 
     def get(self, kind: str, name: str) -> str:
-        if name in MACHINERY_NAMES or name in _BINDERS or (
-                name and name[0] == "d" and name[1:].isdigit()):
-            return name
         return self.maps[kind][name]
-
-
-def _build_namer(out: TranslationOutput) -> _Namer:
-    namer = _Namer()
-    namer.add("value", "v_", out.spec.domain.values)
-    namer.add("var", "g_", out.spec.variables)
-    namer.add("action", "a_", out.spec.actions)
-    namer.add("proc", "P_", out.spec.process_names)
-    symbols = namer.symbols
-    for value in out.spec.domain.values:
-        symbols[value] = namer.get("value", value)
-    for var in out.spec.variables:
-        if var in symbols:
-            raise SpecValidationError(
-                [f"variable {var} also names a domain value; the rendered "
-                 "model cannot keep both"])
-        symbols[var] = namer.get("var", var)
-    return namer
 
 
 _M_CHOICE, _M_PAR, _M_PREFIX, _M_ATOM = 0, 1, 2, 3
@@ -631,7 +627,7 @@ _M_AND, _M_EQ, _M_BAR = _M_CHOICE, _M_PAR, _M_PREFIX
 
 
 def render_mcrl2_spec(out: TranslationOutput, namer: _Namer) -> str:
-    """The .mcrl2 model under the names of `_build_namer`; deterministic,
+    """The .mcrl2 model under the names of `_Namer`; deterministic,
     byte-stable rendering."""
     symbols = namer.symbols
 
@@ -684,7 +680,7 @@ def render_mcrl2_spec(out: TranslationOutput, namer: _Namer) -> str:
     lines.append("proc")
     for name, params, body in out.menv.equations:
         rendered_body = render(body, rules)
-        shown = namer.get("proc", name) if name != "Globs" else "Globs"
+        shown = namer.get("proc", name)
         if params:
             plist = ", ".join(f"{p}: GvValue" for p in params)
             lines.append(f"  {shown}({plist}) = {rendered_body};")
@@ -692,12 +688,10 @@ def render_mcrl2_spec(out: TranslationOutput, namer: _Namer) -> str:
             lines.append(f"  {shown} = {rendered_body};")
     lines.append("")
 
-    allow_names = ", ".join(
-        name if name in {"value", "assign"} else namer.get("action", name)
-        for name in out.allow_names)
+    allow_names = ", ".join(namer.get("action", name) for name in out.allow_names)
     comm_part = ", ".join(
-        "|".join(namer.get("action", n) if n not in MACHINERY_NAMES else n
-                 for n in names) + " -> " + result
+        "|".join(namer.get("action", n) for n in names)
+        + " -> " + namer.get("action", result)
         for names, result in out.comm_render)
     hide_part = ", ".join(sorted(out.hidden))
     inner_par = out.top.body.body.body  # MAllow(MHide(MComm(parallel)))
@@ -711,9 +705,8 @@ def _mcf_action(label: str, namer: _Namer) -> str:
     if "(" not in label:
         return namer.get("action", label)
     name, rest = label.split("(", 1)
-    args = rest.rstrip(")").split(",")
-    shown = name if name in MACHINERY_NAMES else namer.get("action", name)
-    return f"{shown}({', '.join(namer.symbols.get(a, a) for a in args)})"
+    args = ", ".join(namer.symbols.get(a, a) for a in rest.rstrip(")").split(","))
+    return f"{namer.get('action', name)}({args})"
 
 
 def _not_on_mcrl2_side(formula: HmlFormula):
@@ -723,7 +716,7 @@ def _not_on_mcrl2_side(formula: HmlFormula):
 
 def render_mcf(formula: HmlFormula, namer: _Namer) -> str:
     """A single translated formula in mCRL2 modal-formula syntax, under the
-    names of `_build_namer`."""
+    names of `_Namer`."""
     def modal(formula, sub):
         acts = " || ".join(sorted(_mcf_action(l, namer) for l in formula.labels))
         return f"<{acts}>{sub}" if formula.__class__ is Diamond else f"[{acts}]{sub}"
@@ -741,7 +734,7 @@ def emit_mcrl2_files(out: TranslationOutput,
                      formulas: Sequence[HmlFormula] = (),
                      base: str = "model") -> dict[str, str]:
     """Translated model plus one .mcf per (already translated) formula."""
-    namer = _build_namer(out)
+    namer = _Namer(out.spec)
     files = {f"{base}.mcrl2": render_mcrl2_spec(out, namer)}
     for i, formula in enumerate(formulas, start=1):
         files[f"{base}_prop{i}.mcf"] = render_mcf(formula, namer)

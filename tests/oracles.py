@@ -8,7 +8,11 @@ language, free of `gvpa.syntax.render`, the scanner reads one
 character at a time, free of the compiled pattern, and the readers of
 `--valuation` and `--formulas` split their text by hand, free of the
 token stream. The formula oracles read a grid built from the oracles'
-own closure, free of `gvpa.hml.build_state_space`.
+own closure, free of `gvpa.hml.build_state_space`. The mCRL2 steps
+flatten multi-actions, hide, allow and print labels by hand and take comm
+from its all-orders normal forms, free of `gvpa.mcrl2`'s routines, and
+the renderers of the emitted files keep their own name table, free of
+`gvpa.translate`'s.
 """
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ from gvpa.hml import (
 from gvpa.mcrl2 import (
     DAnd, DBool, DConst, DEq, DVar, GroundAction, MAct, MAllow, MBar, MCall,
     MChoice, MComm, MDeadlock, MHide, MParallel, MPrefix, MSum, MTau, Multiset,
-    apply_comm, apply_hide, canonical_label, names_of, sem_multiaction,
 )
 from gvpa.parser import Token
 from gvpa.sos import GvState, Lts
@@ -32,7 +35,6 @@ from gvpa.syntax import (
     Action, Assign, Choice, Cond, Deadlock, Encap, Name, Parallel, Prefix,
     Valuation, enumerate_valuations, label_str,
 )
-from gvpa.translate import MACHINERY_NAMES, _Namer
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +470,33 @@ def comm_normal_forms(entries, sem) -> set[Multiset]:
     return walk(sem)
 
 
+def reference_apply_comm(entries, sem) -> Multiset:
+    """Comm by the rule as written: fires the first instance `_applicable`
+    lists (entries in order, elements in multiset order) until none is
+    left. Where left-hand sides overlap, this is the form the entry order
+    picks among `comm_normal_forms`."""
+    while True:
+        options = _applicable(entries, sem)
+        if not options:
+            return sem
+        needed, produced = options[0]
+        sem = sem - needed + Multiset([produced])
+
+
+def reference_needs(allowed, hidden, entries, sem) -> frozenset:
+    """The argument tuples of ``sem`` whose elements, after comm over just
+    those elements, still hold a name that no allowed multiset holds and
+    hide does not remove."""
+    kept = set(hidden).union(*(m.elements() for m in allowed))
+    needs = set()
+    for args in {e.args for e in sem.elements()}:
+        group = Multiset(e for e in sem.elements() if e.args == args)
+        (form,) = comm_normal_forms(entries, group)
+        if any(e.name not in kept for e in form.elements()):
+            needs.add(args)
+    return frozenset(needs)
+
+
 # ---------------------------------------------------------------------------
 # mCRL2 steps by the unrestricted product rule
 
@@ -513,6 +542,64 @@ def reference_subst(term, var: str, replacement):
     raise TypeError(f"not an mCRL2 term: {term!r}")
 
 
+def _reference_value(expr):
+    if isinstance(expr, DConst):
+        return expr.symbol
+    if isinstance(expr, DBool):
+        return expr.value
+    if isinstance(expr, DEq):
+        return _reference_value(expr.left) == _reference_value(expr.right)
+    if isinstance(expr, DAnd):
+        return all(_reference_value(c) for c in expr.conjuncts)
+    raise ValueError(f"not a closed data expression: {expr!r}")
+
+
+def _reference_sem(action) -> Multiset:
+    """The ground actions of a multi-action, its bars undone by hand."""
+    ground, todo = [], [action]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, MBar):
+            todo += [node.right, node.left]
+        elif isinstance(node, MAct):
+            ground.append(GroundAction(
+                node.name, tuple(_reference_value(a) for a in node.args)))
+        elif not isinstance(node, MTau):
+            raise TypeError(f"not a multi-action: {node!r}")
+    return Multiset(ground)
+
+
+def _reference_comm(entries, sem) -> Multiset:
+    """The one normal form of comm over ``sem``, from every firing order."""
+    forms = comm_normal_forms(entries, sem)
+    assert len(forms) == 1, forms
+    return forms.pop()
+
+
+def _reference_multi_label(domain, sem) -> str:
+    """A multi-action's label: its ground actions by name, then by their
+    arguments (domain values in domain order, then false and true, then
+    other names such as variables, as text), bar-joined; tau when there is
+    none."""
+    def arg_key(arg):
+        if isinstance(arg, bool):
+            return (1, int(arg), "")
+        if arg in domain:
+            return (0, domain.index(arg), "")
+        return (2, 0, arg)
+
+    def text(element):
+        if not element.args:
+            return element.name
+        shown = ("true" if a is True else "false" if a is False else a
+                 for a in element.args)
+        return f"{element.name}({','.join(shown)})"
+
+    elements = sorted(sem.elements(),
+                      key=lambda e: (e.name, tuple(arg_key(a) for a in e.args)))
+    return "|".join(text(e) for e in elements) or "tau"
+
+
 def reference_step_mcrl2(env, proc) -> tuple:
     """Every step of an mCRL2 term by the rules as written: the parallel
     rule forms every product and the operators filter afterwards; repeated
@@ -524,7 +611,7 @@ def _reference_steps(env, proc, unfolding) -> list:
     if isinstance(proc, MDeadlock):
         return []
     if isinstance(proc, MPrefix):
-        return [(sem_multiaction(proc.action), proc.body)]
+        return [(_reference_sem(proc.action), proc.body)]
     if isinstance(proc, MChoice):
         return (_reference_steps(env, proc.left, unfolding)
                 + _reference_steps(env, proc.right, unfolding))
@@ -549,12 +636,15 @@ def _reference_steps(env, proc, unfolding) -> list:
         return _reference_steps(env, body, unfolding | {proc.name})
     steps = _reference_steps(env, proc.body, unfolding)
     if isinstance(proc, MHide):
-        return [(apply_hide(proc.hidden, a), MHide(proc.hidden, t)) for a, t in steps]
+        return [(Multiset(e for e in a.elements() if e.name not in proc.hidden),
+                 MHide(proc.hidden, t)) for a, t in steps]
     if isinstance(proc, MComm):
-        return [(apply_comm(proc.entries, a), MComm(proc.entries, t)) for a, t in steps]
+        return [(_reference_comm(proc.entries, a), MComm(proc.entries, t))
+                for a, t in steps]
     if isinstance(proc, MAllow):
+        allowed = {tuple(sorted(m.elements())) for m in proc.allowed}
         return [(a, MAllow(proc.allowed, t)) for a, t in steps
-                if not a or names_of(a) in proc.allowed]
+                if not a or tuple(sorted(e.name for e in a.elements())) in allowed]
     raise TypeError(f"not an mCRL2 process: {proc!r}")
 
 
@@ -573,7 +663,7 @@ def reference_explore_mcrl2(env, roots, cap: int):
                     return None
                 index[target] = len(states)
                 states.append(target)
-            transitions.append((i, canonical_label(env.domain, sem), index[target]))
+            transitions.append((i, _reference_multi_label(env.domain, sem), index[target]))
     return states, transitions
 
 
@@ -929,16 +1019,56 @@ def reference_formula_str(formula, _req: int = _OR) -> str:
     return text
 
 
-def _build_namer(out):
-    namer = _Namer()
-    namer.add("value", "v_", out.spec.domain.values)
-    namer.add("var", "g_", out.spec.variables)
-    namer.add("action", "a_", out.spec.actions)
-    namer.add("proc", "P_", out.spec.process_names)
-    return namer
+# The model's machinery actions, and every identifier it declares itself.
+_MACHINERY_ACTIONS = ("check", "checkP", "checkG", "assign", "assignP", "assignG", "value")
+_MODEL_NAMES = frozenset({"GvValue", "GvName", "Globs", "d", "new", *_MACHINERY_ACTIONS})
+_MCRL2_WORDS = frozenset(
+    "sort cons map var eqn act glob proc init struct true false if div mod in "
+    "lambda forall exists whr end sum dist delta tau block allow hide rename "
+    "comm min max pred succ Bool Pos Nat Int Real List Set Bag FSet FBag".split())
 
 
-def _render_data(expr, namer, symbols: dict[str, str]) -> str:
+def _shown_as_is(name: str) -> bool:
+    """A plain identifier that is no mCRL2 word and none of the model's
+    own names, the slot binders d1, d2, ... included."""
+    if not name or not (name[0].isalpha() or name[0] == "_"):
+        return False
+    if any(not (ch.isalnum() or ch == "_") for ch in name):
+        return False
+    if name[0] == "d" and name[1:].isdigit():
+        return False
+    return name not in _MCRL2_WORDS and name not in _MODEL_NAMES
+
+
+def _reference_names(spec) -> tuple[dict, dict]:
+    """The emitted identifier of every ``(kind, name)`` the model uses,
+    and the symbol of every domain value and variable."""
+    names = {("action", name): name for name in _MACHINERY_ACTIONS}
+    names["proc", "Globs"] = "Globs"
+    used = set(_MODEL_NAMES)
+    for kind, prefix, group in (("value", "v_", spec.domain.values),
+                                ("var", "g_", spec.variables),
+                                ("action", "a_", spec.actions),
+                                ("proc", "P_", spec.process_names)):
+        for name in group:
+            shown = name if _shown_as_is(name) else prefix + name
+            if shown in used:
+                raise SpecValidationError(
+                    [f"cannot render {kind} name {name!r}: identifier "
+                     f"{shown!r} is already in use"])
+            used.add(shown)
+            names[kind, name] = shown
+    symbols = {value: names["value", value] for value in spec.domain.values}
+    for var in spec.variables:
+        if var in symbols:
+            raise SpecValidationError(
+                [f"variable {var} also names a domain value; the rendered "
+                 "model cannot keep both"])
+        symbols[var] = names["var", var]
+    return names, symbols
+
+
+def _render_data(expr, symbols: dict[str, str]) -> str:
     if isinstance(expr, DConst):
         return symbols[expr.symbol]
     if isinstance(expr, DBool):
@@ -946,22 +1076,22 @@ def _render_data(expr, namer, symbols: dict[str, str]) -> str:
     if isinstance(expr, DVar):
         return expr.name
     if isinstance(expr, DEq):
-        return (f"{_render_data(expr.left, namer, symbols)} == "
-                f"{_render_data(expr.right, namer, symbols)}")
+        return (f"{_render_data(expr.left, symbols)} == "
+                f"{_render_data(expr.right, symbols)}")
     if isinstance(expr, DAnd):
-        return " && ".join(_render_data(c, namer, symbols) for c in expr.conjuncts)
+        return " && ".join(_render_data(c, symbols) for c in expr.conjuncts)
     raise TypeError(f"not a data expression: {expr!r}")
 
 
-def _render_act(act, namer, symbols: dict[str, str]) -> str:
-    name = namer.get("action", act.name)
+def _render_act(act, names: dict, symbols: dict[str, str]) -> str:
+    name = names["action", act.name]
     if not act.args:
         return name
-    args = ", ".join(_render_data(a, namer, symbols) for a in act.args)
+    args = ", ".join(_render_data(a, symbols) for a in act.args)
     return f"{name}({args})"
 
 
-def _render_maction(action, namer, symbols: dict[str, str]) -> str:
+def _render_maction(action, names: dict, symbols: dict[str, str]) -> str:
     parts = []
 
     def collect(node):
@@ -969,7 +1099,7 @@ def _render_maction(action, namer, symbols: dict[str, str]) -> str:
             collect(node.left)
             collect(node.right)
         elif isinstance(node, MAct):
-            parts.append(_render_act(node, namer, symbols))
+            parts.append(_render_act(node, names, symbols))
         else:
             parts.append("tau")
 
@@ -981,49 +1111,49 @@ def _render_maction(action, namer, symbols: dict[str, str]) -> str:
 _M_CHOICE, _M_PAR, _M_PREFIX, _M_ATOM = 0, 1, 2, 3
 
 
-def reference_render_proc(proc, namer, symbols: dict[str, str],
+def reference_render_proc(proc, names: dict, symbols: dict[str, str],
                           req: int = _M_CHOICE) -> str:
     if isinstance(proc, MDeadlock):
         text, level = "delta", _M_ATOM
     elif isinstance(proc, MCall):
-        name = namer.get("proc", proc.name)
+        name = names["proc", proc.name]
         if proc.args:
-            args = ", ".join(_render_data(a, namer, symbols) for a in proc.args)
+            args = ", ".join(_render_data(a, symbols) for a in proc.args)
             text = f"{name}({args})"
         else:
             text = name
         level = _M_ATOM
     elif isinstance(proc, MPrefix):
-        act = _render_maction(proc.action, namer, symbols)
-        text = f"{act} . {reference_render_proc(proc.body, namer, symbols, _M_PREFIX)}"
+        act = _render_maction(proc.action, names, symbols)
+        text = f"{act} . {reference_render_proc(proc.body, names, symbols, _M_PREFIX)}"
         level = _M_PREFIX
     elif isinstance(proc, MSum):
-        body = reference_render_proc(proc.body, namer, symbols, _M_CHOICE)
+        body = reference_render_proc(proc.body, names, symbols, _M_CHOICE)
         text, level = f"(sum {proc.var}: GvValue . {body})", _M_ATOM
     elif isinstance(proc, MParallel):
-        text = (f"{reference_render_proc(proc.left, namer, symbols, _M_PAR)} || "
-                f"{reference_render_proc(proc.right, namer, symbols, _M_PREFIX)}")
+        text = (f"{reference_render_proc(proc.left, names, symbols, _M_PAR)} || "
+                f"{reference_render_proc(proc.right, names, symbols, _M_PREFIX)}")
         level = _M_PAR
     elif isinstance(proc, MChoice):
-        text = (f"{reference_render_proc(proc.left, namer, symbols, _M_CHOICE)} + "
-                f"{reference_render_proc(proc.right, namer, symbols, _M_PAR)}")
+        text = (f"{reference_render_proc(proc.left, names, symbols, _M_CHOICE)} + "
+                f"{reference_render_proc(proc.right, names, symbols, _M_PAR)}")
         level = _M_CHOICE
     elif isinstance(proc, MAllow):
-        names = ", ".join(
+        shown = ", ".join(
             "|".join(sorted(m.elements())) for m in sorted(
                 proc.allowed, key=lambda m: sorted(m.elements())))
         # the allow set is rendered from the caller's ordered name list
-        text = f"allow({{{names}}}, {reference_render_proc(proc.body, namer, symbols)})"
+        text = f"allow({{{shown}}}, {reference_render_proc(proc.body, names, symbols)})"
         level = _M_ATOM
     elif isinstance(proc, MHide):
-        names = ", ".join(sorted(proc.hidden))
-        text = f"hide({{{names}}}, {reference_render_proc(proc.body, namer, symbols)})"
+        shown = ", ".join(sorted(proc.hidden))
+        text = f"hide({{{shown}}}, {reference_render_proc(proc.body, names, symbols)})"
         level = _M_ATOM
     elif isinstance(proc, MComm):
         entries = ", ".join(
             "|".join(lhs.elements()) + " -> " + result
             for lhs, result in proc.entries)
-        text = f"comm({{{entries}}}, {reference_render_proc(proc.body, namer, symbols)})"
+        text = f"comm({{{entries}}}, {reference_render_proc(proc.body, names, symbols)})"
         level = _M_ATOM
     else:
         raise TypeError(f"not an mCRL2 process: {proc!r}")
@@ -1034,16 +1164,7 @@ def reference_render_proc(proc, namer, symbols: dict[str, str],
 
 def _reference_render_mcrl2_spec(out) -> str:
     """The .mcrl2 model; deterministic, byte-stable rendering."""
-    namer = _build_namer(out)
-    symbols = {}
-    for value in out.spec.domain.values:
-        symbols[value] = namer.get("value", value)
-    for var in out.spec.variables:
-        if var in symbols:
-            raise SpecValidationError(
-                [f"variable {var} also names a domain value; the rendered "
-                 "model cannot keep both"])
-        symbols[var] = namer.get("var", var)
+    names, symbols = _reference_names(out.spec)
 
     lines = ["% mCRL2 model generated from a global-variable process specification.",
              ""]
@@ -1054,7 +1175,7 @@ def _reference_render_mcrl2_spec(out) -> str:
     lines.append("")
 
     lines.append("act")
-    plain = sorted(namer.get("action", a) for a in out.spec.actions)
+    plain = sorted(names["action", a] for a in out.spec.actions)
     if plain:
         lines.append("  " + ", ".join(plain) + ";")
     lines.append("  assign, assignG, assignP: GvName # GvValue;")
@@ -1065,8 +1186,8 @@ def _reference_render_mcrl2_spec(out) -> str:
 
     lines.append("proc")
     for name, params, body in out.menv.equations:
-        rendered_body = reference_render_proc(body, namer, symbols)
-        shown = namer.get("proc", name) if name != "Globs" else "Globs"
+        rendered_body = reference_render_proc(body, names, symbols)
+        shown = names["proc", name]
         if params:
             plist = ", ".join(f"{p}: GvValue" for p in params)
             lines.append(f"  {shown}({plist}) = {rendered_body};")
@@ -1074,54 +1195,50 @@ def _reference_render_mcrl2_spec(out) -> str:
             lines.append(f"  {shown} = {rendered_body};")
     lines.append("")
 
-    allow_names = ", ".join(
-        name if name in {"value", "assign"} else namer.get("action", name)
-        for name in out.allow_names)
+    allow_names = ", ".join(names["action", name] for name in out.allow_names)
     comm_part = ", ".join(
-        "|".join(namer.get("action", n) if n not in MACHINERY_NAMES else n
-                 for n in names) + " -> " + result
-        for names, result in out.comm_render)
+        "|".join(names["action", n] for n in lhs) + " -> " + names["action", result]
+        for lhs, result in out.comm_render)
     hide_part = ", ".join(sorted(out.hidden))
     inner_par = out.top.body.body.body  # MAllow(MHide(MComm(parallel)))
-    par = reference_render_proc(inner_par, namer, symbols, _M_CHOICE)
+    par = reference_render_proc(inner_par, names, symbols, _M_CHOICE)
     lines.append(f"init allow({{{allow_names}}}, hide({{{hide_part}}}, "
                  f"comm({{{comm_part}}}, {par})));")
     return "\n".join(lines) + "\n"
 
 
-def _mcf_action(label: str, namer, symbols: dict[str, str]) -> str:
+def _mcf_action(label: str, names: dict, symbols: dict[str, str]) -> str:
     if "(" not in label:
-        return namer.get("action", label)
+        return names["action", label]
     name, rest = label.split("(", 1)
     args = rest.rstrip(")").split(",")
-    shown = name if name in MACHINERY_NAMES else namer.get("action", name)
-    return f"{shown}({', '.join(symbols.get(a, a) for a in args)})"
+    return f"{names['action', name]}({', '.join(symbols.get(a, a) for a in args)})"
 
 
 _F_OR, _F_AND, _F_UNARY = 0, 1, 2
 
 
-def reference_render_mcf(formula, namer, symbols: dict[str, str],
+def reference_render_mcf(formula, names: dict, symbols: dict[str, str],
                          req: int = _F_OR) -> str:
     if isinstance(formula, HTrue):
         text, level = "true", _F_UNARY
     elif isinstance(formula, HFalse):
         text, level = "false", _F_UNARY
     elif isinstance(formula, Not):
-        text = f"!{reference_render_mcf(formula.sub, namer, symbols, _F_UNARY)}"
+        text = f"!{reference_render_mcf(formula.sub, names, symbols, _F_UNARY)}"
         level = _F_UNARY
     elif isinstance(formula, And):
-        text = (f"{reference_render_mcf(formula.left, namer, symbols, _F_AND)} && "
-                f"{reference_render_mcf(formula.right, namer, symbols, _F_UNARY)}")
+        text = (f"{reference_render_mcf(formula.left, names, symbols, _F_AND)} && "
+                f"{reference_render_mcf(formula.right, names, symbols, _F_UNARY)}")
         level = _F_AND
     elif isinstance(formula, Or):
-        text = (f"{reference_render_mcf(formula.left, namer, symbols, _F_OR)} || "
-                f"{reference_render_mcf(formula.right, namer, symbols, _F_AND)}")
+        text = (f"{reference_render_mcf(formula.left, names, symbols, _F_OR)} || "
+                f"{reference_render_mcf(formula.right, names, symbols, _F_AND)}")
         level = _F_OR
     elif isinstance(formula, (Diamond, Box)):
         acts = " || ".join(sorted(
-            _mcf_action(l, namer, symbols) for l in formula.labels))
-        sub = reference_render_mcf(formula.sub, namer, symbols, _F_UNARY)
+            _mcf_action(l, names, symbols) for l in formula.labels))
+        sub = reference_render_mcf(formula.sub, names, symbols, _F_UNARY)
         if isinstance(formula, Diamond):
             text = f"<{acts}>{sub}"
         else:
@@ -1139,10 +1256,7 @@ def reference_render_mcf(formula, namer, symbols: dict[str, str],
 
 def _reference_render_mcf(formula, out) -> str:
     """A single translated formula in mCRL2 modal-formula syntax."""
-    namer = _build_namer(out)
-    symbols = {v: namer.get("value", v) for v in out.spec.domain.values}
-    symbols.update({v: namer.get("var", v) for v in out.spec.variables})
-    return reference_render_mcf(formula, namer, symbols) + "\n"
+    return reference_render_mcf(formula, *_reference_names(out.spec)) + "\n"
 
 
 def reference_emit_mcrl2_files(out, formulas=(), base: str = "model") -> dict[str, str]:

@@ -328,6 +328,33 @@ class TestVerifyTranslation:
         assert [c["name"] for c in payload["checks"] if not c["ok"]] == [
             "variable-consistency", "structure-preservation"]
 
+    def test_a_state_without_image_is_a_verdict(self, capsys, monkeypatch):
+        # a Globs of its two check summands only never assigns, so the
+        # images of the states after an assign are never reached
+        import gvpa.translate as tr
+        from gvpa.mcrl2 import MChoice
+
+        make_globs = tr.make_globs
+
+        def checks_only(slots, values):
+            name, params, body = make_globs(slots, values)
+            while isinstance(body.left, MChoice):
+                body = body.left
+            return name, params, body
+
+        monkeypatch.setattr(tr, "make_globs", checks_only)
+        assert main(["verify-translation", TRAFFIC]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[0] == (
+            "FAIL variable-consistency (condition 3: the image of "
+            "<CAR || TLC, t=red> is not a state of the translated LTS)")
+        assert main(["--json", "verify-translation", TRAFFIC]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["consistency"] == {
+            "ok": False, "condition": 3,
+            "witness": "the image of <CAR || TLC, t=red> is not a state of the translated LTS"}
 
     def test_thirteen_variables_pass_under_the_default_caps(self, tmp_path, capsys):
         # 2^13 valuations: only the two explored states are ever read

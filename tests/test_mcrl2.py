@@ -8,7 +8,10 @@ from conftest import GOLDEN, TRAFFIC_TEXT
 from genspecs import (
     gen_bind_term, gen_mcrl2_term, gen_parseq_spec, ring_text, worker_grid_text,
 )
-from oracles import comm_normal_forms, reference_explore_mcrl2, reference_subst
+from oracles import (
+    comm_normal_forms, reference_apply_comm, reference_explore_mcrl2,
+    reference_needs, reference_step_mcrl2, reference_subst,
+)
 
 import gvpa.mcrl2
 
@@ -572,3 +575,67 @@ class TestRandomCommAgainstAllOrders:
             greedy = apply_comm(entries, sem)
             forms = comm_normal_forms(entries, sem)
             assert forms == {greedy}
+
+    NAMES = "abcde"
+
+    def _entries(self, rng) -> tuple:
+        # left-hand sides over a, b, c, d; results anywhere
+        entries = {}
+        for _ in range(rng.randint(1, 3)):
+            lhs = Multiset(rng.choice(self.NAMES[:4]) for _ in range(2))
+            entries.setdefault(lhs, rng.choice(self.NAMES))
+        return tuple(entries.items())
+
+    def test_overlapping_and_chained_entries(self):
+        rng = random.Random(2404)
+        unique = overlapping = chained = 0
+        for _ in range(3000):
+            entries = self._entries(rng)
+            sem = Multiset(counts={
+                ga(rng.choice(self.NAMES), *rng.choice(((), ("0",)))): rng.randint(1, 3)
+                for _ in range(rng.randint(0, 5))})
+            got = apply_comm(entries, sem)
+            forms = comm_normal_forms(entries, sem)
+            assert got in forms
+            # overlapping left-hand sides can leave several forms: the
+            # entry order picks one
+            assert got == reference_apply_comm(entries, sem)
+            lhs_names = [n for lhs, _ in entries for n in set(lhs.elements())]
+            if len(lhs_names) == len(set(lhs_names)):
+                assert forms == {got}
+                unique += 1
+            overlapping += len(forms) > 1
+            chained += got != sem and any(r in lhs_names for _, r in entries)
+        assert unique > 1000 and overlapping > 50 and chained > 200
+
+
+class TestRowNeeds:
+    """The needs of `_Keep.row` fire comm entries through the routine
+    apply_comm uses; compared with comm per argument group in every
+    order."""
+
+    @pytest.mark.parametrize("gen", [gen_mcrl2_term, gen_bind_term],
+                             ids=["fragment", "binders"])
+    def test_row_needs_against_brute_force(self, gen):
+        compared = needing = 0
+        for seed in range(300):
+            env, root = gen(random.Random(seed))
+            for allow in (t for t in _subterms(root) if isinstance(t, MAllow)):
+                body, hidden, entries = allow.body, frozenset(), ()
+                if isinstance(body, MHide):
+                    body, hidden = body.body, body.hidden
+                if isinstance(body, MComm):
+                    body, entries = body.body, body.entries
+                keep = gvpa.mcrl2._keep_for(allow.allowed, hidden, entries)
+                if keep is None:  # a chain
+                    continue
+                steps = list(reference_step_mcrl2(env, body))
+                for _, target in steps[:10]:
+                    steps += reference_step_mcrl2(env, target)
+                for alpha, target in steps[:400]:
+                    needs = keep.row(alpha, target, keep.names(alpha))[3]
+                    assert needs == reference_needs(allow.allowed, hidden, entries, alpha)
+                    compared += 1
+                    needing += bool(needs)
+        # rows with and without needs both occur
+        assert compared > 5000 and 1000 < needing < compared - 1000

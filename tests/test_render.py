@@ -118,6 +118,13 @@ class TestAgainstTheChains:
         # a self-communication entry renders as a|a
         "domain { 0, 1 } vars { v } acts { a, c } comm { a|a -> c } "
         "init encap({a}) a.delta || (v = 1) -> a.delta with { v = 0 }",
+        # values, an action and a variable named like the model's binders
+        # and machinery
+        "domain { d, new } vars { x } acts { d1, go } "
+        "proc P = d1.assign(x, new).P + (x = d) -> go.P init P with { x = d }",
+        "domain { check, new } vars { value } acts { go } "
+        "proc P = go.assign(value, new).P + (value = check) -> go.P "
+        "init P with { value = check }",
     ])
     def test_shapes_the_generator_does_not_draw(self, text):
         spec, init = parse_spec(text)

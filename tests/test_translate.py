@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 
 import pytest
 
@@ -524,6 +525,59 @@ class TestEmission:
         text = emit_mcrl2_files(out, base="m")["m.mcrl2"]
         assert "sort GvValue = struct v_0 | v_1;" in text
         assert "Globs(v_0)" in text
+
+    # d, new and d<k> are the model's binders, check and value its actions
+    SPEC_A = ("domain { d, new } vars { x } acts { d1, go } "
+              "proc P = d1.assign(x, new).P + (x = d) -> go.P init P with { x = d }")
+    SPEC_B = ("domain { check, new } vars { value } acts { go } "
+              "proc P = go.assign(value, new).P + (value = check) -> go.P "
+              "init P with { value = check }")
+
+    @staticmethod
+    def _emitted(text):
+        spec, init = parse_spec(text)
+        out = translate_init(spec, init.root, init.valuation)
+        formulas = [translate_formula(parse_formula(f, spec)) for f in (
+            f"<{spec.actions[0]}> true", f"({spec.variables[0]} = {spec.domain.values[0]})",
+            f"[assign({spec.variables[0]}, new)] ({spec.variables[0]} = new)")]
+        return emit_mcrl2_files(out, formulas, base="m")
+
+    @staticmethod
+    def _declared(model: str):
+        """The struct constructors, the actions and the sum and parameter
+        binders a model declares."""
+        lines = model.splitlines()
+        constructors = [c.strip() for line in lines if line.startswith("sort ")
+                        for c in line.split("= struct ")[1].rstrip(";").split("|")]
+        acts = lines[lines.index("act") + 1:lines.index("proc") - 1]
+        actions = [a.strip() for line in acts
+                   for a in line.split(":")[0].rstrip(";").split(",")]
+        binders = set(re.findall(r"(\w+): GvValue", "\n".join(lines[lines.index("proc"):])))
+        return constructors, actions, binders
+
+    @pytest.mark.parametrize("text, shown, formulas", [
+        (SPEC_A, {"struct v_d | v_new;", "  a_d1, go;", "(a_d1|checkP(d1, true))",
+                  "assignP(x, v_new)", "d1 == v_d", "init allow({a_d1, go, value, assign}",
+                  "P || Globs(v_d)"},
+         ["<a_d1>true\n", "<value(x, v_d)>true\n",
+          "[assign(x, v_new)]<value(x, v_new)>true\n"]),
+        (SPEC_B, {"struct v_check | v_new;", "struct g_value;", "assignP(g_value, v_new)",
+                  "assignG(g_value, new)", "value(g_value, d)", "d1 == v_check",
+                  "P || Globs(v_check)"},
+         ["<go>true\n", "<value(g_value, v_check)>true\n",
+          "[assign(g_value, v_new)]<value(g_value, v_new)>true\n"]),
+    ], ids=["binders", "machinery"])
+    def test_names_of_the_model_take_their_kind_prefix(self, text, shown, formulas):
+        files = self._emitted(text)
+        model = files["m.mcrl2"]
+        for part in shown:
+            assert part in model
+        constructors, actions, binders = self._declared(model)
+        declared = constructors + actions
+        assert len(declared) == len(set(declared))
+        assert binders == {"d", "new", "d1"}
+        assert not binders & set(declared)
+        assert [files[f"m_prop{i}.mcf"] for i in (1, 2, 3)] == formulas
 
     def test_byte_stable(self, traffic):
         spec, init = traffic
