@@ -108,9 +108,9 @@ def _label_order(transitions: Transitions,
     return pattern_of, ordered
 
 
-def _first_occurrence(ids: Sequence[int]) -> list[int]:
+def _first_occurrence(ids: Sequence[int]) -> tuple[int, ...]:
     rank = {b: i for i, b in enumerate(dict.fromkeys(ids))}
-    return list(map(rank.__getitem__, ids))
+    return tuple(map(rank.__getitem__, ids))
 
 
 def _predecessors(transitions: Transitions) -> tuple[array, array]:
@@ -132,7 +132,7 @@ def _predecessors(transitions: Transitions) -> tuple[array, array]:
 
 
 def refinement_history(transitions: Transitions,
-                       initial_blocks: Sequence[int]) -> list[list[int]]:
+                       initial_blocks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Rounds of signature refinement until stable, on the label ids and
     targets of a `Transitions` store.
 
@@ -141,12 +141,12 @@ def refinement_history(transitions: Transitions,
     partition as given); states share a block at round k iff no formula of
     modal depth <= k (over the seeded atoms) tells them apart.
     """
-    history = [list(initial_blocks)]
+    history = [tuple(initial_blocks)]
     offsets = transitions.offsets
     n_states = len(offsets) - 1
     patterns = _Patterns()
     pattern_of, ordered = _label_order(transitions, patterns)
-    block = _first_occurrence(history[0])
+    block = list(_first_occurrence(history[0]))
     size = [0] * (max(block, default=-1) + 1)
     for b in block:
         size[b] += 1
@@ -192,7 +192,7 @@ def refinement_history(transitions: Transitions,
         if sources is None:
             starts, sources = _predecessors(transitions)
         dirty = sorted({p for t in moved for p in sources[starts[t]:starts[t + 1]]})
-    return history
+    return tuple(history)
 
 
 def _rank(history, s: int, t: int) -> int | None:
@@ -218,7 +218,7 @@ def _blocks_of(ids: Sequence[int]) -> tuple[frozenset[int], ...]:
 # One result type for the three bisimilarities
 
 
-class BisimResult(Record, frozen=False):
+class BisimResult(Record):
     """A verdict with the structure its partition was refined on.
 
     ``states`` are LTS payloads (strong, state-based) or expressions
@@ -232,7 +232,7 @@ class BisimResult(Record, frozen=False):
     left: int
     right: int
     rounds: int
-    history: list[list[int]]
+    history: tuple[tuple[int, ...], ...]
     states: tuple
     adjacency: Transitions
     valuations: tuple[Valuation, ...]
@@ -246,7 +246,7 @@ class BisimResult(Record, frozen=False):
         """The blocks of the final partition, by block id, built on first
         read."""
         if self._blocks is None:
-            self._blocks = _blocks_of(self.history[-1])
+            object.__setattr__(self, "_blocks", _blocks_of(self.history[-1]))
         return self._blocks
 
     @property

@@ -27,8 +27,8 @@ from typing import Callable, Iterable, Sequence
 from .errors import FragmentError, ResourceLimitError, SpecSyntaxError
 from .parser import TokenStream, tokenize
 from .sos import (
-    DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, _Stepper, expression_closure,
-    state_str,
+    DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, Transitions, _Stepper,
+    expression_closure, state_str,
 )
 from .syntax import (
     Action, Assign, ProcessExpr, Record, RecursiveSpec, Term, TransitionLabel,
@@ -300,7 +300,7 @@ class StateSpace(Record):
     exprs: tuple[ProcessExpr, ...]
     valuations: tuple[Valuation, ...]
     states: tuple[GvState, ...]
-    transitions: tuple[tuple[tuple[TransitionLabel, int], ...], ...]
+    transitions: Transitions
     _expr_index: dict
 
     def __post_init__(self):
@@ -321,15 +321,17 @@ def build_state_space(spec: RecursiveSpec,
                       cfg: ExplorationConfig = DEFAULT_CONFIG) -> StateSpace:
     exprs, valuations, closure, _ = expression_closure(spec, roots, cfg)
     nv = len(valuations)
-    transitions = []
-    for e_i in range(len(exprs)):
-        grid_rows = [[] for _ in valuations]
-        for (v_i, label, target_v), e_j in closure.successors(e_i):
-            grid_rows[v_i].append((label, e_j * nv + target_v))
-        transitions.extend(map(tuple, grid_rows))
+
+    def rows():
+        for e_i in range(len(exprs)):
+            grid_rows = [[] for _ in valuations]
+            for (v_i, label, target_v), e_j in closure.successors(e_i):
+                grid_rows[v_i].append((label, e_j * nv + target_v))
+            yield from grid_rows
+
     states = tuple(GvState(e, v) for e in exprs for v in valuations)
     return StateSpace(spec=spec, exprs=exprs, valuations=valuations,
-                      states=states, transitions=tuple(transitions))
+                      states=states, transitions=Transitions(rows()))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +440,7 @@ def holds(spec: RecursiveSpec, state: GvState, formula: HmlFormula,
 
 def eval_formula(space: StateSpace, formula: HmlFormula) -> frozenset[int]:
     """Denotation of a formula on the grid: the states where it holds."""
-    check = _checker(space.transitions.__getitem__, _digit_atom(space.spec.codes),
+    check = _checker(space.transitions.successors, _digit_atom(space.spec.codes),
                      len(space.states))
     return frozenset(i for i in range(len(space.states)) if check(i, formula))
 

@@ -24,7 +24,7 @@ from .syntax import Record, Term
 
 
 class Multiset:
-    """An immutable multiset with truncated subtraction and inclusion.
+    """An immutable multiset; ``+`` adds two.
 
     Equality and the hash read the element counts, so they do not depend
     on insertion order. ``items`` lists the elements in a total order that
@@ -33,14 +33,11 @@ class Multiset:
 
     __slots__ = ("_counts", "_items", "_hash")
 
-    def __init__(self, items: Iterable = (), counts: Mapping | None = None):
+    def __init__(self, items: Iterable = ()):
         table: dict = {}
         for item in items:
             table[item] = table.get(item, 0) + 1
-        if counts:
-            for item, count in counts.items():
-                table[item] = table.get(item, 0) + count
-        self._counts = {e: c for e, c in table.items() if c > 0}
+        self._counts = table
         self._items = None
         self._hash = None
 
@@ -65,15 +62,6 @@ class Multiset:
             out.extend([element] * count)
         return out
 
-    def count(self, element) -> int:
-        return self._counts.get(element, 0)
-
-    def total(self) -> int:
-        return sum(self._counts.values())
-
-    def __contains__(self, element) -> bool:
-        return element in self._counts
-
     def __bool__(self) -> bool:
         return bool(self._counts)
 
@@ -82,20 +70,6 @@ class Multiset:
         for e, c in other._counts.items():
             counts[e] = counts.get(e, 0) + c
         return Multiset._of(counts)
-
-    def __sub__(self, other: "Multiset") -> "Multiset":
-        counts = dict(self._counts)
-        for e, c in other._counts.items():
-            if e in counts:
-                if counts[e] > c:
-                    counts[e] -= c
-                else:
-                    del counts[e]
-        return Multiset._of(counts)
-
-    def includes(self, other: "Multiset") -> bool:
-        """True iff ``other`` is a sub-multiset of self."""
-        return all(self._counts.get(e, 0) >= c for e, c in other._counts.items())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Multiset) and self._counts == other._counts

@@ -10,10 +10,8 @@ guarded step table, and each valuation filters that table by its code
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
-from collections import abc
 from itertools import chain, islice, repeat
-from operator import eq, sub
+from operator import sub
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from .errors import ResourceLimitError
@@ -47,14 +45,15 @@ class ExplorationConfig(Record):
 DEFAULT_CONFIG = ExplorationConfig()
 
 
-class Transitions(abc.Sequence):
+class Transitions:
     """One transition relation in compressed sparse row form.
 
     The moves of state ``s`` sit at positions ``offsets[s]`` up to
     ``offsets[s + 1]`` of the flat ``label_ids`` and ``targets`` arrays; a
     label id indexes ``labels``, the relation's distinct labels in order of
-    first occurrence. As a sequence the store is its ``(src, label, dst)``
-    triples in source order, made on demand; ``len`` is O(1).
+    first occurrence. The store is read through ``successors``; iterating
+    it gives its ``(src, label, dst)`` triples in source order, made on
+    demand, and ``len`` is O(1).
     """
 
     __slots__ = ("offsets", "label_ids", "targets", "labels")
@@ -97,21 +96,6 @@ class Transitions(abc.Sequence):
     def __len__(self) -> int:
         return len(self.targets)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(self.__getitem__, range(*k.indices(len(self)))))
-        k = range(len(self.targets))[k]
-        return (bisect_right(self.offsets, k) - 1, self.labels[self.label_ids[k]],
-                self.targets[k])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Transitions, tuple, list)):
-            return len(self) == len(other) and all(map(eq, self, other))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
     def __repr__(self) -> str:
         return (f"<Transitions: {len(self)} over {len(self.offsets) - 1} states, "
                 f"{len(self.labels)} labels>")
@@ -122,21 +106,12 @@ class Lts(Record):
 
     State payloads are opaque; transitions refer to state indices. The
     index order is the (deterministic) discovery order of the BFS that
-    built the system, which stores its moves as they are found. Given
-    ``(src, label, dst)`` triples, the LTS stores them as a `Transitions`
-    store too, each state's moves in the order given.
+    built the system, which stores its moves as they are found.
     """
 
     states: tuple
     transitions: Transitions
     initial: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.transitions, Transitions):
-            rows: list[list] = [[] for _ in self.states]
-            for src, label, dst in self.transitions:
-                rows[src].append((label, dst))
-            object.__setattr__(self, "transitions", Transitions(rows))
 
     def successors(self, state: int) -> list[tuple[Any, int]]:
         return self.transitions.successors(state)

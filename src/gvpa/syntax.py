@@ -129,13 +129,12 @@ class Record(_Node):
     the stand-in for a dataclass, whose module this package does not import.
 
     Records of one class are equal when their fields are. A record is
-    immutable and hashes by its fields; a class declared with
-    ``frozen=False`` has assignable fields and no hash. ``__post_init__``
-    runs after the fields are set and may fill cache slots with
+    immutable and hashes by its fields. ``__post_init__`` runs after the
+    fields are set, and it and the methods may fill cache slots with
     ``object.__setattr__``.
     """
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # The methods are compiled for the class, as a dataclass's are:
         # binding arguments and reading fields by name at run time would
@@ -160,10 +159,6 @@ class Record(_Node):
         for name in ("__init__", "__eq__", "__hash__"):
             scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, scope[name])
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,8 @@ def _check_parseq(expr: ProcessExpr, path: str, problems: list[str]):
 def validate_parseq(spec: RecursiveSpec,
                     expr: ProcessExpr) -> tuple[frozenset[str], ProcessExpr]:
     """Accepts an optionally encapsulated parallel-sequential expression
-    over a sequential recursive specification; returns (blocked, inner)."""
+    over a sequential recursive specification whose names `_Namer` can
+    render; returns (blocked, inner)."""
     problems: list[str] = []
     clashes = sorted((set(spec.actions) | set(spec.process_names))
                      & MACHINERY_NAMES)
@@ -105,6 +106,10 @@ def validate_parseq(spec: RecursiveSpec,
     else:
         blocked, inner = frozenset(), expr
     _check_parseq(inner, "input", problems)
+    try:
+        _Namer(spec)
+    except SpecValidationError as refusal:
+        problems += refusal.violations
     if problems:
         raise SpecValidationError(problems)
     return blocked, inner
@@ -212,29 +217,27 @@ class TranslationOutput(Record):
     menv: Mcrl2Spec
     top: Mcrl2Process
     comm_entries: tuple[tuple[Multiset, str], ...]
-    comm_render: tuple[tuple[tuple[str, ...], str], ...]
     allow_names: tuple[str, ...]
     allow_set: frozenset[Multiset]
     hidden: frozenset[str]
 
 
-def _comm_sets(spec: RecursiveSpec):
+#: The comm entries of the machinery, as ``(process side, Globs side,
+#: result)``; the model lists them after the source's, in this order.
+_MACHINERY_COMM = (("checkP", "checkG", "check"), ("assignP", "assignG", "assign"))
+
+
+def _comm_sets(spec: RecursiveSpec) -> tuple[tuple[Multiset, str], ...]:
+    """The source's comm entries by their sorted names, a one-name key as
+    a handshake of that action with itself, then the machinery's."""
     gamma = sorted(spec.comm.entries, key=lambda kr: tuple(sorted(kr[0])))
-    entries: list[tuple[Multiset, str]] = []
-    render: list[tuple[tuple[str, ...], str]] = []
+    entries = []
     for key, result in gamma:
-        names = tuple(sorted(key))
-        if len(names) == 1:
-            entries.append((Multiset([names[0], names[0]]), result))
-            render.append(((names[0], names[0]), result))
-        else:
-            entries.append((Multiset(names), result))
-            render.append((names, result))
-    entries.append((Multiset(["checkP", "checkG"]), "check"))
-    render.append((("checkP", "checkG"), "check"))
-    entries.append((Multiset(["assignP", "assignG"]), "assign"))
-    render.append((("assignP", "assignG"), "assign"))
-    return tuple(entries), tuple(render)
+        names = sorted(key)
+        entries.append((Multiset(names if len(names) > 1 else names * 2), result))
+    entries += [(Multiset([process, globs]), result)
+                for process, globs, result in _MACHINERY_COMM]
+    return tuple(entries)
 
 
 def _psi_term(spec, slots, allow_set, hidden, comm_entries, expr, valuation):
@@ -251,7 +254,7 @@ def translate_init(spec: RecursiveSpec, root: ProcessExpr,
     lexicographically."""
     blocked, inner = validate_parseq(spec, root)
     slots = tuple(sorted(spec.variables))
-    comm_entries, comm_render = _comm_sets(spec)
+    comm_entries = _comm_sets(spec)
     allow_names = tuple(sorted(set(spec.actions) - blocked)) + ("value", "assign")
     allow_set = frozenset(Multiset([name]) for name in allow_names)
     hidden = frozenset({"check"})
@@ -265,7 +268,7 @@ def translate_init(spec: RecursiveSpec, root: ProcessExpr,
         spec=spec, slots=slots, blocked=blocked,
         wrapped=isinstance(root, Encap), menv=menv,
         top=_psi_term(spec, slots, allow_set, hidden, comm_entries, inner, valuation),
-        comm_entries=comm_entries, comm_render=comm_render,
+        comm_entries=comm_entries,
         allow_names=allow_names, allow_set=allow_set, hidden=hidden,
     )
 
@@ -325,7 +328,7 @@ def _translate(formula: HmlFormula, memo: dict) -> HmlFormula:
 # Variable consistency
 
 
-class ConsistencyReport(Record, frozen=False):
+class ConsistencyReport(Record):
     ok: bool
     condition: int | None = None
     witness: str | None = None
@@ -335,7 +338,7 @@ class ConsistencyReport(Record, frozen=False):
 
 
 def build_consistency_map(out: TranslationOutput, gv_lts: Lts,
-                          m_lts: Lts) -> list[int | None]:
+                          m_lts: Lts) -> tuple[int | None, ...]:
     """Maps the i-th source state to the index of its translated term, or
     to None where that term is not a state of the translated LTS."""
     m_index = {term: i for i, term in enumerate(m_lts.states)}
@@ -348,7 +351,7 @@ def build_consistency_map(out: TranslationOutput, gv_lts: Lts,
                     [f"source state lost its encapsulation: {state_str(state)}"])
             expr = expr.body
         link.append(m_index.get(translate_state(out, expr, state.valuation)))
-    return link
+    return tuple(link)
 
 
 def verify_variable_consistency(spec: RecursiveSpec, gv_lts: Lts, m_lts: Lts,
@@ -434,11 +437,11 @@ def verify_variable_consistency(spec: RecursiveSpec, gv_lts: Lts, m_lts: Lts,
 # End-to-end checks (theorem validation surfaces)
 
 
-class PipelineResult(Record, frozen=False):
+class PipelineResult(Record):
     out: TranslationOutput
     gv_lts: Lts
     m_lts: Lts
-    link: list[int]
+    link: tuple[int | None, ...]
     consistency: ConsistencyReport
 
 
@@ -454,7 +457,7 @@ def run_pipeline(spec: RecursiveSpec, root: ProcessExpr, valuation: Valuation,
                           consistency=report)
 
 
-class Theorem4Report(Record, frozen=False):
+class Theorem4Report(Record):
     formula: HmlFormula
     source_verdict: bool
     translated_verdict: bool
@@ -484,7 +487,7 @@ def check_theorem4(pipeline: PipelineResult,
             for formula, image in zip(formulas, translated)]
 
 
-class Corollary1Report(Record, frozen=False):
+class Corollary1Report(Record):
     source: BisimResult
     translated: BisimResult
 
@@ -493,7 +496,7 @@ class Corollary1Report(Record, frozen=False):
         return self.source.equivalent == self.translated.equivalent
 
 
-class PreservationReport(Record, frozen=False):
+class PreservationReport(Record):
     """Corollary 1 over every pair of reachable source states; on failure
     ``pair`` holds two source states whose verdicts disagree, and
     ``source_bisimilar`` their state-based verdict."""
@@ -689,10 +692,15 @@ def render_mcrl2_spec(out: TranslationOutput, namer: _Namer) -> str:
     lines.append("")
 
     allow_names = ", ".join(namer.get("action", name) for name in out.allow_names)
+    # a multiset lists its names sorted; the machinery's entries list the
+    # process side first
+    parties = [(lhs.elements(), result) for lhs, result in out.comm_entries
+               if result not in MACHINERY_NAMES]
+    parties += [((process, globs), result) for process, globs, result in _MACHINERY_COMM]
     comm_part = ", ".join(
         "|".join(namer.get("action", n) for n in names)
         + " -> " + namer.get("action", result)
-        for names, result in out.comm_render)
+        for names, result in parties)
     hide_part = ", ".join(sorted(out.hidden))
     inner_par = out.top.body.body.body  # MAllow(MHide(MComm(parallel)))
     par = render(inner_par, rules)

@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from gvpa.parser import parse_expr, parse_spec
+from gvpa.sos import Lts, Transitions
 from gvpa.syntax import Valuation
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -16,6 +17,15 @@ vars { v }
 acts { a }
 init (v = 0) -> a.delta with { v = 0 }
 """
+
+
+def lts_of(states, triples, initial: int = 0) -> Lts:
+    """The LTS whose store holds ``(src, label, dst)`` triples, each
+    state's moves in the order given."""
+    rows = [[] for _ in states]
+    for src, label, dst in triples:
+        rows[src].append((label, dst))
+    return Lts(states=tuple(states), transitions=Transitions(rows), initial=initial)
 
 
 @pytest.fixture(scope="session")

@@ -10,12 +10,14 @@ character at a time, free of the compiled pattern, and the readers of
 token stream. The formula oracles read a grid built from the oracles'
 own closure, free of `gvpa.hml.build_state_space`. The mCRL2 steps
 flatten multi-actions, hide, allow and print labels by hand and take comm
-from its all-orders normal forms, free of `gvpa.mcrl2`'s routines, and
+from its all-orders normal forms, counting with `collections.Counter`,
+free of `gvpa.mcrl2`'s routines and of `Multiset` arithmetic, and
 the renderers of the emitted files keep their own name table, free of
 `gvpa.translate`'s.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations
 
 from gvpa.errors import (
@@ -300,14 +302,15 @@ def reference_export_lts(states, triples, initial: int, fmt: str = "aut") -> str
 # Full-sweep signature refinement
 
 
-def reference_refinement_history(n_states: int, adjacency, initial_blocks) -> list[list[int]]:
+def reference_refinement_history(n_states: int, adjacency,
+                                 initial_blocks) -> tuple[tuple[int, ...], ...]:
     """Rounds of signature refinement until stable.
 
     ``history[k][s]`` is the block of state ``s`` after k full sweeps;
     states share a block at round k iff no formula of modal depth <= k
     (over the seeded atoms) tells them apart.
     """
-    history = [list(initial_blocks)]
+    history = [tuple(initial_blocks)]
     current = history[0]
     while True:
         ids: dict = {}
@@ -321,9 +324,9 @@ def reference_refinement_history(n_states: int, adjacency, initial_blocks) -> li
             nxt.append(ids[key])
         if len(ids) == len(set(current)):
             break
-        history.append(nxt)
-        current = nxt
-    return history
+        current = tuple(nxt)
+        history.append(current)
+    return tuple(history)
 
 
 def related_pairs(result) -> frozenset:
@@ -434,53 +437,52 @@ def naive_stateless_relation(spec, exprs, max_valuations: int = 4096) -> set[tup
 # All-orders communication rewriting
 
 
-def _applicable(entries, sem):
-    """Every (entry, argument tuple) instance that can fire on sem."""
+def _applicable(entries, counts: Counter) -> list:
+    """Every (entry, argument tuple) instance that can fire on the ground
+    actions ``counts``, as the ``(needed, produced)`` of its firing."""
     out = []
     for lhs, result in entries:
-        first = lhs.items()[0][0]
-        for element, _ in sem.items():
+        first = lhs.elements()[0]
+        for element in counts:
             if element.name != first:
                 continue
-            needed = Multiset(counts={
-                GroundAction(name, element.args): count
-                for name, count in lhs.items()})
-            if sem.includes(needed):
+            needed = Counter({GroundAction(name, element.args): count
+                              for name, count in lhs.items()})
+            if needed <= counts:
                 out.append((needed, GroundAction(result, element.args)))
     return out
+
+
+def _fired(counts: Counter, needed: Counter, produced) -> Counter:
+    return counts - needed + Counter([produced])
 
 
 def comm_normal_forms(entries, sem) -> set[Multiset]:
     """All results reachable by applying communications in any order."""
     seen = {}
 
-    def walk(m):
-        if m in seen:
-            return seen[m]
-        options = _applicable(entries, m)
-        if not options:
-            seen[m] = {m}
-            return seen[m]
-        forms = set()
-        for needed, produced in options:
-            forms |= walk(m - needed + Multiset([produced]))
-        seen[m] = forms
-        return forms
+    def walk(counts):
+        key = frozenset(counts.items())
+        if key not in seen:
+            options = _applicable(entries, counts)
+            forms = set() if options else {Multiset(counts.elements())}
+            for option in options:
+                forms |= walk(_fired(counts, *option))
+            seen[key] = forms
+        return seen[key]
 
-    return walk(sem)
+    return walk(Counter(sem.elements()))
 
 
 def reference_apply_comm(entries, sem) -> Multiset:
     """Comm by the rule as written: fires the first instance `_applicable`
-    lists (entries in order, elements in multiset order) until none is
-    left. Where left-hand sides overlap, this is the form the entry order
-    picks among `comm_normal_forms`."""
-    while True:
-        options = _applicable(entries, sem)
-        if not options:
-            return sem
-        needed, produced = options[0]
-        sem = sem - needed + Multiset([produced])
+    lists (entries in order; argument groups fire independently) until
+    none is left. Where left-hand sides overlap, this is the form the
+    entry order picks among `comm_normal_forms`."""
+    counts = Counter(sem.elements())
+    while options := _applicable(entries, counts):
+        counts = _fired(counts, *options[0])
+    return Multiset(counts.elements())
 
 
 def reference_needs(allowed, hidden, entries, sem) -> frozenset:
@@ -620,7 +622,8 @@ def _reference_steps(env, proc, unfolding) -> list:
         right = _reference_steps(env, proc.right, unfolding)
         return ([(a, MParallel(t, proc.right)) for a, t in left]
                 + [(b, MParallel(proc.left, t)) for b, t in right]
-                + [(a + b, MParallel(lt, rt)) for a, lt in left for b, rt in right])
+                + [(Multiset(a.elements() + b.elements()), MParallel(lt, rt))
+                   for a, lt in left for b, rt in right])
     if isinstance(proc, MSum):
         return [step for value in env.domain
                 for step in _reference_steps(
@@ -1040,7 +1043,7 @@ def _shown_as_is(name: str) -> bool:
     return name not in _MCRL2_WORDS and name not in _MODEL_NAMES
 
 
-def _reference_names(spec) -> tuple[dict, dict]:
+def reference_names(spec) -> tuple[dict, dict]:
     """The emitted identifier of every ``(kind, name)`` the model uses,
     and the symbol of every domain value and variable."""
     names = {("action", name): name for name in _MACHINERY_ACTIONS}
@@ -1164,7 +1167,7 @@ def reference_render_proc(proc, names: dict, symbols: dict[str, str],
 
 def _reference_render_mcrl2_spec(out) -> str:
     """The .mcrl2 model; deterministic, byte-stable rendering."""
-    names, symbols = _reference_names(out.spec)
+    names, symbols = reference_names(out.spec)
 
     lines = ["% mCRL2 model generated from a global-variable process specification.",
              ""]
@@ -1196,9 +1199,13 @@ def _reference_render_mcrl2_spec(out) -> str:
     lines.append("")
 
     allow_names = ", ".join(names["action", name] for name in out.allow_names)
+    parties = [(sorted(key) if len(key) == 2 else [*key, *key], result)
+               for key, result in sorted(out.spec.comm.entries,
+                                         key=lambda entry: sorted(entry[0]))]
+    parties += [(["checkP", "checkG"], "check"), (["assignP", "assignG"], "assign")]
     comm_part = ", ".join(
         "|".join(names["action", n] for n in lhs) + " -> " + names["action", result]
-        for lhs, result in out.comm_render)
+        for lhs, result in parties)
     hide_part = ", ".join(sorted(out.hidden))
     inner_par = out.top.body.body.body  # MAllow(MHide(MComm(parallel)))
     par = reference_render_proc(inner_par, names, symbols, _M_CHOICE)
@@ -1256,7 +1263,7 @@ def reference_render_mcf(formula, names: dict, symbols: dict[str, str],
 
 def _reference_render_mcf(formula, out) -> str:
     """A single translated formula in mCRL2 modal-formula syntax."""
-    return reference_render_mcf(formula, *_reference_names(out.spec)) + "\n"
+    return reference_render_mcf(formula, *reference_names(out.spec)) + "\n"
 
 
 def reference_emit_mcrl2_files(out, formulas=(), base: str = "model") -> dict[str, str]:

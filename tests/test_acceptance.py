@@ -8,9 +8,11 @@ import os
 import pathlib
 import random
 import time
+from collections import Counter
 
 import pytest
 
+from conftest import lts_of
 from genspecs import gen_formula, gen_parseq_spec, gen_pair, gen_spec
 from oracles import (
     ReferenceGrid, comm_normal_forms, enumerate_check_formulas,
@@ -58,8 +60,7 @@ def parse_aut(text: str) -> Lts:
         label, dst = rest.rsplit(",", 1)
         transitions.append((int(src), label.strip('"'), int(dst)))
     assert len(transitions) == n_trans
-    return Lts(states=tuple(range(n_states)), transitions=tuple(transitions),
-               initial=initial)
+    return lts_of(range(n_states), transitions, initial)
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +109,8 @@ def test_criterion_01_traffic_light_reproduction(traffic):
     ok = len(lts.states) == 6 and len(lts.transitions) == 9
     golden = parse_aut((GOLDEN / "traffic_example1.aut").read_text())
     renames = {"change_red": "assign(t,red)", "change_green": "assign(t,green)"}
-    ours = Lts(states=tuple(range(len(lts.states))),
-               transitions=tuple((s, label_str(l), t)
-                                 for s, l, t in lts.transitions),
-               initial=lts.initial)
+    ours = lts_of(range(len(lts.states)),
+                  [(s, label_str(l), t) for s, l, t in lts.transitions], lts.initial)
     ok = ok and isomorphic(golden, ours,
                            label_map=lambda l: renames.get(l, l))
     report(1, "traffic-light LTS reproduction", ok, started, budget=1.0)
@@ -232,11 +231,11 @@ def test_criterion_06_multiset_communication_oracle():
                (Multiset(["f", "g"]), "h"))
     names = ["a", "b", "d", "f", "g", "c", "e", "h"]
     for _ in range(1000):
-        sem = Multiset(counts={
+        sem = Multiset(Counter({
             ga(rng.choice(names), *([str(rng.randint(0, 1))]
                                     if rng.random() < 0.5 else [])):
                 rng.randint(1, 3)
-            for _ in range(rng.randint(0, 5))})
+            for _ in range(rng.randint(0, 5))}).elements())
         greedy = apply_comm(entries, sem)
         if comm_normal_forms(entries, sem) != {greedy}:
             ok = False
@@ -251,30 +250,28 @@ def test_criterion_07_variable_consistency(traffic_pipeline, parseq_corpus):
 
     def mutants(pipe):
         m = pipe.m_lts
-        value_indices = [i for i, t in enumerate(m.transitions)
+        triples = list(m.transitions)
+        value_indices = [i for i, t in enumerate(triples)
                          if t[1].startswith("value(")]
-        tl_indices = [i for i, t in enumerate(m.transitions)
+        tl_indices = [i for i, t in enumerate(triples)
                       if not t[1].startswith("value(")]
         if value_indices:
-            kept = tuple(t for i, t in enumerate(m.transitions)
-                         if i != value_indices[0])
-            yield 2, Lts(states=m.states, transitions=kept, initial=m.initial)
+            kept = [t for i, t in enumerate(triples) if i != value_indices[0]]
+            yield 2, lts_of(m.states, kept, m.initial)
         if tl_indices:
             spec_labels = sorted(
-                {t[1] for t in m.transitions if not t[1].startswith("value(")})
-            src, label, dst = m.transitions[tl_indices[0]]
+                {t[1] for t in triples if not t[1].startswith("value(")})
+            src, label, dst = triples[tl_indices[0]]
             others = [l for l in spec_labels if l != label]
             if others:
-                swapped = list(m.transitions)
+                swapped = list(triples)
                 swapped[tl_indices[0]] = (src, others[0], dst)
-                yield 3, Lts(states=m.states, transitions=tuple(swapped),
-                             initial=m.initial)
+                yield 3, lts_of(m.states, swapped, m.initial)
             if len(m.states) > 1:
-                redirected = list(m.transitions)
+                redirected = list(triples)
                 new_dst = (dst + 1) % len(m.states)
                 redirected[tl_indices[0]] = (src, label, new_dst)
-                yield 3, Lts(states=m.states, transitions=tuple(redirected),
-                             initial=m.initial)
+                yield 3, lts_of(m.states, redirected, m.initial)
 
     for spec, root, valuation, pipe in parseq_corpus:
         ok &= pipe.consistency.ok

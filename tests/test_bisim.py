@@ -368,15 +368,15 @@ class TestRefinementAgainstReference:
         adjacency = [[("a", s + 1)] for s in range(n - 1)] + [[]]
         history = _assert_same_history(n, adjacency, [0] * n)
         assert len(history) == n
-        assert history[-1] == list(range(n))
+        assert history[-1] == tuple(range(n))
 
     def test_non_canonical_initial_partition(self):
         adjacency = [[("a", 1)], [("b", 2)], [], [("a", 1)], [("b", 0)], []]
         history = _assert_same_history(6, adjacency, [9, 4, 9, 4, 2, 9])
-        assert history[0] == [9, 4, 9, 4, 2, 9]
+        assert history[0] == (9, 4, 9, 4, 2, 9)
         assert history[1:] and history[1][0] == 0
         # no split at all: the history is the initial partition as given
-        assert _assert_same_history(2, [[], []], [5, 3]) == [[5, 3]]
+        assert _assert_same_history(2, [[], []], [5, 3]) == ((5, 3),)
 
     def test_self_loops_duplicate_rows_and_empty_rows(self):
         adjacency = [
@@ -393,7 +393,7 @@ class TestRefinementAgainstReference:
         assert len(set(final)) == 3
 
     def test_no_states(self):
-        assert _assert_same_history(0, [], []) == [[]]
+        assert _assert_same_history(0, [], []) == ((),)
 
     def test_tuple_labels_as_in_stateless_rows(self):
         a, b = Action("a"), Action("b")
@@ -441,7 +441,7 @@ class TestLabelOrderedSignatures:
         adjacency = [[], [("a", 0)], [], [("a", 2)], [("a", 1)]]
         final = _assert_same_history(5, adjacency, [0] * 5)[-1]
         assert final[0] == final[2] and final[1] == final[3] != final[4]
-        assert _assert_same_history(3, [[], [], []], [0, 1, 0]) == [[0, 1, 0]]
+        assert _assert_same_history(3, [[], [], []], [0, 1, 0]) == ((0, 1, 0),)
 
     def test_equal_label_sets_in_different_orders(self):
         adjacency = [

@@ -1,4 +1,3 @@
-import copy
 import importlib.util
 import json
 import os
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import lts_of
 from genspecs import (
     gen_formula, gen_pair, gen_parseq_spec, gen_spec, mutate_spec, ring_text,
 )
@@ -300,18 +300,17 @@ class TestVerifyTranslation:
     def test_a_failing_check_exits_1(self, capsys, monkeypatch):
         # the translated side loses the move from CAR || TLC under assign(t, red)
         import gvpa.translate as tr
-        from gvpa.sos import Lts
 
         run_pipeline = tr.run_pipeline
 
         def dropped(spec, root, valuation, cfg):
-            pipe = copy.copy(run_pipeline(spec, root, valuation, cfg))
+            pipe = run_pipeline(spec, root, valuation, cfg)
             m = pipe.m_lts
-            pipe.m_lts = Lts(states=m.states, initial=m.initial, transitions=tuple(
-                t for t in m.transitions if t != (0, "assign(t,red)", 2)))
-            pipe.consistency = tr.verify_variable_consistency(
-                spec, pipe.gv_lts, pipe.m_lts, pipe.link)
-            return pipe
+            m_lts = lts_of(m.states, [t for t in m.transitions
+                                      if t != (0, "assign(t,red)", 2)], m.initial)
+            return tr.PipelineResult(
+                pipe.out, pipe.gv_lts, m_lts, pipe.link,
+                tr.verify_variable_consistency(spec, pipe.gv_lts, m_lts, pipe.link))
 
         monkeypatch.setattr(tr, "run_pipeline", dropped)
         assert main(["verify-translation", TRAFFIC]) == 1
@@ -327,6 +326,29 @@ class TestVerifyTranslation:
         assert payload["consistency"]["condition"] == 3
         assert [c["name"] for c in payload["checks"] if not c["ok"]] == [
             "variable-consistency", "structure-preservation"]
+
+    @pytest.mark.parametrize("text, refusal", [
+        ("domain { a } vars { x } acts { go } proc go = go.go init go with { x = a }",
+         "cannot render proc name 'go'"),
+        ("domain { go } vars { x } acts { go } proc P = go.P init P with { x = go }",
+         "cannot render action name 'go'"),
+        ("domain { d, v_d } vars { x } acts { a } proc P = a.P init P with { x = d }",
+         "cannot render value name 'v_d'"),
+        ("domain { a, x } vars { x } acts { b } proc P = b.P init P with { x = a }",
+         "cannot render var name 'x'"),
+    ], ids=["action-and-proc", "value-and-action", "prefixed-value", "value-and-var"])
+    def test_refuses_what_translate_refuses(self, tmp_path, capsys, text, refusal):
+        """A name the emitted model cannot render is refused by both
+        commands, with one message."""
+        spec = tmp_path / "clash.gvpa"
+        spec.write_text(text, encoding="utf-8")
+        assert main(["verify-translation", str(spec)]) == 2
+        verify = capsys.readouterr()
+        assert main(["translate", str(spec), "--out", str(tmp_path / "out")]) == 2
+        translate = capsys.readouterr()
+        assert verify.out == translate.out == ""
+        assert verify.err == translate.err
+        assert refusal in verify.err
 
     def test_a_state_without_image_is_a_verdict(self, capsys, monkeypatch):
         # a Globs of its two check summands only never assigns, so the

@@ -110,7 +110,8 @@ class TestStateSpace:
         spec, *_ = example3
         space = build_state_space(spec, [Deadlock()])
         assert len(space.states) == 2
-        assert all(not row for row in space.transitions)
+        assert len(space.transitions) == 0
+        assert [space.transitions.successors(i) for i in range(2)] == [[], []]
 
     def test_traffic_grid(self, traffic):
         spec, init = traffic
@@ -137,7 +138,7 @@ class TestEval:
         denotation = eval_formula(space, formula)
         for i in denotation:
             assert all(label != Action("a")
-                       for label, _ in space.transitions[i])
+                       for label, _ in space.transitions.successors(i))
         assert space.index_of(GvState(q, v0)) not in denotation
 
     def test_satisfies_traffic_examples(self, traffic):

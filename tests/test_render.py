@@ -8,7 +8,7 @@ import pytest
 from genspecs import gen_pair, gen_parseq_spec, gen_spec
 from oracles import (
     enumerate_check_formulas, reference_emit_mcrl2_files, reference_expr_str,
-    reference_formula_str,
+    reference_formula_str, reference_names,
 )
 
 from gvpa.errors import FragmentError, SpecValidationError
@@ -139,11 +139,12 @@ class TestAgainstTheChains:
         "init (x = y) -> a.delta with { x = x }",
     ])
     def test_naming_errors(self, text):
+        """A name the model cannot render is refused before anything is
+        translated, with the reference name table's message."""
         spec, init = parse_spec(text)
-        out = translate_init(spec, init.root, init.valuation)
-        got = _outcome(emit_mcrl2_files, out)
+        got = _outcome(translate_init, spec, init.root, init.valuation)
         assert got[0] is SpecValidationError
-        assert got == _outcome(reference_emit_mcrl2_files, out)
+        assert got == _outcome(reference_names, spec)
 
     @pytest.mark.parametrize("formula", [
         Check("t", "green"), Not(SetVar("t", "red", TRUE)),

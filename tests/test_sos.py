@@ -189,7 +189,7 @@ class TestGenerateLts:
         first = generate_lts(spec, init)
         second = generate_lts(spec, init)
         assert first.states == second.states
-        assert first.transitions == second.transitions
+        assert list(first.transitions) == list(second.transitions)
         assert export_lts(first) == export_lts(second)
 
 
@@ -283,7 +283,7 @@ class TestMultiRootExplore:
         single = generate_lts(spec, init)
         doubled, (a, b) = explore(spec, [root, root])
         assert a == b == 0
-        assert doubled.transitions == single.transitions
+        assert list(doubled.transitions) == list(single.transitions)
 
 
 def _seeded_specs():

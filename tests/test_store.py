@@ -1,8 +1,8 @@
 """The transition store, `sos.Transitions`, against the row lists it
 replaced (`oracles.reference_bfs` and friends): the same LTS triples, the
 same .aut and .dot bytes, and the same refinement history on seeded corpora
-and the W and R families. Then the store's sequence view of the triples,
-and a bound on the memory that exploring and exporting take."""
+and the W and R families. Then the store read through iteration, ``len``
+and ``successors``, and a bound on the memory that exploring and exporting take."""
 import io
 import pickle
 import random
@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import TRAFFIC_TEXT
+from conftest import TRAFFIC_TEXT, lts_of
 from genspecs import (
     gen_pair, gen_parseq_spec, gen_spec, ring_text, step_corner_specs, worker_grid_text,
 )
@@ -22,7 +22,7 @@ from oracles import (
 from gvpa.bisim import refinement_history
 from gvpa.parser import parse_spec
 from gvpa.sos import (
-    GvState, Lts, Transitions, explore, export_lts, expression_closure,
+    GvState, Transitions, explore, export_lts, expression_closure,
     generate_lts,
 )
 from gvpa.syntax import enumerate_valuations
@@ -64,7 +64,6 @@ class TestAgainstRowLists:
             (lts, indices), (states, triples, ref_indices) = _explored(spec, roots, valuation)
             assert lts.states == states and indices == ref_indices
             assert list(lts.transitions) == triples
-            assert lts.transitions == tuple(triples)
 
     def test_aut_and_dot_bytes(self, corpus):
         for spec, roots, valuation in corpus:
@@ -106,28 +105,24 @@ class TestAgainstRowLists:
 
 
 class TestSequenceView:
+    """The store read in source order: iteration, ``len`` and
+    ``successors``."""
+
     def test_reads_as_the_tuple_of_triples(self, traffic):
         transitions = generate_lts(*traffic).transitions
         triples = tuple(transitions)
         assert len(transitions) == len(triples) == 9
-        for k in range(-len(triples), len(triples)):
-            assert transitions[k] == triples[k]
-        assert transitions[2:7:2] == triples[2:7:2]
-        assert transitions[::-1] == triples[::-1]
-        with pytest.raises(IndexError):
-            transitions[len(triples)]
-        assert triples[4] in transitions and transitions.index(triples[4]) == 4
-        assert transitions == triples and transitions == list(triples)
-        assert transitions != triples[:-1] and transitions != triples[::-1]
-        assert hash(transitions) == hash(triples)
-        assert pickle.loads(pickle.dumps(transitions)) == transitions
+        assert triples == tuple((src, label, dst) for src in range(6)
+                                for label, dst in transitions.successors(src))
+        assert tuple(pickle.loads(pickle.dumps(transitions))) == triples
 
     def test_len_and_index_make_no_triples(self, traffic, monkeypatch):
         transitions = generate_lts(*traffic).transitions
         last = tuple(transitions)[-1]
         monkeypatch.setattr(Transitions, "id_triples",
                             lambda self: pytest.fail("the triples were made"))
-        assert len(transitions) == 9 and transitions[-1] == last
+        assert len(transitions) == 9
+        assert transitions.successors(last[0])[-1] == last[1:]
 
     def test_rows_of_states_without_moves(self):
         transitions = Transitions([[], [("a", 0), ("b", 2)], [], [("a", 3)], []])
@@ -136,20 +131,21 @@ class TestSequenceView:
             [], [("a", 0), ("b", 2)], [], [("a", 3)], []]
         assert transitions.labels == ("a", "b")
         empty = Transitions()
-        assert len(empty) == 0 and list(empty) == [] and empty == ()
+        assert len(empty) == 0 and list(empty) == []
 
     def test_lts_from_triples_in_any_source_order(self, traffic):
+        """`lts_of`, which builds the tests' LTSs from triples, keeps each
+        state's moves in the order given."""
         lts = generate_lts(*traffic)
         triples = list(lts.transitions)
-        again = Lts(states=lts.states, transitions=tuple(triples), initial=lts.initial)
-        assert again == lts and export_lts(again) == export_lts(lts)
+        again = lts_of(lts.states, triples, lts.initial)
+        assert export_lts(again) == export_lts(lts)
         shuffled = triples[::-1]
-        built = Lts(states=lts.states, transitions=shuffled, initial=lts.initial)
+        built = lts_of(lts.states, shuffled, lts.initial)
         for i in range(len(lts.states)):
             assert built.successors(i) == [(label, dst) for src, label, dst
                                            in shuffled if src == i]
         assert sorted(built.transitions, key=repr) == sorted(triples, key=repr)
-        assert Lts(lts.states, lts.transitions).transitions is lts.transitions
 
 
 class _Discard:

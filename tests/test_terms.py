@@ -27,7 +27,7 @@ from gvpa.mcrl2 import (
     MultiAction, Multiset, explore_mcrl2, step_mcrl2,
 )
 from gvpa.parser import parse_spec
-from gvpa.sos import ExplorationConfig, GvState, expression_closure
+from gvpa.sos import ExplorationConfig, GvState, Transitions, expression_closure
 from gvpa.syntax import (
     Action, Assign, DELTA, Encap, Name, Parallel, Prefix, ProcessExpr, Record,
     Term, Valuation,
@@ -267,8 +267,6 @@ RECORD_CLASSES = {
     translate: {"TranslationOutput", "ConsistencyReport", "PipelineResult",
                 "Theorem4Report", "Corollary1Report", "PreservationReport"},
 }
-MUTABLE_RECORDS = {"BisimResult", "ConsistencyReport", "PipelineResult",
-                   "Theorem4Report", "Corollary1Report", "PreservationReport"}
 
 
 def _records(value, found):
@@ -282,6 +280,18 @@ def _records(value, found):
         for item in value[:3]:
             _records(item, found)
     return found
+
+
+def _plain(value):
+    """A value with each record spelled as its class and fields and each
+    `Transitions` store, which compares by identity, as its triples."""
+    if isinstance(value, Record):
+        return type(value), tuple(_plain(getattr(value, name)) for name in value._fields)
+    if isinstance(value, Transitions):
+        return tuple(value)
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(_plain, value))
+    return value
 
 
 @pytest.fixture(scope="module")
@@ -321,27 +331,19 @@ class TestRecords:
     def test_behave_as_the_dataclasses_they_replace(self, records):
         assert {cls.__name__ for cls in records} == set().union(*RECORD_CLASSES.values())
         for cls, record in records.items():
-            frozen = cls.__name__ not in MUTABLE_RECORDS
-            twin = dataclasses.make_dataclass(cls.__qualname__, cls._fields, frozen=frozen)
+            twin = dataclasses.make_dataclass(cls.__qualname__, cls._fields, frozen=True)
             values = [getattr(record, name) for name in cls._fields]
             assert repr(record) == repr(twin(*values))
             again = cls(*values)
             assert again == record and again is not record
             assert again == cls(**dict(zip(cls._fields, values)))
             assert record != twin(*values)
-            if frozen:
-                assert hash(again) == hash(record) == hash(tuple(values))
-                assert pickle.loads(pickle.dumps(record)) == record
-                with pytest.raises(AttributeError):
-                    setattr(record, cls._fields[0], values[0])
-                with pytest.raises(AttributeError):
-                    delattr(record, cls._fields[0])
-            else:
-                with pytest.raises(TypeError):
-                    hash(record)
-                marker = object()
-                setattr(again, cls._fields[0], marker)
-                assert getattr(again, cls._fields[0]) is marker and again != record
+            assert hash(again) == hash(record) == hash(tuple(values))
+            assert _plain(pickle.loads(pickle.dumps(record))) == _plain(record)
+            with pytest.raises(AttributeError):
+                setattr(record, cls._fields[0], values[0])
+            with pytest.raises(AttributeError):
+                delattr(record, cls._fields[0])
             with pytest.raises(AttributeError):
                 again.other = 1
 

@@ -1,9 +1,9 @@
-import copy
 import random
 import re
 
 import pytest
 
+from conftest import lts_of
 from genspecs import gen_parseq_spec
 
 from gvpa.errors import FragmentError, SpecValidationError
@@ -14,12 +14,12 @@ from gvpa.mcrl2 import (
     explore_mcrl2, step_mcrl2,
 )
 from gvpa.parser import parse_expr, parse_spec
-from gvpa.sos import ExplorationConfig, Lts
+from gvpa.sos import ExplorationConfig
 from gvpa.syntax import (
     Action, Assign, Cond, Deadlock, Encap, Name, Parallel, Prefix, Valuation,
 )
 from gvpa.translate import (
-    check_bisimilarity_preservation, check_corollary1, check_theorem4, chi,
+    PipelineResult, check_bisimilarity_preservation, check_corollary1, check_theorem4, chi,
     emit_mcrl2_files, make_globs, run_pipeline, translate_formula,
     translate_init, validate_parseq, verification_checks,
     verify_variable_consistency,
@@ -152,9 +152,8 @@ class TestPsi:
     def test_comm_set_with_empty_gamma(self, traffic):
         spec, init = traffic
         out = translate_init(spec, init.root, init.valuation)
-        assert out.comm_render == ((("checkP", "checkG"), "check"),
-                                   (("assignP", "assignG"), "assign"))
-        assert (Multiset(["checkP", "checkG"]), "check") in out.comm_entries
+        assert out.comm_entries == ((Multiset(["checkP", "checkG"]), "check"),
+                                    (Multiset(["assignP", "assignG"]), "assign"))
 
     def test_psi_of_deadlock_value_loop_only(self, traffic):
         spec, init = traffic
@@ -168,7 +167,7 @@ class TestPsi:
             "domain { 0 } vars { v } acts { a, b, c } comm { b|a -> c } "
             "init a.delta || b.delta with { v = 0 }")
         out = translate_init(spec, init.root, init.valuation)
-        assert out.comm_render[0] == (("a", "b"), "c")
+        assert out.comm_entries[0] == (Multiset(["a", "b"]), "c")
 
 
 class TestTranslateFormula:
@@ -205,13 +204,11 @@ class TestVariableConsistency:
     def test_deleted_value_loop_detected_as_condition_2(self, traffic):
         spec, init = traffic
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
-        from gvpa.sos import Lts
         kept = [t for t in pipe.m_lts.transitions
                 if not t[1].startswith("value(")]
         kept += [t for t in pipe.m_lts.transitions
                  if t[1].startswith("value(")][1:]
-        mutated = Lts(states=pipe.m_lts.states, transitions=tuple(kept),
-                      initial=pipe.m_lts.initial)
+        mutated = lts_of(pipe.m_lts.states, kept, pipe.m_lts.initial)
         report = verify_variable_consistency(spec, pipe.gv_lts, mutated,
                                              pipe.link)
         assert not report.ok and report.condition == 2
@@ -219,13 +216,11 @@ class TestVariableConsistency:
     def test_relabelled_transition_detected_as_condition_3(self, traffic):
         spec, init = traffic
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
-        from gvpa.sos import Lts
         transitions = list(pipe.m_lts.transitions)
         index = next(i for i, t in enumerate(transitions) if t[1] == "drive")
         src, _, dst = transitions[index]
         transitions[index] = (src, "brake", dst)
-        mutated = Lts(states=pipe.m_lts.states, transitions=tuple(transitions),
-                      initial=pipe.m_lts.initial)
+        mutated = lts_of(pipe.m_lts.states, transitions, pipe.m_lts.initial)
         report = verify_variable_consistency(spec, pipe.gv_lts, mutated,
                                              pipe.link)
         assert not report.ok and report.condition == 3
@@ -233,12 +228,10 @@ class TestVariableConsistency:
     def test_alien_label_detected_as_condition_1(self, traffic):
         spec, init = traffic
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
-        from gvpa.sos import Lts
         transitions = list(pipe.m_lts.transitions)
         src, _, dst = transitions[0]
         transitions[0] = (src, "checkG(green,true)", dst)
-        mutated = Lts(states=pipe.m_lts.states, transitions=tuple(transitions),
-                      initial=pipe.m_lts.initial)
+        mutated = lts_of(pipe.m_lts.states, transitions, pipe.m_lts.initial)
         report = verify_variable_consistency(spec, pipe.gv_lts, mutated,
                                              pipe.link)
         assert not report.ok and report.condition == 1
@@ -246,14 +239,12 @@ class TestVariableConsistency:
     def test_redirected_edge_detected_as_condition_3(self, traffic):
         spec, init = traffic
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
-        from gvpa.sos import Lts
         transitions = list(pipe.m_lts.transitions)
         index = next(i for i, t in enumerate(transitions) if t[1] == "drive")
         src, label, dst = transitions[index]
         other = next(i for i in range(len(pipe.m_lts.states)) if i != dst)
         transitions[index] = (src, label, other)
-        mutated = Lts(states=pipe.m_lts.states, transitions=tuple(transitions),
-                      initial=pipe.m_lts.initial)
+        mutated = lts_of(pipe.m_lts.states, transitions, pipe.m_lts.initial)
         report = verify_variable_consistency(spec, pipe.gv_lts, mutated,
                                              pipe.link)
         assert not report.ok and report.condition == 3
@@ -357,9 +348,9 @@ class TestTheorems:
         pipe = run_pipeline(spec, init.root, init.valuation, CFG)
         assert check_bisimilarity_preservation(pipe).ok
         m = pipe.m_lts
-        mutant = copy.copy(pipe)
-        mutant.m_lts = Lts(states=m.states, transitions=tuple(map(mutate, m.transitions)),
-                           initial=m.initial)
+        mutant = PipelineResult(pipe.out, pipe.gv_lts,
+                                lts_of(m.states, map(mutate, m.transitions), m.initial),
+                                pipe.link, pipe.consistency)
         report = check_bisimilarity_preservation(mutant)
         assert not report.ok
         assert {state.expr for state in report.pair} == {Name("X"), Name("Y")}
@@ -370,12 +361,10 @@ def _mutant(pipe, mutate):
     """The pipeline with each translated transition passed through
     ``mutate`` (a list in, a list out) and its consistency checked again."""
     m = pipe.m_lts
-    mutant = copy.copy(pipe)
-    mutant.m_lts = Lts(states=m.states, transitions=tuple(mutate(list(m.transitions))),
-                       initial=m.initial)
-    mutant.consistency = verify_variable_consistency(
-        pipe.out.spec, pipe.gv_lts, mutant.m_lts, pipe.link)
-    return mutant
+    m_lts = lts_of(m.states, mutate(list(m.transitions)), m.initial)
+    return PipelineResult(pipe.out, pipe.gv_lts, m_lts, pipe.link,
+                          verify_variable_consistency(pipe.out.spec, pipe.gv_lts,
+                                                      m_lts, pipe.link))
 
 
 def _replaced(old, new):
