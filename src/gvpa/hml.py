@@ -1,8 +1,9 @@
 """Hennessy-Milner logic with valuation checks and valuation rewrites.
 
-A state is numbered ``e * count + code`` by its expression ``e`` and its
-valuation code, so a check reads one digit of the number and the set
-operator rewrites one. The set operator may leave the reachable fragment.
+A state is numbered ``e + code`` by the key ``e`` of its frame vector, a
+multiple of the valuation count, and its valuation code, so a check reads
+one digit of the number and the set operator rewrites one. The set
+operator may leave the reachable fragment.
 
 One core decides every formula: a checker (`_checker`) that works top
 down, memoised on (state, subformula), stepping a state only when a
@@ -409,9 +410,10 @@ def _checker(successors: Callable[[int], list[tuple]],
 
 
 def _digit_atom(codes: ValuationCodes) -> Callable[[HmlFormula, int], bool | int]:
-    """Checks and set operators on states numbered ``e * codes.count + code``:
-    ``count`` is a multiple of every digit's ``weight * base``, so the digit
-    of a variable reads the same in the state number as in its code."""
+    """Checks and set operators on states numbered ``e + code`` with ``e``
+    a multiple of ``codes.count``, which is a multiple of every digit's
+    ``weight * base``, so the digit of a variable reads the same in the
+    state number as in its code."""
     base = codes.base
 
     def atom(formula: Check | SetVar, i: int) -> bool | int:

@@ -5,14 +5,17 @@ relation is the least one closed under the rules Pref, Asgn, Con, Rec,
 Sum-l/r, Par-l/r, Comm and Enc; communication synchronises actions only,
 never assignments. The rules are applied once per expression, giving its
 guarded step table, and each valuation filters that table by its code
-(`syntax.ValuationCodes`).
+(`syntax.ValuationCodes`). A search keys its states by frame vectors and
+valuation codes, and builds their terms only when they are read.
 """
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from itertools import chain, islice, repeat
 from operator import sub
-from typing import Any, Callable, Iterable, Sequence, TextIO
+from typing import Any, Callable, Iterable, TextIO
 
 from .errors import ResourceLimitError
 from .syntax import (
@@ -106,10 +109,11 @@ class Lts(Record):
 
     State payloads are opaque; transitions refer to state indices. The
     index order is the (deterministic) discovery order of the BFS that
-    built the system, which stores its moves as they are found.
+    built the system, which stores its moves as they are found. An
+    exploration's states are `Payloads`, built on first read.
     """
 
-    states: tuple
+    states: Sequence
     transitions: Transitions
     initial: int = 0
 
@@ -126,6 +130,8 @@ class Lts(Record):
 # tests on valuation codes, and the steps of <p, V> are the rows whose
 # tests the code of V passes, in table order.
 
+_TOP = frozenset()  # the unfolding set of a table's root
+
 
 def guarded_steps(spec: RecursiveSpec, expr: ProcessExpr,
                   memo: _RowMemo | None = None) -> list[tuple]:
@@ -136,19 +142,17 @@ def guarded_steps(spec: RecursiveSpec, expr: ProcessExpr,
     ``tests`` are the ``(weight, digit)`` pairs (see `ValuationCodes.test`)
     of the conditions on the derivation; a derivation with conflicting
     conditions has no row. A pass hands its `_RowMemo`, so the rows of
-    the name bodies and parallel operands it meets are derived once.
+    the name bodies, leaves and parallel operands it meets are derived
+    once.
     """
     if memo is None:
         memo = _RowMemo(spec)
-    return _rows(spec, memo.codes, expr, frozenset(), memo)
+    return _rows(spec, memo.codes, expr, _TOP, memo)
 
 
 class _RowMemo(dict):
-    """The rows of name bodies and parallel operands met in one pass,
-    keyed by ``(term, unfolding set)``; a missing entry is derived.
-
-    A table's own root is never stored here, so the pass's tables are not
-    kept twice."""
+    """The rows of the leaves, name bodies and parallel operands met in one
+    pass, keyed by ``(term, unfolding set)``; a missing entry is derived."""
 
     __slots__ = ("spec", "codes")
 
@@ -177,45 +181,58 @@ def _conjoin(left: tuple, right: tuple) -> tuple | None:
     return tuple(merged.items())
 
 
+# The rules Enc and Par-l/r with Comm, written once for both forms of a
+# row's target: a term, or a move of a frame vector (see `_Stepper`).
+
+
+def _enc(blocked: frozenset, rows: list[tuple], wrap=None) -> list[tuple]:
+    """The rows of ``encap(blocked)`` over ``rows``: the blocked actions
+    dropped, and each target put through ``wrap``."""
+    kept = [row for row in rows
+            if not (isinstance(row[1], Action) and row[1].name in blocked)]
+    if wrap is None:
+        return kept
+    return [(tests, label, wrap(target)) for tests, label, target in kept]
+
+
+def _par(comm, left: list[tuple], right: list[tuple], join,
+         lift_left=None, lift_right=None) -> list[tuple]:
+    """The rows of a parallel composition from the rows of its operands:
+    each left row with its target put through ``lift_left``, each right row
+    through ``lift_right``, then one row per handshake of a left and a
+    right action, whose target is ``join`` of the two targets."""
+    out = left[:] if lift_left is None else [
+        (tests, label, lift_left(target)) for tests, label, target in left]
+    out += right if lift_right is None else [
+        (tests, label, lift_right(target)) for tests, label, target in right]
+    if not comm.is_empty():
+        # only the rows of actions that some comm entry names can meet
+        parties = comm.parties()
+        left = [row for row in left
+                if isinstance(row[1], Action) and row[1].name in parties]
+        right = [row for row in right
+                 if isinstance(row[1], Action) and row[1].name in parties]
+        for ta, la, pa in left:
+            for tb, lb, pb in right:
+                result = comm.lookup(la.name, lb.name)
+                if result is not None:
+                    # both sides step from the same valuation
+                    tests = _conjoin(ta, tb)
+                    if tests is not None:
+                        out.append((tests, Action(result), join(pa, pb)))
+    return out
+
+
 def _rows(spec, codes, expr, unfolding, memo) -> list[tuple]:
-    # The operators that a state's table starts from come first. A target
-    # is looked up in its class's intern table and constructed only when
-    # it is new: most targets exist already, and the lookup costs a
-    # quarter of the constructor's call.
     if isinstance(expr, Encap):
         blocked = expr.blocked
-        find = Encap.find()
-        return [(tests, label, find((blocked, target)) or Encap(blocked, target))
-                for tests, label, target in _rows(spec, codes, expr.body, unfolding, memo)
-                if not (isinstance(label, Action) and label.name in blocked)]
+        return _enc(blocked, _rows(spec, codes, expr.body, unfolding, memo),
+                    lambda target: Encap(blocked, target))
     if isinstance(expr, Parallel):
         p, q = expr.left, expr.right
-        left = memo[p, unfolding]
-        right = memo[q, unfolding]
-        find = Parallel.find()
-        out = [(tests, label, find((target, q)) or Parallel(target, q))
-               for tests, label, target in left]
-        out += [(tests, label, find((p, target)) or Parallel(p, target))
-                for tests, label, target in right]
-        comm = spec.comm
-        if not comm.is_empty():
-            # only the rows of actions that some comm entry names can meet
-            parties = comm.parties()
-            left = [row for row in left
-                    if isinstance(row[1], Action) and row[1].name in parties]
-            right = [row for row in right
-                     if isinstance(row[1], Action) and row[1].name in parties]
-            find_action = Action.find()
-            for ta, la, pa in left:
-                for tb, lb, pb in right:
-                    result = comm.lookup(la.name, lb.name)
-                    if result is not None:
-                        # both sides step from the same valuation
-                        tests = _conjoin(ta, tb)
-                        if tests is not None:
-                            out.append((tests, find_action((result,)) or Action(result),
-                                        find((pa, pb)) or Parallel(pa, pb)))
-        return out
+        return _par(spec.comm, memo[p, unfolding], memo[q, unfolding], Parallel,
+                    lambda target: Parallel(target, q),
+                    lambda target: Parallel(p, target))
     if isinstance(expr, Deadlock):
         return []
     if isinstance(expr, Prefix):
@@ -253,56 +270,278 @@ def _derived_twice(runs: list[tuple]) -> bool:
     return False
 
 
+# ---------------------------------------------------------------------------
+# Frame vectors
+#
+# An expression splits at its top `encap` and `||` nodes into a frame, the
+# skeleton with its blocked sets, and leaves, the maximal subterms with
+# neither operator on top (after LTSmin's state vectors: Blom, van de Pol
+# & Weber, CAV 2010). A frame is a tuple in prefix order: `Parallel` for
+# `||`, a blocked set for `encap`, and None for each leaf. Each expression
+# has one split, so its frame and leaves name it as the term does.
+#
+# A leaf's steps that end in a leaf keep the frame; the leaves that a leaf
+# reaches so, and that no earlier closure holds, are its closure, numbered
+# from 0 in the order found.
+# The frames of one pass with their slots' closures are blocks of keys, and
+# a state's key is the block's base plus, in mixed radix, the leaves'
+# numbers in their closures and, lowest, the valuation code. A move inside
+# a closure adds ``(t - c) * weight`` to the key; a step to a term with
+# `||` or `encap` on top, or to a leaf of another closure, changes the
+# frame, and only that target is split again.
+
+
+def _split(expr: ProcessExpr) -> tuple[tuple, list[ProcessExpr]]:
+    """The frame and the leaves, left to right, of an expression."""
+    frame, leaves, todo = [], [], [expr]
+    while todo:
+        node = todo.pop()
+        if node.__class__ is Parallel:
+            frame.append(Parallel)
+            todo += (node.right, node.left)
+        elif node.__class__ is Encap:
+            frame.append(node.blocked)
+            todo.append(node.body)
+        else:
+            frame.append(None)
+            leaves.append(node)
+    return tuple(frame), leaves
+
+
+def _fold(frame: tuple, leaves: Sequence, parallel, encap):
+    """Evaluates a frame bottom up: each leaf as itself, each `||` as
+    ``parallel(left, right)`` and each ``encap(blocked)`` as ``encap(blocked,
+    body)`` of the values below it."""
+    stack: list = []
+    leaf = len(leaves)
+    for token in reversed(frame):
+        if token is None:
+            leaf -= 1
+            stack.append(leaves[leaf])
+        elif token is Parallel:
+            left = stack.pop()
+            stack.append(parallel(left, stack.pop()))
+        else:
+            stack.append(encap(token, stack.pop()))
+    return stack[0]
+
+
+def _join(a, b):
+    """The target of a handshake: both operands' moves. A move is an int,
+    what it adds to the key, or ``(int, ((slot, term), ...))`` when slots
+    take terms that change the frame."""
+    if a.__class__ is int and b.__class__ is int:
+        return a + b
+    da, sa = (a, ()) if a.__class__ is int else a
+    db, sb = (b, ()) if b.__class__ is int else b
+    return da + db, sa + sb
+
+
+class _Frames:
+    """The keys of one pass's states: the leaves' closures, and the blocks
+    of keys of the (frame, closure per slot) pairs met. It builds a state
+    or an expression from its key; a search's `Payloads` keep it and
+    nothing more of the pass."""
+
+    __slots__ = ("codes", "closures", "blocks", "bases", "shapes", "end", "exprs")
+
+    def __init__(self, codes):
+        self.codes = codes
+        self.closures: list[list[ProcessExpr]] = []
+        self.blocks: dict[tuple, int] = {}
+        self.bases: list[int] = []
+        # per block: the frame, each slot's closure and each slot's weight
+        self.shapes: list[tuple] = []
+        self.end = 0
+        # the expressions built so far, by key under code 0
+        self.exprs: dict[int, ProcessExpr] = {}
+
+    def key(self, frame: tuple, numbers: list[tuple[int, int]]) -> int:
+        """The key, under the valuation code 0, of a frame whose leaves have
+        the ``(closure, number)`` pairs ``numbers``."""
+        closures = tuple(c for c, _ in numbers)
+        b = self.blocks.get((frame, closures))
+        if b is None:
+            b = self.blocks[frame, closures] = len(self.bases)
+            weights = []
+            weight = self.codes.count
+            for c in reversed(closures):
+                weights.append(weight)
+                weight *= len(self.closures[c])
+            self.bases.append(self.end)
+            self.shapes.append((frame, closures, tuple(reversed(weights))))
+            self.end += weight
+        weights = self.shapes[b][2]
+        return self.bases[b] + sum(n * w for (_, n), w in zip(numbers, weights))
+
+    def block(self, key: int) -> int:
+        return bisect_right(self.bases, key) - 1
+
+    def split(self, key: int) -> tuple[tuple, list[ProcessExpr]]:
+        """The frame and the leaves of a key's expression."""
+        b = self.block(key)
+        frame, closures, weights = self.shapes[b]
+        rest = key - self.bases[b]
+        leaves = []
+        for c, weight in zip(closures, weights):
+            n, rest = divmod(rest, weight)
+            leaves.append(self.closures[c][n])
+        return frame, leaves
+
+    def expr(self, e: int) -> ProcessExpr:
+        """The expression of the key ``e`` under code 0."""
+        found = self.exprs.get(e)
+        if found is None:
+            found = self.exprs[e] = _fold(*self.split(e), Parallel, Encap)
+        return found
+
+    def state(self, key: int) -> GvState:
+        code = key % self.codes.count
+        return GvState(self.expr(key - code), self.codes.valuation(code))
+
+
 class _Stepper:
-    """The expressions of one pass, numbered in the order they are met,
-    and the steps of (expression number, valuation code) pairs."""
+    """The keys of one pass's states and their steps. Each frame vector's
+    table is composed from the rows of its leaves, each derived once per
+    pass, and of the parts of its frame that it shares with others."""
 
     def __init__(self, spec: RecursiveSpec):
         self.spec = spec
         self.codes = spec.codes
-        self.exprs: list[ProcessExpr] = []
-        self._number: dict[ProcessExpr, int] = {}
+        self.frames = _Frames(spec.codes)
+        self._number: dict[ProcessExpr, tuple[int, int]] = {}
         self._memo = _RowMemo(spec)
+        self._plans: dict[int, tuple] = {}
+        self._parts: dict[tuple, list[tuple]] = {}
         self._tables: dict[int, tuple] = {}
 
-    def number(self, expr: ProcessExpr) -> int:
-        e = self._number.get(expr)
-        if e is None:
-            e = self._number[expr] = len(self.exprs)
-            self.exprs.append(expr)
-        return e
+    def _numbers(self, leaves: list[ProcessExpr]) -> list[tuple[int, int]]:
+        """``(closure, number)`` of each leaf; the closure of a leaf met for
+        the first time is found and numbered, and ends at leaves that an
+        earlier closure holds."""
+        numbered = self._number
+        out = []
+        for leaf in leaves:
+            found = numbered.get(leaf)
+            if found is None:
+                c = len(self.frames.closures)
+                members = [leaf]
+                self.frames.closures.append(members)
+                found = numbered[leaf] = (c, 0)
+                for member in members:
+                    for _, _, target in self._memo[member, _TOP]:
+                        if (target.__class__ is not Parallel and target.__class__ is not Encap
+                                and target not in numbered):
+                            numbered[target] = (c, len(members))
+                            members.append(target)
+            out.append(found)
+        return out
+
+    def expr_key(self, expr: ProcessExpr) -> int:
+        frame, leaves = _split(expr)
+        return self.frames.key(frame, self._numbers(leaves))
+
+    def _moved(self, e: int, move: tuple) -> int:
+        """The key that a frame-changing move leads ``e`` to."""
+        shift, placed = move
+        frame, leaves = self.frames.split(e + shift)
+        holes = [i for i, token in enumerate(frame) if token is None]
+        # from the last slot back, so the earlier slots keep their places
+        for slot, term in sorted(placed, reverse=True):
+            sub_frame, sub_leaves = _split(term)
+            at = holes[slot]
+            frame = frame[:at] + sub_frame + frame[at + 1:]
+            leaves[slot:slot + 1] = sub_leaves
+        return self.frames.key(frame, self._numbers(leaves))
+
+    def _plan(self, b: int) -> tuple:
+        """Block ``b``'s frame as a tree of ``(kind, first slot, last slot,
+        high, low, ...)`` nodes: kind None for a leaf, then its closure;
+        `Parallel` for a `||`, then its operands; a blocked set for an
+        encap, then its body. A node's slots hold the digits ``x % high //
+        low`` of a key ``x`` less the block's base; ``high`` is None at the
+        top `||` and at an encap, whose rows are not kept."""
+        frame, closures, weights = self.frames.shapes[b]
+        sizes = [len(self.frames.closures[c]) for c in closures]
+        last = len(closures) - 1
+
+        def parallel(left, right):
+            first, end = left[1], right[2]
+            high = None if first == 0 and end == last else weights[first] * sizes[first]
+            return Parallel, first, end, high, weights[end], left, right
+
+        return _fold(frame, [(None, i, i, weights[i] * sizes[i], weights[i], c)
+                             for i, c in enumerate(closures)],
+                     parallel, lambda blocked, body: (blocked, body[1], body[2], None, None, body))
+
+    def _part(self, b: int, node: tuple, x: int) -> list[tuple]:
+        """The rows of a node of block ``b``'s plan in the vector ``x`` (its
+        key less the block's base), by the rules Enc, Par-l/r and Comm on
+        the moves of `_join`. The rows of each leaf and each `||` below the
+        top are kept per (block, slots, digits), so the vectors that share
+        a part of a frame share its rows."""
+        kind, high = node[0], node[3]
+        if kind is not None and kind is not Parallel:
+            return _enc(kind, self._part(b, node[5], x))
+        if high is None:
+            return self._parallel(b, node, x)
+        key = (b, node[1], node[2], x % high // node[4])
+        rows = self._parts.get(key)
+        if rows is None:
+            rows = self._parts[key] = (self._parallel(b, node, x) if kind is Parallel
+                                       else self._leaf_moves(node[5], node[1], node[4], key[3]))
+        return rows
+
+    def _parallel(self, b: int, node: tuple, x: int) -> list[tuple]:
+        return _par(self.spec.comm, self._part(b, node[5], x), self._part(b, node[6], x), _join)
+
+    def _leaf_moves(self, closure: int, slot: int, weight: int, n: int) -> list[tuple]:
+        """The rows of leaf ``n`` of a closure in ``slot``, each target as
+        the move of the vector: ``(t - n) * weight`` to leaf ``t`` of the
+        closure, else the term put into the slot."""
+        numbered = self._number.get
+        rows = []
+        for tests, label, target in self._memo[self.frames.closures[closure][n], _TOP]:
+            found = numbered(target)
+            rows.append((tests, label, (found[1] - n) * weight
+                         if found is not None and found[0] == closure
+                         else (0, ((slot, target),))))
+        return rows
 
     def table(self, e: int) -> tuple[list[tuple], bool]:
-        """The expression's table made ready for `moves`: runs of rows with
-        the same tests, as ``(tests, [(label, target number, weight,
-        digit), ...])``, where a nonzero weight and its digit are what an
-        assignment writes; and whether one valuation can derive a step
-        twice (two rows with one label and target whose tests can both
-        hold)."""
+        """The table of the frame vector with key ``e`` (under code 0) made
+        ready for `moves`: runs of rows with the same tests, as ``(tests,
+        [(label, target key, weight, digit), ...])`` with target keys under
+        code 0, where a nonzero weight and its digit are what an assignment
+        writes; and whether one valuation can derive a step twice (two
+        rows with one label and target whose tests can both hold)."""
+        b = self.frames.block(e)
+        plan = self._plans.get(b)
+        if plan is None:
+            plan = self._plans[b] = self._plan(b)
         runs: list[tuple] = []
         pairs: set[tuple] = set()
-        numbered, number, test = self._number.get, self.number, self.codes.test
-        last = rows = None
+        test = self.codes.test
+        last = run = None
         n = 0
-        for n, (tests, label, target) in enumerate(
-                guarded_steps(self.spec, self.exprs[e], self._memo), 1):
-            t = numbered(target)
-            if t is None:
-                t = number(target)
-            row = ((label, t) + test(label.var, label.value) if isinstance(label, Assign)
+        for n, (tests, label, move) in enumerate(
+                self._part(b, plan, e - self.frames.bases[b]), 1):
+            t = e + move if move.__class__ is int else self._moved(e, move)
+            row = ((label, t) + test(label.var, label.value) if label.__class__ is Assign
                    else (label, t, 0, 0))
             if tests == last:
-                rows.append(row)
+                run.append(row)
             else:
-                last, rows = tests, [row]
-                runs.append((tests, rows))
+                last, run = tests, [row]
+                runs.append((tests, run))
             pairs.add((label, t))
         # only a repeated (label, target) pair can be derived twice
         return runs, len(pairs) < n and _derived_twice(runs)
 
     def moves(self, table: tuple[list[tuple], bool], code: int) -> list[tuple]:
-        """``(label, target number, target code)`` for each step from the
-        valuation ``code``, in table order, each step listed once."""
+        """``(label, target key under code 0, target code)`` for each step
+        from the valuation ``code``, in table order, each step listed
+        once."""
         runs, twice = table
         base = self.codes.base
         out = []
@@ -318,25 +557,20 @@ class _Stepper:
         # a step derived twice keeps its first position, as in a set of rules
         return list(dict.fromkeys(out)) if twice else out
 
-    # A state is searched as its key ``e * count + code``: the number ``e``
-    # of its expression and its valuation code.
+    # A state's key is its frame vector's key plus its valuation code.
 
     def key(self, state: GvState) -> int:
-        return self.number(state.expr) * self.codes.count + self.codes.code(state.valuation)
-
-    def state(self, key: int) -> GvState:
-        e, code = divmod(key, self.codes.count)
-        return GvState(self.exprs[e], self.codes.valuation(code))
+        return self.expr_key(state.expr) + self.codes.code(state.valuation)
 
     def successors(self, key: int) -> list[tuple]:
-        """``(label, target key)`` for each step of a state; each
-        expression's table is derived once and kept with the stepper."""
-        count = self.codes.count
-        e, code = divmod(key, count)
+        """``(label, target key)`` for each step of a state; each frame
+        vector's table is composed once and kept with the stepper."""
+        code = key % self.codes.count
+        e = key - code
         table = self._tables.get(e)
         if table is None:
             table = self._tables[e] = self.table(e)
-        return [(label, t * count + c) for label, t, c in self.moves(table, code)]
+        return [(label, t + c) for label, t, c in self.moves(table, code)]
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +581,11 @@ def step(spec: RecursiveSpec, state: GvState) -> tuple[tuple[TransitionLabel, Gv
     """All transitions of a state, in deterministic derivation order:
     the rows of the expression's table that the valuation passes."""
     stepper = _Stepper(spec)
-    table = stepper.table(stepper.number(state.expr))
-    valuation = spec.codes.valuation
-    return tuple((label, GvState(stepper.exprs[t], valuation(c)))
-                 for label, t, c in stepper.moves(table, spec.codes.code(state.valuation)))
+    key = stepper.key(state)
+    code = key % spec.codes.count
+    state_of = stepper.frames.state
+    return tuple((label, state_of(t + c))
+                 for label, t, c in stepper.moves(stepper.table(key - code), code))
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +627,64 @@ def _bfs(roots: Iterable, successors: Callable[[Any], Iterable[tuple[Any, Any]]]
     return nodes, Transitions(rows(), register), root_indices
 
 
+class Payloads(Sequence):
+    """The payloads of a search's nodes in index order, built from the
+    nodes on first read and kept; ``len`` builds none. It compares and
+    hashes as the tuple of its payloads, and pickles as that tuple."""
+
+    __slots__ = ("_nodes", "_build", "_items")
+
+    def __init__(self, nodes: Sequence, build: Callable[[Any], Any]):
+        self._nodes, self._build, self._items = nodes, build, None
+
+    def items(self) -> tuple:
+        if self._items is None:
+            self._items = tuple(map(self._build, self._nodes))
+            self._nodes = self._build = None
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self._nodes if self._items is None else self._items)
+
+    def __getitem__(self, i):
+        return self.items()[i]
+
+    def __iter__(self):
+        return iter(self.items())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, Payloads)):
+            return self.items() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.items())
+
+    def __reduce__(self):
+        return tuple, (self.items(),)
+
+    def __repr__(self) -> str:
+        return repr(self.items())
+
+
 def _bfs_lts(roots: Iterable, successors, cap: int,
              payload: Callable[[Any], Any] | None = None) -> tuple[Lts, tuple[int, ...]]:
     """The reachable LTS of the roots, states indexed in BFS order; each
-    state holds ``payload(node)``, or the node itself."""
+    state holds the node itself, or ``payload(node)``, built on first
+    read (`Payloads`)."""
     nodes, transitions, root_indices = _bfs(roots, successors, cap)
-    states = tuple(nodes if payload is None else map(payload, nodes))
+    states = tuple(nodes) if payload is None else Payloads(nodes, payload)
     return Lts(states=states, transitions=transitions, initial=root_indices[0]), root_indices
 
 
 def explore(spec: RecursiveSpec, roots: Sequence[GvState],
             cfg: ExplorationConfig = DEFAULT_CONFIG) -> tuple[Lts, tuple[int, ...]]:
     """BFS over the reachable fragment from several roots at once, on the
-    keys of one `_Stepper`, which keeps each expression's table until the
-    call returns."""
+    keys of one `_Stepper`, which keeps each frame vector's table until the
+    call returns. The states are built from their keys on first read."""
     stepper = _Stepper(spec)
     return _bfs_lts([stepper.key(root) for root in roots], stepper.successors,
-                    cfg.max_states, stepper.state)
+                    cfg.max_states, stepper.frames.state)
 
 
 def generate_lts(spec: RecursiveSpec, init: InitSpec | GvState,
@@ -435,7 +711,8 @@ def expression_closure(spec: RecursiveSpec, roots: ProcessExpr | Iterable[Proces
     ``((v, label, v2), e2)``: from ``valuations[v]`` the label leads to
     ``exprs[e2]`` under ``valuations[v2]``. Valuations are given by their
     codes, and each expression's table is derived once and dropped after
-    its moves are stored.
+    its moves are stored. The expressions are built from their keys on
+    first read (`Payloads`).
     """
     if isinstance(roots, ProcessExpr):
         roots = [roots]
@@ -451,10 +728,10 @@ def expression_closure(spec: RecursiveSpec, roots: ProcessExpr | Iterable[Proces
             for label, t, c in stepper.moves(table, v):
                 yield (v, label, codes[c]), t
 
-    nodes, transitions, root_indices = _bfs([stepper.number(root) for root in roots],
+    nodes, transitions, root_indices = _bfs([stepper.expr_key(root) for root in roots],
                                             successors, cfg.max_states,
                                             "expression closure")
-    return tuple(stepper.exprs[e] for e in nodes), valuations, transitions, root_indices
+    return Payloads(nodes, stepper.frames.expr), valuations, transitions, root_indices
 
 
 def reachable_exprs(spec: RecursiveSpec, roots: ProcessExpr | Iterable[ProcessExpr],

@@ -4,9 +4,10 @@ Process expressions, transition labels, valuations, recursive
 specifications, the communication function, and the well-formedness
 checks everything downstream relies on. All values are immutable. Terms
 of all three term languages (process expressions, HML formulas, mCRL2
-terms) are interned through `Term`, so equal terms are one object, and
-state identity throughout the toolkit is the identity of these terms.
-The other values with named fields, in every module, are `Record`s.
+terms) are interned through `Term`, so equal terms are one object. An
+exploration names a state by the key of its frame vector and valuation
+code (`sos._Stepper`) and builds its term only when it is read. The
+other values with named fields, in every module, are `Record`s.
 """
 from __future__ import annotations
 
@@ -94,15 +95,6 @@ class Term(_Node):
             node.__post_init__()
             cls._table[args] = node
         return node
-
-    @classmethod
-    def find(cls):
-        """The lookup of the class's intern table, for code that builds many
-        nodes most of which exist already: called with the tuple of a node's
-        field values in field order, the key `__new__` looks up, it returns
-        the node made for them, or None if there is none yet. It is the
-        table's own ``get``, so a hit costs no constructor call."""
-        return cls._table.get
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:

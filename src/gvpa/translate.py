@@ -90,8 +90,19 @@ def validate_parseq(spec: RecursiveSpec,
                     expr: ProcessExpr) -> tuple[frozenset[str], ProcessExpr]:
     """Accepts an optionally encapsulated parallel-sequential expression
     over a sequential recursive specification whose names `_Namer` can
-    render; returns (blocked, inner)."""
+    render and whose comm entries share no action; returns (blocked,
+    inner)."""
     problems: list[str] = []
+    # the model's comm set would fire the shared action by entry order
+    entries = [("|".join(sorted(key) if len(key) > 1 else [*key] * 2) + f" -> {result}",
+                key) for key, result in spec.comm.entries]
+    for i, (first, first_key) in enumerate(entries):
+        for second, second_key in entries[i + 1:]:
+            shared = first_key & second_key
+            if shared:
+                problems.append(f"comm entries {first} and {second} share the action "
+                                f"{', '.join(sorted(shared))}; the translation needs "
+                                "each action in at most one entry")
     clashes = sorted((set(spec.actions) | set(spec.process_names))
                      & MACHINERY_NAMES)
     for name in clashes:
@@ -137,17 +148,23 @@ def _constraint(eps: frozenset[tuple[str, str]], slots: Sequence[str],
 
 
 def chi(spec: RecursiveSpec, expr: ProcessExpr, slots: Sequence[str],
-        eps: frozenset[tuple[str, str]] = frozenset()) -> Mcrl2Process:
+        eps: frozenset[tuple[str, str]] = frozenset(),
+        memo: dict | None = None) -> Mcrl2Process:
     """The six translation clauses; conditions accumulate into the checkP
     constraint of the next prefix, parallel distributes at the top.
-    ``slots`` orders the variables of the checkP arguments, as in `Globs`."""
+    ``slots`` orders the variables of the checkP arguments, as in `Globs`.
+    A ``memo`` passed to several calls on one spec translates each
+    ``(expr, slots, eps)`` once; one nesting level costs one frame."""
+    key = (expr, slots, eps)
+    if memo is not None and key in memo:
+        return memo[key]
     binders = _slot_binders(len(slots))
     if isinstance(expr, Choice):
-        return MChoice(chi(spec, expr.left, slots, eps),
-                       chi(spec, expr.right, slots, eps))
-    if isinstance(expr, Cond):
-        return chi(spec, expr.body, slots, eps | {(expr.var, expr.value)})
-    if isinstance(expr, Prefix):
+        out = MChoice(chi(spec, expr.left, slots, eps, memo),
+                      chi(spec, expr.right, slots, eps, memo))
+    elif isinstance(expr, Cond):
+        out = chi(spec, expr.body, slots, eps | {(expr.var, expr.value)}, memo)
+    elif isinstance(expr, Prefix):
         condition = _constraint(eps, slots, binders, spec.domain)
         check_args = tuple(DVar(b) for b in binders) + (condition,)
         if isinstance(expr.label, Action):
@@ -158,22 +175,25 @@ def chi(spec: RecursiveSpec, expr: ProcessExpr, slots: Sequence[str],
         if isinstance(expr.body, Name):
             cont: Mcrl2Process = MCall(expr.body.name)
         else:
-            cont = chi(spec, expr.body, slots)
-        out: Mcrl2Process = MPrefix(multi, cont)
+            cont = chi(spec, expr.body, slots, memo=memo)
+        out = MPrefix(multi, cont)
         for binder in reversed(binders):
             out = MSum(binder, out)
-        return out
-    if isinstance(expr, Name):
-        return MCall(expr.name)
-    if isinstance(expr, Deadlock):
-        return MDELTA
-    if isinstance(expr, Parallel):
+    elif isinstance(expr, Name):
+        out = MCall(expr.name)
+    elif isinstance(expr, Deadlock):
+        out = MDELTA
+    elif isinstance(expr, Parallel):
         if eps:
             raise SpecValidationError(
                 ["parallel composition under a condition is not translatable"])
-        return MParallel(chi(spec, expr.left, slots),
-                         chi(spec, expr.right, slots))
-    raise SpecValidationError([f"untranslatable construct: {expr_str(expr)}"])
+        out = MParallel(chi(spec, expr.left, slots, memo=memo),
+                        chi(spec, expr.right, slots, memo=memo))
+    else:
+        raise SpecValidationError([f"untranslatable construct: {expr_str(expr)}"])
+    if memo is not None:
+        memo[key] = out
+    return out
 
 
 def make_globs(slots: Sequence[str], domain_values: Sequence[str]) -> tuple[str, tuple[str, ...], Mcrl2Process]:
@@ -240,9 +260,9 @@ def _comm_sets(spec: RecursiveSpec) -> tuple[tuple[Multiset, str], ...]:
     return tuple(entries)
 
 
-def _psi_term(spec, slots, allow_set, hidden, comm_entries, expr, valuation):
+def _psi_term(spec, slots, allow_set, hidden, comm_entries, expr, valuation, memo=None):
     globs_args = tuple(DConst(valuation.value_of(slot)) for slot in slots)
-    par = MParallel(chi(spec, expr, slots),
+    par = MParallel(chi(spec, expr, slots, memo=memo),
                     MCall("Globs", globs_args))
     return MAllow(allow_set, MHide(hidden, MComm(comm_entries, par)))
 
@@ -274,11 +294,11 @@ def translate_init(spec: RecursiveSpec, root: ProcessExpr,
 
 
 def translate_state(out: TranslationOutput, expr: ProcessExpr,
-                    valuation: Valuation) -> Mcrl2Process:
+                    valuation: Valuation, memo: dict | None = None) -> Mcrl2Process:
     """The translated term for one source state; the consistency map is
-    this function applied pointwise."""
+    this function applied pointwise, with one `chi` memo for all states."""
     return _psi_term(out.spec, out.slots, out.allow_set, out.hidden,
-                     out.comm_entries, expr, valuation)
+                     out.comm_entries, expr, valuation, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +362,8 @@ def build_consistency_map(out: TranslationOutput, gv_lts: Lts,
     """Maps the i-th source state to the index of its translated term, or
     to None where that term is not a state of the translated LTS."""
     m_index = {term: i for i, term in enumerate(m_lts.states)}
+    # the states share subterms (on a chain each is a suffix of the last)
+    memo: dict = {}
     link = []
     for state in gv_lts.states:
         expr = state.expr
@@ -350,7 +372,7 @@ def build_consistency_map(out: TranslationOutput, gv_lts: Lts,
                 raise SpecValidationError(
                     [f"source state lost its encapsulation: {state_str(state)}"])
             expr = expr.body
-        link.append(m_index.get(translate_state(out, expr, state.valuation)))
+        link.append(m_index.get(translate_state(out, expr, state.valuation, memo)))
     return tuple(link)
 
 

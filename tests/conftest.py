@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+import gvpa.sos
 from gvpa.parser import parse_expr, parse_spec
 from gvpa.sos import Lts, Transitions
 from gvpa.syntax import Valuation
@@ -42,3 +43,16 @@ def example3():
     r = parse_expr("assign(v, 1).delta", spec)
     v0 = Valuation((("v", "0"),))
     return spec, p, q, r, v0
+
+
+@pytest.fixture()
+def placed_terms(monkeypatch):
+    """The terms that frame-changing rows put into a slot, in the order
+    the test's passes meet them: a target with `||` or `encap` on top, or
+    a leaf outside the slot's closure."""
+    terms = []
+    moved = gvpa.sos._Stepper._moved
+    monkeypatch.setattr(gvpa.sos._Stepper, "_moved",
+                        lambda self, e, move: terms.extend(t for _, t in move[1])
+                        or moved(self, e, move))
+    return terms

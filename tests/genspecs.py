@@ -351,8 +351,9 @@ def step_corner_specs() -> list[tuple[RecursiveSpec, tuple]]:
     operands that meet in both orders, so that a target built from swapped
     operands already exists; a nested encap; a handshake that the
     enclosing encap blocks; one step derived twice under tests that can
-    both hold, that conflict, and under none; and the unguarded
-    P = p + Q, Q = q + P."""
+    both hold, that conflict, and under none; the unguarded
+    P = p + Q, Q = q + P; and handshakes that change the frame on the
+    left, on the right or on both sides."""
     p, q, r = (Prefix(Action(n), Deadlock()) for n in ("p", "q", "r"))
     P, Q, R = Name("P"), Name("Q"), Name("R")
     spec = RecursiveSpec(
@@ -377,8 +378,19 @@ def step_corner_specs() -> list[tuple[RecursiveSpec, tuple]]:
         domain=DomainDef(("a",)), variables=(), actions=("p", "q", "r"),
         equations=(("P", Choice(p, Q)), ("Q", Choice(q, P))),
         comm=CommFunction(((frozenset(("p", "q")), "r"),)))
+    # after the handshake p|q -> r an operand is a || or an encap
+    forks = RecursiveSpec(
+        domain=DomainDef(("a", "b")), variables=("x",), actions=("p", "q", "r", "s"),
+        equations=(), comm=CommFunction(((frozenset(("p", "q")), "r"),)))
+    s = Prefix(Action("s"), Deadlock())
+    fork_p = Prefix(Action("p"), Parallel(q, s))
+    fork_q = Prefix(Action("q"), Encap(frozenset({"s"}), Parallel(s, Cond("x", "a", p))))
+    plain_q = Prefix(Action("q"), Prefix(Assign("x", "b"), r))
     return [(spec, roots),
-            (loop, (Parallel(P, Q), Parallel(Q, P), Choice(P, Parallel(Q, r))))]
+            (loop, (Parallel(P, Q), Parallel(Q, P), Choice(P, Parallel(Q, r)))),
+            (forks, (Parallel(fork_p, plain_q), Parallel(plain_q, fork_p),
+                     Parallel(fork_p, fork_q), Encap(frozenset({"p", "q"}),
+                                                     Parallel(fork_q, fork_p))))]
 
 
 # ---------------------------------------------------------------------------

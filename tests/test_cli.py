@@ -170,6 +170,16 @@ class TestLts:
                 assert done.stdout == golden
         assert target.read_bytes() == golden
 
+    @pytest.mark.parametrize("fmt", ["aut", "dot"])
+    def test_ring_exports_match_the_goldens(self, tmp_path, capsys, fmt):
+        # R(3,3) has an encap and a handshake; its DOT prints each state's
+        # term, built from the state's frame vector when the export reads it
+        spec = tmp_path / "R33.gvpa"
+        spec.write_text(ring_text(3, 3), encoding="utf-8")
+        assert main(["lts", str(spec), "--format", fmt]) == 0
+        golden = (DATA.parent / "golden" / f"R33.lts.{fmt}").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+
 
 class TestModelcheck:
     def test_true_formula_exit_0(self, capsys):
@@ -349,6 +359,28 @@ class TestVerifyTranslation:
         assert verify.out == translate.out == ""
         assert verify.err == translate.err
         assert refusal in verify.err
+
+    def test_refuses_comm_entries_that_share_an_action(self, tmp_path, capsys):
+        """Both handshakes of the shared action fire on both sides, but the
+        model's comm set would keep one product by entry order: both
+        commands refuse the spec with one message, and its source LTS is
+        still explored."""
+        spec = tmp_path / "overlap.gvpa"
+        spec.write_text("domain { u, w } vars { x } acts { a, b, d, c, e }\n"
+                        "comm { a|b -> c; a|d -> e }\n"
+                        "init encap({a, b, d}) (a.delta || b.delta || d.delta) with { x = u }\n",
+                        encoding="utf-8")
+        assert main(["verify-translation", str(spec)]) == 2
+        verify = capsys.readouterr()
+        assert main(["translate", str(spec), "--out", str(tmp_path / "out")]) == 2
+        translate = capsys.readouterr()
+        assert verify.out == translate.out == ""
+        assert verify.err == translate.err == (
+            "error: comm entries a|b -> c and a|d -> e share the action a; the "
+            "translation needs each action in at most one entry\n")
+        assert not (tmp_path / "out").exists()
+        assert main(["lts", str(spec)]) == 0
+        assert capsys.readouterr().out == 'des (0,2,3)\n(0,"c",1)\n(0,"e",2)\n'
 
     def test_a_state_without_image_is_a_verdict(self, capsys, monkeypatch):
         # a Globs of its two check summands only never assigns, so the

@@ -19,7 +19,7 @@ from gvpa.sos import (
 )
 from gvpa.syntax import (
     Action, Assign, Choice, CommFunction, Cond, Deadlock, DomainDef, Encap,
-    Name, Parallel, Prefix, RecursiveSpec, Term, Valuation, enumerate_valuations,
+    Name, Parallel, Prefix, RecursiveSpec, Valuation, enumerate_valuations,
 )
 
 
@@ -313,11 +313,14 @@ class TestStepAgainstReference:
         for state in lts.states:
             assert step(spec, state) == reference_step(spec, state)
 
-    def test_every_reachable_state_of_the_seeded_corpora(self):
+    def test_every_reachable_state_of_the_seeded_corpora(self, placed_terms):
         for spec, roots, valuation in _seeded_specs():
             lts, _ = explore(spec, [GvState(root, valuation) for root in roots])
             for state in lts.states:
                 assert step(spec, state) == reference_step(spec, state)
+        # the corpora reach rows that change the frame: a || after a prefix
+        # or a condition
+        assert any(isinstance(term, Parallel) for term in placed_terms)
 
     def test_every_reachable_state_of_the_corner_specs(self):
         for spec, roots in step_corner_specs():
@@ -416,10 +419,29 @@ class TestStepAgainstReference:
         assert [label.name for label, _ in at_a] == ["p", "q"]
 
 
+def _leaves(expr) -> list:
+    """The maximal subterms of an expression with neither `||` nor
+    `encap` on top, left to right."""
+    if isinstance(expr, Encap):
+        return _leaves(expr.body)
+    if isinstance(expr, Parallel):
+        return _leaves(expr.left) + _leaves(expr.right)
+    return [expr]
+
+
+def _frame_nodes(expr) -> set:
+    """The `||` and `encap` nodes above an expression's leaves."""
+    if isinstance(expr, Encap):
+        return {expr} | _frame_nodes(expr.body)
+    if isinstance(expr, Parallel):
+        return {expr} | _frame_nodes(expr.left) | _frame_nodes(expr.right)
+    return set()
+
+
 class TestRowsPerPass:
-    """A pass derives the rows of each name body and each parallel operand
-    once per distinct (term, unfolding set), and composes every table from
-    them."""
+    """A pass derives the rows of each leaf (the innermost operands of a
+    frame's `||`) and each name body once per distinct (term, unfolding
+    set), and composes every table from them."""
 
     @staticmethod
     def _count_rows(monkeypatch) -> list:
@@ -428,17 +450,6 @@ class TestRowsPerPass:
         monkeypatch.setattr(gvpa.sos._RowMemo, "__missing__",
                             lambda memo, key: derived.append(key) or missing(memo, key))
         return derived
-
-    @staticmethod
-    def _spine_operands(expr) -> list:
-        """The operands of the parallel spine under an encap."""
-        if isinstance(expr, Encap):
-            expr = expr.body
-        out = []
-        while isinstance(expr, Parallel):
-            out += [expr.left, expr.right]
-            expr = expr.left
-        return out
 
     @pytest.mark.parametrize("pass_over", ["closure", "explore"])
     def test_each_operand_and_name_body_derived_once(self, monkeypatch, pass_over):
@@ -449,17 +460,15 @@ class TestRowsPerPass:
         else:
             exprs = {state.expr for state in generate_lts(spec, init).states}
         assert len(derived) == len(set(derived))
-        operands = [op for expr in exprs for op in self._spine_operands(expr)]
+        leaves = [leaf for expr in exprs for leaf in _leaves(expr)]
         keys = set(derived)
         none = frozenset()
-        for op in operands:
-            assert (op, none) in keys
-            if isinstance(op, Name):
-                assert (spec.equation(op.name), frozenset({op.name})) in keys
-        # 27 tables with 4 operands each share 18 operand derivations (9
-        # stages and 9 pairs of the first two components), plus 9 bodies
-        assert len(set(operands)) == 18 < len(operands) == 108
-        assert len(derived) == 18 + 9
+        for leaf in leaves:
+            assert (leaf, none) in keys
+            assert (spec.equation(leaf.name), frozenset({leaf.name})) in keys
+        # 27 expressions with 3 leaves each share the 9 stages, plus 9 bodies
+        assert len(set(leaves)) == 9 < len(leaves) == 81
+        assert len(derived) == 9 + 9
 
     def test_unfolding_sets_are_kept_apart(self, monkeypatch):
         p, q = (Prefix(Action(n), Deadlock()) for n in ("p", "q"))
@@ -475,28 +484,27 @@ class TestRowsPerPass:
 
 
 class TestTablesPerPass:
-    """A pass derives each expression's guarded step table once, not once
-    per valuation."""
+    """A pass composes each frame vector's table once, not once per
+    valuation; vectors and expressions correspond one to one."""
 
     @staticmethod
-    def _count_derivations(monkeypatch) -> list:
+    def _count_tables(monkeypatch) -> list:
         calls = []
-        derive = gvpa.sos.guarded_steps
-        monkeypatch.setattr(gvpa.sos, "guarded_steps",
-                            lambda spec, expr, memo=None:
-                            calls.append(expr) or derive(spec, expr, memo))
+        table = gvpa.sos._Stepper.table
+        monkeypatch.setattr(gvpa.sos._Stepper, "table",
+                            lambda self, e: calls.append(self.frames.expr(e)) or table(self, e))
         return calls
 
     def test_closure_derives_one_table_per_expression(self, monkeypatch):
         spec, init = parse_spec(worker_grid_text(3, 2))
-        calls = self._count_derivations(monkeypatch)
+        calls = self._count_tables(monkeypatch)
         exprs, valuations, _, _ = expression_closure(spec, init.root)
         assert len(valuations) == 8
         assert sorted(map(repr, calls)) == sorted(map(repr, exprs))
 
     def test_explore_derives_one_table_per_expression(self, monkeypatch):
         spec, init = parse_spec(ring_text(3, 3))
-        calls = self._count_derivations(monkeypatch)
+        calls = self._count_tables(monkeypatch)
         lts = generate_lts(spec, init)
         exprs = {state.expr for state in lts.states}
         assert len(lts.states) == 2 * len(exprs)
@@ -505,11 +513,11 @@ class TestTablesPerPass:
 
 
 class TestStepKernelAgainstReference:
-    """`guarded_steps` and `_Stepper.table` against the tables as first
-    written (`reference_guarded_steps`, `reference_step_table`) at every
-    expression the closure reaches."""
+    """`guarded_steps`, and `_Stepper.table` read through the term view,
+    against the tables as first written (`reference_guarded_steps`,
+    `reference_step_table`) at every expression the closure reaches."""
 
-    def test_tables_of_every_reached_expression(self):
+    def test_tables_of_every_reached_expression(self, placed_terms):
         cases = []
         for text in (TRAFFIC_TEXT, worker_grid_text(2, 3), ring_text(3, 3)):
             spec, init = parse_spec(text)
@@ -522,40 +530,43 @@ class TestStepKernelAgainstReference:
             for expr in exprs:
                 expected = reference_step_table(spec, expr)
                 assert guarded_steps(spec, expr) == reference_guarded_steps(spec, expr)
-                runs, twice = stepper.table(stepper.number(expr))
-                assert ([(tests, [(label, stepper.exprs[t], w, d) for label, t, w, d in rows])
+                runs, twice = stepper.table(stepper.expr_key(expr))
+                assert ([(tests, [(label, stepper.frames.expr(t), w, d)
+                                  for label, t, w, d in rows])
                          for tests, rows in runs], twice) == expected
                 rows = [(label, target) for _, run in expected[0] for label, target, _, _ in run]
                 flags[twice, len(set(rows)) < len(rows)] += 1
         # the corpus reaches pairs derived twice, and repeated pairs whose
         # tests conflict
         assert flags[True, True] and flags[False, True] and flags[False, False]
+        # and rows that change the frame: a || after a prefix or a condition
+        assert any(isinstance(term, Parallel) for term in placed_terms)
 
 
-class TestTargetsBuiltOnce:
-    """The step kernel builds a `||`, `encap` or handshake target only when
-    it is a new term: one that exists already is found in its intern
-    table."""
+class TestTermsOnDemand:
+    """A pass numbers its states by frame vectors and builds no `||` or
+    `encap` node; reading the states or expressions builds exactly the
+    nodes of those reached."""
 
     @pytest.mark.parametrize("pass_over", ["closure", "explore"])
-    def test_constructor_calls_equal_new_terms(self, monkeypatch, pass_over):
+    def test_nodes_built_only_when_read(self, pass_over):
         # a ring under names that no earlier test interned
         tag = next(f"N{k}" for k in count() if (f"N{k}C1_0",) not in Name._table)
         spec, init = parse_spec(ring_text(3, 3).replace("C", tag + "C"))
-        calls = Counter()
-        new = Term.__new__
-
-        def counting(cls, *args, **kwargs):
-            calls[cls] += 1
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Term, "__new__", staticmethod(counting))
-        before = {cls: len(cls._table) for cls in (Parallel, Encap, Action)}
+        before = {cls: set(cls._table.values()) for cls in (Parallel, Encap)}
         if pass_over == "closure":
-            expression_closure(spec, init.root)
+            read = expression_closure(spec, init.root)[0]
+            assert len(read) == 27
         else:
-            generate_lts(spec, init)
+            lts = generate_lts(spec, init)
+            assert export_lts(lts, "aut").startswith("des (0,")
+            read = lts.states
+            assert len(read) == 54
         for cls in (Parallel, Encap):
-            assert calls[cls] == len(cls._table) - before[cls] > 0
-        # the handshake's result action exists from its first step on
-        assert calls[Action] == len(Action._table) - before[Action]
+            assert set(cls._table.values()) == before[cls]
+        exprs = list(read) if pass_over == "closure" else [state.expr for state in read]
+        reached = set().union(*map(_frame_nodes, exprs))
+        for cls in (Parallel, Encap):
+            new = set(cls._table.values()) - before[cls]
+            assert new == {node for node in reached if isinstance(node, cls)} - before[cls]
+            assert new

@@ -25,7 +25,7 @@ from gvpa.sos import (
     GvState, Transitions, explore, export_lts, expression_closure,
     generate_lts,
 )
-from gvpa.syntax import enumerate_valuations
+from gvpa.syntax import Parallel, enumerate_valuations
 from gvpa.translate import run_pipeline
 
 
@@ -59,11 +59,14 @@ def _explored(spec, roots, valuation):
 
 
 class TestAgainstRowLists:
-    def test_lts_triples(self, corpus):
+    def test_lts_triples(self, corpus, placed_terms):
         for spec, roots, valuation in corpus:
             (lts, indices), (states, triples, ref_indices) = _explored(spec, roots, valuation)
             assert lts.states == states and indices == ref_indices
             assert list(lts.transitions) == triples
+        # the corpus reaches rows that change the frame: a || after a
+        # prefix or a condition
+        assert any(isinstance(term, Parallel) for term in placed_terms)
 
     def test_aut_and_dot_bytes(self, corpus):
         for spec, roots, valuation in corpus:

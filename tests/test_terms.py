@@ -27,7 +27,7 @@ from gvpa.mcrl2 import (
     MultiAction, Multiset, explore_mcrl2, step_mcrl2,
 )
 from gvpa.parser import parse_spec
-from gvpa.sos import ExplorationConfig, GvState, Transitions, expression_closure
+from gvpa.sos import ExplorationConfig, GvState, Payloads, Transitions, expression_closure
 from gvpa.syntax import (
     Action, Assign, DELTA, Encap, Name, Parallel, Prefix, ProcessExpr, Record,
     Term, Valuation,
@@ -283,12 +283,15 @@ def _records(value, found):
 
 
 def _plain(value):
-    """A value with each record spelled as its class and fields and each
-    `Transitions` store, which compares by identity, as its triples."""
+    """A value with each record spelled as its class and fields, each
+    `Transitions` store, which compares by identity, as its triples, and
+    each `Payloads`, which pickles as a tuple, as that tuple."""
     if isinstance(value, Record):
         return type(value), tuple(_plain(getattr(value, name)) for name in value._fields)
     if isinstance(value, Transitions):
         return tuple(value)
+    if isinstance(value, Payloads):
+        return tuple(map(_plain, value))
     if isinstance(value, (tuple, list)):
         return type(value)(map(_plain, value))
     return value

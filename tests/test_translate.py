@@ -14,6 +14,7 @@ from gvpa.mcrl2 import (
     explore_mcrl2, step_mcrl2,
 )
 from gvpa.parser import parse_expr, parse_spec
+from gvpa import translate
 from gvpa.sos import ExplorationConfig
 from gvpa.syntax import (
     Action, Assign, Cond, Deadlock, Encap, Name, Parallel, Prefix, Valuation,
@@ -58,6 +59,21 @@ class TestValidateParseq:
             validate_parseq(spec, bad)
         assert "encapsulation" in str(err.value)
 
+    def test_comm_entries_sharing_an_action_rejected(self):
+        spec, init = parse_spec(
+            "domain { u } vars { x } acts { a, b, c, d, e, f, g }\n"
+            "comm { a|b -> c; d|a -> e; f|f -> g; d|f -> c }\n"
+            "init a.delta || b.delta with { x = u }")
+        with pytest.raises(SpecValidationError) as err:
+            validate_parseq(spec, init.root)
+        assert err.value.violations == [
+            "comm entries a|b -> c and a|d -> e share the action a; the translation "
+            "needs each action in at most one entry",
+            "comm entries a|d -> e and d|f -> c share the action d; the translation "
+            "needs each action in at most one entry",
+            "comm entries f|f -> g and d|f -> c share the action f; the translation "
+            "needs each action in at most one entry"]
+
     def test_machinery_name_collision_rejected(self):
         spec, init = parse_spec(
             "domain { 0 } vars { v } acts { value } "
@@ -100,6 +116,24 @@ class TestChi:
         spec, _ = traffic
         got = chi(spec, Parallel(Name("CAR"), Name("TLC")), tuple(sorted(spec.variables)))
         assert got == MParallel(MCall("CAR"), MCall("TLC"))
+
+
+    def test_consistency_map_translates_each_subterm_once(self, monkeypatch):
+        # on a chain each source state is a suffix of the one before, so
+        # without a memo chi would run once per (state, suffix) pair
+        n = 200
+        spec, init = parse_spec("domain { 0 }\nvars { x }\nacts { a }\ninit " + "a." * n
+                                + "delta with { x = 0 }\n")
+        calls = []
+        original = translate.chi
+        monkeypatch.setattr(translate, "chi", lambda *args, **kwargs:
+                            calls.append(args[1]) or original(*args, **kwargs))
+        pipe = run_pipeline(spec, init.root, init.valuation)
+        assert len(pipe.gv_lts.states) == n + 1
+        assert pipe.consistency.ok
+        # n + 1 subterms for the model's root; for the map, the n + 1 of
+        # the first state and one call for each later state
+        assert len(calls) == (n + 1) + (n + 1) + n
 
 
 class TestMakeGlobs:
