@@ -22,7 +22,7 @@ _EXPORTS = {
         "enumerate_valuations", "expr_str", "label_str", "validate_comm",
         "validate_guardedness", "validate_spec",
     ),
-    "parser": ("parse_expr", "parse_spec", "render_spec"),
+    "parser": ("parse_expr", "parse_spec"),
     "sos": (
         "ExplorationConfig", "GvState", "Lts", "explore", "export_lts",
         "generate_lts", "reachable_exprs", "state_str", "step",
@@ -31,7 +31,7 @@ _EXPORTS = {
         "And", "Box", "Check", "Diamond", "HFalse", "HTrue", "HmlFormula",
         "Not", "Or", "SetVar", "StateSpace", "build_state_space",
         "eval_formula", "eval_modal_on_lts", "formula_str", "fragment",
-        "modal_depth", "parse_formula", "set_all",
+        "parse_formula", "set_all",
     ),
     "bisim": (
         "BisimResult", "distinguishing_formula_state_based",

@@ -207,13 +207,6 @@ def _in_relation(history, s: int, t: int, level: int) -> bool:
     return blocks[s] == blocks[t]
 
 
-def _blocks_of(ids: Sequence[int]) -> tuple[frozenset[int], ...]:
-    out: dict[int, set[int]] = {}
-    for state, block in enumerate(ids):
-        out.setdefault(block, set()).add(state)
-    return tuple(frozenset(out[b]) for b in sorted(out))
-
-
 # ---------------------------------------------------------------------------
 # One result type for the three bisimilarities
 
@@ -236,18 +229,9 @@ class BisimResult(Record):
     states: tuple
     adjacency: Transitions
     valuations: tuple[Valuation, ...]
-    _blocks: tuple[frozenset[int], ...] | None
 
     def successors(self, i: int) -> list[tuple]:
         return self.adjacency.successors(i)
-
-    @property
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        """The blocks of the final partition, by block id, built on first
-        read."""
-        if self._blocks is None:
-            object.__setattr__(self, "_blocks", _blocks_of(self.history[-1]))
-        return self._blocks
 
     @property
     def relation_size(self) -> int:

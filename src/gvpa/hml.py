@@ -141,16 +141,6 @@ def fragment(formula: HmlFormula) -> str:
     return "HML"
 
 
-def modal_depth(formula: HmlFormula) -> int:
-    if isinstance(formula, (HTrue, HFalse, Check)):
-        return 0
-    if isinstance(formula, (Not, SetVar)):
-        return modal_depth(formula.sub)
-    if isinstance(formula, (And, Or)):
-        return max(modal_depth(formula.left), modal_depth(formula.right))
-    return 1 + modal_depth(formula.sub)
-
-
 # ---------------------------------------------------------------------------
 # Pretty printing
 
@@ -249,7 +239,10 @@ class _FormulaParser:
         tok = self.ts.peek()
         if tok.kind == "STAR":
             self.ts.next()
-            return list(all_labels(self.spec))
+            labels = list(all_labels(self.spec))
+            if not labels:
+                raise SpecSyntaxError("* names no label: the spec has none", tok.line, tok.col)
+            return labels
         word = self.ts.expect("WORD", "transition label")
         if word.text == "assign":
             return [self.ts.assign_args(self.spec.variables, self.spec.domain)]

@@ -376,14 +376,6 @@ class Mcrl2Spec(Record):
         return self._eqmap[name]
 
 
-def step_mcrl2(env: Mcrl2Spec,
-               proc: Mcrl2Process) -> tuple[tuple[Multiset, Mcrl2Process], ...]:
-    """All transitions of a process term, deterministically ordered: the
-    unrestricted product rule's, with the steps no allow can keep left out
-    (a one-shot `_StepTable`)."""
-    return _StepTable(env).steps(proc)
-
-
 class _StepTable(dict):
     """The steps of the terms met in one exploration, keyed by ``(term,
     unfolding set, keep, complete, bind)``; a missing entry is derived.

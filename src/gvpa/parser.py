@@ -404,29 +404,3 @@ def parse_expr(text: str, spec: RecursiveSpec) -> ProcessExpr:
             raise SpecSyntaxError(
                 f"unknown process name {tok.text}", tok.line, tok.col)
     return expr
-
-
-def render_spec(spec: RecursiveSpec, init: InitSpec | None = None) -> str:
-    """Inverse of parse_spec: the text parses back to the same spec and init."""
-    lines = [f"domain {{ {', '.join(spec.domain.values)} }}"]
-    if spec.variables:
-        lines.append(f"vars {{ {', '.join(spec.variables)} }}")
-    lines.append(f"acts {{ {', '.join(spec.actions)} }}")
-    if not spec.comm.is_empty():
-        entries = "; ".join(
-            "|".join(sorted(key)) + " -> " + result
-            for key, result in spec.comm.entries
-        )
-        lines.append(f"comm {{ {entries} }}")
-    for name, body in spec.equations:
-        lines.append(f"proc {name} = {syntax.expr_str(body)}")
-    if init is not None:
-        with_part = ""
-        if init.valuation.entries:
-            pairs = ", ".join(f"{v} = {d}" for v, d in init.valuation.entries)
-            with_part = f" with {{ {pairs} }}"
-        root = syntax.expr_str(init.root)
-        if root.startswith("encap") and not isinstance(init.root, Encap):
-            root = f"({root})"  # a leading encap would scope over the whole line
-        lines.append(f"init {root}{with_part}")
-    return "\n".join(lines) + "\n"

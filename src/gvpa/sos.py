@@ -133,23 +133,6 @@ class Lts(Record):
 _TOP = frozenset()  # the unfolding set of a table's root
 
 
-def guarded_steps(spec: RecursiveSpec, expr: ProcessExpr,
-                  memo: _RowMemo | None = None) -> list[tuple]:
-    """The guarded step table of an expression.
-
-    One ``(tests, label, target)`` row per derivation by the rules Pref,
-    Asgn, Con, Rec, Sum-l/r, Par-l/r, Comm and Enc, in derivation order.
-    ``tests`` are the ``(weight, digit)`` pairs (see `ValuationCodes.test`)
-    of the conditions on the derivation; a derivation with conflicting
-    conditions has no row. A pass hands its `_RowMemo`, so the rows of
-    the name bodies, leaves and parallel operands it meets are derived
-    once.
-    """
-    if memo is None:
-        memo = _RowMemo(spec)
-    return _rows(spec, memo.codes, expr, _TOP, memo)
-
-
 class _RowMemo(dict):
     """The rows of the leaves, name bodies and parallel operands met in one
     pass, keyed by ``(term, unfolding set)``; a missing entry is derived."""
@@ -224,6 +207,11 @@ def _par(comm, left: list[tuple], right: list[tuple], join,
 
 
 def _rows(spec, codes, expr, unfolding, memo) -> list[tuple]:
+    """The guarded step table of an expression: one ``(tests, label,
+    target)`` row per derivation by the rules, in derivation order.
+    ``tests`` are the ``(weight, digit)`` pairs (see `ValuationCodes.test`)
+    of the conditions on the derivation; a derivation with conflicting
+    conditions has no row."""
     if isinstance(expr, Encap):
         blocked = expr.blocked
         return _enc(blocked, _rows(spec, codes, expr.body, unfolding, memo),
@@ -630,7 +618,7 @@ def _bfs(roots: Iterable, successors: Callable[[Any], Iterable[tuple[Any, Any]]]
 class Payloads(Sequence):
     """The payloads of a search's nodes in index order, built from the
     nodes on first read and kept; ``len`` builds none. It compares and
-    hashes as the tuple of its payloads, and pickles as that tuple."""
+    hashes as itself: ``tuple(payloads)`` is the value to compare."""
 
     __slots__ = ("_nodes", "_build", "_items")
 
@@ -651,17 +639,6 @@ class Payloads(Sequence):
 
     def __iter__(self):
         return iter(self.items())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, Payloads)):
-            return self.items() == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.items())
-
-    def __reduce__(self):
-        return tuple, (self.items(),)
 
     def __repr__(self) -> str:
         return repr(self.items())

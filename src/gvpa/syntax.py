@@ -335,11 +335,6 @@ class Valuation(Record):
                 return d
         raise KeyError(var)
 
-    def updated(self, var: str, value: str) -> "Valuation":
-        return Valuation(
-            tuple((v, value if v == var else d) for v, d in self.entries)
-        )
-
     def as_dict(self) -> dict[str, str]:
         return dict(self.entries)
 

@@ -293,14 +293,6 @@ def translate_init(spec: RecursiveSpec, root: ProcessExpr,
     )
 
 
-def translate_state(out: TranslationOutput, expr: ProcessExpr,
-                    valuation: Valuation, memo: dict | None = None) -> Mcrl2Process:
-    """The translated term for one source state; the consistency map is
-    this function applied pointwise, with one `chi` memo for all states."""
-    return _psi_term(out.spec, out.slots, out.allow_set, out.hidden,
-                     out.comm_entries, expr, valuation, memo)
-
-
 # ---------------------------------------------------------------------------
 # Formula translation (theta)
 
@@ -372,7 +364,8 @@ def build_consistency_map(out: TranslationOutput, gv_lts: Lts,
                 raise SpecValidationError(
                     [f"source state lost its encapsulation: {state_str(state)}"])
             expr = expr.body
-        link.append(m_index.get(translate_state(out, expr, state.valuation, memo)))
+        link.append(m_index.get(_psi_term(out.spec, out.slots, out.allow_set, out.hidden,
+                                          out.comm_entries, expr, state.valuation, memo)))
     return tuple(link)
 
 

@@ -11,9 +11,10 @@ handshake ring R(n,L) (many expressions); and hand-built corners of step
 tables. The
 parallel-sequential generator never puts a condition directly over delta
 and never nests conditions, so the translated state map stays injective
-and the structure-preservation counts are meaningful. `mutate_spec` edits
-a spec's AST so that its text still parses (for the CLI fuzz), and
-`gen_formula` draws formulas over a spec.
+and the structure-preservation counts are meaningful. `render_spec`
+prints a spec back as text, `mutate_spec` edits a spec's AST so that its
+text still parses (for the CLI fuzz), and `gen_formula` draws formulas
+over a spec.
 """
 from __future__ import annotations
 
@@ -28,9 +29,10 @@ from gvpa.mcrl2 import (
 from gvpa.sos import ExplorationConfig, GvState, explore, reachable_exprs
 from gvpa.syntax import (
     Action, Assign, Choice, CommFunction, Cond, Deadlock, DomainDef, Encap,
-    Name, Parallel, Prefix, ProcessExpr, RecursiveSpec, enumerate_valuations,
-    validate_spec,
+    InitSpec, Name, Parallel, Prefix, ProcessExpr, RecursiveSpec,
+    enumerate_valuations, expr_str, validate_spec,
 )
+from oracles import updated
 
 _ACTIONS = ("a", "b", "c")
 _VARS = ("u", "v")
@@ -205,6 +207,36 @@ def gen_parseq_spec(rng: random.Random, state_cap: int = 60,
 
 
 # ---------------------------------------------------------------------------
+# Spec texts
+
+
+def render_spec(spec: RecursiveSpec, init: InitSpec | None = None) -> str:
+    """Inverse of parse_spec: the text parses back to the same spec and init."""
+    lines = [f"domain {{ {', '.join(spec.domain.values)} }}"]
+    if spec.variables:
+        lines.append(f"vars {{ {', '.join(spec.variables)} }}")
+    lines.append(f"acts {{ {', '.join(spec.actions)} }}")
+    if not spec.comm.is_empty():
+        entries = "; ".join(
+            "|".join(sorted(key)) + " -> " + result
+            for key, result in spec.comm.entries
+        )
+        lines.append(f"comm {{ {entries} }}")
+    for name, body in spec.equations:
+        lines.append(f"proc {name} = {expr_str(body)}")
+    if init is not None:
+        with_part = ""
+        if init.valuation.entries:
+            pairs = ", ".join(f"{v} = {d}" for v, d in init.valuation.entries)
+            with_part = f" with {{ {pairs} }}"
+        root = expr_str(init.root)
+        if root.startswith("encap") and not isinstance(init.root, Encap):
+            root = f"({root})"  # a leading encap would scope over the whole line
+        lines.append(f"init {root}{with_part}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # Parse-preserving mutations (CLI fuzz)
 
 
@@ -259,8 +291,8 @@ def mutate_spec(rng: random.Random, spec: RecursiveSpec, root, valuation, edits:
     for _ in range(edits):
         where = rng.randrange(len(equations) + 2)
         if where == len(equations) + 1:
-            valuation = valuation.updated(rng.choice(spec.variables),
-                                          rng.choice(spec.domain.values))
+            valuation = updated(valuation, rng.choice(spec.variables),
+                                rng.choice(spec.domain.values))
             continue
         expr = root if where == len(equations) else equations[where][1]
         path, node = rng.choice(list(_paths(expr)))

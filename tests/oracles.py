@@ -43,6 +43,12 @@ from gvpa.syntax import (
 # Source steps by the SOS rules, one valuation at a time
 
 
+def updated(valuation, var: str, value: str) -> Valuation:
+    """The valuation with ``var`` set to ``value``, entry by entry (the
+    package rewrites one digit of a valuation code instead)."""
+    return Valuation(tuple((v, value if v == var else d) for v, d in valuation.entries))
+
+
 def reference_step(spec, state) -> tuple:
     """Every transition of a state by the rules as written, deriving them
     under the state's own valuation; repeated steps are listed once, at
@@ -57,7 +63,7 @@ def _reference_source_steps(spec, expr, valuation, unfolding) -> list:
     if isinstance(expr, Prefix):
         label = expr.label
         if isinstance(label, Assign):
-            target = valuation.updated(label.var, label.value)
+            target = updated(valuation, label.var, label.value)
         else:
             target = valuation
         return [(label, GvState(expr.body, target))]
@@ -332,9 +338,11 @@ def reference_refinement_history(n_states: int, adjacency,
 def related_pairs(result) -> frozenset:
     """Unordered pairs of distinct states that share a final block of a
     `BisimResult`."""
-    return frozenset(
-        (result.states[a], result.states[b])
-        for block in result.blocks for a, b in combinations(sorted(block), 2))
+    blocks: dict = {}
+    for state, block in enumerate(result.history[-1]):
+        blocks.setdefault(block, []).append(state)
+    return frozenset((result.states[a], result.states[b])
+                     for members in blocks.values() for a, b in combinations(members, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +763,7 @@ def reference_eval_formula(model, formula, memo: dict | None = None) -> frozense
         out = frozenset(
             i for i, state in enumerate(model.states)
             if model.index_of(GvState(
-                state.expr, state.valuation.updated(formula.var, formula.value))) in sub)
+                state.expr, updated(state.valuation, formula.var, formula.value))) in sub)
     else:
         raise TypeError(f"not a formula: {formula!r}")
     memo[formula] = out

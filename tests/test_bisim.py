@@ -53,16 +53,14 @@ class TestStrong:
         spec, init = traffic
         lts, (si,) = explore(spec, [GvState(init.root, init.valuation)])
         result = strong_bisim(lts, si, si)
-        union = set()
-        for block in result.blocks:
-            assert not (union & block)
-            union |= block
-        assert union == set(range(len(lts.states)))
-        # the blocks are built once, and the relation size (unordered pairs
-        # with repetition) is read off the partition without them
-        assert result.blocks is result.blocks
+        blocks: dict = {}
+        for state, block in enumerate(result.history[-1]):
+            blocks.setdefault(block, set()).add(state)
+        assert set().union(*blocks.values()) == set(range(len(lts.states)))
+        # the relation size (unordered pairs with repetition) is read off
+        # the partition
         assert result.relation_size == sum(
-            len(b) * (len(b) + 1) // 2 for b in result.blocks)
+            len(b) * (len(b) + 1) // 2 for b in blocks.values())
 
 
 class TestStateBased:

@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 from conftest import lts_of
 from genspecs import (
-    gen_formula, gen_pair, gen_parseq_spec, gen_spec, mutate_spec, ring_text,
+    gen_formula, gen_pair, gen_parseq_spec, gen_spec, mutate_spec, render_spec,
+    ring_text,
 )
 from oracles import reference_cli_valuation, reference_load_formulas
 
 import gvpa.syntax
 from gvpa.cli import main
 from gvpa.hml import all_labels, formula_str, parse_formulas
-from gvpa.parser import parse_spec, parse_valuation, render_spec
+from gvpa.parser import parse_spec, parse_valuation
 from gvpa.syntax import InitSpec, enumerate_valuations, expr_str
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -173,12 +174,15 @@ class TestLts:
     @pytest.mark.parametrize("fmt", ["aut", "dot"])
     def test_ring_exports_match_the_goldens(self, tmp_path, capsys, fmt):
         # R(3,3) has an encap and a handshake; its DOT prints each state's
-        # term, built from the state's frame vector when the export reads it
-        spec = tmp_path / "R33.gvpa"
-        spec.write_text(ring_text(3, 3), encoding="utf-8")
-        assert main(["lts", str(spec), "--format", fmt]) == 0
-        golden = (DATA.parent / "golden" / f"R33.lts.{fmt}").read_text(encoding="utf-8")
-        assert capsys.readouterr().out == golden
+        # term, built from the state's frame vector when the export reads it.
+        # forks has moves that change the frame: a || after a prefix, and
+        # an encap after a prefix inside a ||
+        ring = tmp_path / "R33.gvpa"
+        ring.write_text(ring_text(3, 3), encoding="utf-8")
+        for name, spec in (("R33", ring), ("forks", DATA / "forks.gvpa")):
+            assert main(["lts", str(spec), "--format", fmt]) == 0
+            golden = (DATA.parent / "golden" / f"{name}.lts.{fmt}").read_text(encoding="utf-8")
+            assert capsys.readouterr().out == golden, name
 
 
 class TestModelcheck:
@@ -194,6 +198,13 @@ class TestModelcheck:
         path = tmp_path / "prop.hml"
         path.write_text("[assign(t, red)] (t = red)")
         assert main(["modelcheck", TRAFFIC, "--formula-file", str(path)]) == 0
+
+    @pytest.mark.parametrize("formula", ["<*> true", "[*] false"])
+    def test_star_over_an_empty_alphabet_exit_2(self, tmp_path, capsys, formula):
+        path = tmp_path / "empty.gvpa"
+        path.write_text("domain { a }\nacts { }\ninit delta\n", encoding="utf-8")
+        assert main(["modelcheck", str(path), "--formula", formula]) == 2
+        assert capsys.readouterr().err == "error: 1:2: * names no label: the spec has none\n"
 
     def test_json_payload(self, capsys):
         assert main(["--json", "modelcheck", TRAFFIC,

@@ -13,7 +13,7 @@ from gvpa.errors import SpecSyntaxError
 from gvpa.hml import (
     And, Box, Check, Diamond, FALSE, Not, Or, SetVar, TRUE, all_labels,
     build_state_space, eval_formula, eval_modal_on_lts, formula_str, fragment,
-    holds, modal_depth, parse_formula, set_all,
+    holds, parse_formula, set_all,
 )
 from gvpa.parser import parse_spec
 from gvpa.sos import ExplorationConfig, GvState
@@ -39,6 +39,13 @@ class TestParseFormula:
         with pytest.raises(SpecSyntaxError) as err:
             parse_formula("<> true", spec)
         assert "nonempty" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["<*> true", "[*] false"])
+    def test_star_over_an_empty_alphabet_rejected(self, text):
+        spec, _ = parse_spec("domain { a }\nacts { }\ninit delta\n")
+        with pytest.raises(SpecSyntaxError) as err:
+            parse_formula(text, spec)
+        assert (err.value.line, err.value.col) == (1, 2)
 
     def test_fragments(self, example3):
         spec, *_ = example3
@@ -243,13 +250,6 @@ class TestSemanticLaws:
                 e = state.valuation.value_of(v)
                 assert (i in eval_formula(space, SetVar(v, e, phi))) == (
                     i in eval_formula(space, phi))
-
-
-def test_modal_depth():
-    inner = Diamond(frozenset({Action("a")}), TRUE)
-    assert modal_depth(inner) == 1
-    assert modal_depth(SetVar("v", "0", inner)) == 1
-    assert modal_depth(And(inner, Box(frozenset({Action("a")}), inner))) == 2
 
 
 class TestReferenceEvaluatorAgreement:

@@ -21,9 +21,8 @@ from gvpa.errors import ResourceLimitError
 from gvpa.mcrl2 import (
     DAnd, DBool, DConst, DEq, DVar, EMPTY_MULTISET, GroundAction, MAct, MAllow,
     MBar, MCall, MChoice, MComm, MDELTA, MHide, MParallel, MPrefix, MSum,
-    Mcrl2Process, Mcrl2Spec, Multiset, TAU, apply_comm, apply_hide,
-    canonical_label, explore_mcrl2, instantiate,
-    sem_multiaction, step_mcrl2,
+    Mcrl2Process, Mcrl2Spec, Multiset, TAU, _StepTable, apply_comm, apply_hide,
+    canonical_label, explore_mcrl2, instantiate, sem_multiaction,
 )
 from gvpa.parser import parse_spec
 from gvpa.sos import ExplorationConfig, export_lts
@@ -223,10 +222,10 @@ def globs_env():
 
 class TestStepMcrl2:
     def test_deadlock(self, globs_env):
-        assert step_mcrl2(globs_env, MDELTA) == ()
+        assert _StepTable(globs_env).steps(MDELTA) == ()
 
     def test_globs_value_self_loop(self, globs_env):
-        steps = step_mcrl2(globs_env, MCall("Globs", (DConst("green"),)))
+        steps = _StepTable(globs_env).steps(MCall("Globs", (DConst("green"),)))
         labels = {canonical_label(DOMAIN, sem) for sem, _ in steps}
         assert "value(g,green)" in labels
         assert "value(g,red)" not in labels
@@ -235,7 +234,7 @@ class TestStepMcrl2:
         assert value_targets == [MCall("Globs", (DConst("green"),))]
 
     def test_globs_assign_summand_per_new_value(self, globs_env):
-        steps = step_mcrl2(globs_env, MCall("Globs", (DConst("green"),)))
+        steps = _StepTable(globs_env).steps(MCall("Globs", (DConst("green"),)))
         for new in DOMAIN:
             label = canonical_label(
                 DOMAIN, ms(ga("checkG", "green", True), ga("assignG", "g", new)))
@@ -244,20 +243,20 @@ class TestStepMcrl2:
             assert matches == [MCall("Globs", (DConst(new),))]
 
     def test_globs_double_check(self, globs_env):
-        steps = step_mcrl2(globs_env, MCall("Globs", (DConst("green"),)))
+        steps = _StepTable(globs_env).steps(MCall("Globs", (DConst("green"),)))
         sems = [sem for sem, _ in steps]
         assert ms(ga("checkG", "green", True), ga("checkG", "green", True)) in sems
 
     def test_sum_expands_over_domain(self, globs_env):
         proc = MSum("x", MPrefix(MAct("value", (DConst("g"), DVar("x"))), MDELTA))
         labels = {canonical_label(DOMAIN, sem)
-                  for sem, _ in step_mcrl2(globs_env, proc)}
+                  for sem, _ in _StepTable(globs_env).steps(proc)}
         assert labels == {"value(g,green)", "value(g,red)"}
 
     def test_parallel_synchronous_merge(self, globs_env):
         p = MPrefix(MAct("a"), MDELTA)
         q = MPrefix(MAct("b"), MDELTA)
-        steps = step_mcrl2(globs_env, MParallel(p, q))
+        steps = _StepTable(globs_env).steps(MParallel(p, q))
         labels = [canonical_label(DOMAIN, sem) for sem, _ in steps]
         assert labels == ["a", "b", "a|b"]
 
@@ -266,14 +265,14 @@ class TestStepMcrl2:
                     MPrefix(MBar(MAct("a"), MAct("b")), MDELTA))
         allowed = MAllow(frozenset({Multiset(["a"])}), p)
         labels = [canonical_label(DOMAIN, sem)
-                  for sem, _ in step_mcrl2(globs_env, allowed)]
+                  for sem, _ in _StepTable(globs_env).steps(allowed)]
         assert labels == ["a"]
 
     def test_allow_empty_set_blocks_everything_but_tau(self, globs_env):
         p = MChoice(MPrefix(MAct("a"), MDELTA), MPrefix(TAU, MDELTA))
         allowed = MAllow(frozenset(), p)
         labels = [canonical_label(DOMAIN, sem)
-                  for sem, _ in step_mcrl2(globs_env, allowed)]
+                  for sem, _ in _StepTable(globs_env).steps(allowed)]
         assert labels == ["tau"]
 
 
@@ -291,7 +290,7 @@ class TestGenerateLtsMcrl2:
 
     def test_par_rule_label_is_multiset_sum(self, globs_env):
         p = MParallel(MPrefix(MAct("a"), MDELTA), MPrefix(MAct("a"), MDELTA))
-        steps = step_mcrl2(globs_env, p)
+        steps = _StepTable(globs_env).steps(p)
         sems = [sem for sem, _ in steps]
         assert ms(ga("a"), ga("a")) in sems
 
@@ -431,7 +430,7 @@ class TestStepTable:
         root = MChoice(_stack([["c"]], [(["b", "e"], "c")], shared, hidden=()),
                        _stack([["b"], ["c"]], [(["b", "e"], "c")], shared, hidden=()))
         env = Mcrl2Spec(domain=("0",), equations=())
-        labels = [canonical_label(env.domain, sem) for sem, _ in step_mcrl2(env, root)]
+        labels = [canonical_label(env.domain, sem) for sem, _ in _StepTable(env).steps(root)]
         assert labels == ["c(9)", "b(9)", "c(9)"]
         assert _explores_like_reference(env, [root]) == 3
 
@@ -452,7 +451,7 @@ class TestStepTable:
             ("P", (), MChoice(MPrefix(_a("a"), MDELTA), MCall("Q"))),
             ("Q", (), MChoice(MPrefix(_a("b"), MDELTA), MCall("P")))))
         root = MParallel(MCall("Q"), MCall("P"))
-        assert len(step_mcrl2(env, root)) == 7
+        assert len(_StepTable(env).steps(root)) == 7
         assert _explores_like_reference(env, [root]) == 11
 
     def test_explorations_of_two_specs_sharing_a_term(self):

@@ -3,10 +3,12 @@ import random
 import pytest
 
 from conftest import DATA, TRAFFIC_TEXT
-from genspecs import gen_pair, gen_parseq_spec, gen_spec, ring_text, worker_grid_text
+from genspecs import (
+    gen_pair, gen_parseq_spec, gen_spec, render_spec, ring_text, worker_grid_text,
+)
 from gvpa.errors import SpecSyntaxError, SpecValidationError
 from gvpa.hml import parse_formula
-from gvpa.parser import parse_expr, parse_spec, render_spec, tokenize
+from gvpa.parser import parse_expr, parse_spec, tokenize
 from gvpa.syntax import (
     Action, Assign, Choice, Cond, Deadlock, Encap, InitSpec, Name, Parallel, Prefix,
     expr_str,

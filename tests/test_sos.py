@@ -8,14 +8,14 @@ from conftest import TRAFFIC_TEXT
 from genspecs import (
     gen_pair, gen_parseq_spec, gen_spec, ring_text, step_corner_specs, worker_grid_text,
 )
-from oracles import reference_guarded_steps, reference_step, reference_step_table
+from oracles import reference_guarded_steps, reference_step, reference_step_table, updated
 
 import gvpa.sos
 from gvpa.errors import ResourceLimitError
 from gvpa.parser import parse_expr, parse_spec
 from gvpa.sos import (
-    ExplorationConfig, GvState, Transitions, _Stepper, explore, export_lts,
-    expression_closure, generate_lts, guarded_steps, reachable_exprs, step,
+    ExplorationConfig, GvState, Transitions, _RowMemo, _Stepper, explore,
+    export_lts, expression_closure, generate_lts, reachable_exprs, step,
 )
 from gvpa.syntax import (
     Action, Assign, Choice, CommFunction, Cond, Deadlock, DomainDef, Encap,
@@ -138,7 +138,7 @@ class TestStep:
             if isinstance(label, Action):
                 assert after == before
             else:
-                assert after == before.updated(label.var, label.value)
+                assert after == updated(before, label.var, label.value)
                 for var, value in before.entries:
                     if var != label.var:
                         assert after.value_of(var) == value
@@ -188,7 +188,7 @@ class TestGenerateLts:
         spec, init = traffic
         first = generate_lts(spec, init)
         second = generate_lts(spec, init)
-        assert first.states == second.states
+        assert tuple(first.states) == tuple(second.states)
         assert list(first.transitions) == list(second.transitions)
         assert export_lts(first) == export_lts(second)
 
@@ -203,7 +203,7 @@ class TestExplorationConfig:
     def test_one_valuation_is_a_valid_cap(self):
         spec, init = parse_spec("domain { 0 } vars { v } acts { a } init a.delta with { v = 0 }")
         closure = reachable_exprs(spec, init.root, ExplorationConfig(max_valuations=1))
-        assert closure == (init.root, Deadlock())
+        assert tuple(closure) == (init.root, Deadlock())
 
 
 class TestReachableExprs:
@@ -213,7 +213,7 @@ class TestReachableExprs:
 
     def test_deadlock_root(self, example3):
         spec, _, _, _, _ = example3
-        assert reachable_exprs(spec, Deadlock()) == (Deadlock(),)
+        assert tuple(reachable_exprs(spec, Deadlock())) == (Deadlock(),)
 
     def test_car_closure(self, traffic):
         spec, _ = traffic
@@ -232,7 +232,7 @@ class TestImageFiniteness:
 
     def test_deadlock_ok(self, example3):
         spec, _, _, _, _ = example3
-        assert reachable_exprs(spec, Deadlock()) == (Deadlock(),)
+        assert tuple(reachable_exprs(spec, Deadlock())) == (Deadlock(),)
 
     def test_unguarded_bound_exceeded(self):
         spec = RecursiveSpec(
@@ -513,8 +513,8 @@ class TestTablesPerPass:
 
 
 class TestStepKernelAgainstReference:
-    """`guarded_steps`, and `_Stepper.table` read through the term view,
-    against the tables as first written (`reference_guarded_steps`,
+    """The rows of one pass (`_RowMemo`), and `_Stepper.table` read through
+    the term view, against the tables as first written (`reference_guarded_steps`,
     `reference_step_table`) at every expression the closure reaches."""
 
     def test_tables_of_every_reached_expression(self, placed_terms):
@@ -526,10 +526,10 @@ class TestStepKernelAgainstReference:
         flags = Counter()
         for spec, roots in cases + step_corner_specs():
             exprs = expression_closure(spec, roots)[0]
-            stepper = _Stepper(spec)
+            stepper, memo = _Stepper(spec), _RowMemo(spec)
             for expr in exprs:
                 expected = reference_step_table(spec, expr)
-                assert guarded_steps(spec, expr) == reference_guarded_steps(spec, expr)
+                assert memo[expr, frozenset()] == reference_guarded_steps(spec, expr)
                 runs, twice = stepper.table(stepper.expr_key(expr))
                 assert ([(tests, [(label, stepper.frames.expr(t), w, d)
                                   for label, t, w, d in rows])

@@ -62,7 +62,7 @@ class TestAgainstRowLists:
     def test_lts_triples(self, corpus, placed_terms):
         for spec, roots, valuation in corpus:
             (lts, indices), (states, triples, ref_indices) = _explored(spec, roots, valuation)
-            assert lts.states == states and indices == ref_indices
+            assert tuple(lts.states) == states and indices == ref_indices
             assert list(lts.transitions) == triples
         # the corpus reaches rows that change the frame: a || after a
         # prefix or a condition
@@ -100,7 +100,7 @@ class TestAgainstRowLists:
                         == reference_refinement_history(n, rows, initial))
             exprs, _, closure, indices = expression_closure(spec, roots)
             ref_exprs, _, ref_rows, ref_indices = reference_closure(spec, roots)
-            assert exprs == ref_exprs and indices == ref_indices
+            assert tuple(exprs) == ref_exprs and indices == ref_indices
             assert [closure.successors(e) for e in range(len(exprs))] == ref_rows
             initial = [0] * len(exprs)
             assert (refinement_history(closure, initial)

@@ -9,6 +9,7 @@ from gvpa.syntax import (
     Name, Parallel, Prefix, RecursiveSpec, Valuation, enumerate_valuations,
     expr_str, label_str, validate_comm, validate_guardedness, validate_spec,
 )
+from oracles import updated
 
 
 def make_spec(equations=(), variables=("v",), values=("0", "1"),
@@ -34,9 +35,9 @@ class TestDomain:
 class TestValuation:
     def test_update_preserves_other_variables(self):
         v = Valuation((("u", "0"), ("v", "1")))
-        updated = v.updated("u", "1")
-        assert updated.value_of("u") == "1"
-        assert updated.value_of("v") == "1"
+        after = updated(v, "u", "1")
+        assert after.value_of("u") == "1"
+        assert after.value_of("v") == "1"
         assert v.value_of("u") == "0"
 
     def test_str(self):
@@ -185,7 +186,7 @@ class TestValuationCodes:
                 for c, v in enumerate(vals):
                     assert (c // weight % codes.base == digit) == (v.value_of(var) == value)
                     rewritten = c + (digit - c // weight % codes.base) * weight
-                    assert vals[rewritten] == v.updated(var, value)
+                    assert vals[rewritten] == updated(v, var, value)
 
     def test_a_valuation_of_other_variables_has_no_code(self):
         spec = self._spec()

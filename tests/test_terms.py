@@ -24,7 +24,7 @@ from gvpa.hml import (
 )
 from gvpa.mcrl2 import (
     DConst, DataExpr, GroundAction, MAct, MCall, MDELTA, MPrefix, Mcrl2Process,
-    MultiAction, Multiset, explore_mcrl2, step_mcrl2,
+    MultiAction, Multiset, _StepTable, explore_mcrl2,
 )
 from gvpa.parser import parse_spec
 from gvpa.sos import ExplorationConfig, GvState, Payloads, Transitions, expression_closure
@@ -150,7 +150,7 @@ def _mcrl2_corpus() -> list:
         lts, _ = explore_mcrl2(env, [root])
         for state in lts.states[:20]:
             terms.append(state)
-            terms += [sem for sem, _ in step_mcrl2(env, state)]
+            terms += [sem for sem, _ in _StepTable(env).steps(state)]
     return terms
 
 
@@ -285,7 +285,8 @@ def _records(value, found):
 def _plain(value):
     """A value with each record spelled as its class and fields, each
     `Transitions` store, which compares by identity, as its triples, and
-    each `Payloads`, which pickles as a tuple, as that tuple."""
+    each `Payloads`, which also compares by identity, as the tuple of its
+    payloads."""
     if isinstance(value, Record):
         return type(value), tuple(_plain(getattr(value, name)) for name in value._fields)
     if isinstance(value, Transitions):

@@ -10,8 +10,8 @@ from gvpa.errors import FragmentError, SpecValidationError
 from gvpa.hml import Box, Diamond, TRUE, parse_formula
 from gvpa.mcrl2 import (
     DAnd, DBool, DConst, DEq, DVar, MAct, MBar, MCall, MChoice, MDELTA,
-    MParallel, MPrefix, MSum, Mcrl2Spec, Multiset, canonical_label,
-    explore_mcrl2, step_mcrl2,
+    MParallel, MPrefix, MSum, Mcrl2Spec, Multiset, _StepTable, canonical_label,
+    explore_mcrl2,
 )
 from gvpa.parser import parse_expr, parse_spec
 from gvpa import translate
@@ -165,14 +165,14 @@ class TestMakeGlobs:
     def test_globs_double_check_step(self):
         env = Mcrl2Spec(domain=("green", "red"),
                         equations=(make_globs(("g",), ("green", "red")),))
-        steps = step_mcrl2(env, MCall("Globs", (DConst("green"),)))
+        steps = _StepTable(env).steps(MCall("Globs", (DConst("green"),)))
         labels = {canonical_label(("green", "red"), sem) for sem, _ in steps}
         assert "checkG(green,true)|checkG(green,true)" in labels
 
     def test_value_loop_only_at_current_value(self):
         env = Mcrl2Spec(domain=("green", "red"),
                         equations=(make_globs(("g",), ("green", "red")),))
-        steps = step_mcrl2(env, MCall("Globs", (DConst("green"),)))
+        steps = _StepTable(env).steps(MCall("Globs", (DConst("green"),)))
         labels = {canonical_label(("green", "red"), sem) for sem, _ in steps}
         assert "value(g,green)" in labels and "value(g,red)" not in labels
 
@@ -510,7 +510,7 @@ class TestLemma3Shape:
         images = {chi(spec, e, slots) for e in closure}
         images |= {MCall(n) for n in spec.process_names}
         for expr in closure:
-            for sem, target in step_mcrl2(env, chi(spec, expr, slots)):
+            for sem, target in _StepTable(env).steps(chi(spec, expr, slots)):
                 has_true_check = any(
                     e.name == "checkP" and e.args[-1] is True
                     for e, _ in sem.items())
@@ -648,7 +648,7 @@ class TestMultiVariable:
         name, params, body = make_globs(("u", "v"), ("0", "1"))
         assert params == ("d1", "d2")
         env = Mcrl2Spec(domain=("0", "1"), equations=((name, params, body),))
-        steps = step_mcrl2(env, MCall("Globs", (DConst("0"), DConst("1"))))
+        steps = _StepTable(env).steps(MCall("Globs", (DConst("0"), DConst("1"))))
         labels = {canonical_label(("0", "1"), sem) for sem, _ in steps}
         assert "value(u,0)" in labels and "value(v,1)" in labels
         assert "value(u,1)" not in labels
