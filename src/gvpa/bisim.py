@@ -8,11 +8,10 @@ expression-level system whose labels are (valuation, label, target
 valuation) triples: the matching clause of its definition quantifies over
 every valuation and fixes the target valuation.
 
-Refinement reads the label ids and targets of one `Transitions` store and
-keeps one signature per block. After the first round it signs again only
-the predecessors of states that moved to a new block, so a round costs
-work in proportion to what changed; the history is the same as that of
-full sweeps.
+Refinement reads the label ids and targets of one `Transitions` store.
+After the first round it signs again only the predecessors of states
+that moved to a new block, so a round costs work in proportion to what
+changed; the history is the same as that of full sweeps.
 """
 from __future__ import annotations
 
@@ -49,8 +48,11 @@ if TYPE_CHECKING:
 # stable: a block that splits keeps its id for one part and only the
 # other parts' states move. A state's signature can change only when a
 # successor moved, so after round 1 only the predecessors of moved states
-# are signed again; each block stores the one signature that its other
-# members still carry.
+# are signed again. Such a signature names a block id made in the last
+# round, which the signature of no member left unsigned names, so the
+# re-signed members of a block group apart from the rest: when every
+# member was re-signed the first group keeps the id, and otherwise every
+# group moves to a new one.
 
 
 class _Patterns(dict):
@@ -150,20 +152,16 @@ def refinement_history(transitions: Transitions,
     size = [0] * (max(block, default=-1) + 1)
     for b in block:
         size[b] += 1
-    stored: list = [None] * len(size)
     sources = None
     dirty: Sequence[int] = range(n_states)
     # a round either splits a block or is the last, so n_states rounds suffice
     for _ in range(n_states):
-        # the states of each block that left its stored signature, by the
-        # new one; the rest of the block still carries the stored one
+        # the re-signed states of each block, by signature
         parts_of: dict[int, dict[tuple[int, ...], list[int]]] = {}
         for s in dirty:
             b = block[s]
             signature = _signature(pattern_of[s], ordered[offsets[s]:offsets[s + 1]],
                                    block, patterns)
-            if signature == stored[b]:
-                continue
             parts = parts_of.get(b)
             if parts is None:
                 parts = parts_of[b] = {}
@@ -175,12 +173,10 @@ def refinement_history(transitions: Transitions,
         moved: list[int] = []
         for b, parts in parts_of.items():
             if size[b] == sum(map(len, parts.values())):
-                # no member kept the stored signature: the first part keeps the id
-                stored[b] = next(iter(parts))
-                del parts[stored[b]]
-            for signature, members in parts.items():
-                new = len(stored)
-                stored.append(signature)
+                # every member was re-signed: the first part keeps the id
+                del parts[next(iter(parts))]
+            for members in parts.values():
+                new = len(size)
                 size.append(len(members))
                 size[b] -= len(members)
                 for s in members:

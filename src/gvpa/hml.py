@@ -33,7 +33,7 @@ from .sos import (
 )
 from .syntax import (
     Action, Assign, ProcessExpr, Record, RecursiveSpec, Term, TransitionLabel,
-    Valuation, ValuationCodes, check_valuation_cap, label_str, render,
+    Valuation, ValuationCodes, label_str, render,
 )
 
 
@@ -424,12 +424,10 @@ def holds(spec: RecursiveSpec, state: GvState, formula: HmlFormula,
     """Whether a formula holds at a state, stepping only the states that the
     formula's modalities and set operators reach.
 
-    The valuation count is checked against ``cfg.max_valuations`` first,
-    as a grid build does; ``cfg.max_states`` bounds the distinct states
-    stepped."""
-    codes = check_valuation_cap(spec, cfg.max_valuations)
+    ``cfg.max_states`` bounds the distinct states stepped; no valuation is
+    enumerated, so ``cfg.max_valuations`` does not apply."""
     stepper = _Stepper(spec)
-    return _checker(stepper.successors, _digit_atom(codes),
+    return _checker(stepper.successors, _digit_atom(spec.codes),
                     cfg.max_states)(stepper.key(state), formula)
 
 

@@ -23,7 +23,7 @@ from .errors import SpecSyntaxError
 from .syntax import (
     Action, Assign, Choice, Cond, DomainDef, Deadlock, Encap, InitSpec, Name,
     Parallel, Prefix, ProcessExpr, Record, RecursiveSpec, CommFunction, Valuation,
-    RESERVED_WORDS,
+    RESERVED_WORDS, comm_names,
 )
 
 
@@ -322,7 +322,7 @@ def parse_spec(text: str) -> tuple[RecursiveSpec, InitSpec]:
         ts.expect("ARROW")
         c = ts.expect("WORD", "action name")
         pair = frozenset((a.text, b.text))
-        _once(pairs, pair, a, f"duplicate comm entry for {'|'.join(sorted(pair))}")
+        _once(pairs, pair, a, f"duplicate comm entry for {'|'.join(comm_names(pair))}")
         return pair, c.text
 
     comm_entries = []

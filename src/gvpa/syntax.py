@@ -400,6 +400,13 @@ class ValuationCodes:
 # Communication function
 
 
+def comm_names(key: frozenset[str]) -> tuple[str, str]:
+    """The sorted names of a comm entry's key; a one-name key, an action's
+    handshake with itself, names it twice."""
+    names = sorted(key)
+    return names[0], names[-1]
+
+
 class CommFunction(Record):
     """ACP-style handshake communication: unordered action pair -> action."""
 
@@ -411,10 +418,9 @@ class CommFunction(Record):
         # both orders of each pair, so a lookup builds no set
         index = {}
         for key, result in self.entries:
-            names = sorted(key)
-            a, b = names[0], names[-1]
+            a, b = comm_names(key)
             if (a, b) in index:
-                raise SpecValidationError([f"duplicate comm entry for {'|'.join(names)}"])
+                raise SpecValidationError([f"duplicate comm entry for {a}|{b}"])
             index[a, b] = index[b, a] = result
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_parties", frozenset(name for key, _ in self.entries
@@ -438,7 +444,7 @@ def validate_comm(comm: CommFunction, actions: Iterable[str]) -> list[str]:
     problems = []
     results = {result for _, result in comm.entries}
     for key, result in comm.entries:
-        shown = "|".join(sorted(key)) + " -> " + result
+        shown = "|".join(comm_names(key)) + " -> " + result
         for name in key:
             if name not in acts:
                 problems.append(f"comm entry {shown}: {name} is not a declared action")
@@ -601,13 +607,8 @@ def require_valid(spec: RecursiveSpec, init: InitSpec | None = None):
 
 def enumerate_valuations(spec: RecursiveSpec, cap: int = 4096) -> tuple[Valuation, ...]:
     """All total valuations, lexicographic in (variable order, domain order),
-    which is the order of their codes; the valuations are the canonical ones."""
-    codes = check_valuation_cap(spec, cap)
-    return tuple(codes.valuation(code) for code in range(codes.count))
-
-
-def check_valuation_cap(spec: RecursiveSpec, cap: int) -> ValuationCodes:
-    """The spec's valuation codes, if they number at most ``cap``."""
+    which is the order of their codes; the valuations are the canonical ones.
+    More than ``cap`` of them raise `ResourceLimitError`."""
     codes = spec.codes
     if codes.count > cap:
         raise ResourceLimitError(
@@ -615,4 +616,4 @@ def check_valuation_cap(spec: RecursiveSpec, cap: int) -> ValuationCodes:
             limit=cap,
             reached=codes.count,
         )
-    return codes
+    return tuple(codes.valuation(code) for code in range(codes.count))

@@ -30,7 +30,8 @@ from .mcrl2 import (
 from .sos import DEFAULT_CONFIG, ExplorationConfig, GvState, Lts, explore, state_str
 from .syntax import (
     Action, Choice, Cond, Deadlock, Encap, Name, Parallel, Prefix,
-    ProcessExpr, Record, RecursiveSpec, Valuation, expr_str, label_str, render,
+    ProcessExpr, Record, RecursiveSpec, Valuation, comm_names, expr_str,
+    label_str, render,
 )
 
 #: Action and process names the translation introduces; source specs must
@@ -94,8 +95,8 @@ def validate_parseq(spec: RecursiveSpec,
     inner)."""
     problems: list[str] = []
     # the model's comm set would fire the shared action by entry order
-    entries = [("|".join(sorted(key) if len(key) > 1 else [*key] * 2) + f" -> {result}",
-                key) for key, result in spec.comm.entries]
+    entries = [("|".join(comm_names(key)) + f" -> {result}", key)
+               for key, result in spec.comm.entries]
     for i, (first, first_key) in enumerate(entries):
         for second, second_key in entries[i + 1:]:
             shared = first_key & second_key
@@ -248,16 +249,12 @@ _MACHINERY_COMM = (("checkP", "checkG", "check"), ("assignP", "assignG", "assign
 
 
 def _comm_sets(spec: RecursiveSpec) -> tuple[tuple[Multiset, str], ...]:
-    """The source's comm entries by their sorted names, a one-name key as
-    a handshake of that action with itself, then the machinery's."""
-    gamma = sorted(spec.comm.entries, key=lambda kr: tuple(sorted(kr[0])))
-    entries = []
-    for key, result in gamma:
-        names = sorted(key)
-        entries.append((Multiset(names if len(names) > 1 else names * 2), result))
-    entries += [(Multiset([process, globs]), result)
-                for process, globs, result in _MACHINERY_COMM]
-    return tuple(entries)
+    """The source's comm entries as multisets of their `comm_names`, in
+    the order of those names, then the machinery's."""
+    gamma = sorted((comm_names(key), result) for key, result in spec.comm.entries)
+    return tuple([(Multiset(names), result) for names, result in gamma]
+                 + [(Multiset([process, globs]), result)
+                    for process, globs, result in _MACHINERY_COMM])
 
 
 def _psi_term(spec, slots, allow_set, hidden, comm_entries, expr, valuation, memo=None):

@@ -19,8 +19,9 @@ from oracles import reference_cli_valuation, reference_load_formulas
 
 import gvpa.syntax
 from gvpa.cli import main
-from gvpa.hml import all_labels, formula_str, parse_formulas
-from gvpa.parser import parse_spec, parse_valuation
+from gvpa.hml import all_labels, formula_str, holds, parse_formula, parse_formulas
+from gvpa.parser import parse_expr, parse_spec, parse_valuation
+from gvpa.sos import GvState
 from gvpa.syntax import InitSpec, enumerate_valuations, expr_str
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -63,6 +64,20 @@ class TestValidate:
 
     def test_missing_file_exit_2(self):
         assert main(["validate", "/nonexistent.gvpa"]) == 2
+
+    @pytest.mark.parametrize("text, error", [
+        ("domain { v }\nacts { a, b, c }\ncomm { a|a -> b; a|a -> c }\ninit delta\n",
+         "3:18: duplicate comm entry for a|a"),
+        ("domain { v }\nacts { a }\ncomm { a|a -> a }\ninit delta\n",
+         "comm entry a|a -> a: a is itself a communication result (handshake violation)"),
+        ("domain { v }\nvars { x }\nacts { x }\ninit delta with { x = v }\n",
+         "x is declared both as variable and action"),
+    ], ids=["duplicate-self-comm", "self-comm-result", "variable-and-action"])
+    def test_spec_error_exit_2(self, tmp_path, capsys, text, error):
+        path = tmp_path / "spec.gvpa"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 class TestDeepNesting:
@@ -266,6 +281,26 @@ class TestDistinguish:
         assert main(["modelcheck", str(left), "--formula", formula]) == 0
         assert main(["modelcheck", str(right), "--formula", formula]) == 1
 
+    @pytest.mark.parametrize("mode", ["state-based", "stateless"])
+    @pytest.mark.parametrize("left, right, formula", [
+        # one refutation per a-partner, joined by a conjunction
+        ("a.b.delta", "a.(b.delta + c.delta) + a.(b.delta + d.delta)",
+         "<a> (!<c> true && !<d> true)"),
+        # the pair (c.delta, d.delta) is refuted once and then read back
+        ("a.b.c.delta", "a.b.d.delta + a.(b.d.delta + b.d.delta)", "<a> <b> <c> true"),
+    ], ids=["conjunction", "memo"])
+    def test_formula_holds_left_and_fails_right(self, tmp_path, capsys, mode,
+                                                left, right, formula):
+        path = tmp_path / "abcd.gvpa"
+        path.write_text("domain { v } acts { a, b, c, d } init delta\n", encoding="utf-8")
+        assert main(["distinguish", str(path), "--mode", mode,
+                     "--left", left, "--right", right]) == 0
+        assert capsys.readouterr().out == f"{formula}\nvaluation: {{}}\n"
+        spec, init = parse_spec(path.read_text(encoding="utf-8"))
+        for expr, verdict in ((left, True), (right, False)):
+            state = GvState(parse_expr(expr, spec), init.valuation)
+            assert holds(spec, state, parse_formula(formula, spec)) is verdict
+
     def test_identical_processes_exit_1(self, capsys):
         code = main(["distinguish", TRAFFIC, "--mode", "stateless",
                      "--left", "CAR", "--right", "CAR"])
@@ -436,9 +471,13 @@ class TestVerifyTranslation:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 + 1 + 1 + 2 * 13 + 1
         assert all(line.startswith("PASS ") for line in lines)
-        # the default valuation cap still holds where the work ranges over
-        # every valuation
-        assert main(["modelcheck", str(path), "--formula", "true"]) == 3
+        # modelcheck steps the states the formula reaches; the default
+        # valuation cap still bounds stateless bisimilarity, which
+        # enumerates every valuation
+        assert main(["modelcheck", str(path), "--formula", "<assign(x0, b)> <t> true"]) == 0
+        assert capsys.readouterr().out == "true\n"
+        assert main(["bisim", str(path), "--mode", "stateless",
+                     "--left", "P", "--right", "P"]) == 3
         assert capsys.readouterr().err == (
             "resource limit: valuation space has 8192 elements, "
             "exceeding the cap of 4096\n")

@@ -258,9 +258,13 @@ class TestWorkDone:
         with pytest.raises(ResourceLimitError):
             holds(spec, state, formula, ExplorationConfig(max_states=3))
 
-    def test_valuation_cap_is_checked_first(self, capsys):
+    def test_valuation_cap_bounds_only_the_enumeration(self, capsys):
+        # holds enumerates no valuation: --max-states alone bounds it
         assert main(["modelcheck", TRAFFIC, "--max-valuations", "1",
-                     "--formula", "true"]) == 3
+                     "--formula", "<drive> true"]) == 0
+        assert capsys.readouterr().out == "true\n"
+        assert main(["bisim", TRAFFIC, "--mode", "stateless", "--max-valuations", "1",
+                     "--left", "CAR", "--right", "CAR"]) == 3
         assert capsys.readouterr().err == (
             "resource limit: valuation space has 2 elements, exceeding the cap of 1\n")
 

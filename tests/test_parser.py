@@ -53,6 +53,13 @@ class TestMinimalSpecs:
             parse_spec(text)
         assert "handshake" in str(err.value)
 
+    def test_self_handshake_violation_names_the_pair(self):
+        with pytest.raises(SpecValidationError) as err:
+            parse_spec("domain { v }\nacts { a }\ncomm { a|a -> a }\ninit delta")
+        assert err.value.violations == [
+            "comm entry a|a -> a: a is itself a communication result "
+            "(handshake violation)"]
+
     def test_init_encap_scopes_whole_expression(self):
         spec, init = parse_spec(
             "domain { d } acts { a } proc X = a.X "
@@ -133,7 +140,9 @@ class TestSyntaxErrors:
          "duplicate equation for P", 3, 6),
         ("domain { a } acts { c, d, e }\ncomm { c|d -> e; d|c -> e }\ninit delta",
          "duplicate comm entry for c|d", 2, 18),
-    ], ids=["domain", "vars", "acts", "proc", "comm"])
+        ("domain { v }\nacts { a, b, c }\ncomm { a|a -> b; a|a -> c }\ninit delta",
+         "duplicate comm entry for a|a", 3, 18),
+    ], ids=["domain", "vars", "acts", "proc", "comm", "self-comm"])
     def test_a_repeated_declaration_is_reported_where_it_repeats(
             self, text, message, line, col):
         with pytest.raises(SpecSyntaxError) as err:

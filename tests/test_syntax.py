@@ -60,6 +60,11 @@ class TestCommFunction:
             CommFunction(((frozenset(("a", "b")), "c"),
                           (frozenset(("b", "a")), "d")))
 
+    def test_duplicate_self_entry_names_the_pair(self):
+        with pytest.raises(SpecValidationError) as err:
+            CommFunction(((frozenset(("a",)), "b"), (frozenset(("a",)), "c")))
+        assert err.value.violations == ["duplicate comm entry for a|a"]
+
     def test_validate_ok(self):
         comm = CommFunction(((frozenset(("a", "b")), "c"),))
         assert validate_comm(comm, {"a", "b", "c"}) == []

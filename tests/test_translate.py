@@ -463,6 +463,34 @@ class TestVerificationChecks:
             ("bisimilarity-preservation", True, ""),
         ]
 
+    def test_value_move_off_its_state(self, traffic):
+        spec, init = traffic
+        pipe = run_pipeline(spec, init.root, init.valuation, CFG)
+        mutant = _mutant(pipe, _replaced((0, "value(t,green)", 0), (0, "value(t,green)", 1)))
+        assert verification_checks(mutant, []) == [
+            ("variable-consistency", False,
+             "condition 2: value(t,green) from the image of <CAR || TLC, t=green> "
+             "is not a self-loop"),
+            ("structure-preservation", True, "source 6/9, translated 6/15"),
+            *_TRAFFIC_FORMULAS,
+            ("bisimilarity-preservation", True, ""),
+        ]
+
+    def test_added_move_between_images(self, traffic):
+        # <CAR || TLC, t=red> cannot drive; its image now drives to that of
+        # <delta || TLC, t=red>
+        spec, init = traffic
+        pipe = run_pipeline(spec, init.root, init.valuation, CFG)
+        mutant = _mutant(pipe, lambda ts: ts + [(2, "drive", 3)])
+        assert verification_checks(mutant, []) == [
+            ("variable-consistency", False,
+             "condition 3: translated transition 2 --drive--> 3 has no source "
+             "counterpart between <CAR || TLC, t=red> and <delta || TLC, t=red>"),
+            ("structure-preservation", False, "source 6/9, translated 6/16"),
+            *_TRAFFIC_FORMULAS,
+            ("bisimilarity-preservation", True, ""),
+        ]
+
     def test_redirected_move_splits_images(self):
         # X and Y are bisimilar; sending X's `a` to D splits their images
         spec, init = parse_spec(
