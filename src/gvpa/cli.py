@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (and verdict "true" where applicable), 1 a checked
 verdict is false, 2 input error (including a file that cannot be read or
-is not UTF-8 text, a non-positive cap, and input nested too deeply for
-Python's recursion limit), 3 a resource cap was exceeded, 4 an internal
-error (an unexpected exception, reported in one line).
+is not UTF-8 text, a non-positive cap, input nested too deeply for
+Python's recursion limit, and a write error on stdout), 3 a resource cap
+was exceeded, 4 an internal error (an unexpected exception, reported in
+one line).
 
 Each handler loads its input, calls the library and prints what it
 returns; verdicts and their wording live in the library (`verify-translation`
@@ -15,6 +16,7 @@ command needs (`validate` loads only the parser and the term language).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -297,7 +299,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv, namespace=argparse.Namespace(json=False))
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # a write error at the last flush is an input error, too
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -318,7 +324,18 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """Runs `main` and ends the process once both streams are flushed,
+    without finalising the interpreter: freeing every term and module can
+    take longer than the command's own work. `main` flushed stdout and
+    reported a failure there, so a flush error here changes no exit code."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:
+                pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

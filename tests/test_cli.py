@@ -1,10 +1,12 @@
 import importlib.util
+import io
 import json
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,12 +15,12 @@ from hypothesis import strategies as st
 from conftest import lts_of
 from genspecs import (
     gen_formula, gen_pair, gen_parseq_spec, gen_spec, mutate_spec, render_spec,
-    ring_text,
+    ring_text, worker_grid_text,
 )
 from oracles import reference_cli_valuation, reference_load_formulas
 
 import gvpa.syntax
-from gvpa.cli import main
+from gvpa.cli import console_main, main
 from gvpa.hml import all_labels, formula_str, holds, parse_formula, parse_formulas
 from gvpa.parser import parse_expr, parse_spec, parse_valuation
 from gvpa.sos import GvState
@@ -492,6 +494,159 @@ class TestJsonStability:
               "--left", "CAR", "--right", "TLC"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class _Stdout(io.StringIO):
+    """A stdout that records what it held at each flush, or fails to flush."""
+
+    def __init__(self, events, error=None):
+        super().__init__()
+        self.events = events
+        self.error = error
+
+    def flush(self):
+        if self.error is not None:
+            raise self.error
+        self.events.append(("flush", self.getvalue()))
+
+
+class TestConsoleMain:
+    """`console_main` ends the process with `os._exit` and `main`'s code,
+    once the streams are flushed."""
+
+    @pytest.fixture()
+    def events(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(os, "_exit", lambda code: events.append(("exit", code)))
+        return events
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", TRAFFIC], 0),
+        (["modelcheck", TRAFFIC, "--formula", "(t = red)"], 1),
+        (["validate", str(DATA / "missing.gvpa")], 2),
+        (["lts", TRAFFIC, "--max-states", "2"], 3),
+    ], ids=["ok", "false", "input", "resource"])
+    def test_passes_on_the_code_of_main(self, monkeypatch, capsys, events, argv, code):
+        monkeypatch.setattr(sys, "argv", ["gvpa", *argv])
+        console_main()
+        assert events == [("exit", code)]
+
+    def test_stdout_is_flushed_before_the_exit(self, monkeypatch, capsys, events):
+        monkeypatch.setattr(sys, "stdout", _Stdout(events))
+        monkeypatch.setattr(sys, "argv", ["gvpa", "validate", TRAFFIC])
+        console_main()
+        assert events[-2:] == [("flush", "ok\n"), ("exit", 0)]
+
+    def test_no_stdout_is_no_error(self, monkeypatch, capsys, events):
+        # fd 1 closed at start-up
+        monkeypatch.setattr(sys, "stdout", None)
+        monkeypatch.setattr(sys, "argv", ["gvpa", "validate", TRAFFIC])
+        console_main()
+        assert events == [("exit", 0)]
+        assert capsys.readouterr().err == ""
+
+    def test_a_failed_flush_is_an_input_error(self, monkeypatch, capsys, events):
+        stdout = _Stdout(events, OSError(28, "No space left on device"))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "argv", ["gvpa", "validate", TRAFFIC])
+        try:
+            console_main()
+        finally:
+            stdout.error = None
+        assert events[-1] == ("exit", 2)
+        assert capsys.readouterr().err.splitlines() == [
+            "error: [Errno 28] No space left on device"]
+
+
+def _console(argv, **kwargs):
+    """`argv` through the console script in a fresh interpreter with
+    buffered stdout, as a shell runs it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen(
+        [sys.executable, "-c", "from gvpa.cli import console_main; console_main()", *argv],
+        env=env, **kwargs)
+
+
+def _files(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestConsoleScript:
+    """The console script prints what `main` prints, to the last byte,
+    and reports a write error at its final flush as an input error."""
+
+    PROPS = str(DATA / "traffic_props.txt")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", TRAFFIC], 0),
+        (["lts", TRAFFIC], 0),
+        (["lts", TRAFFIC, "--format", "dot", "--out", "traffic.dot"], 0),
+        (["--json", "bisim", TRAFFIC, "--mode", "stateless", "--left", "CAR", "--right", "TLC"], 1),
+        (["bisim", TRAFFIC, "--mode", "strong", "--left", "CAR", "--right", "CAR || delta"], 0),
+        (["modelcheck", TRAFFIC, "--formula", "(t = red)"], 1),
+        (["distinguish", TRAFFIC, "--mode", "stateless", "--left", "CAR", "--right", "delta"], 0),
+        (["translate", TRAFFIC, "--out", "out", "--formulas", PROPS], 0),
+        (["verify-translation", TRAFFIC, "--formulas", PROPS], 0),
+        (["lts", TRAFFIC, "--max-states", "2"], 3),
+    ], ids=["validate", "lts", "lts-out", "bisim-json", "bisim-strong", "modelcheck-false",
+            "distinguish", "translate", "verify-translation", "resource"])
+    def test_same_bytes_files_and_code_as_main(self, tmp_path, monkeypatch, capsys, argv, code):
+        inner, fresh = tmp_path / "main", tmp_path / "console"
+        inner.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(inner)
+        assert main(argv) == code
+        out = capsys.readouterr().out.encode("utf-8")
+        done = _console(argv, cwd=fresh, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout, stderr = done.communicate(timeout=120)
+        assert (done.returncode, stdout) == (code, out), stderr
+        assert _files(fresh) == _files(inner)
+
+    def test_a_large_export_arrives_whole_through_a_slow_pipe(self, tmp_path):
+        path = tmp_path / "W64.gvpa"
+        path.write_text(worker_grid_text(6, 4), encoding="utf-8")
+        proc = _console(["lts", str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        chunks = []
+        while chunk := proc.stdout.read(16384):
+            chunks.append(chunk)
+            time.sleep(0.002)
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, stderr
+        data = b"".join(chunks)
+        assert (data.count(b"\n"), len(data)) == (49153, 1079299)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_disk_at_the_final_flush_exits_2(self):
+        with open("/dev/full", "wb") as full:
+            proc = _console(["validate", TRAFFIC], stdout=full, stderr=subprocess.PIPE)
+            stderr = proc.communicate(timeout=120)[1].decode()
+        assert proc.returncode == 2
+        assert stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+
+    def test_a_reader_gone_before_the_final_flush_exits_2(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _console(["validate", TRAFFIC], stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        stderr = proc.communicate(timeout=120)[1].decode()
+        assert proc.returncode == 2
+        assert stderr.splitlines() == ["error: [Errno 32] Broken pipe"]
+
+    def test_a_closed_stdout_exits_0(self):
+        proc = _console(["validate", TRAFFIC], stderr=subprocess.PIPE,
+                        preexec_fn=lambda: os.close(1))
+        stderr = proc.communicate(timeout=120)[1].decode()
+        assert (proc.returncode, stderr) == (0, "")
+
+    def test_help_exits_0(self):
+        proc = _console(["--help"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout, stderr = proc.communicate(timeout=120)
+        assert (proc.returncode, stderr) == (0, b"")
+        assert stdout.startswith(b"usage: gvpa")
 
 
 class TestFuzz:
