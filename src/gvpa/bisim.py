@@ -268,7 +268,7 @@ def state_based_bisim(spec: RecursiveSpec, s: GvState, t: GvState,
 
 def stateless_bisim(spec: RecursiveSpec, p: ProcessExpr, q: ProcessExpr,
                     cfg: ExplorationConfig = DEFAULT_CONFIG) -> BisimResult:
-    """Greatest fixpoint of Definition 3, by valuation enumeration."""
+    """Greatest fixpoint of Definition 3 on the pair's expression closure."""
     exprs, valuations, adjacency, (pi, qi) = expression_closure(spec, [p, q], cfg)
     return _result("stateless", exprs, adjacency, valuations,
                    [0] * len(exprs), pi, qi)

@@ -3,9 +3,9 @@
 Exit codes: 0 success (and verdict "true" where applicable), 1 a checked
 verdict is false, 2 input error (including a file that cannot be read or
 is not UTF-8 text, a non-positive cap, input nested too deeply for
-Python's recursion limit, and a write error on stdout), 3 a resource cap
-was exceeded, 4 an internal error (an unexpected exception, reported in
-one line).
+Python's recursion limit, and a write error on stdout), 3 the one
+resource cap, `--max-states`, was exceeded, 4 an internal error (an
+unexpected exception). Each is reported in one line, on stderr only.
 
 Each handler loads its input, calls the library and prints what it
 returns; verdicts and their wording live in the library (`verify-translation`
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .errors import GvpaError, ResourceLimitError
@@ -45,8 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS,
                         help="machine-readable output")
     common.add_argument("--max-states", type=_positive_int, metavar="N",
-                        default=argparse.SUPPRESS)
-    common.add_argument("--max-valuations", type=_positive_int, metavar="N",
                         default=argparse.SUPPRESS)
 
     top = argparse.ArgumentParser(
@@ -103,11 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args):
-    """The caps given on the command line, and the defaults of the others."""
-    from .sos import ExplorationConfig
+    """The cap given on the command line, or the default one."""
+    from .sos import DEFAULT_CONFIG, ExplorationConfig
 
-    return ExplorationConfig(**{cap: value for cap, value in vars(args).items()
-                                if cap in ("max_states", "max_valuations")})
+    return ExplorationConfig(args.max_states) if "max_states" in args else DEFAULT_CONFIG
 
 
 def _load(args):
@@ -305,22 +303,22 @@ def main(argv=None) -> int:
             sys.stdout.flush()
         return code
     except ResourceLimitError as err:
-        print(f"resource limit: {err}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except GvpaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, UnicodeDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        return _report(f"resource limit: {err}", EXIT_RESOURCE)
+    except (GvpaError, OSError, UnicodeDecodeError) as err:
+        return _report(f"error: {err}", EXIT_INPUT)
     except RecursionError:
-        print("error: input nested too deeply for the recursion limit",
-              file=sys.stderr)
-        return EXIT_INPUT
+        return _report("error: input nested too deeply for the recursion limit", EXIT_INPUT)
     except Exception as err:
         # a bug, not a verdict: exit 1 must keep meaning "false"
-        print(f"internal error: {err!r}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _report(f"internal error: {err!r}", EXIT_INTERNAL)
+
+
+def _report(line: str, code: int) -> int:
+    """Writes one line to stderr, never stdout, and returns ``code``; a
+    closed (None) or read-only stderr loses the line but not the code."""
+    with suppress(AttributeError, OSError):
+        sys.stderr.write(line + "\n")
+    return code
 
 
 def console_main() -> None:
@@ -330,11 +328,8 @@ def console_main() -> None:
     reported a failure there, so a flush error here changes no exit code."""
     code = main()
     for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            try:
-                stream.flush()
-            except OSError:
-                pass
+        with suppress(AttributeError, OSError):  # a closed stream is None
+            stream.flush()
     os._exit(code)
 
 

@@ -425,7 +425,7 @@ def holds(spec: RecursiveSpec, state: GvState, formula: HmlFormula,
     formula's modalities and set operators reach.
 
     ``cfg.max_states`` bounds the distinct states stepped; no valuation is
-    enumerated, so ``cfg.max_valuations`` does not apply."""
+    enumerated."""
     stepper = _Stepper(spec)
     return _checker(stepper.successors, _digit_atom(spec.codes),
                     cfg.max_states)(stepper.key(state), formula)

@@ -36,13 +36,10 @@ def state_str(state: GvState) -> str:
 
 class ExplorationConfig(Record):
     max_states: int = 100_000
-    max_valuations: int = 4096
 
     def __post_init__(self):
         if self.max_states < 1:
             raise ValueError("max_states must be at least 1")
-        if self.max_valuations < 1:
-            raise ValueError("max_valuations must be at least 1")
 
 
 DEFAULT_CONFIG = ExplorationConfig()
@@ -581,7 +578,7 @@ def step(spec: RecursiveSpec, state: GvState) -> tuple[tuple[TransitionLabel, Gv
 
 
 def _bfs(roots: Iterable, successors: Callable[[Any], Iterable[tuple[Any, Any]]],
-         cap: int, what: str = "state") -> tuple[list, Transitions, tuple[int, ...]]:
+         cap: int) -> tuple[list, Transitions, tuple[int, ...]]:
     """Breadth-first search from several roots at once.
 
     Returns the nodes in discovery order, their ``(label, node)`` moves as
@@ -598,7 +595,7 @@ def _bfs(roots: Iterable, successors: Callable[[Any], Iterable[tuple[Any, Any]]]
         if i is None:
             if len(nodes) >= cap:
                 raise ResourceLimitError(
-                    f"{what} cap of {cap} exceeded "
+                    f"state cap of {cap} exceeded "
                     f"(frontier size {len(nodes) - done})",
                     limit=cap, reached=len(nodes) + 1)
             i = index[node] = len(nodes)
@@ -689,11 +686,13 @@ def expression_closure(spec: RecursiveSpec, roots: ProcessExpr | Iterable[Proces
     ``exprs[e2]`` under ``valuations[v2]``. Valuations are given by their
     codes, and each expression's table is derived once and dropped after
     its moves are stored. The expressions are built from their keys on
-    first read (`Payloads`).
+    first read (`Payloads`). ``cfg.max_states`` bounds the (expression,
+    valuation) pairs: a larger valuation space is refused before any
+    expression is stepped.
     """
     if isinstance(roots, ProcessExpr):
         roots = [roots]
-    valuations = enumerate_valuations(spec, cfg.max_valuations)
+    valuations = enumerate_valuations(spec, cfg.max_states)
     stepper = _Stepper(spec)
 
     # one int object per code, shared by every label triple that holds it
@@ -705,9 +704,15 @@ def expression_closure(spec: RecursiveSpec, roots: ProcessExpr | Iterable[Proces
             for label, t, c in stepper.moves(table, v):
                 yield (v, label, codes[c]), t
 
-    nodes, transitions, root_indices = _bfs([stepper.expr_key(root) for root in roots],
-                                            successors, cfg.max_states,
-                                            "expression closure")
+    n = len(valuations)
+    try:
+        nodes, transitions, root_indices = _bfs(
+            [stepper.expr_key(root) for root in roots], successors, cfg.max_states // n)
+    except ResourceLimitError as err:
+        raise ResourceLimitError(
+            f"expression closure cap of {cfg.max_states} (expression, valuation) pairs "
+            f"exceeded: {err.reached} expressions under {n} valuation{'s' * (n != 1)}",
+            limit=cfg.max_states, reached=err.reached * n) from None
     return Payloads(nodes, stepper.frames.expr), valuations, transitions, root_indices
 
 

@@ -12,6 +12,7 @@ other values with named fields, in every module, are `Record`s.
 from __future__ import annotations
 
 from collections import Counter
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .errors import ResourceLimitError, SpecValidationError
@@ -53,6 +54,25 @@ class _Node(metaclass=_TermMeta):
 
     def __post_init__(self):
         pass
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """All field values, from positions, keywords and defaults."""
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} "
+                            f"arguments but {len(args)} were given")
+        values = list(args)
+        for name in cls._fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword "
+                            f"argument {next(iter(kwargs))!r}")
+        return tuple(values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -96,61 +116,40 @@ class Term(_Node):
             cls._table[args] = node
         return node
 
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """All field values, from positions, keywords and defaults."""
-        if len(args) > len(cls._fields):
-            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} "
-                            f"arguments but {len(args)} were given")
-        values = list(args)
-        for name in cls._fields[len(args):]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in cls._defaults:
-                values.append(cls._defaults[name])
-            else:
-                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-        if kwargs:
-            raise TypeError(f"{cls.__name__}() got an unexpected keyword "
-                            f"argument {next(iter(kwargs))!r}")
-        return tuple(values)
-
 
 class Record(_Node):
     """A value with named fields, declared like a term but not interned:
     the stand-in for a dataclass, whose module this package does not import.
 
     Records of one class are equal when their fields are. A record is
-    immutable and hashes by its fields. ``__post_init__`` runs after the
-    fields are set, and it and the methods may fill cache slots with
-    ``object.__setattr__``.
+    immutable and hashes as the tuple of its fields. ``__post_init__``
+    runs after the fields are set, and it and the methods may fill cache
+    slots with ``object.__setattr__``.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # The methods are compiled for the class, as a dataclass's are:
-        # binding arguments and reading fields by name at run time would
-        # double the cost of records built per state.
-        fields, caches = cls._fields, cls._caches
-        scope = {f"_set_{name}": getattr(cls, name).__set__ for name in fields + caches}
-        scope.update({f"_default_{name}": value for name, value in cls._defaults.items()})
-        params = ", ".join(f"{name}=_default_{name}" if name in cls._defaults else name
-                           for name in fields)
-        body = [f"_set_{name}(self, {name})" for name in fields]
-        body += [f"_set_{name}(self, None)" for name in caches]
-        if cls.__post_init__ is not _Node.__post_init__:
-            body.append("self.__post_init__()")
-        mine = "(" + "".join(f"self.{name}, " for name in fields) + ")"
-        theirs = "(" + "".join(f"other.{name}, " for name in fields) + ")"
-        exec(f"def __init__(self, {params}):\n    " + "\n    ".join(body) + "\n"
-             "def __eq__(self, other):\n"
-             "    if other.__class__ is self.__class__:\n"
-             f"        return {mine} == {theirs}\n"
-             "    return NotImplemented\n"
-             f"def __hash__(self):\n    return hash({mine})\n", scope)
-        for name in ("__init__", "__eq__", "__hash__"):
-            scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, scope[name])
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        cls._clears = tuple(getattr(cls, name).__set__ for name in cls._caches)
+        get = attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+        for clear in self._clears:
+            clear(self, None)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
 
 
 # ---------------------------------------------------------------------------

@@ -101,8 +101,9 @@ def gen_spec(rng: random.Random, max_names: int = 3, max_vars: int = 2,
         if validate_spec(spec):
             continue
         try:
+            # the cap counts (expression, valuation) pairs
             reachable_exprs(spec, [Name(n) for n in names],
-                            ExplorationConfig(max_states=closure_cap))
+                            ExplorationConfig(max_states=closure_cap * spec.codes.count))
         except ResourceLimitError:
             continue
         return spec
@@ -124,8 +125,8 @@ def gen_pair(rng: random.Random, spec: RecursiveSpec, closure_cap: int = 50):
         else:
             q = gen_expr(rng, parts, rng.randint(1, 3), False, names)
         try:
-            closure = reachable_exprs(spec, [p, q],
-                                      ExplorationConfig(max_states=closure_cap))
+            closure = reachable_exprs(
+                spec, [p, q], ExplorationConfig(max_states=closure_cap * spec.codes.count))
         except ResourceLimitError:
             continue
         if len(closure) <= closure_cap:

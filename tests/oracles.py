@@ -404,10 +404,10 @@ def naive_state_based_relation(lts) -> set[tuple[int, int]]:
     return rel
 
 
-def naive_stateless_relation(spec, exprs, max_valuations: int = 4096) -> set[tuple[int, int]]:
+def naive_stateless_relation(spec, exprs) -> set[tuple[int, int]]:
     """Definition-level fixpoint over expression pairs, quantifying each
     matching clause over every valuation."""
-    valuations = enumerate_valuations(spec, max_valuations)
+    valuations = enumerate_valuations(spec)
     moves = [
         {valuation: reference_step(spec, GvState(expr, valuation))
          for valuation in valuations}

@@ -19,6 +19,7 @@ from genspecs import (
 )
 from oracles import reference_cli_valuation, reference_load_formulas
 
+import gvpa.sos
 import gvpa.syntax
 from gvpa.cli import console_main, main
 from gvpa.hml import all_labels, formula_str, holds, parse_formula, parse_formulas
@@ -259,6 +260,39 @@ class TestBisim:
                      "--left", "(v = 0) -> a.delta", "--right", "a.delta",
                      "--valuation", "v=1"]) == 1
 
+    def test_the_cap_counts_expression_valuation_pairs(self, capsys):
+        # CAR's closure holds 3 expressions, each under traffic's 2 valuations
+        argv = ["bisim", TRAFFIC, "--mode", "stateless", "--left", "CAR", "--right", "CAR"]
+        assert main([*argv, "--max-states", "6"]) == 0
+        assert capsys.readouterr().out == "stateless: bisimilar\n"
+        assert main([*argv, "--max-states", "5"]) == 3
+        assert capsys.readouterr().err == (
+            "resource limit: expression closure cap of 5 (expression, valuation) pairs "
+            "exceeded: 3 expressions under 2 valuations\n")
+
+    def test_a_valuation_space_past_the_cap_is_refused_first(self, tmp_path, monkeypatch,
+                                                            capsys):
+        names = [f"x{i}" for i in range(17)]
+        path = tmp_path / "v17.gvpa"
+        path.write_text(
+            f"domain {{ a, b }}\nvars {{ {', '.join(names)} }}\nacts {{ t }}\n"
+            f"init t.delta with {{ {', '.join(f'{x} = a' for x in names)} }}\n",
+            encoding="utf-8")
+        stepped = []
+        monkeypatch.setattr(gvpa.sos._Stepper, "table", lambda self, e: stepped.append(e))
+        assert main(["bisim", str(path), "--mode", "stateless",
+                     "--left", "t.delta", "--right", "t.delta"]) == 3
+        assert stepped == []
+        assert capsys.readouterr().err == (
+            "resource limit: valuation space has 131072 elements, "
+            "exceeding the cap of 100000\n")
+
+    def test_max_valuations_is_a_usage_error(self, capsys):
+        # --max-states is the one cap
+        assert run(["bisim", TRAFFIC, "--mode", "stateless", "--left", "CAR",
+                    "--right", "CAR", "--max-valuations", "1"]) == 2
+        assert "unrecognized arguments: --max-valuations 1" in capsys.readouterr().err
+
 
 class TestDistinguish:
     def test_stateless_formula_rechecks_through_modelcheck(self, tmp_path, capsys):
@@ -473,16 +507,17 @@ class TestVerifyTranslation:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 + 1 + 1 + 2 * 13 + 1
         assert all(line.startswith("PASS ") for line in lines)
-        # modelcheck steps the states the formula reaches; the default
-        # valuation cap still bounds stateless bisimilarity, which
-        # enumerates every valuation
+        # modelcheck steps the states the formula reaches; stateless
+        # bisimilarity steps P under every valuation: 8192 pairs
         assert main(["modelcheck", str(path), "--formula", "<assign(x0, b)> <t> true"]) == 0
         assert capsys.readouterr().out == "true\n"
-        assert main(["bisim", str(path), "--mode", "stateless",
-                     "--left", "P", "--right", "P"]) == 3
+        stateless = ["bisim", str(path), "--mode", "stateless", "--left", "P", "--right", "P"]
+        assert main(stateless) == 0
+        assert capsys.readouterr().out == "stateless: bisimilar\n"
+        assert main([*stateless, "--max-states", "8191"]) == 3
         assert capsys.readouterr().err == (
             "resource limit: valuation space has 8192 elements, "
-            "exceeding the cap of 4096\n")
+            "exceeding the cap of 8191\n")
 
 
 class TestJsonStability:
@@ -649,6 +684,40 @@ class TestConsoleScript:
         assert stdout.startswith(b"usage: gvpa")
 
 
+class _Unwritable(io.StringIO):
+    """A stderr on a read-only file descriptor."""
+
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+
+class TestUnusableStderr:
+    """An error line that cannot reach stderr is lost; its exit code is
+    not, and the line does not go to stdout, where verdicts are read."""
+
+    MISSING = str(DATA / "missing.gvpa")
+
+    @pytest.mark.parametrize("stderr", [None, _Unwritable()], ids=["closed", "read-only"])
+    def test_in_process(self, monkeypatch, capsys, stderr):
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(["validate", self.MISSING]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_a_closed_stderr_in_a_fresh_interpreter(self):
+        proc = _console(["validate", self.MISSING], stdout=subprocess.PIPE,
+                        preexec_fn=lambda: os.close(2))
+        assert (proc.communicate(timeout=120)[0], proc.returncode) == (b"", 2)
+
+    def test_a_read_only_stderr_in_a_fresh_interpreter(self, tmp_path):
+        path = tmp_path / "stderr.txt"
+        path.write_bytes(b"")
+        with path.open("rb") as read_only:
+            proc = _console(["validate", self.MISSING], stdout=subprocess.PIPE,
+                            stderr=read_only)
+            stdout = proc.communicate(timeout=120)[0]
+        assert (stdout, proc.returncode) == (b"", 2)
+
+
 class TestFuzz:
     """Seeded generated specs, byte mutations of their text and
     parse-preserving mutations of their AST, through every command that
@@ -671,7 +740,7 @@ class TestFuzz:
     def _run_every_command(tmp_path, capsys, file, seed, left, right):
         mode = ("strong", "state-based", "stateless")[seed % 3]
         pair = ["--left", expr_str(left), "--right", expr_str(right)]
-        caps = ["--max-states", "200", "--max-valuations", "64"]
+        caps = ["--max-states", "200"]
         codes = {}
         for argv in (["validate", file], ["lts", file],
                      ["bisim", file, "--mode", mode, *pair],

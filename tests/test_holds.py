@@ -259,11 +259,12 @@ class TestWorkDone:
             holds(spec, state, formula, ExplorationConfig(max_states=3))
 
     def test_valuation_cap_bounds_only_the_enumeration(self, capsys):
-        # holds enumerates no valuation: --max-states alone bounds it
-        assert main(["modelcheck", TRAFFIC, "--max-valuations", "1",
+        # holds enumerates no valuation: one stepped state answers, while
+        # the same cap refuses traffic's two valuations in a closure
+        assert main(["modelcheck", TRAFFIC, "--max-states", "1",
                      "--formula", "<drive> true"]) == 0
         assert capsys.readouterr().out == "true\n"
-        assert main(["bisim", TRAFFIC, "--mode", "stateless", "--max-valuations", "1",
+        assert main(["bisim", TRAFFIC, "--mode", "stateless", "--max-states", "1",
                      "--left", "CAR", "--right", "CAR"]) == 3
         assert capsys.readouterr().err == (
             "resource limit: valuation space has 2 elements, exceeding the cap of 1\n")

@@ -17,7 +17,7 @@ from gvpa.hml import (
     all_labels, formula_str,
 )
 from gvpa.parser import parse_spec
-from gvpa.sos import ExplorationConfig, reachable_exprs
+from gvpa.sos import reachable_exprs
 from gvpa.syntax import Action, Encap, Name, Parallel, Prefix, expr_str, render
 from gvpa.translate import emit_mcrl2_files, translate_formula, translate_init
 
@@ -44,12 +44,11 @@ class TestRender:
 
 def _expression_corpus(seed: int, draws: int):
     rng = random.Random(seed)
-    cfg = ExplorationConfig(max_states=50)
     for _ in range(draws):
         spec = gen_spec(rng)
-        p, q = gen_pair(rng, spec)
+        p, q = gen_pair(rng, spec)  # a pair of at most 50 reachable expressions
         yield from (body for _, body in spec.equations)
-        yield from reachable_exprs(spec, [p, q], cfg)
+        yield from reachable_exprs(spec, [p, q])
 
 
 def _formula_corpus(seed: int, draws: int):

@@ -194,16 +194,21 @@ class TestGenerateLts:
 
 
 class TestExplorationConfig:
-    @pytest.mark.parametrize("cap", ["max_states", "max_valuations"])
+    @pytest.mark.parametrize("cap", ["max_states"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_caps_below_one_are_rejected(self, cap, value):
         with pytest.raises(ValueError, match=f"{cap} must be at least 1"):
             ExplorationConfig(**{cap: value})
 
     def test_one_valuation_is_a_valid_cap(self):
+        # two expressions under one valuation are two pairs
         spec, init = parse_spec("domain { 0 } vars { v } acts { a } init a.delta with { v = 0 }")
-        closure = reachable_exprs(spec, init.root, ExplorationConfig(max_valuations=1))
+        closure = reachable_exprs(spec, init.root, ExplorationConfig(max_states=2))
         assert tuple(closure) == (init.root, Deadlock())
+        with pytest.raises(ResourceLimitError, match=r"^expression closure cap of 1 "
+                           r"\(expression, valuation\) pairs exceeded: "
+                           r"2 expressions under 1 valuation$"):
+            reachable_exprs(spec, init.root, ExplorationConfig(max_states=1))
 
 
 class TestReachableExprs:

@@ -361,12 +361,13 @@ class TestRecords:
     def test_constructor_signatures(self):
         state = GvState(Name("P"), Valuation(()))
         assert GvState(valuation=Valuation(()), expr=Name("P")) == state
-        assert ExplorationConfig() == ExplorationConfig(100_000, 4096)
-        assert ExplorationConfig(max_valuations=8).max_states == 100_000
+        assert ExplorationConfig() == ExplorationConfig(100_000)
+        assert ExplorationConfig(max_states=8).max_states == 8
         assert Theorem4Report(TRUE, True, False).agrees is False
         for bad in (lambda: GvState(Name("P")),
                     lambda: GvState(Name("P"), Valuation(()), 1),
                     lambda: GvState(Name("P"), Valuation(()), expr=Name("Q")),
-                    lambda: ExplorationConfig(max_state=1)):
+                    lambda: ExplorationConfig(max_state=1),
+                    lambda: ExplorationConfig(100_000, 4096)):
             with pytest.raises(TypeError):
                 bad()
