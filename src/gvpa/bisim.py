@@ -11,15 +11,17 @@ every valuation and fixes the target valuation.
 Refinement reads the label ids and targets of one `Transitions` store.
 After the first round it signs again only the predecessors of states
 that moved to a new block, so a round costs work in proportion to what
-changed; the history is the same as that of full sweeps.
+changed. The history logs the states each round moved; the rounds it
+builds are those of full sweeps.
 """
 from __future__ import annotations
 
 from array import array
-from collections import Counter
-from itertools import accumulate, islice
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
+from itertools import islice
 from operator import itemgetter, lt
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ContractViolationError
 from .sos import (
@@ -39,12 +41,13 @@ if TYPE_CHECKING:
 # signatures, the sets of (label, block) pairs of their moves, agree
 # (Blom & Orzan, STTT 2005). Each row's moves are put in label order once
 # per refinement: a pattern numbers the sorted label-id tuple of a row,
-# and the row's targets are kept in that order. A row whose labels are
-# distinct signs as ``(pattern, block of each target)``: no set, no sort
-# and no int computed per move, as the tuple holds the block list's own
-# ints. A row that repeats a label signs from its sorted, deduplicated
-# (label id, block) pairs in the same form, with the pattern of their
-# label tuple, so equal sets of pairs give equal signatures. Block ids are
+# and each state's row of targets is built once, in that order. A row
+# whose labels are distinct signs as ``(pattern, block of each target)``:
+# no set, no sort and no int computed per move, as the tuple holds the
+# block list's own ints. A row that repeats a label signs from its sorted,
+# deduplicated (label id, block) pairs in the same form, with the pattern
+# of their label tuple, so equal sets of pairs give equal signatures. One
+# dict groups the signed states by (block, signature). Block ids are
 # stable: a block that splits keeps its id for one part and only the
 # other parts' states move. A state's signature can change only when a
 # successor moved, so after round 1 only the predecessors of moved states
@@ -53,6 +56,14 @@ if TYPE_CHECKING:
 # re-signed members of a block group apart from the rest: when every
 # member was re-signed the first group keeps the id, and otherwise every
 # group moves to a new one.
+#
+# The history is a change log: the states each round moved and their new
+# block ids. A round costs work in proportion to the states it signs, and
+# the log grows in proportion to the states it moves; a chain of n states
+# takes n rounds of one move each. The block list, in stable ids, ends as
+# the final partition (`History.final`), which the verdicts read.
+# `History` builds a whole round on demand, in first-occurrence numbering,
+# and reads the block of one state at one round by bisecting its changes.
 
 
 class _Patterns(dict):
@@ -69,30 +80,28 @@ class _Patterns(dict):
         return pattern
 
 
-def _signature(pattern: int, targets: Sequence[int], block: list[int],
-               patterns: _Patterns) -> tuple[int, ...]:
-    """The signature of a state whose move targets are ``targets`` in label
-    order. ``pattern`` numbers the row's sorted labels if they are
-    distinct, and is ``~p`` for the pattern ``p`` of a row that repeats a
-    label."""
-    if pattern >= 0:
-        return (pattern, *map(block.__getitem__, targets))
-    labels, blocks = zip(*sorted(set(zip(patterns.labels[~pattern],
-                                         map(block.__getitem__, targets)))))
+def _repeated_signature(labels: tuple[int, ...], blocks: Iterable[int],
+                        patterns: _Patterns) -> tuple[int, ...]:
+    """The signature of a row with the label ids ``labels`` (in order, with
+    a repeat) whose targets lie in ``blocks``: the pattern of its
+    deduplicated (label, block) pairs' labels, then their blocks."""
+    labels, blocks = zip(*sorted(set(zip(labels, blocks))))
     return (patterns[labels], *blocks)
 
 
 def _label_order(transitions: Transitions,
-                 patterns: _Patterns) -> tuple[list[int], array]:
-    """Each state's pattern (see `_signature`) and the targets of all moves
-    in label order, on the store's offsets; each distinct label sequence is
-    sorted once."""
-    offsets, label_ids, targets = (transitions.offsets, transitions.label_ids,
-                                   transitions.targets)
+                 patterns: _Patterns) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Each state's pattern and its row of targets in label order. The
+    pattern numbers the row's sorted labels if they are distinct, and is
+    ``~p`` for the pattern ``p`` of a row that repeats a label. Each
+    distinct label sequence is sorted once."""
+    offsets, label_ids = transitions.offsets, transitions.label_ids
     raw, size = label_ids.tobytes(), label_ids.itemsize
+    # one int object per state, shared by every row that names it
+    states = list(range(len(offsets) - 1))
+    targets = tuple(map(states.__getitem__, transitions.targets))
     orders: dict[bytes, tuple[int, itemgetter | None]] = {}
-    pattern_of = []
-    ordered = array("i", targets)
+    pattern_of, rows = [], []
     for start, stop in zip(offsets, islice(offsets, 1, None)):
         found = orders.get(key := raw[start * size:stop * size])
         if found is None:
@@ -105,9 +114,9 @@ def _label_order(transitions: Transitions,
                 itemgetter(*sorted(range(stop - start), key=sequence.__getitem__)))
         pattern, order = found
         pattern_of.append(pattern)
-        if order is not None:
-            ordered[start:stop] = array("i", order(targets[start:stop]))
-    return pattern_of, ordered
+        row = targets[start:stop]
+        rows.append(row if order is None else order(row))
+    return pattern_of, rows
 
 
 def _first_occurrence(ids: Sequence[int]) -> tuple[int, ...]:
@@ -115,92 +124,140 @@ def _first_occurrence(ids: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(rank.__getitem__, ids))
 
 
-def _predecessors(transitions: Transitions) -> tuple[array, array]:
-    """The sources of each state's incoming moves in compressed sparse row
-    form: those of state ``t`` are ``sources[starts[t]:starts[t + 1]]``,
-    one per move."""
-    offsets, targets = transitions.offsets, transitions.targets
-    counts = [0] * len(offsets)
-    for t in targets:
-        counts[t + 1] += 1
-    starts = array("i", accumulate(counts))
-    fill = starts.tolist()
-    sources = array("i", [0]) * len(targets)
-    for s in range(len(offsets) - 1):
-        for t in targets[offsets[s]:offsets[s + 1]]:
-            sources[fill[t]] = s
-            fill[t] += 1
-    return starts, sources
+class History:
+    """The rounds of one refinement, stored as a change log.
+
+    ``len(history)`` is the number of rounds plus one. ``history[0]`` is
+    the initial partition as given and ``history[k]``, for k >= 1, the
+    blocks after k rounds, numbered in order of first occurrence; each
+    is built from the log on demand, and iterating builds every round in
+    turn. ``final`` is the partition after the last round in the
+    refinement's own stable block ids, and ``signed`` counts the states
+    signed over all rounds. Round k moved the states
+    ``moved[ends[k - 1]:ends[k]]`` to the new blocks ``ids[...]`` of the
+    same positions; a state outside the log keeps its initial block.
+    """
+
+    __slots__ = ("initial", "final", "moved", "ids", "ends", "signed", "_changes")
+
+    def __init__(self, initial: tuple, final: tuple[int, ...], moved: array,
+                 ids: array, ends: array, signed: int):
+        self.initial, self.final, self.signed = initial, final, signed
+        self.moved, self.ids, self.ends = moved, ids, ends
+        self._changes = None
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, k: int) -> tuple:
+        k = range(len(self.ends))[k]
+        if k == 0:
+            return self.initial
+        block = list(_first_occurrence(self.initial))
+        for s, b in zip(self.moved[:self.ends[k]], self.ids):
+            block[s] = b
+        return _first_occurrence(block)
+
+    def block(self, s: int, k: int) -> int:
+        """The stable block id of state ``s`` after ``k`` rounds."""
+        if self._changes is None:
+            moved, ends = self.moved, self.ends
+            round_of = [r for r in range(1, len(ends)) for _ in range(ends[r - 1], ends[r])]
+            # the log's positions by state, each state's in round order
+            order = sorted(range(len(moved)), key=moved.__getitem__)
+            self._changes = (_first_occurrence(self.initial),
+                             [moved[i] for i in order], [round_of[i] for i in order],
+                             [self.ids[i] for i in order])
+        start, states, rounds, ids = self._changes
+        lo = bisect_left(states, s)
+        j = bisect_right(rounds, k, lo, bisect_right(states, s, lo))
+        return start[s] if j == lo else ids[j - 1]
+
+
+def _predecessors(rows: list[tuple[int, ...]]) -> list[list[int]]:
+    """The states with a move into each state, each listed once."""
+    sources: list[list[int]] = [[] for _ in rows]
+    appends = [found.append for found in sources]
+    for s, row in enumerate(rows):
+        for t in set(row):
+            appends[t](s)
+    return sources
 
 
 def refinement_history(transitions: Transitions,
-                       initial_blocks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+                       initial_blocks: Sequence[int]) -> History:
     """Rounds of signature refinement until stable, on the label ids and
     targets of a `Transitions` store.
 
-    ``history[k][s]`` is the block of state ``s`` after k rounds, numbered
-    in order of first occurrence for k >= 1 (``history[0]`` is the initial
-    partition as given); states share a block at round k iff no formula of
-    modal depth <= k (over the seeded atoms) tells them apart.
+    The result is a `History`: ``history[k][s]`` is the block of state
+    ``s`` after k rounds, and ``history.final`` the last partition. States
+    share a block at round k iff no formula of modal depth <= k (over the
+    seeded atoms) tells them apart.
     """
-    history = [tuple(initial_blocks)]
-    offsets = transitions.offsets
-    n_states = len(offsets) - 1
+    initial = tuple(initial_blocks)
+    n_states = len(transitions.offsets) - 1
     patterns = _Patterns()
-    pattern_of, ordered = _label_order(transitions, patterns)
-    block = list(_first_occurrence(history[0]))
+    pattern_of, rows = _label_order(transitions, patterns)
+    block = list(_first_occurrence(initial))
+    get = block.__getitem__
     size = [0] * (max(block, default=-1) + 1)
     for b in block:
         size[b] += 1
+    moved, ids, ends = array("i"), array("i"), array("i", [0])
+    signed = 0
     sources = None
-    dirty: Sequence[int] = range(n_states)
+    dirty: Iterable[int] = range(n_states)
     # a round either splits a block or is the last, so n_states rounds suffice
     for _ in range(n_states):
-        # the re-signed states of each block, by signature
-        parts_of: dict[int, dict[tuple[int, ...], list[int]]] = {}
+        # the signed states by (block, signature), in one dict pass
+        groups: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
         for s in dirty:
-            b = block[s]
-            signature = _signature(pattern_of[s], ordered[offsets[s]:offsets[s + 1]],
-                                   block, patterns)
-            parts = parts_of.get(b)
-            if parts is None:
-                parts = parts_of[b] = {}
-            members = parts.get(signature)
-            if members is None:
-                parts[signature] = [s]
+            pattern = pattern_of[s]
+            if pattern >= 0:
+                groups[(block[s], pattern, *map(get, rows[s]))].append(s)
             else:
-                members.append(s)
-        moved: list[int] = []
-        for b, parts in parts_of.items():
-            if size[b] == sum(map(len, parts.values())):
-                # every member was re-signed: the first part keeps the id
-                del parts[next(iter(parts))]
-            for members in parts.values():
-                new = len(size)
-                size.append(len(members))
-                size[b] -= len(members)
-                for s in members:
-                    block[s] = new
-                moved += members
-        if not moved:
+                groups[(block[s], *_repeated_signature(
+                    patterns.labels[~pattern], map(get, rows[s]), patterns))].append(s)
+        signed += len(dirty)
+        signed_of: dict[int, int] = {}
+        for key, members in groups.items():
+            signed_of[key[0]] = signed_of.get(key[0], 0) + len(members)
+        # blocks whose every member was re-signed: their first group keeps the id
+        whole = {b for b, count in signed_of.items() if count == size[b]}
+        for key, members in groups.items():
+            b = key[0]
+            if b in whole:
+                whole.remove(b)
+                continue
+            new = len(size)
+            size.append(len(members))
+            size[b] -= len(members)
+            for s in members:
+                block[s] = new
+            moved.fromlist(members)
+            ids.fromlist([new] * len(members))
+        if len(moved) == ends[-1]:
             break
-        history.append(_first_occurrence(block))
         if sources is None:
-            starts, sources = _predecessors(transitions)
-        dirty = sorted({p for t in moved for p in sources[starts[t]:starts[t + 1]]})
-    return tuple(history)
+            sources = _predecessors(rows)
+        dirty = set().union(*map(sources.__getitem__, moved[ends[-1]:]))
+        ends.append(len(moved))
+    return History(initial, tuple(block), moved, ids, ends, signed)
 
 
-def _rank(history, s: int, t: int) -> int | None:
-    for k, blocks in enumerate(history):
-        if blocks[s] != blocks[t]:
-            return k
-    return None
+def _rank(history: History, s: int, t: int) -> int | None:
+    """The first round that puts ``s`` and ``t`` in different blocks."""
+    last = len(history) - 1
+
+    def apart(k: int) -> bool:
+        return history.block(s, k) != history.block(t, k)
+
+    return bisect_left(range(last + 1), True, key=apart) if apart(last) else None
 
 
-def _in_relation(history, s: int, t: int, level: int) -> bool:
-    blocks = history[min(level, len(history) - 1)]
-    return blocks[s] == blocks[t]
+def _in_relation(history: History, s: int, t: int, level: int) -> bool:
+    level = min(level, len(history) - 1)
+    return history.block(s, level) == history.block(t, level)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +278,7 @@ class BisimResult(Record):
     left: int
     right: int
     rounds: int
-    history: tuple[tuple[int, ...], ...]
+    history: History
     states: tuple
     adjacency: Transitions
     valuations: tuple[Valuation, ...]
@@ -231,7 +288,7 @@ class BisimResult(Record):
 
     @property
     def relation_size(self) -> int:
-        return sum(n * (n + 1) // 2 for n in Counter(self.history[-1]).values())
+        return sum(n * (n + 1) // 2 for n in Counter(self.history.final).values())
 
 
 def _result(mode: str, states: tuple, adjacency: Transitions,
@@ -239,7 +296,7 @@ def _result(mode: str, states: tuple, adjacency: Transitions,
             s: int, t: int) -> BisimResult:
     """Refines the seeded partition and reads the verdict on (s, t) off it."""
     history = refinement_history(adjacency, initial_blocks)
-    final = history[-1]
+    final = history.final
     return BisimResult(mode=mode, equivalent=final[s] == final[t], left=s,
                        right=t, rounds=len(history) - 1, history=history,
                        states=states, adjacency=adjacency, valuations=valuations)
@@ -252,10 +309,10 @@ def strong_bisim(lts: Lts, s: int, t: int) -> BisimResult:
 
 
 def state_based_bisim_on_lts(lts: Lts, s: int, t: int) -> BisimResult:
-    """Greatest fixpoint of Definition 5 on an explored LTS of `GvState`s;
-    the initial partition splits states by their full valuation."""
-    seen: dict[Valuation, int] = {}
-    initial = [seen.setdefault(state.valuation, len(seen)) for state in lts.states]
+    """Greatest fixpoint of Definition 5 on an LTS of `GvState`s that
+    `explore` built; the initial partition splits states by their full
+    valuation, read as each key's valuation code, so no state is built."""
+    initial = _first_occurrence(lts.states.codes())
     return _result("state-based", lts.states, lts.transitions, (), initial, s, t)
 
 

@@ -641,14 +641,28 @@ class Payloads(Sequence):
         return repr(self.items())
 
 
-def _bfs_lts(roots: Iterable, successors, cap: int,
-             payload: Callable[[Any], Any] | None = None) -> tuple[Lts, tuple[int, ...]]:
+class _States(Payloads):
+    """An exploration's states, built from their keys by `_Frames.state`.
+    `codes` reads each state's valuation code, its key's lowest digit,
+    and builds no state."""
+
+    __slots__ = ("_keys", "_count")
+
+    def __init__(self, keys: list[int], frames: _Frames):
+        super().__init__(keys, frames.state)
+        self._keys, self._count = keys, frames.codes.count
+
+    def codes(self) -> list[int]:
+        count = self._count
+        return [key % count for key in self._keys]
+
+
+def _bfs_lts(roots: Iterable, successors, cap: int) -> tuple[Lts, tuple[int, ...]]:
     """The reachable LTS of the roots, states indexed in BFS order; each
-    state holds the node itself, or ``payload(node)``, built on first
-    read (`Payloads`)."""
+    state is the node itself."""
     nodes, transitions, root_indices = _bfs(roots, successors, cap)
-    states = tuple(nodes) if payload is None else Payloads(nodes, payload)
-    return Lts(states=states, transitions=transitions, initial=root_indices[0]), root_indices
+    return Lts(states=tuple(nodes), transitions=transitions,
+               initial=root_indices[0]), root_indices
 
 
 def explore(spec: RecursiveSpec, roots: Sequence[GvState],
@@ -657,8 +671,10 @@ def explore(spec: RecursiveSpec, roots: Sequence[GvState],
     keys of one `_Stepper`, which keeps each frame vector's table until the
     call returns. The states are built from their keys on first read."""
     stepper = _Stepper(spec)
-    return _bfs_lts([stepper.key(root) for root in roots], stepper.successors,
-                    cfg.max_states, stepper.frames.state)
+    keys, transitions, root_indices = _bfs(
+        [stepper.key(root) for root in roots], stepper.successors, cfg.max_states)
+    return Lts(states=_States(keys, stepper.frames), transitions=transitions,
+               initial=root_indices[0]), root_indices
 
 
 def generate_lts(spec: RecursiveSpec, init: InitSpec | GvState,

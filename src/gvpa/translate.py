@@ -525,8 +525,8 @@ def check_bisimilarity_preservation(pipeline: PipelineResult) -> PreservationRep
     partition of the translated LTS through the state map: two source
     states must share a block exactly when their translations do."""
     gv, m = pipeline.gv_lts, pipeline.m_lts
-    source = state_based_bisim_on_lts(gv, gv.initial, gv.initial).history[-1]
-    translated = strong_bisim(m, m.initial, m.initial).history[-1]
+    source = state_based_bisim_on_lts(gv, gv.initial, gv.initial).history.final
+    translated = strong_bisim(m, m.initial, m.initial).history.final
     first_in_source: dict[int, int] = {}
     first_in_translated: dict[int, int] = {}
     for i, image in enumerate(pipeline.link):

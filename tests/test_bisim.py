@@ -1,4 +1,9 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
@@ -30,6 +35,7 @@ from gvpa.syntax import (
 from gvpa.translate import run_pipeline
 
 CFG = ExplorationConfig(max_states=2000)
+SRC = str(pathlib.Path(gvpa.bisim.__file__).resolve().parent.parent)
 
 
 class TestStrong:
@@ -78,6 +84,34 @@ class TestStateBased:
         spec, p, q, r, v0 = example3
         assert not state_based_bisim(spec, GvState(Parallel(p, r), v0),
                                      GvState(Parallel(q, r), v0)).equivalent
+
+    def test_seeded_from_valuation_codes_without_building_states(self):
+        """The initial partition reads each explored key's valuation code,
+        so the check builds no term: in a fresh interpreter, where no
+        R(3,4) state was built before, `Parallel`'s intern table keeps its
+        size. ``history[0]`` numbers the valuations by first occurrence."""
+        code = f"""
+from gvpa.bisim import state_based_bisim_on_lts
+from gvpa.parser import parse_spec
+from gvpa.sos import GvState, explore
+from gvpa.syntax import Parallel
+spec, init = parse_spec({ring_text(3, 4)!r})
+lts, _ = explore(spec, [GvState(init.root, init.valuation)])
+before = len(Parallel._table)
+result = state_based_bisim_on_lts(lts, 0, 0)
+assert len(Parallel._table) == before, (before, len(Parallel._table))
+seen = {{}}
+assert result.history[0] == tuple(
+    seen.setdefault(state.valuation, len(seen)) for state in lts.states)
+assert len(Parallel._table) > before
+print(len(lts.states))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "128\n"
 
     def test_related_pairs_have_equal_valuations(self, example3):
         spec, p, q, _, v0 = example3
@@ -313,19 +347,20 @@ def _seeded_cases():
 
 def _assert_same_history(n_states, adjacency, initial):
     expected = reference_refinement_history(n_states, adjacency, initial)
-    assert refinement_history(Transitions(adjacency), initial) == expected
+    assert tuple(refinement_history(Transitions(adjacency), initial)) == expected
     return expected
 
 
 class TestRefinementAgainstReference:
     """`refinement_history` re-signs only the predecessors of states that
     moved; the full sweep of `reference_refinement_history` signs every
-    state in every round. Every round of the two histories must agree."""
+    state in every round. Every round of the two histories must agree,
+    each built whole from the change log."""
 
     @staticmethod
     def _assert_matches(result):
         n = len(result.states)
-        assert result.history == reference_refinement_history(
+        assert tuple(result.history) == reference_refinement_history(
             n, [result.successors(s) for s in range(n)], result.history[0])
 
     def test_seeded_corpora_in_all_three_modes(self):
@@ -469,10 +504,10 @@ class TestRowOrder:
         rows = [result.successors(s) for s in range(n)]
         initial = result.history[0]
         expected = reference_refinement_history(n, rows, initial)
-        assert result.history == expected
+        assert tuple(result.history) == expected
         for _ in range(3):
             shuffled = [rng.sample(row, len(row)) for row in rows]
-            assert refinement_history(Transitions(shuffled), initial) == expected
+            assert tuple(refinement_history(Transitions(shuffled), initial)) == expected
 
     def test_ring_stores(self):
         spec, init = parse_spec(ring_text(3, 6))
@@ -488,22 +523,89 @@ class TestRowOrder:
                 self._assert_order_free(result, rng)
 
 
+
+
+def _chain_store(n):
+    """The store of ``P0 -a-> P1 -a-> ... -a-> P(n-1)``."""
+    return Transitions([[("a", s + 1)] for s in range(n - 1)] + [[]])
+
+
 class TestRefinementWork:
     """After round 1 only the predecessors of moved states are signed
     again, so a refinement signs fewer than the ``(rounds + 1) * n``
-    signatures of full sweeps."""
+    states of full sweeps. The kernel counts the states it signs on the
+    history it returns."""
 
-    def test_stateless_ring_signs_less_than_full_sweeps(self, monkeypatch):
+    def test_stateless_ring_signs_less_than_full_sweeps(self):
         spec, init = parse_spec(ring_text(3, 6))
-        calls = []
-        signature = gvpa.bisim._signature
-
-        def counted(*args):
-            calls.append(None)
-            return signature(*args)
-
-        monkeypatch.setattr(gvpa.bisim, "_signature", counted)
         result = stateless_bisim(spec, init.root, init.root, CFG)
         n = len(result.states)
         assert result.rounds >= 2
-        assert len(calls) < (result.rounds + 1) * n
+        assert n <= result.history.signed < (result.rounds + 1) * n
+
+    def test_chain_signs_each_state_about_twice_and_logs_one_move_a_round(self):
+        n = 500
+        history = refinement_history(_chain_store(n), [0] * n)
+        assert len(history) == n
+        # round 1 signs every state, each later round, and the last that
+        # moves none, the one predecessor of the state moved before
+        assert history.signed == 2 * n - 1
+        assert list(history.ends) == list(range(n))
+        assert sorted(history.moved) == list(range(1, n))
+
+
+class TestChangeLog:
+    """The history logs the moves of each round instead of keeping each
+    round whole, so a chain's refinement holds memory linear in its
+    length, and `_rank` and `_in_relation` read the log by bisection."""
+
+    @staticmethod
+    def _held(n):
+        store = _chain_store(n)
+        tracemalloc.start()
+        try:
+            history = refinement_history(store, [0] * n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(history) == n
+        return peak
+
+    def test_chain_memory_grows_linearly(self):
+        # a first run also fills the interpreter's free lists, which a
+        # tracer counts as held
+        self._held(2001)
+        assert self._held(2001) <= 2.2 * self._held(1001)
+
+    def test_rank_and_relation_equal_their_values_on_whole_rounds(self):
+        for spec, roots, valuation in _seeded_cases():
+            for result in _results(spec, roots, valuation):
+                rounds = tuple(result.history)
+                n = len(result.states)
+                for s in range(n):
+                    for t in range(n):
+                        apart = [k for k, blocks in enumerate(rounds)
+                                 if blocks[s] != blocks[t]]
+                        assert gvpa.bisim._rank(result.history, s, t) == (
+                            apart[0] if apart else None)
+                        for level in range(len(rounds) + 1):
+                            blocks = rounds[min(level, len(rounds) - 1)]
+                            assert gvpa.bisim._in_relation(
+                                result.history, s, t, level) == (blocks[s] == blocks[t])
+
+    @pytest.mark.parametrize("text", [ring_text(3, 4), worker_grid_text(3, 3)],
+                             ids=["R(3,4)", "W(3,3)"])
+    def test_what_the_benchmark_and_the_translation_read(self, text):
+        """``len(history) - 1`` is the rounds count that the benchmark
+        records as ``bisim.rounds``, and ``history[-1]`` is the final
+        partition in first-occurrence numbering: ``history.final``
+        renumbered, and the last round built from the log. The grid's
+        state-based check stops after one signing round with no split."""
+        spec, init = parse_spec(text)
+        for result in _results(spec, (init.root,), init.valuation):
+            history = refinement_history(result.adjacency, result.history[0])
+            assert len(history) - 1 == result.rounds == len(result.history) - 1
+            first: dict = {}
+            numbered = tuple(first.setdefault(b, len(first)) for b in history.final)
+            assert history[-1] == numbered == tuple(history)[-1]
+            assert result.history[-1] == numbered

@@ -96,14 +96,14 @@ class TestAgainstRowLists:
             seen: dict = {}
             by_valuation = [seen.setdefault(s.valuation, len(seen)) for s in states]
             for initial in ([0] * n, by_valuation):
-                assert (refinement_history(lts.transitions, initial)
+                assert (tuple(refinement_history(lts.transitions, initial))
                         == reference_refinement_history(n, rows, initial))
             exprs, _, closure, indices = expression_closure(spec, roots)
             ref_exprs, _, ref_rows, ref_indices = reference_closure(spec, roots)
             assert tuple(exprs) == ref_exprs and indices == ref_indices
             assert [closure.successors(e) for e in range(len(exprs))] == ref_rows
             initial = [0] * len(exprs)
-            assert (refinement_history(closure, initial)
+            assert (tuple(refinement_history(closure, initial))
                     == reference_refinement_history(len(exprs), ref_rows, initial))
 
 

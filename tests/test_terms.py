@@ -284,12 +284,12 @@ def _records(value, found):
 
 def _plain(value):
     """A value with each record spelled as its class and fields, each
-    `Transitions` store, which compares by identity, as its triples, and
-    each `Payloads`, which also compares by identity, as the tuple of its
-    payloads."""
+    `Transitions` store, which compares by identity, as its triples, each
+    refinement `History`, which also compares by identity, as its rounds,
+    and each `Payloads`, likewise, as the tuple of its payloads."""
     if isinstance(value, Record):
         return type(value), tuple(_plain(getattr(value, name)) for name in value._fields)
-    if isinstance(value, Transitions):
+    if isinstance(value, (Transitions, bisim.History)):
         return tuple(value)
     if isinstance(value, Payloads):
         return tuple(map(_plain, value))
